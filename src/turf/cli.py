@@ -81,6 +81,16 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _stage_at(model, index: int, option: str):
+    """The stage an index option names; an index outside the model is a
+    domain error, not a Python-style index from the end."""
+    if not 0 <= index < len(model.stages):
+        raise UnsupportedConfig(
+            f"{option} {index} is out of range: the model has stages "
+            f"0..{len(model.stages) - 1}")
+    return model.stages[index]
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -128,7 +138,7 @@ def cmd_hw_describe(args) -> int:
     from .hw import instantiate_layer
 
     model = load_model(args.model)
-    stage = model.stages[args.layer]
+    stage = _stage_at(model, args.layer, "--layer")
     block = _as_block(stage.op)
     if block is None:
         raise UnsupportedConfig(
@@ -163,7 +173,7 @@ def cmd_hw_describe(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
-    stage = model.stages[args.block]
+    stage = _stage_at(model, args.block, "--block")
     block = _as_block(stage.op)
     if block is None:
         raise UnsupportedConfig(f"stage {args.block} ({stage.name}) is not simulatable")
@@ -225,7 +235,7 @@ def cmd_dse(args) -> int:
            "platform": platform.to_json()}
     csv_rows = []
     if args.block is not None:
-        stage = model.stages[args.block]
+        stage = _stage_at(model, args.block, "--block")
         block = _as_block(stage.op)
         if block is None:
             raise UnsupportedConfig(f"stage {args.block} ({stage.name}) is not a block")
@@ -373,6 +383,17 @@ def cmd_winograd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="turf",
@@ -416,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--platform")
     p_dse.add_argument("--calibration")
     p_dse.add_argument("--block", type=int)
-    p_dse.add_argument("--max-parallel", type=int, default=64)
+    p_dse.add_argument("--max-parallel", type=_positive_int, default=64)
     p_dse.add_argument("--grid-depth", type=int, default=4)
     p_dse.add_argument("--csv")
     p_dse.add_argument("--out")
@@ -432,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--oracle", default="synthetic")
     p_exp.add_argument("--exhaustive", action="store_true")
     p_exp.add_argument("--finetune-budget", type=int, default=1)
-    p_exp.add_argument("--max-parallel", type=int, default=64)
+    p_exp.add_argument("--max-parallel", type=_positive_int, default=64)
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_explore)
 

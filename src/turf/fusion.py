@@ -27,6 +27,16 @@ whose buffer cannot hold what the adjacent sequences require are rejected
 as inefficient before simulation.  Module pipeline-fill latencies delay a
 layer's releases by a constant and are reported separately.
 
+Each layer has its own engine, so a unit's start time depends only on
+its own dependencies: it is the latest of its engine becoming free (the
+layer's previous unit finishing), its input being ready (token u, or every
+token for a filter-major consumer) and its output slot being freed (for a
+streaming producer, token u - capacity consumed).  The simulator evaluates
+this per-unit recurrence directly: it sweeps the layers in order and
+advances each while its dependencies are known, which costs O(units) per
+pass plus one sweep per producer/consumer hand-off round.  A sweep that
+places no unit means the dependencies form a cycle (a deadlock).
+
 Shortcut additions synchronise at tile completion with zero compute
 cycles.  One simulation covers one tile pass; spatial and output-channel
 tiling multiply the number of sequential passes.
@@ -311,16 +321,14 @@ def _plan_layers(block: BlockSpec, input_shape: TensorShape,
     return plans
 
 
-def _buffer_tokens(plans: list[_LayerPlan], cfg: FusedDesignConfig,
+def _buffer_tokens(plans: list[_LayerPlan], option: BufferOption,
                    i: int) -> tuple[int, int, int]:
     """(tokens, capacity_tokens, words) for the buffer after layer i."""
     consumer = plans[i + 1]
     tokens = math.ceil(consumer.hw.t_c / consumer.hw.p_c)
-    prev_seq = cfg.seqs[i]
-    cur_seq = cfg.seqs[i + 1]
-    option = cfg.buffer_options[i]
-    words = intermediate_buffer_words(prev_seq, cur_seq, consumer.hw.tile,
-                                      consumer.hw.parallelism, option)
+    words = intermediate_buffer_words(plans[i].hw.seq, consumer.hw.seq,
+                                      consumer.hw.tile, consumer.hw.parallelism,
+                                      option)
     chunk_words = consumer.hw.p_c * consumer.hw.t_h * consumer.hw.t_w
     cap = max(1, words // chunk_words)
     if not consumer.consumer_stream and cap < tokens:
@@ -334,6 +342,11 @@ def _buffer_tokens(plans: list[_LayerPlan], cfg: FusedDesignConfig,
     return tokens, cap, words
 
 
+def _buffer_caps(plans: list[_LayerPlan],
+                 options: tuple[BufferOption, ...]) -> list[tuple[int, int, int]]:
+    return [_buffer_tokens(plans, options[i], i) for i in range(len(plans) - 1)]
+
+
 @dataclass
 class _BufferState:
     tokens: int
@@ -341,24 +354,35 @@ class _BufferState:
     ready: list
     freed: list
     reserved: list
+    all_ready: int | None = None   # time the last token became ready
 
     def peak(self) -> int:
-        times = []
-        for r, f in zip(self.reserved, self.freed):
-            if r is not None:
-                times.append((r, 1))
-                times.append((f if f is not None else float("inf"), -1))
-        times.sort(key=lambda t: (t[0], -t[1]))
-        cur = peak = 0
-        for _, d in times:
-            cur += d
+        """Most tokens held at once.  Reserve and free times are each
+        non-decreasing, so one merge counts them; a reservation at time t
+        counts before a free at t."""
+        held = [(r, f) for r, f in zip(self.reserved, self.freed) if r is not None]
+        frees = [math.inf if f is None else f for _, f in held]
+        cur = peak = j = 0
+        for r, _ in held:
+            while frees[j] < r:
+                cur -= 1
+                j += 1
+            cur += 1
             peak = max(peak, cur)
         return peak
 
 
 def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
                    collect_events: bool) -> tuple[int, list, list, list]:
-    """One tile pass.  Returns (makespan, starts, finishes, buffer states)."""
+    """One tile pass.  Returns (makespan, starts, finishes, (buffer states, events)).
+
+    A unit starts at the latest of engine-free, input-ready and slot-freed
+    (see the module docstring), so start times do not depend on the order
+    units are placed in.  Each sweep advances every layer, in order, while
+    its next unit's dependencies are known; a sweep that places no unit
+    raises ``SimDeadlock``.  Each buffer keeps the time its last token
+    became ready, which is what a filter-major consumer waits for.
+    """
     n = len(plans)
     bufs = [_BufferState(t, c, [None] * t, [None] * t, [None] * t)
             for (t, c, _) in caps]
@@ -370,79 +394,67 @@ def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
     remaining = sum(p.units for p in plans)
 
     while remaining:
-        best = None
+        placed = 0
         for i, plan in enumerate(plans):
+            inbuf = bufs[i - 1] if i > 0 else None
+            outbuf = bufs[i] if i < n - 1 else None
+            units, cycles = plan.units, plan.cycles_per_unit
             u = next_unit[i]
-            if u >= plan.units:
-                continue
-            t = engine_free[i]
-            ok = True
-            if i > 0:
-                b = bufs[i - 1]
-                if plan.consumer_stream:
-                    if b.ready[u] is None:
-                        ok = False
+            while u < units:
+                t = engine_free[i]
+                if inbuf is not None:
+                    ready = inbuf.ready[u] if plan.consumer_stream else inbuf.all_ready
+                    if ready is None:
+                        break
+                    if ready > t:
+                        t = ready
+                if outbuf is not None and plan.producer_stream and u >= outbuf.cap:
+                    # channel-major producers reserve the whole tile region
+                    # at unit 0; capacity >= tokens was validated, so no wait
+                    freed = outbuf.freed[u - outbuf.cap]
+                    if freed is None:
+                        break
+                    if freed > t:
+                        t = freed
+
+                finish = t + cycles
+                starts[i][u] = t
+                finishes[i][u] = finish
+                engine_free[i] = finish
+                if collect_events:
+                    events.append(SimEvent(t, i, u, "start"))
+                    events.append(SimEvent(finish, i, u, "finish"))
+                last = u == units - 1
+                if inbuf is not None:
+                    if plan.consumer_stream:
+                        inbuf.freed[u] = finish
+                    elif last:
+                        inbuf.freed = [finish] * inbuf.tokens
+                if outbuf is not None:
+                    release = finish + plan.fill
+                    if plan.producer_stream:
+                        outbuf.reserved[u] = t
+                        outbuf.ready[u] = release
+                        if u == outbuf.tokens - 1:
+                            outbuf.all_ready = release
+                        if collect_events:
+                            events.append(SimEvent(release, i, u, "release"))
                     else:
-                        t = max(t, b.ready[u])
-                else:
-                    if any(r is None for r in b.ready):
-                        ok = False
-                    else:
-                        t = max(t, max(b.ready))
-            if ok and i < n - 1:
-                b = bufs[i]
-                if plan.producer_stream:
-                    if u >= b.cap:
-                        if b.freed[u - b.cap] is None:
-                            ok = False
-                        else:
-                            t = max(t, b.freed[u - b.cap])
-                # channel-major producers reserve the whole tile region at
-                # unit 0; capacity >= tokens was validated, so no wait.
-            if ok and (best is None or (t, i) < best):
-                best = (t, i)
-        if best is None:
+                        if u == 0:
+                            outbuf.reserved = [t] * outbuf.tokens
+                        if last:
+                            outbuf.ready = [release] * outbuf.tokens
+                            outbuf.all_ready = release
+                            if collect_events:
+                                events.append(SimEvent(release, i, u, "release"))
+                u += 1
+            placed += u - next_unit[i]
+            next_unit[i] = u
+        if not placed:
             raise SimDeadlock(
                 f"no schedulable unit with {remaining} units remaining",
                 trace=events)
-
-        t, i = best
-        plan = plans[i]
-        u = next_unit[i]
-        finish = t + plan.cycles_per_unit
-        starts[i][u] = t
-        finishes[i][u] = finish
-        engine_free[i] = finish
-        next_unit[i] += 1
-        remaining -= 1
-        if collect_events:
-            events.append(SimEvent(t, i, u, "start"))
-            events.append(SimEvent(finish, i, u, "finish"))
-
-        if i > 0:
-            b = bufs[i - 1]
-            if plan.consumer_stream:
-                b.freed[u] = finish
-            elif u == plan.units - 1:
-                for k in range(b.tokens):
-                    b.freed[k] = finish
-        if i < n - 1:
-            b = bufs[i]
-            release = finish + plan.fill
-            if plan.producer_stream:
-                b.reserved[u] = t
-                b.ready[u] = release
-                if collect_events:
-                    events.append(SimEvent(release, i, u, "release"))
-            else:
-                if u == 0:
-                    for k in range(b.tokens):
-                        b.reserved[k] = t
-                if u == plan.units - 1:
-                    for k in range(b.tokens):
-                        b.ready[k] = release
-                    if collect_events:
-                        events.append(SimEvent(release, i, u, "release"))
+        remaining -= placed
 
     # intermediate fills already propagated through token release times;
     # the last layer's own fill extends the makespan
@@ -451,29 +463,19 @@ def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
     return makespan, starts, finishes, (bufs, events)
 
 
-def simulate_fused(block: BlockSpec, input_shape: TensorShape,
-                   cfg: FusedDesignConfig, collect_events: bool = False,
-                   include_fill: bool = True) -> SimReport:
-    """Simulate one fused launch of ``block`` over ``input_shape``.
-
-    Spatial tiles and output-channel slices execute as sequential passes of
-    the same pipeline; the report covers the whole input.
-    """
-    plans = _plan_layers(block, input_shape, cfg)
-    if not include_fill:
-        plans = [replace(p, fill=0) for p in plans]
-    n = len(plans)
-    caps = [_buffer_tokens(plans, cfg, i) for i in range(n - 1)]
-
-    makespan, starts, finishes, (bufs, events) = _simulate_pass(
-        plans, caps, collect_events)
-
-    out_channels_last = plans[-1].hw.t_f
-    final_shape = block.output_shape(input_shape)
-    spatial_passes = math.ceil(input_shape.height / cfg.t_h) * \
+def _pass_count(block: BlockSpec, input_shape: TensorShape,
+                cfg: FusedDesignConfig) -> int:
+    """Sequential tile passes: spatial tiles times output-channel slices."""
+    spatial = math.ceil(input_shape.height / cfg.t_h) * \
         math.ceil(input_shape.width / cfg.t_w)
-    f_passes = math.ceil(final_shape.channels / cfg.t_f)
-    n_passes = spatial_passes * f_passes
+    return spatial * math.ceil(block.output_shape(input_shape).channels / cfg.t_f)
+
+
+def _sim_report(plans: list[_LayerPlan], options: tuple[BufferOption, ...],
+                caps: list[tuple[int, int, int]], simulated: tuple,
+                n_passes: int) -> SimReport:
+    """The report of one ``_simulate_pass`` result over ``n_passes`` passes."""
+    makespan, starts, finishes, (bufs, events) = simulated
 
     layer_rows = []
     for i, plan in enumerate(plans):
@@ -489,7 +491,7 @@ def simulate_fused(block: BlockSpec, input_shape: TensorShape,
     buffer_rows = []
     for i, ((tokens, cap, words), b) in enumerate(zip(caps, bufs)):
         buffer_rows.append(BufferActivity(
-            index=i, option=cfg.buffer_options[i], words=words,
+            index=i, option=options[i], words=words,
             tokens=tokens, capacity_tokens=cap, peak_tokens=b.peak()))
 
     return SimReport(
@@ -501,6 +503,24 @@ def simulate_fused(block: BlockSpec, input_shape: TensorShape,
         buffers=tuple(buffer_rows),
         events=tuple(sorted(events, key=lambda e: (e.time, e.layer, e.unit))),
     )
+
+
+def simulate_fused(block: BlockSpec, input_shape: TensorShape,
+                   cfg: FusedDesignConfig, collect_events: bool = False,
+                   include_fill: bool = True) -> SimReport:
+    """Simulate one fused launch of ``block`` over ``input_shape``.
+
+    Spatial tiles and output-channel slices execute as sequential passes of
+    the same pipeline; the report covers the whole input.
+    """
+    plans = _plan_layers(block, input_shape, cfg)
+    if not include_fill:
+        plans = [replace(p, fill=0) for p in plans]
+    options = cfg.buffer_options
+    caps = _buffer_caps(plans, options)
+    return _sim_report(plans, options, caps,
+                       _simulate_pass(plans, caps, collect_events),
+                       _pass_count(block, input_shape, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -534,26 +554,34 @@ def enumerate_sequences(block: BlockSpec, input_shape: TensorShape,
     combinations are simulated and the best (lowest cycles, then smallest
     buffer footprint) is kept.  Entries are sorted by total cycles, then
     total buffer words, then the FM-before-CM lexicographic order of the
-    sequence string.
+    sequence string.  The layer plan is derived once per assignment;
+    options whose buffers cannot hold what the sequences need are rejected
+    by sizing alone, and only each assignment's best options get a report.
     """
     n = cfg.num_layers
     if n > max_layers:
         raise UnsupportedConfig(f"{n} layers exceeds enumeration bound {max_layers}")
+    n_passes = _pass_count(block, input_shape, cfg)
     results = []
     for seqs in itertools.product(_SEQ_ORDER, repeat=n):
+        # the per-layer plan depends on the sequences, not the buffer options
+        plans = _plan_layers(block, input_shape, replace(cfg, seqs=seqs))
         best = None
         for options in itertools.product(_OPTION_ORDER, repeat=max(0, n - 1)):
-            candidate = replace(cfg, seqs=seqs, buffer_options=options)
             try:
-                report = simulate_fused(block, input_shape, candidate)
+                caps = _buffer_caps(plans, options)
             except InefficientConfig:
                 continue
-            key = (report.total_cycles, report.total_buffer_words,
+            simulated = _simulate_pass(plans, caps, False)
+            # the report's (total_cycles, total_buffer_words), without building it
+            key = (simulated[0] * n_passes, sum(words for _, _, words in caps),
                    tuple(_OPTION_ORDER.index(o) for o in options))
             if best is None or key < best[0]:
-                best = (key, SeqCandidate(seqs, options, report))
+                best = (key, options, caps, simulated)
         if best is not None:
-            results.append(best[1])
+            _, options, caps, simulated = best
+            results.append(SeqCandidate(
+                seqs, options, _sim_report(plans, options, caps, simulated, n_passes)))
     results.sort(key=lambda c: (c.report.total_cycles,
                                 c.report.total_buffer_words, c.seq_order_key))
     return results

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
 
@@ -28,7 +29,7 @@ from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      PortMismatch, UnsupportedConfig)
 from .fusion import (FusedDesignConfig, SimReport, derive_layer_configs,
                      enumerate_sequences, simulate_fused, tiling_overhead)
-from .hw import BufferOption, ModuleKind, Seq, instantiate_layer, layer_cycle_counts
+from .hw import BufferOption, LayerHwConfig, ModuleKind, Seq, instantiate_layer
 from .ir import BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape
 from .kernels import transform_mult_counts, winograd_config
 
@@ -182,7 +183,7 @@ def estimate_resources(block: BlockSpec, input_shape: TensorShape,
     from .fusion import _buffer_tokens, _plan_layers  # sizing shared with the simulator
     plans = _plan_layers(block, input_shape, cfg)
     for i in range(n - 1):
-        buffers_words.append(_buffer_tokens(plans, cfg, i)[2])
+        buffers_words.append(_buffer_tokens(plans, cfg.buffer_options[i], i)[2])
 
     bram = sum(_bram_blocks(w) for w in buffers_words)
     return ResourceEstimate(dsp_used=dsp, bram_used=bram,
@@ -329,18 +330,109 @@ def _pow2_divisors(limit: int, value: int) -> list[int]:
             if p <= limit and value % p == 0]
 
 
-def _quick_dsp(block: BlockSpec, input_shape: TensorShape,
-               cfg: FusedDesignConfig) -> int:
-    return sum(_layer_dsp(layer, hw) for layer, hw in
-               zip(block.layers, derive_layer_configs(block, input_shape, cfg)))
-
-
 def _tile_options(size: int, min_tile: int) -> list[int]:
     out = [size]
     while size % 2 == 0 and size // 2 >= min_tile:
         size //= 2
         out.append(size)
     return out
+
+
+def _parallelism_combos(block: BlockSpec, chans: list[int], grids: list[list[int]],
+                        p_h: int, p_w: int, wino: tuple[bool, ...],
+                        winograd_m: int, dsp_total: int,
+                        grid_depth: int | None) -> list[tuple[int, ...]]:
+    """(P_c^1, ..., P_c^N, P_f) combos whose multipliers fit ``dsp_total``,
+    largest first, cut to ``grid_depth`` plus the smallest as a floor.
+
+    A layer's multiplier count depends only on the layer, (P_c, P_f) and
+    the spatial option, so it is tabulated once per layer; a depthwise
+    layer keeps its channels, so it only takes P_f == P_c.
+    """
+    table = []
+    for i, layer in enumerate(block.layers):
+        depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
+        table.append({
+            (p_c, p_f): _layer_dsp(layer, LayerHwConfig(
+                tile=(p_h, p_w, chans[i], chans[i + 1]),
+                parallelism=(p_h, p_w, p_c, p_f), use_winograd=wino[i],
+                winograd_m=winograd_m))
+            for p_c in grids[i] for p_f in grids[i + 1]
+            if not depthwise or p_c == p_f})
+    combos = []
+    for ps in itertools.product(*grids):
+        dsp = 0
+        for i, layer_dsp in enumerate(table):
+            count = layer_dsp.get((ps[i], ps[i + 1]))
+            if count is None:
+                break
+            dsp += count
+        else:
+            if dsp <= dsp_total:
+                combos.append(ps)
+    if not combos:
+        return []
+    combos.sort(key=lambda ps: (-math.prod(ps), ps))
+    floor = combos[-1]
+    if grid_depth is not None:
+        combos = combos[:grid_depth]
+        if floor not in combos:
+            combos.append(floor)
+    return combos
+
+
+def _grid_points(block: BlockSpec, input_shape: TensorShape, dsp_total: int,
+                 max_parallel: int, winograd_m: int, grid_depth: int | None,
+                 min_tile: int) -> Iterator[FusedDesignConfig]:
+    """The prefiltered grid of ``design_candidates``: one all-FM config per
+    (tile, spatial option, surviving parallelism combo), in search order."""
+    layers = block.layers
+    n = len(layers)
+    chans = [input_shape.channels]
+    for layer in layers:
+        chans.append(layer.output_shape(TensorShape(
+            input_shape.height, input_shape.width, chans[-1])).channels)
+
+    wino_ok = [l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
+               and l.kernel_size == 3 and l.stride == 1 for l in layers]
+    spatial_opts = [(1, 1, (False,) * n)]
+    if any(wino_ok):
+        spatial_opts.append((winograd_m, winograd_m, tuple(wino_ok)))
+
+    grids = [_pow2_divisors(max_parallel, c) for c in chans]
+    tiles_h = _tile_options(input_shape.height, min_tile)
+    tiles_w = _tile_options(input_shape.width, min_tile)
+    combos_by_spatial: dict = {}
+    for (t_h, t_w), spatial in itertools.product(zip(tiles_h, tiles_w), spatial_opts):
+        p_h, p_w, wino = spatial
+        if t_h % p_h or t_w % p_w:
+            continue
+
+        def make_cfg(ps):
+            return FusedDesignConfig(
+                t_h=t_h, t_w=t_w, t_c=tuple(chans[:-1]), t_f=chans[-1],
+                p_h=p_h, p_w=p_w, p_c=tuple(ps[:-1]), p_f=ps[-1],
+                seqs=(Seq.FM,) * n,
+                buffer_options=(BufferOption.DOUBLE,) * (n - 1),
+                use_winograd=wino, winograd_m=winograd_m)
+
+        if spatial not in combos_by_spatial:
+            try:
+                combos_by_spatial[spatial] = _parallelism_combos(
+                    block, chans, grids, *spatial, winograd_m, dsp_total,
+                    grid_depth)
+            except (UnsupportedConfig, PortMismatch):
+                combos_by_spatial[spatial] = []
+        combos = combos_by_spatial[spatial]
+        if not combos:
+            continue
+        try:
+            # P = 1 divides every channel tile, so only the tile can fail
+            derive_layer_configs(block, input_shape, make_cfg((1,) * (n + 1)))
+        except (UnsupportedConfig, PortMismatch):
+            continue
+        for ps in combos:
+            yield make_cfg(ps)
 
 
 def design_candidates(block: BlockSpec, input_shape: TensorShape,
@@ -360,66 +452,25 @@ def design_candidates(block: BlockSpec, input_shape: TensorShape,
     platform's DSPs are dropped before simulation; ``grid_depth`` then
     keeps only the largest few surviving combos (plus the smallest as a
     feasibility floor), since lower parallelism at equal roofline is
-    dominated.
+    dominated.  Multipliers do not depend on the tile, so this prefilter
+    runs once per spatial option, over a per-layer DSP table; a tile is
+    then dropped whole when its per-layer tiles do not divide by the
+    spatial parallelism (a stride-2 layer can halve a tile to a size that
+    is no longer a multiple of m).
     """
     coeffs = coeffs or load_calibration()
-    layers = block.layers
-    n = len(layers)
-    chans = [input_shape.channels]
-    for layer in layers:
-        chans.append(layer.output_shape(TensorShape(
-            input_shape.height, input_shape.width, chans[-1])).channels)
-
-    wino_ok = [l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
-               and l.kernel_size == 3 and l.stride == 1 for l in layers]
-    spatial_opts = [(1, 1, (False,) * n)]
-    if any(wino_ok):
-        spatial_opts.append((winograd_m, winograd_m, tuple(wino_ok)))
-
-    grids = [_pow2_divisors(max_parallel, c) for c in chans]
-    tiles_h = _tile_options(input_shape.height, min_tile)
-    tiles_w = _tile_options(input_shape.width, min_tile)
     candidates = []
-    for (t_h, t_w), (p_h, p_w, wino) in itertools.product(
-            zip(tiles_h, tiles_w), spatial_opts):
-        if t_h % p_h or t_w % p_w:
+    for cfg in _grid_points(block, input_shape, platform.dsp_total, max_parallel,
+                            winograd_m, grid_depth, min_tile):
+        try:
+            seq_cands = enumerate_sequences(block, input_shape, cfg)
+            rl = roofline(block, input_shape, platform, cfg)
+        except (UnsupportedConfig, PortMismatch, InvalidTiling):
             continue
-
-        def make_cfg(ps):
-            return FusedDesignConfig(
-                t_h=t_h, t_w=t_w, t_c=tuple(chans[:-1]), t_f=chans[-1],
-                p_h=p_h, p_w=p_w, p_c=tuple(ps[:-1]), p_f=ps[-1],
-                seqs=(Seq.FM,) * n,
-                buffer_options=(BufferOption.DOUBLE,) * (n - 1),
-                use_winograd=wino, winograd_m=winograd_m)
-
-        combos = []
-        for ps in itertools.product(*grids):
-            try:
-                if _quick_dsp(block, input_shape, make_cfg(ps)) <= platform.dsp_total:
-                    combos.append(ps)
-            except (UnsupportedConfig, PortMismatch):
-                continue
-        if not combos:
-            continue
-        combos.sort(key=lambda ps: (-math.prod(ps), ps))
-        floor = combos[-1]
-        if grid_depth is not None:
-            combos = combos[:grid_depth]
-            if floor not in combos:
-                combos.append(floor)
-
-        for ps in combos:
-            cfg = make_cfg(ps)
-            try:
-                seq_cands = enumerate_sequences(block, input_shape, cfg)
-                rl = roofline(block, input_shape, platform, cfg)
-            except (UnsupportedConfig, PortMismatch, InvalidTiling):
-                continue
-            for sc in seq_cands:
-                scfg = replace(cfg, seqs=sc.seqs, buffer_options=sc.buffer_options)
-                res = estimate_resources(block, input_shape, scfg, coeffs)
-                candidates.append(DesignCandidate(scfg, sc.report, res, rl.fused))
+        for sc in seq_cands:
+            scfg = replace(cfg, seqs=sc.seqs, buffer_options=sc.buffer_options)
+            res = estimate_resources(block, input_shape, scfg, coeffs)
+            candidates.append(DesignCandidate(scfg, sc.report, res, rl.fused))
     return candidates
 
 

@@ -234,7 +234,41 @@ class TestDeterminism:
         assert doc["manifest"]["seed"] == 123
 
 
+class TestStageIndex:
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "{model}", "--config", "{cfg}", "--block"],
+        ["dse", "{model}", "--block"],
+        ["hw", "describe", "{model}", "--config", "{cfg}", "--layer"],
+    ])
+    def test_out_of_range_exits_one_naming_the_range(self, workdir, capsys,
+                                                     command, index):
+        # the model has three stages; -1 used to pick the last one silently
+        argv = [a.format(model=workdir / "model.json", cfg=workdir / "cfg.json")
+                for a in command]
+        assert main(argv + [index]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("UnsupportedConfig")
+        assert f"{command[-1]} {index} is out of range" in err
+        assert "0..2" in err
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("value", ["0", "-4", "x"])
+    @pytest.mark.parametrize("command", [
+        ["dse", "{model}"],
+        ["explore", "--model", "{model}", "--min-acc", "0.9",
+         "--max-latency-ms", "100"],
+    ])
+    def test_max_parallel_below_one_exits_two(self, workdir, capsys, command,
+                                              value):
+        argv = [a.format(model=workdir / "model.json") for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--max-parallel={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-parallel" in err and "expected an integer >= 1" in err
+
     def test_unknown_subcommand_exits_two(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "turf.cli", "nonsense"],
