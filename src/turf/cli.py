@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--calibration")
     p_dse.add_argument("--block", type=int)
     p_dse.add_argument("--max-parallel", type=_positive_int, default=64)
-    p_dse.add_argument("--grid-depth", type=int, default=4)
+    p_dse.add_argument("--grid-depth", type=_positive_int, default=4)
     p_dse.add_argument("--csv")
     p_dse.add_argument("--out")
     p_dse.set_defaults(func=cmd_dse)

@@ -321,6 +321,14 @@ def _plan_layers(block: BlockSpec, input_shape: TensorShape,
     return plans
 
 
+def _plans_by_seq(block: BlockSpec, input_shape: TensorShape,
+                  cfg: FusedDesignConfig) -> dict[Seq, list[_LayerPlan]]:
+    """Every layer's plan under each sequence.  A layer's plan depends only
+    on its own sequence, so any assignment's plans are picked from these."""
+    return {s: _plan_layers(block, input_shape, replace(cfg, seqs=(s,) * cfg.num_layers))
+            for s in _SEQ_ORDER}
+
+
 def _buffer_tokens(plans: list[_LayerPlan], option: BufferOption,
                    i: int) -> tuple[int, int, int]:
     """(tokens, capacity_tokens, words) for the buffer after layer i."""
@@ -463,6 +471,34 @@ def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
     return makespan, starts, finishes, (bufs, events)
 
 
+def _pass_lower_bound(plans: list[_LayerPlan]) -> int:
+    """A lower bound on ``_simulate_pass``'s makespan under any buffer sizing.
+
+    Buffer-capacity waits only add delay, so they are left out, and every
+    layer's units run back to back from the earliest start its input
+    allows.  When layer i streams out and layer i+1 streams in, unit u of
+    i+1 takes token u, so i+1 starts after i's first token is ready and
+    finishes no earlier than one unit after i's last token; otherwise every
+    unit of i+1 waits for i's last token.  (A streaming producer releases
+    one token per unit and a streaming consumer takes one per unit, as
+    ``_buffer_tokens`` sizes them.)  The last layer's fill ends the pass.
+    """
+    start = finish = 0
+    for i, plan in enumerate(plans):
+        busy = plan.units * plan.cycles_per_unit
+        if i == 0:
+            finish = busy
+            continue
+        prev = plans[i - 1]
+        if prev.producer_stream and plan.consumer_stream:
+            start += prev.cycles_per_unit + prev.fill
+            finish = max(start + busy, finish + prev.fill + plan.cycles_per_unit)
+        else:
+            start = finish + prev.fill
+            finish = start + busy
+    return finish + plans[-1].fill
+
+
 def _pass_count(block: BlockSpec, input_shape: TensorShape,
                 cfg: FusedDesignConfig) -> int:
     """Sequential tile passes: spatial tiles times output-channel slices."""
@@ -554,7 +590,7 @@ def enumerate_sequences(block: BlockSpec, input_shape: TensorShape,
     combinations are simulated and the best (lowest cycles, then smallest
     buffer footprint) is kept.  Entries are sorted by total cycles, then
     total buffer words, then the FM-before-CM lexicographic order of the
-    sequence string.  The layer plan is derived once per assignment;
+    sequence string.  Each layer is planned once per sequence;
     options whose buffers cannot hold what the sequences need are rejected
     by sizing alone, and only each assignment's best options get a report.
     """
@@ -562,10 +598,10 @@ def enumerate_sequences(block: BlockSpec, input_shape: TensorShape,
     if n > max_layers:
         raise UnsupportedConfig(f"{n} layers exceeds enumeration bound {max_layers}")
     n_passes = _pass_count(block, input_shape, cfg)
+    by_seq = _plans_by_seq(block, input_shape, cfg)
     results = []
     for seqs in itertools.product(_SEQ_ORDER, repeat=n):
-        # the per-layer plan depends on the sequences, not the buffer options
-        plans = _plan_layers(block, input_shape, replace(cfg, seqs=seqs))
+        plans = [by_seq[s][i] for i, s in enumerate(seqs)]
         best = None
         for options in itertools.product(_OPTION_ORDER, repeat=max(0, n - 1)):
             try:
@@ -585,6 +621,18 @@ def enumerate_sequences(block: BlockSpec, input_shape: TensorShape,
     results.sort(key=lambda c: (c.report.total_cycles,
                                 c.report.total_buffer_words, c.seq_order_key))
     return results
+
+
+def cycles_lower_bound(block: BlockSpec, input_shape: TensorShape,
+                       cfg: FusedDesignConfig) -> int:
+    """A lower bound on the ``total_cycles`` of every candidate that
+    ``enumerate_sequences`` returns for ``cfg``'s tiles and parallelism:
+    the passes times the least ``_pass_lower_bound`` over the 2^N sequence
+    assignments.  Raises what plan derivation raises for ``cfg``."""
+    by_seq = _plans_by_seq(block, input_shape, cfg)
+    return _pass_count(block, input_shape, cfg) * min(
+        _pass_lower_bound([by_seq[s][i] for i, s in enumerate(seqs)])
+        for seqs in itertools.product(_SEQ_ORDER, repeat=cfg.num_layers))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from importlib import resources as importlib_resources
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      PortMismatch, UnsupportedConfig)
-from .fusion import (FusedDesignConfig, SimReport, derive_layer_configs,
-                     enumerate_sequences, simulate_fused, tiling_overhead)
+from .fusion import (FusedDesignConfig, SimReport, cycles_lower_bound,
+                     derive_layer_configs, enumerate_sequences, simulate_fused,
+                     tiling_overhead)
 from .hw import BufferOption, LayerHwConfig, ModuleKind, Seq, instantiate_layer
 from .ir import BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape
 from .kernels import transform_mult_counts, winograd_config
@@ -435,6 +436,43 @@ def _grid_points(block: BlockSpec, input_shape: TensorShape, dsp_total: int,
             yield make_cfg(ps)
 
 
+def _rooflined_points(block: BlockSpec, input_shape: TensorShape,
+                      platform: PlatformSpec, max_parallel: int,
+                      grid_depth: int | None, winograd_m: int = 4,
+                      min_tile: int = 14) -> Iterator[tuple[FusedDesignConfig, RooflinePoint]]:
+    """``_grid_points`` with each point's fused roofline point, skipping the
+    points whose roofline raises.  The roofline reads only T_h, T_w and T_f
+    of a config, so it is worked out once per tile."""
+    rooflines: dict = {}
+    for cfg in _grid_points(block, input_shape, platform.dsp_total, max_parallel,
+                            winograd_m, grid_depth, min_tile):
+        tile = (cfg.t_h, cfg.t_w, cfg.t_f)
+        if tile not in rooflines:
+            try:
+                rooflines[tile] = roofline(block, input_shape, platform, cfg).fused
+            except (UnsupportedConfig, PortMismatch, InvalidTiling):
+                rooflines[tile] = None
+        if rooflines[tile] is not None:
+            yield cfg, rooflines[tile]
+
+
+def _point_candidates(block: BlockSpec, input_shape: TensorShape,
+                      cfg: FusedDesignConfig, rl: RooflinePoint,
+                      coeffs: CalibrationTable) -> list[DesignCandidate]:
+    """Every sequence/buffer candidate of one grid point; none when the
+    point's sequences cannot be derived."""
+    try:
+        seq_cands = enumerate_sequences(block, input_shape, cfg)
+    except (UnsupportedConfig, PortMismatch, InvalidTiling):
+        return []
+    candidates = []
+    for sc in seq_cands:
+        scfg = replace(cfg, seqs=sc.seqs, buffer_options=sc.buffer_options)
+        res = estimate_resources(block, input_shape, scfg, coeffs)
+        candidates.append(DesignCandidate(scfg, sc.report, res, rl))
+    return candidates
+
+
 def design_candidates(block: BlockSpec, input_shape: TensorShape,
                       platform: PlatformSpec,
                       coeffs: CalibrationTable | None = None,
@@ -442,7 +480,7 @@ def design_candidates(block: BlockSpec, input_shape: TensorShape,
                       winograd_m: int = 4,
                       grid_depth: int | None = None,
                       min_tile: int = 14) -> list[DesignCandidate]:
-    """Enumerate a bounded design grid for one block.
+    """Enumerate a bounded design grid for one block, every point in full.
 
     The grid spans spatial tiles (full map halved down to ``min_tile``),
     power-of-two channel/filter parallelism, the Winograd path
@@ -456,21 +494,14 @@ def design_candidates(block: BlockSpec, input_shape: TensorShape,
     runs once per spatial option, over a per-layer DSP table; a tile is
     then dropped whole when its per-layer tiles do not divide by the
     spatial parallelism (a stride-2 layer can halve a tile to a size that
-    is no longer a multiple of m).
+    is no longer a multiple of m).  ``design_gen`` searches the same grid
+    best-first and returns what ``pick_best_design`` picks from this list.
     """
     coeffs = coeffs or load_calibration()
     candidates = []
-    for cfg in _grid_points(block, input_shape, platform.dsp_total, max_parallel,
-                            winograd_m, grid_depth, min_tile):
-        try:
-            seq_cands = enumerate_sequences(block, input_shape, cfg)
-            rl = roofline(block, input_shape, platform, cfg)
-        except (UnsupportedConfig, PortMismatch, InvalidTiling):
-            continue
-        for sc in seq_cands:
-            scfg = replace(cfg, seqs=sc.seqs, buffer_options=sc.buffer_options)
-            res = estimate_resources(block, input_shape, scfg, coeffs)
-            candidates.append(DesignCandidate(scfg, sc.report, res, rl.fused))
+    for cfg, rl in _rooflined_points(block, input_shape, platform, max_parallel,
+                                     grid_depth, winograd_m, min_tile):
+        candidates += _point_candidates(block, input_shape, cfg, rl, coeffs)
     return candidates
 
 
@@ -479,11 +510,43 @@ def design_gen(block: BlockSpec, input_shape: TensorShape,
                coeffs: CalibrationTable | None = None,
                max_parallel: int = 64,
                grid_depth: int | None = None) -> DesignCandidate:
-    """Hardware DSE for one block: enumerate, then select under constraints."""
-    return pick_best_design(
-        design_candidates(block, input_shape, platform, coeffs,
-                          max_parallel=max_parallel, grid_depth=grid_depth),
-        platform)
+    """Hardware DSE for one block: the candidate that
+    ``pick_best_design(design_candidates(...))`` selects, found best-first.
+
+    Every candidate of a grid point shares the point's roofline, so its
+    ``attainable_gops``, and has ``total_cycles`` of at least the point's
+    ``cycles_lower_bound``.  So ``(-attainable_gops, cycles_lower_bound)``
+    is at most the first two fields of every key the point's candidates
+    have.  Points are evaluated in ascending order of that bound, and the
+    search stops at the first point whose bound exceeds the best feasible
+    key so far: every candidate left has a larger key and cannot be
+    selected.  A point whose bound equals the best is still evaluated,
+    since DSPs and the config break ties.  Points that ``design_candidates``
+    skips are skipped here too, and when no candidate is feasible every
+    point is evaluated, so ``Infeasible`` reports the same count.
+    """
+    coeffs = coeffs or load_calibration()
+    ranked = []
+    for cfg, rl in _rooflined_points(block, input_shape, platform, max_parallel,
+                                     grid_depth):
+        try:
+            cycles = cycles_lower_bound(block, input_shape, cfg)
+        except (UnsupportedConfig, PortMismatch, InvalidTiling):
+            continue
+        ranked.append(((-rl.attainable_gops, cycles), cfg, rl))
+    ranked.sort(key=lambda r: r[0])  # stable: grid order among equal bounds
+
+    candidates = []
+    best = None  # the first two key fields of the best feasible candidate
+    for bound, cfg, rl in ranked:
+        if best is not None and bound > best:
+            break
+        for c in _point_candidates(block, input_shape, cfg, rl, coeffs):
+            candidates.append(c)
+            key = c.key()[:2]
+            if c.resources.feasible(platform) and (best is None or key < best):
+                best = key
+    return pick_best_design(candidates, platform)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,136 @@
+"""Best-first stage DSE: ``design_gen`` selects what full enumeration selects.
+
+``design_gen`` visits grid points in ascending order of
+``(-attainable_gops, cycles_lower_bound)`` and stops once that bound exceeds
+the best feasible key.  It is exact only if the bound never exceeds a
+candidate's ``total_cycles``.  Both are checked on the reference models'
+stages, and the search order and cutoff also on fake grids where ties and
+winners behind a lower bound are common.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from turf import resources
+from turf.errors import Infeasible
+from turf.fusion import FusedDesignConfig, cycles_lower_bound
+from turf.hw import Seq
+from turf.models import build_reference_model
+from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
+                            PlatformSpec, ResourceEstimate, RooflinePoint,
+                            _as_block, design_candidates, design_gen,
+                            pick_best_design)
+
+PLATFORMS = {
+    "default": STRATIX_V_5SGSD8,
+    "256-dsp": replace(STRATIX_V_5SGSD8, dsp_total=256),
+    # tiles stop tying at the compute roof, and with 400 BRAM blocks some
+    # of the highest-GOPS points do not fit, so the GOPS order decides
+    "1-gbps": replace(STRATIX_V_5SGSD8, bandwidth_gbps=1.0, bram_blocks=400),
+    # no design fits: both sides raise Infeasible
+    "1-bram": replace(STRATIX_V_5SGSD8, bram_blocks=1),
+}
+
+
+def distinct_stages(model_name: str):
+    """(stage name, block, input shape) once per distinct DSE stage."""
+    seen = set()
+    for stage in build_reference_model(model_name).stages:
+        block = _as_block(stage.op)
+        if block is not None and (stage.op, stage.input_shape) not in seen:
+            seen.add((stage.op, stage.input_shape))
+            yield stage.name, block, stage.input_shape
+
+
+@functools.cache
+def stage_candidates(model_name: str, platform: PlatformSpec) -> list:
+    """(stage name, block, input shape, ``design_candidates`` at grid depth 4)
+    per distinct stage, shared by the tests below."""
+    return [(name, block, shape, design_candidates(block, shape, platform, grid_depth=4))
+            for name, block, shape in distinct_stages(model_name)]
+
+
+def _selection(select):
+    try:
+        return select()
+    except Infeasible as exc:
+        return f"Infeasible: {exc}"
+
+
+@pytest.mark.parametrize("model_name", ["resnet50", "mobilenetv2"])
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+def test_design_gen_equals_full_enumeration(model_name, platform_name):
+    platform = PLATFORMS[platform_name]
+    # the candidate list reads the platform's DSPs and roofline, not its
+    # BRAM, so the 1-bram platform selects from the default platform's list
+    listed = replace(platform, bram_blocks=STRATIX_V_5SGSD8.bram_blocks)
+    gops_per_stage = []
+    for name, block, shape, cands in stage_candidates(model_name, listed):
+        want = _selection(lambda: pick_best_design(cands, platform))
+        got = _selection(lambda: design_gen(block, shape, platform, grid_depth=4))
+        assert got == want, name
+        if platform_name == "1-bram":
+            assert isinstance(got, str), name
+        gops_per_stage.append({c.roofline.attainable_gops for c in cands})
+    if platform_name == "1-gbps":
+        # some stage's candidates differ in attainable GOPS, so the search
+        # order there is set by the roofline and not by cycles alone
+        assert any(len(gops) > 1 for gops in gops_per_stage)
+
+
+@pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
+                                        "mobilenetv2"])
+def test_cycles_bound_below_every_candidate(model_name):
+    for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
+        for c in cands:
+            assert cycles_lower_bound(block, shape, c.cfg) <= c.sim.total_cycles, \
+                (name, c.cfg)
+
+
+def _fake_cfg(point: int, candidate: int) -> FusedDesignConfig:
+    return FusedDesignConfig(t_h=point, t_w=1, t_c=(1,), t_f=1, p_h=1, p_w=candidate,
+                             p_c=(1,), p_f=1, seqs=(Seq.FM,), buffer_options=())
+
+
+@st.composite
+def fake_grids(draw):
+    """Grid points as (cfg, roofline point, cycles bound, candidates), with
+    few distinct GOPS, cycles and DSP values, so that equal bounds, equal
+    keys up to the config and winners behind a lower bound are common."""
+    points = []
+    for i in range(draw(st.integers(0, 6))):
+        rl = RooflinePoint(draw(st.sampled_from([1.0, 2.0, 3.0])), 10.0, 1.0)
+        bound = draw(st.integers(0, 4))
+        cands = [DesignCandidate(
+            _fake_cfg(i, j), SimpleNamespace(total_cycles=bound + draw(st.integers(0, 3))),
+            ResourceEstimate(draw(st.integers(1, 3)), draw(st.sampled_from([0, 10 ** 9])), 0),
+            rl) for j in range(draw(st.integers(0, 3)))]
+        points.append((_fake_cfg(i, 0), rl, bound, cands))
+    return points
+
+
+@settings(max_examples=300, deadline=None)
+@given(fake_grids())
+def test_search_order_and_cutoff(points):
+    """The best-first search over arbitrary points with valid bounds picks
+    what full enumeration picks; the DSE helpers are replaced by the points."""
+    platform = STRATIX_V_5SGSD8
+    by_cfg = {cfg: (bound, cands) for cfg, _, bound, cands in points}
+    every = [c for *_, cands in points for c in cands]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resources, "_rooflined_points",
+                   lambda *args: [(cfg, rl) for cfg, rl, _, _ in points])
+        mp.setattr(resources, "cycles_lower_bound", lambda b, s, cfg: by_cfg[cfg][0])
+        mp.setattr(resources, "_point_candidates",
+                   lambda b, s, cfg, rl, coeffs: by_cfg[cfg][1])
+        got = _selection(lambda: design_gen(None, None, platform,
+                                            CalibrationTable(alm={})))
+    assert got == _selection(lambda: pick_best_design(every, platform))

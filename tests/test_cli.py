@@ -269,11 +269,29 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "--max-parallel" in err and "expected an integer >= 1" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3", "x"])
+    def test_grid_depth_below_one_exits_two(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", str(workdir / "model.json"), f"--grid-depth={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--grid-depth" in err and "expected an integer >= 1" in err
+
     def test_unknown_subcommand_exits_two(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "turf.cli", "nonsense"],
             capture_output=True, text=True)
         assert proc.returncode == 2
+
+    def test_python_m_turf_prints_help(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "turf", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: turf ")
 
     def test_console_script_installed(self):
         """The declared ``turf`` script prints the tool's help and exits 0.

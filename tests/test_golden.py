@@ -31,8 +31,12 @@ CASES = {
     "dse_vgg16.json": ("vgg16", ("dse", "{model}")),
     "dse_mobilenetv1.json": ("mobilenetv1", ("dse", "{model}")),
     "dse_mobilenetv2.json": ("mobilenetv2", ("dse", "{model}")),
+    "dse_resnet50.json": ("resnet50", ("dse", "{model}")),
     "dse_resnet50_res2_1.json": ("resnet50", ("dse", "{model}", "--block", "2")),
     "dse_resnet50_res3_1.json": ("resnet50", ("dse", "{model}", "--block", "5")),
+    "explore_resnet50.json": (
+        "resnet50", ("explore", "--model", "{model}", "--exhaustive", "--min-acc", "0",
+                     "--min-gops", "1")),
     "simulate_resnet50_res2_1.json": (
         "resnet50", ("simulate", "{model}", "--block", "2", "--config",
                      str(SIM_CONFIG), "--enumerate-seqs", "--trace", "{trace}")),

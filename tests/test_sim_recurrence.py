@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from turf.errors import SimDeadlock
-from turf.fusion import SimEvent, _LayerPlan, _simulate_pass
+from turf.fusion import SimEvent, _LayerPlan, _pass_lower_bound, _simulate_pass
 
 
 @dataclass
@@ -198,6 +198,15 @@ def _assert_same(plans, caps):
 @given(plan_lists())
 def test_recurrence_matches_event_loop(case):
     _assert_same(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_lists())
+def test_lower_bound_at_most_makespan(case):
+    plans, caps = case
+    ref = _run(reference_simulate_pass, plans, caps)
+    if ref is not SimDeadlock:
+        assert _pass_lower_bound(plans) <= ref[0]
 
 
 @pytest.mark.parametrize("seqs", [
