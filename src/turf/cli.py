@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import TurfError, UnsupportedConfig
+from .errors import TurfError, UnsupportedConfig, reading
 from .explore import (ExternalOracle, Requirements, SyntheticOracle,
                       TableOracle, replacement_key, run_framework)
 from .fusion import (config_from_json, config_to_json, enumerate_sequences,
@@ -143,7 +143,7 @@ def cmd_hw_describe(args) -> int:
     if block is None:
         raise UnsupportedConfig(
             f"stage {args.layer} ({stage.name}) has no hardware pipeline")
-    with open(args.config) as fh:
+    with reading(args.config), open(args.config) as fh:
         cfg = config_from_json(json.load(fh))
     chains = []
     for layer, hw in zip(block.layers,
@@ -177,7 +177,7 @@ def cmd_simulate(args) -> int:
     block = _as_block(stage.op)
     if block is None:
         raise UnsupportedConfig(f"stage {args.block} ({stage.name}) is not simulatable")
-    with open(args.config) as fh:
+    with reading(args.config), open(args.config) as fh:
         cfg = config_from_json(json.load(fh))
 
     doc = {

@@ -4,6 +4,8 @@ Every error the CLI maps to exit code 1 derives from TurfError; the error
 class name is the stable identifier printed on stderr.
 """
 
+from contextlib import contextmanager
+
 
 class TurfError(Exception):
     """Base class for all domain errors."""
@@ -51,6 +53,27 @@ class CalibrationError(TurfError):
 
 class Infeasible(TurfError):
     """No candidate design fits the platform's resource capacities."""
+
+
+class InvalidDocument(TurfError):
+    """An input document cannot be read, is not JSON, or lacks a field it needs."""
+
+
+class OracleError(TurfError):
+    """An accuracy oracle failed or returned something other than an accuracy."""
+
+
+@contextmanager
+def reading(path):
+    """Report a failure to read or parse the input document ``path`` as
+    InvalidDocument.  Domain errors raised while parsing pass through."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidDocument(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidDocument(
+            f"{path} is not a valid document: {type(exc).__name__}: {exc}") from exc
 
 
 class NoSolution(TurfError):

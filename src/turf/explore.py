@@ -18,7 +18,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass, field
 
-from .errors import NoSolution, TurfError, UnknownModel
+from .errors import NoSolution, OracleError, TurfError, UnknownModel, reading
 from .ir import ModelSpec, Replacement, count_ops_params, replace_layer
 from .resources import (CalibrationTable, ModelDesign, PlatformSpec,
                         evaluate_model)
@@ -99,7 +99,7 @@ class TableOracle:
     @classmethod
     def from_csv(cls, path: str) -> "TableOracle":
         table = {}
-        with open(path) as fh:
+        with reading(path), open(path) as fh:
             for row in csv.DictReader(fh):
                 table[row["replacement_vector"].strip()] = float(row["accuracy"])
         return cls(table)
@@ -123,9 +123,19 @@ class ExternalOracle:
     def evaluate(self, model: ModelSpec, budget: int = 1) -> float:
         from .ir import model_to_json
         payload = json.dumps({"model": model_to_json(model), "budget": budget})
-        proc = subprocess.run(shlex.split(self.command), input=payload,
-                              capture_output=True, text=True, check=True)
-        return float(proc.stdout.strip())
+        try:
+            proc = subprocess.run(shlex.split(self.command), input=payload,
+                                  capture_output=True, text=True, check=True)
+            accuracy = float(proc.stdout.strip())
+        except subprocess.CalledProcessError as exc:
+            raise OracleError(f"oracle command `{self.command}` exited with "
+                              f"status {exc.returncode}") from exc
+        except (OSError, ValueError) as exc:
+            raise OracleError(f"oracle command `{self.command}` failed: {exc}") from exc
+        if not 0.0 <= accuracy <= 1.0:
+            raise OracleError(f"oracle command `{self.command}` printed accuracy "
+                              f"{accuracy}, outside [0, 1]")
+        return accuracy
 
 
 def model_gen(pretrained: ModelSpec, current: ModelSpec | None = None,

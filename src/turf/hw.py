@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import InefficientConfig, UnsupportedConfig
 from .ir import LayerKind, LayerSpec
-from .kernels import transform_mult_counts, winograd_config
+from .kernels import winograd_config
 
 
 class ModuleKind(enum.Enum):
@@ -190,15 +190,16 @@ class LayerPipeline:
                     f"!= {b.kind.value} in {b.effective_in}")
 
 
-def _validate_winograd(layer: LayerSpec, hw: LayerHwConfig) -> None:
+def validate_winograd(layer: LayerSpec, p_h: int, p_w: int, m: int) -> None:
+    """Raise UnsupportedConfig unless ``layer`` can take the Winograd path
+    F(m^2, 3^2) at spatial parallelism (p_h, p_w)."""
     if layer.kind not in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
         raise UnsupportedConfig(f"Winograd not supported for {layer.kind.value}")
     if layer.kernel_size != 3 or layer.stride != 1:
         raise UnsupportedConfig("Winograd path requires K=3, stride 1")
-    m = hw.winograd_m
-    if hw.p_h != m or hw.p_w != m:
+    if p_h != m or p_w != m:
         raise UnsupportedConfig(
-            f"Winograd convention: P_h = P_w = m (= {m}), got ({hw.p_h}, {hw.p_w})")
+            f"Winograd convention: P_h = P_w = m (= {m}), got ({p_h}, {p_w})")
 
 
 def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
@@ -215,7 +216,7 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
     k = layer.kernel_size
 
     if hw.use_winograd:
-        _validate_winograd(layer, hw)
+        validate_winograd(layer, hw.p_h, hw.p_w, hw.winograd_m)
         cfg = winograd_config(hw.winograd_m, k)
         m, tk = cfg.m, cfg.tile
         depthwise = kind is LayerKind.DEPTHWISE_CONV
@@ -288,7 +289,7 @@ def layer_cycle_counts(layer: LayerSpec, hw: LayerHwConfig) -> tuple[int, int]:
     depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
 
     if hw.use_winograd:
-        _validate_winograd(layer, hw)
+        validate_winograd(layer, hw.p_h, hw.p_w, hw.winograd_m)
         m = hw.winograd_m
         spatial = math.ceil(t_h / m) * math.ceil(t_w / m)
     else:

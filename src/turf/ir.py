@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidReplacement, ShapeMismatch, UnknownModel
+from .errors import InvalidReplacement, ShapeMismatch, UnknownModel, reading
 
 
 class LayerKind(enum.Enum):
@@ -445,7 +445,7 @@ def model_from_json(doc: dict) -> ModelSpec:
 
 
 def load_model(path: str) -> ModelSpec:
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         return model_from_json(json.load(fh))
 
 

@@ -16,6 +16,7 @@ All operations are pure; tensors are never mutated.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,6 +165,13 @@ class WinogradConfig:
     @property
     def speedup(self) -> float:
         return self.direct_multiplies_per_tile / self.multiplies_per_tile
+
+    @functools.cached_property
+    def general_constants(self) -> tuple[int, int, int]:
+        """(input, weight, output) transform entries that need a real
+        multiplier, classified once per instance by ``transform_mult_counts``."""
+        counts = transform_mult_counts(self)
+        return tuple(counts[name]["general"] for name in ("input", "weight", "output"))
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         to_np = lambda m: np.array([[float(x) for x in row] for row in m])

@@ -26,13 +26,14 @@ from dataclasses import dataclass, field, replace
 from importlib import resources as importlib_resources
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
-                     PortMismatch, UnsupportedConfig)
+                     PortMismatch, UnsupportedConfig, reading)
 from .fusion import (FusedDesignConfig, SimReport, cycles_lower_bound,
                      derive_layer_configs, enumerate_sequences, simulate_fused,
                      tiling_overhead)
-from .hw import BufferOption, LayerHwConfig, ModuleKind, Seq, instantiate_layer
+from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq, instantiate_layer,
+                 validate_winograd)
 from .ir import BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape
-from .kernels import transform_mult_counts, winograd_config
+from .kernels import winograd_config
 
 WORD_BYTES = 2
 M20K_BYTES = 2560  # one M20K block = 20 kbit
@@ -78,7 +79,7 @@ STRATIX_V_5SGSD8 = PlatformSpec(bandwidth_gbps=38.0, dsp_total=1963,
 def load_platform(path: str | None) -> PlatformSpec:
     if path is None:
         return STRATIX_V_5SGSD8
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         return PlatformSpec.from_json(json.load(fh))
 
 
@@ -102,9 +103,8 @@ def load_calibration(path: str | None = None) -> CalibrationTable:
         ref = importlib_resources.files("turf.data").joinpath("alm_coefficients.json")
         doc = json.loads(ref.read_text())
         return CalibrationTable(alm=doc["alm"], source="builtin-placeholder")
-    with open(path) as fh:
-        doc = json.load(fh)
-    return CalibrationTable(alm=doc["alm"], source=path)
+    with reading(path), open(path) as fh:
+        return CalibrationTable(alm=json.load(fh)["alm"], source=path)
 
 
 @dataclass(frozen=True)
@@ -124,22 +124,40 @@ def _bram_blocks(words: int) -> int:
     return math.ceil(words * WORD_BYTES / M20K_BYTES)
 
 
-def _layer_dsp(layer: LayerSpec, hw) -> int:
-    """Multipliers (= 16-bit DSP blocks) one layer's pipeline instantiates:
-    the dot-product array's multiplier array plus, on the Winograd path,
-    real multipliers for the non-2^n transform constants (2^n constants
-    become shifts)."""
-    pipeline = instantiate_layer(layer, hw)
-    dsp = sum(m.cfg.get("multipliers", 0) for m in pipeline.modules)
-    if hw.use_winograd:
-        p_c, p_f = hw.p_c, hw.p_f
-        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else p_f
-        counts = transform_mult_counts(winograd_config(hw.winograd_m, layer.kernel_size))
-        # each transform is two constant-matrix multiplies
-        dsp += 2 * counts["input"]["general"] * p_c
-        dsp += 2 * counts["weight"]["general"] * p_c * lanes_f
-        dsp += 2 * counts["output"]["general"] * lanes_f
-    return dsp
+def _dsp_terms(layer: LayerSpec, p_h: int, p_w: int, use_winograd: bool,
+               winograd_m: int) -> tuple[int, int, int]:
+    """(a, b, c) such that the multipliers (= 16-bit DSP blocks) one layer's
+    pipeline instantiates are a·P_c·L_f + b·P_c + c·L_f, where L_f is 1 for a
+    depthwise layer and P_f otherwise; all three are >= 0.
+
+    Direct path: the dot-product array alone, a = P_h·P_w for pointwise/FC
+    and K²·P_h·P_w for standard/depthwise conv.  Winograd path: a = T_k²
+    Hadamard lanes plus 2·g_w weight-transform multipliers, b = 2·g_in,
+    c = 2·g_out, with g_* the transforms' non-2^n constants (2^n constants
+    become shifts; each transform is two constant-matrix multiplies).
+    Raises what ``instantiate_layer`` raises for the same layer and option.
+    """
+    kind = layer.kind
+    if use_winograd:
+        validate_winograd(layer, p_h, p_w, winograd_m)
+        config = winograd_config(winograd_m, layer.kernel_size)
+        g_in, g_w, g_out = config.general_constants
+        return config.tile ** 2 + 2 * g_w, 2 * g_in, 2 * g_out
+    if kind in (LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
+        return p_h * p_w, 0, 0
+    if kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
+        return layer.kernel_size ** 2 * p_h * p_w, 0, 0
+    if kind in (LayerKind.ELEMENTWISE_ADD, LayerKind.ACTIVATION, LayerKind.BATCH_NORM):
+        return 0, 0, 0
+    raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
+
+
+def _layer_dsp(layer: LayerSpec, hw: LayerHwConfig) -> int:
+    """Multipliers one layer's pipeline instantiates, in closed form
+    (``_dsp_terms``)."""
+    a, b, c = _dsp_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
+    lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
+    return (a * hw.p_c + c) * lanes_f + b * hw.p_c
 
 
 def estimate_resources(block: BlockSpec, input_shape: TensorShape,
@@ -339,38 +357,32 @@ def _tile_options(size: int, min_tile: int) -> list[int]:
     return out
 
 
-def _parallelism_combos(block: BlockSpec, chans: list[int], grids: list[list[int]],
+def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
                         p_h: int, p_w: int, wino: tuple[bool, ...],
                         winograd_m: int, dsp_total: int,
                         grid_depth: int | None) -> list[tuple[int, ...]]:
     """(P_c^1, ..., P_c^N, P_f) combos whose multipliers fit ``dsp_total``,
     largest first, cut to ``grid_depth`` plus the smallest as a floor.
 
-    A layer's multiplier count depends only on the layer, (P_c, P_f) and
-    the spatial option, so it is tabulated once per layer; a depthwise
-    layer keeps its channels, so it only takes P_f == P_c.
+    Layer i's multipliers are a·P_c^i·L_f + b·P_c^i + c·L_f (``_dsp_terms``,
+    once per layer), with L_f the next entry of the combo, or 1 for a
+    depthwise layer, which keeps its channels and so only takes
+    P_c^{i+1} == P_c^i.  Every count is >= 0, so a prefix whose sum already
+    exceeds ``dsp_total`` has no extension that fits.  The prefixes are
+    extended one entry at a time in ``itertools.product`` order and such
+    prefixes dropped, which keeps exactly the combos of the full product
+    whose sum fits, in the same order.
     """
-    table = []
+    walk = [((p_c,), 0) for p_c in grids[0]]
     for i, layer in enumerate(block.layers):
+        a, b, c = _dsp_terms(layer, p_h, p_w, wino[i], winograd_m)
         depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
-        table.append({
-            (p_c, p_f): _layer_dsp(layer, LayerHwConfig(
-                tile=(p_h, p_w, chans[i], chans[i + 1]),
-                parallelism=(p_h, p_w, p_c, p_f), use_winograd=wino[i],
-                winograd_m=winograd_m))
-            for p_c in grids[i] for p_f in grids[i + 1]
-            if not depthwise or p_c == p_f})
-    combos = []
-    for ps in itertools.product(*grids):
-        dsp = 0
-        for i, layer_dsp in enumerate(table):
-            count = layer_dsp.get((ps[i], ps[i + 1]))
-            if count is None:
-                break
-            dsp += count
-        else:
-            if dsp <= dsp_total:
-                combos.append(ps)
+        walk = [(ps + (p_f,), dsp)
+                for ps, used in walk
+                for p_f in grids[i + 1] if not depthwise or p_f == ps[i]
+                if (dsp := used + (a * ps[i] + c) * (1 if depthwise else p_f)
+                    + b * ps[i]) <= dsp_total]
+    combos = [ps for ps, _ in walk]
     if not combos:
         return []
     combos.sort(key=lambda ps: (-math.prod(ps), ps))
@@ -420,8 +432,7 @@ def _grid_points(block: BlockSpec, input_shape: TensorShape, dsp_total: int,
         if spatial not in combos_by_spatial:
             try:
                 combos_by_spatial[spatial] = _parallelism_combos(
-                    block, chans, grids, *spatial, winograd_m, dsp_total,
-                    grid_depth)
+                    block, grids, *spatial, winograd_m, dsp_total, grid_depth)
             except (UnsupportedConfig, PortMismatch):
                 combos_by_spatial[spatial] = []
         combos = combos_by_spatial[spatial]
@@ -491,7 +502,7 @@ def design_candidates(block: BlockSpec, input_shape: TensorShape,
     keeps only the largest few surviving combos (plus the smallest as a
     feasibility floor), since lower parallelism at equal roofline is
     dominated.  Multipliers do not depend on the tile, so this prefilter
-    runs once per spatial option, over a per-layer DSP table; a tile is
+    runs once per spatial option, from closed-form per-layer counts; a tile is
     then dropped whole when its per-layer tiles do not divide by the
     spatial parallelism (a stride-2 layer can halve a tile to a size that
     is no longer a multiple of m).  ``design_gen`` searches the same grid
@@ -617,8 +628,11 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
     """Per-stage hardware DSE; the template is reused stage by stage, so the
     model's resource footprint is the maximum over stages and its latency
     the sum.  Stage results are memoised (identical stages recur both
-    within a model and across replacement candidates)."""
+    within a model and across replacement candidates), keyed by the
+    calibration's coefficients as well as its source."""
     coeffs = coeffs or load_calibration()
+    # by content: tables from the same path can hold different coefficients
+    calibration = (coeffs.source, json.dumps(coeffs.alm, sort_keys=True))
     rows = []
     total = 0
     dsp = bram = alm = 0
@@ -628,7 +642,7 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
             rows.append(StageDesign(i, stage.name, None))
             continue
         key = (stage.op, stage.input_shape, platform, max_parallel,
-               grid_depth, coeffs.source)
+               grid_depth, calibration)
         best = _STAGE_CACHE.get(key)
         if best is None:
             best = design_gen(block, stage.input_shape, platform, coeffs,

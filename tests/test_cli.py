@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -251,6 +252,59 @@ class TestStageIndex:
         assert err.startswith("UnsupportedConfig")
         assert f"{command[-1]} {index} is out of range" in err
         assert "0..2" in err
+
+
+class TestBadDocuments:
+    """Unreadable or malformed input documents exit 1 naming InvalidDocument."""
+
+    def _run(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidDocument: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_missing_model_file(self, workdir, capsys):
+        path = workdir / "absent.json"
+        err = self._run(capsys, ["dse", str(path)])
+        assert f"cannot read {path}" in err
+
+    def test_malformed_model_json(self, workdir, capsys):
+        (workdir / "broken.json").write_text('{"base": "vgg16",')
+        err = self._run(capsys, ["model", "show", str(workdir / "broken.json")])
+        assert "JSONDecodeError" in err
+
+    def test_model_document_that_is_a_list(self, workdir, capsys):
+        (workdir / "list.json").write_text(json.dumps([MODEL_DOC]))
+        self._run(capsys, ["dse", str(workdir / "list.json")])
+
+    def test_platform_without_dsp_total(self, workdir, capsys):
+        platform = {"bandwidth_gbps": 38.0, "bram_blocks": 2567,
+                    "alm_total": 262400, "clock_mhz": 200.0}
+        (workdir / "platform.json").write_text(json.dumps(platform))
+        err = self._run(capsys, ["dse", str(workdir / "model.json"),
+                                 "--platform", str(workdir / "platform.json")])
+        assert "dsp_total" in err
+
+    def test_oracle_table_without_accuracy_column(self, workdir, capsys):
+        (workdir / "table.csv").write_text("replacement_vector,acc\nO,0.9\n")
+        err = self._run(capsys, ["explore", "--model", str(workdir / "model.json"),
+                                 "--min-acc", "0.9", "--max-latency-ms", "100",
+                                 "--oracle", f"table:{workdir / 'table.csv'}"])
+        assert "accuracy" in err
+
+
+class TestOracleErrors:
+    def test_external_oracle_failure_exits_one(self, workdir, capsys):
+        # every oracle failure raises OracleError (tests/test_explore.py)
+        command = shlex.join([sys.executable, "-c", "import sys; sys.exit(3)"])
+        rc = main(["explore", "--model", str(workdir / "model.json"),
+                   "--min-acc", "0.9", "--max-latency-ms", "100",
+                   "--oracle", f"external:{command}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OracleError: ")
+        assert "Traceback" not in err and command in err
 
 
 class TestUsageErrors:

@@ -1,9 +1,12 @@
 """Greedy model/hardware search and the accuracy-oracle interface."""
 
+import shlex
+import sys
+
 import pytest
 
 from conftest import small_custom_model
-from turf.errors import NoSolution, UnknownModel
+from turf.errors import NoSolution, OracleError, UnknownModel
 from turf.explore import (CandidateRecord, ExternalOracle, Requirements,
                           SyntheticOracle, TableOracle, model_gen,
                           replacement_key, run_framework)
@@ -107,6 +110,18 @@ class TestExternalOracle:
     def test_shells_out(self):
         oracle = ExternalOracle("python3 -c \"import sys; sys.stdin.read(); print(0.875)\"")
         assert oracle.evaluate(small_custom_model()) == 0.875
+
+    @pytest.mark.parametrize("script,message", [
+        ("import sys; sys.exit(3)", "exited with status 3"),
+        ("print('high')", "could not convert"),
+        ("print(-0.25)", "accuracy -0.25, outside [0, 1]"),
+        ("print('nan')", "accuracy nan, outside [0, 1]"),
+    ])
+    def test_failures_raise_oracle_error_naming_the_command(self, script, message):
+        command = shlex.join([sys.executable, "-c", script])
+        with pytest.raises(OracleError) as exc:
+            ExternalOracle(command).evaluate(small_custom_model())
+        assert command in str(exc.value) and message in str(exc.value)
 
 
 class TestRunFramework:

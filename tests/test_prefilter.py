@@ -1,9 +1,16 @@
-"""The DSP prefilter's per-layer table against the per-combo loop it replaced.
+"""The DSP prefilter against the pipeline-derived count and the per-combo
+loop it replaced.
 
-``reference_grid`` is the earlier prefilter of ``design_candidates``: for
-every (tile, spatial option) it derives each parallelism combo's layer
-configs and sums their multipliers.  ``resources._grid_points`` must keep
-the same combos, in the same order, for every tile and spatial option.
+``pipeline_dsp`` counts one layer's multipliers the way the prefilter first
+did: the multipliers of the module chain ``instantiate_layer`` emits plus,
+on the Winograd path, two per non-2^n transform constant and lane from
+``transform_mult_counts``.  ``resources._layer_dsp`` (closed form) must give
+the same count or raise the same error.  ``reference_grid`` is the earlier
+prefilter of ``design_candidates``: for every (tile, spatial option) it
+derives each parallelism combo's layer configs and sums their multipliers.
+``resources._grid_points`` must keep the same combos, in the same order,
+for every tile and spatial option, and ``_parallelism_combos`` (which drops
+prefixes over budget) the same combos as the filtered full product.
 """
 
 from __future__ import annotations
@@ -14,39 +21,65 @@ import math
 
 import pytest
 
-from turf.errors import PortMismatch, UnsupportedConfig
+from turf.errors import PortMismatch, ShapeMismatch, UnsupportedConfig
 from turf.fusion import FusedDesignConfig, derive_layer_configs
-from turf.hw import BufferOption, Seq
-from turf.ir import LayerKind, TensorShape
+from turf.hw import BufferOption, LayerHwConfig, Seq, instantiate_layer
+from turf.ir import LayerKind, LayerSpec, TensorShape
+from turf.kernels import transform_mult_counts, winograd_config
 from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, _as_block, _grid_points,
-                            _layer_dsp, _pow2_divisors, _tile_options)
+                            _layer_dsp, _parallelism_combos, _pow2_divisors,
+                            _tile_options)
+
+
+def pipeline_dsp(layer, hw):
+    """Multipliers of the instantiated pipeline: the dot-product array plus,
+    on the Winograd path, the non-2^n transform constants (each transform is
+    two constant-matrix multiplies)."""
+    dsp = sum(m.cfg.get("multipliers", 0)
+              for m in instantiate_layer(layer, hw).modules)
+    if hw.use_winograd:
+        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
+        counts = transform_mult_counts(winograd_config(hw.winograd_m, layer.kernel_size))
+        dsp += 2 * counts["input"]["general"] * hw.p_c
+        dsp += 2 * counts["weight"]["general"] * hw.p_c * lanes_f
+        dsp += 2 * counts["output"]["general"] * lanes_f
+    return dsp
 
 
 def _quick_dsp(block, input_shape, cfg):
-    return sum(_layer_dsp(layer, hw) for layer, hw in
+    return sum(pipeline_dsp(layer, hw) for layer, hw in
                zip(block.layers, derive_layer_configs(block, input_shape, cfg)))
+
+
+def _channels(block, input_shape):
+    chans = [input_shape.channels]
+    for layer in block.layers:
+        chans.append(layer.output_shape(TensorShape(
+            input_shape.height, input_shape.width, chans[-1])).channels)
+    return chans
+
+
+def _spatial_options(block, winograd_m=4):
+    """(P_h, P_w, per-layer Winograd flags) as ``_grid_points`` derives them."""
+    n = len(block.layers)
+    wino_ok = tuple(l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
+                    and l.kernel_size == 3 and l.stride == 1 for l in block.layers)
+    return [(1, 1, (False,) * n)] + ([(winograd_m, winograd_m, wino_ok)]
+                                     if any(wino_ok) else [])
 
 
 def reference_grid(block, input_shape, max_parallel=64, winograd_m=4, min_tile=14):
     """{(t_h, t_w, p_h, p_w): [(combo, dsp)]} for every combo whose layer
     configs derive, in product order, from one ``_quick_dsp`` per combo."""
-    layers = block.layers
-    n = len(layers)
-    chans = [input_shape.channels]
-    for layer in layers:
-        chans.append(layer.output_shape(TensorShape(
-            input_shape.height, input_shape.width, chans[-1])).channels)
-    wino_ok = [l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
-               and l.kernel_size == 3 and l.stride == 1 for l in layers]
-    spatial_opts = [(1, 1, (False,) * n)]
-    if any(wino_ok):
-        spatial_opts.append((winograd_m, winograd_m, tuple(wino_ok)))
+    n = len(block.layers)
+    chans = _channels(block, input_shape)
     grids = [_pow2_divisors(max_parallel, c) for c in chans]
     out = {}
     for (t_h, t_w), (p_h, p_w, wino) in itertools.product(
             zip(_tile_options(input_shape.height, min_tile),
-                _tile_options(input_shape.width, min_tile)), spatial_opts):
+                _tile_options(input_shape.width, min_tile)),
+            _spatial_options(block, winograd_m)):
         if t_h % p_h or t_w % p_w:
             continue
         kept = out.setdefault((t_h, t_w, p_h, p_w), [])
@@ -112,3 +145,68 @@ def test_res3_1_winograd_tile_28_rejected_whole():
     assert reference[(56, 56, 4, 4)]
     got = _grid_combos(block, shape, STRATIX_V_5SGSD8.dsp_total, None)
     assert (28, 28, 4, 4) not in got and (56, 56, 4, 4) in got
+
+
+def _outcome(count, layer, hw):
+    try:
+        return count(layer, hw)
+    except UnsupportedConfig as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", list(LayerKind), ids=lambda k: k.value)
+def test_closed_form_equals_pipeline_count(kind):
+    checked = 0
+    for k, stride in itertools.product((1, 3, 5), (1, 2)):
+        try:
+            layer = LayerSpec(kind, kernel_size=k, stride=stride,
+                              out_channels=None if kind is LayerKind.DEPTHWISE_CONV else 8)
+        except ShapeMismatch:
+            continue  # e.g. a pointwise layer with K > 1 cannot be declared
+        for (p_h, p_w), (wino, m), p_c, p_f in itertools.product(
+                ((1, 1), (2, 2), (4, 4)), ((False, 4), (True, 2), (True, 4)),
+                (1, 2, 4, 8), (1, 2, 4, 8)):
+            hw = LayerHwConfig((8, 8, 8, 8), (p_h, p_w, p_c, p_f),
+                               use_winograd=wino, winograd_m=m)
+            want = _outcome(pipeline_dsp, layer, hw)
+            assert _outcome(_layer_dsp, layer, hw) == want, (layer, hw)
+            checked += want is not UnsupportedConfig
+    # Pooling has no pipeline; every other kind has counted configurations
+    assert (checked == 0) == (kind is LayerKind.POOLING)
+
+
+def _product_rows(model_name, stage_name):
+    """[(spatial option, [(combo, dsp)])] over the full product of the
+    stage's grids, each combo's layers counted by ``pipeline_dsp``."""
+    block, shape, _ = _stage(model_name, stage_name)
+    chans = _channels(block, shape)
+    grids = [_pow2_divisors(64, c) for c in chans]
+    out = []
+    for p_h, p_w, wino in _spatial_options(block):
+        rows = []
+        for ps in itertools.product(*grids):
+            if any(layer.kind is LayerKind.DEPTHWISE_CONV and ps[i] != ps[i + 1]
+                   for i, layer in enumerate(block.layers)):
+                continue
+            rows.append((ps, sum(
+                pipeline_dsp(layer, LayerHwConfig(
+                    tile=(p_h, p_w, chans[i], chans[i + 1]),
+                    parallelism=(p_h, p_w, ps[i], ps[i + 1]),
+                    use_winograd=wino[i], winograd_m=4))
+                for i, layer in enumerate(block.layers))))
+        out.append(((p_h, p_w, wino), rows))
+    return block, grids, out
+
+
+@pytest.mark.parametrize("model_name,stage_name", STAGES)
+def test_pruned_walk_keeps_the_filtered_product(model_name, stage_name):
+    block, grids, by_spatial = _product_rows(model_name, stage_name)
+    for spatial, rows in by_spatial:
+        for dsp_total in (1, 256, STRATIX_V_5SGSD8.dsp_total, 10 ** 9):
+            for grid_depth in (4, None):
+                got = _parallelism_combos(block, grids, *spatial, 4,
+                                          dsp_total, grid_depth)
+                assert got == _reference_combos(rows, dsp_total, grid_depth), \
+                    (spatial, dsp_total, grid_depth)
+    # some combos exceed 256 DSPs, so the walk drops prefixes there
+    assert any(dsp > 256 for _, rows in by_spatial for _, dsp in rows)

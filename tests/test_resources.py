@@ -88,11 +88,19 @@ class TestResourceEstimate:
         layer = std_conv(8)
         direct = LayerHwConfig((16, 16, 8, 8), (1, 1, 2, 2))
         wino = LayerHwConfig((16, 16, 8, 8), (4, 4, 2, 2), use_winograd=True)
-        d = _layer_dsp(layer, direct)
-        w = _layer_dsp(layer, wino)
-        assert d == 2 * 2 * 9
-        # Hadamard lanes + general-constant transform multipliers
-        assert w > 2 * 2 * 36
+        assert _layer_dsp(layer, direct) == 2 * 2 * 9
+        # F(4^2,3^2) at P_c = P_f = 2: 144 Hadamard lanes (2 * 2 * 36), the
+        # input transform's two -5 entries (8), the weight transform's 12
+        # non-2^n entries (96) and none in the output transform
+        assert _layer_dsp(layer, wino) == 144 + 8 + 96 + 0 == 248
+
+    def test_winograd_f2_has_no_transform_multipliers(self):
+        from turf.resources import _layer_dsp
+        from turf.hw import LayerHwConfig
+        # every F(2^2,3^2) constant is 0 or +-2^n, so only the Hadamard lanes
+        wino = LayerHwConfig((16, 16, 8, 8), (2, 2, 2, 2), use_winograd=True,
+                             winograd_m=2)
+        assert _layer_dsp(std_conv(8), wino) == 2 * 2 * 16
 
 
 class TestRoofline:
@@ -194,3 +202,23 @@ class TestDesignGen:
         assert cands
         assert all(c.resources.dsp_used <= STRATIX_V_5SGSD8.dsp_total
                    for c in cands)
+
+
+class TestStageCache:
+    def test_tables_with_one_source_and_other_coefficients_kept_apart(self, monkeypatch):
+        import turf.resources as resources
+        from turf.models import build_reference_model
+        from turf.resources import evaluate_model
+
+        model = build_reference_model("vgg16")
+        base = load_calibration()
+        heavier = CalibrationTable(
+            alm={kind: {"base": 3 * c["base"], "per_width": 3 * c["per_width"]}
+                 for kind, c in base.alm.items()},
+            source=base.source)
+        monkeypatch.setattr(resources, "_STAGE_CACHE", {})
+        first = evaluate_model(model, STRATIX_V_5SGSD8, base)
+        second = evaluate_model(model, STRATIX_V_5SGSD8, heavier)
+        monkeypatch.setattr(resources, "_STAGE_CACHE", {})
+        assert second == evaluate_model(model, STRATIX_V_5SGSD8, heavier)
+        assert second.alm_used != first.alm_used
