@@ -34,12 +34,17 @@ CASES = {
     "dse_resnet50.json": ("resnet50", ("dse", "{model}")),
     "dse_resnet50_res2_1.json": ("resnet50", ("dse", "{model}", "--block", "2")),
     "dse_resnet50_res3_1.json": ("resnet50", ("dse", "{model}", "--block", "5")),
+    # a single-layer stage: its own one-layer block
+    "dse_vgg16_block0.json": ("vgg16", ("dse", "{model}", "--block", "0")),
     "explore_resnet50.json": (
         "resnet50", ("explore", "--model", "{model}", "--exhaustive", "--min-acc", "0",
                      "--min-gops", "1")),
     "simulate_resnet50_res2_1.json": (
         "resnet50", ("simulate", "{model}", "--block", "2", "--config",
                      str(SIM_CONFIG), "--enumerate-seqs", "--trace", "{trace}")),
+    "hw_describe_resnet50_res2_1.json": (
+        "resnet50", ("hw", "describe", "{model}", "--layer", "2", "--config",
+                     str(SIM_CONFIG))),
 }
 # companion files a case writes besides its report
 TRACES = {"simulate_resnet50_res2_1.json": "simulate_resnet50_res2_1_trace.json"}
