@@ -28,12 +28,12 @@ from .errors import TurfError, UnsupportedConfig, reading
 from .explore import (ExternalOracle, Requirements, SyntheticOracle,
                       TableOracle, replacement_key, run_framework)
 from .fusion import (config_from_json, config_to_json, enumerate_sequences,
-                     simulate_fused)
+                     plan_block, simulate_fused)
 from .ir import count_ops_params, load_model, model_to_json
 from .kernels import (Filter4, Tensor3, conv_direct, conv_winograd,
                       winograd_config)
-from .resources import (DesignCandidate, _as_block, design_candidates,
-                        evaluate_model, load_calibration, load_platform,
+from .resources import (DesignCandidate, design_candidates, evaluate_model,
+                        has_pipeline, load_calibration, load_platform,
                         pick_best_design, roofline)
 
 
@@ -72,8 +72,7 @@ def make_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     }
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -81,14 +80,28 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _stage_at(model, index: int, option: str):
-    """The stage an index option names; an index outside the model is a
-    domain error, not a Python-style index from the end."""
+def _emit(doc: dict, out: str | None) -> None:
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
+def _pipeline_stage(model, index: int, option: str):
+    """The stage an index option names.  An index outside the model (not a
+    Python-style index from the end) and a stage with no hardware pipeline
+    are domain errors."""
     if not 0 <= index < len(model.stages):
         raise UnsupportedConfig(
             f"{option} {index} is out of range: the model has stages "
             f"0..{len(model.stages) - 1}")
-    return model.stages[index]
+    stage = model.stages[index]
+    if not has_pipeline(stage.op):
+        raise UnsupportedConfig(
+            f"stage {index} ({stage.name}) has no hardware pipeline")
+    return stage
+
+
+def _load_config(path: str):
+    with reading(path), open(path) as fh:
+        return config_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +120,7 @@ def cmd_model_show(args) -> int:
         writer.writerows(rows)
         writer.writerow({"index": "", "name": "total", "category": "",
                          "ops": report.total_ops, "params": report.total_params})
-        text = buf.getvalue()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(buf.getvalue(), args.out)
         return 0
     doc = {
         "manifest": make_manifest(args, [args.file]),
@@ -134,26 +142,16 @@ def cmd_model_show(args) -> int:
 # hw describe
 
 def cmd_hw_describe(args) -> int:
-    from .fusion import derive_layer_configs
-    from .hw import instantiate_layer
-
     model = load_model(args.model)
-    stage = _stage_at(model, args.layer, "--layer")
-    block = _as_block(stage.op)
-    if block is None:
-        raise UnsupportedConfig(
-            f"stage {args.layer} ({stage.name}) has no hardware pipeline")
-    with reading(args.config), open(args.config) as fh:
-        cfg = config_from_json(json.load(fh))
+    stage = _pipeline_stage(model, args.layer, "--layer")
+    cfg = _load_config(args.config)
     chains = []
-    for layer, hw in zip(block.layers,
-                         derive_layer_configs(block, stage.input_shape, cfg)):
-        pipeline = instantiate_layer(layer, hw)
+    for pipeline in plan_block(stage.op, stage.input_shape, cfg).pipelines:
         pipeline.check_chain()
         chains.append({
-            "layer_kind": layer.kind.value,
-            "seq": hw.seq.value,
-            "winograd": hw.use_winograd,
+            "layer_kind": pipeline.layer.kind.value,
+            "seq": pipeline.hw.seq.value,
+            "winograd": pipeline.hw.use_winograd,
             "modules": [_jsonify(m) for m in pipeline.modules],
             "weight_path": [_jsonify(m) for m in pipeline.weight_path],
             "fill_latency": pipeline.fill_latency,
@@ -173,12 +171,8 @@ def cmd_hw_describe(args) -> int:
 
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
-    stage = _stage_at(model, args.block, "--block")
-    block = _as_block(stage.op)
-    if block is None:
-        raise UnsupportedConfig(f"stage {args.block} ({stage.name}) is not simulatable")
-    with reading(args.config), open(args.config) as fh:
-        cfg = config_from_json(json.load(fh))
+    stage = _pipeline_stage(model, args.block, "--block")
+    cfg = _load_config(args.config)
 
     doc = {
         "manifest": make_manifest(args, [args.model, args.config]),
@@ -187,14 +181,14 @@ def cmd_simulate(args) -> int:
         "config": config_to_json(cfg),
     }
     if args.enumerate_seqs:
-        entries = enumerate_sequences(block, stage.input_shape, cfg)
+        entries = enumerate_sequences(plan_block(stage.op, stage.input_shape, cfg))
         doc["sequences"] = [{
             "seqs": e.label,
             "buffer_options": [o.value for o in e.buffer_options],
             "total_cycles": e.report.total_cycles,
             "total_buffer_words": e.report.total_buffer_words,
         } for e in entries]
-    report = simulate_fused(block, stage.input_shape, cfg,
+    report = simulate_fused(stage.op, stage.input_shape, cfg,
                             collect_events=bool(args.trace))
     doc["report"] = _jsonify(dataclasses.replace(report, events=()))
     if args.trace:
@@ -225,6 +219,12 @@ def _candidate_row(c: DesignCandidate, clock_mhz: float) -> dict:
     }
 
 
+def _csv_row(stage_name: str, c: DesignCandidate) -> dict:
+    return {"stage": stage_name, "intensity": c.roofline.arithmetic_intensity,
+            "attainable_gops": c.roofline.attainable_gops,
+            "latency_cycles": c.sim.total_cycles, "dsp": c.resources.dsp_used}
+
+
 def cmd_dse(args) -> int:
     model = load_model(args.model)
     platform = load_platform(args.platform)
@@ -235,15 +235,12 @@ def cmd_dse(args) -> int:
            "platform": platform.to_json()}
     csv_rows = []
     if args.block is not None:
-        stage = _stage_at(model, args.block, "--block")
-        block = _as_block(stage.op)
-        if block is None:
-            raise UnsupportedConfig(f"stage {args.block} ({stage.name}) is not a block")
-        cands = design_candidates(block, stage.input_shape, platform, coeffs,
+        stage = _pipeline_stage(model, args.block, "--block")
+        cands = design_candidates(stage.op, stage.input_shape, platform, coeffs,
                                   max_parallel=args.max_parallel,
                                   grid_depth=args.grid_depth)
         best = pick_best_design(cands, platform)
-        rl = roofline(block, stage.input_shape, platform, best.cfg)
+        rl = roofline(stage.op, stage.input_shape, platform, best.cfg)
         doc["stage"] = {"index": args.block, "name": stage.name}
         doc["candidates"] = [_candidate_row(c, platform.clock_mhz) for c in cands]
         doc["selected"] = _candidate_row(best, platform.clock_mhz)
@@ -252,12 +249,7 @@ def cmd_dse(args) -> int:
             "baseline": _jsonify(rl.baseline) | {"attainable_gops": rl.baseline.attainable_gops},
             "weight_model": rl.weight_model,
         }
-        for c in cands:
-            csv_rows.append({"stage": stage.name,
-                             "intensity": c.roofline.arithmetic_intensity,
-                             "attainable_gops": c.roofline.attainable_gops,
-                             "latency_cycles": c.sim.total_cycles,
-                             "dsp": c.resources.dsp_used})
+        csv_rows = [_csv_row(stage.name, c) for c in cands]
     else:
         design = evaluate_model(model, platform, coeffs,
                                 max_parallel=args.max_parallel,
@@ -268,12 +260,7 @@ def cmd_dse(args) -> int:
             entry = {"index": row.stage_index, "name": row.stage_name}
             if row.candidate is not None:
                 entry["design"] = _candidate_row(row.candidate, platform.clock_mhz)
-                csv_rows.append({
-                    "stage": row.stage_name,
-                    "intensity": row.candidate.roofline.arithmetic_intensity,
-                    "attainable_gops": row.candidate.roofline.attainable_gops,
-                    "latency_cycles": row.candidate.sim.total_cycles,
-                    "dsp": row.candidate.resources.dsp_used})
+                csv_rows.append(_csv_row(row.stage_name, row.candidate))
             doc["stages"].append(entry)
         doc["selected"] = {
             "total_cycles": design.total_cycles,
@@ -296,9 +283,9 @@ def cmd_dse(args) -> int:
 # ---------------------------------------------------------------------------
 # explore
 
-def _make_oracle(spec: str, seed: int):
+def _make_oracle(spec: str):
     if spec == "synthetic":
-        return SyntheticOracle(seed=seed)
+        return SyntheticOracle()
     if spec.startswith("table:"):
         return TableOracle.from_csv(spec.split(":", 1)[1])
     if spec.startswith("external:"):
@@ -313,7 +300,7 @@ def cmd_explore(args) -> int:
     coeffs = load_calibration(args.calibration)
     req = Requirements(min_accuracy=args.min_acc, min_gops=args.min_gops,
                        max_latency_ms=args.max_latency_ms)
-    oracle = _make_oracle(args.oracle, args.seed or 0)
+    oracle = _make_oracle(args.oracle)
 
     inputs = [p for p in (args.model, args.platform, args.calibration) if p]
     if args.oracle.startswith("table:"):

@@ -16,7 +16,7 @@ import csv
 import json
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoSolution, OracleError, TurfError, UnknownModel, reading
 from .ir import ModelSpec, Replacement, count_ops_params, replace_layer
@@ -69,12 +69,11 @@ class SyntheticOracle:
     name = "synthetic"
 
     def __init__(self, base: float = 0.905, top_bonus: float = 0.035,
-                 decay: float = 0.005, exponent: float = 3.0, seed: int = 0):
+                 decay: float = 0.005, exponent: float = 3.0):
         self.base = base
         self.top_bonus = top_bonus
         self.decay = decay
         self.exponent = exponent
-        self.seed = seed  # salt only; the oracle is deterministic
 
     def evaluate(self, model: ModelSpec, budget: int = 1) -> float:
         n = model.num_replaceable
@@ -138,14 +137,12 @@ class ExternalOracle:
         return accuracy
 
 
-def model_gen(pretrained: ModelSpec, current: ModelSpec | None = None,
-              feedback: float | None = None) -> ModelSpec | None:
+def model_gen(pretrained: ModelSpec,
+              current: ModelSpec | None = None) -> ModelSpec | None:
     """Next candidate model, or None when the space is exhausted.
 
     The first call returns the pretrained model unchanged; each subsequent
-    call replaces one more position, strictly top-down.  ``feedback`` (the
-    previous candidate's performance) is accepted for interface
-    compatibility; the greedy order does not depend on it.
+    call replaces one more position, strictly top-down.
     """
     if current is None:
         return pretrained
@@ -209,15 +206,15 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
     while m is not None:
         acc = oracle.evaluate(m, budget=finetune_budget)
         acc_ok = acc >= requirements.min_accuracy
-        if not acc_ok and not exhaustive:
-            records.append(CandidateRecord(
-                index=index, replacement_vector=replacement_key(m),
-                replaced_positions=sum(r is Replacement.SEPARABLE
-                                       for r in m.replacement_vector),
-                accuracy=acc, accuracy_passed=False))
-            break
-
-        if acc_ok:
+        record = dict(index=index, replacement_vector=replacement_key(m),
+                      replaced_positions=sum(r is Replacement.SEPARABLE
+                                             for r in m.replacement_vector),
+                      accuracy=acc, accuracy_passed=acc_ok)
+        if not acc_ok:
+            records.append(CandidateRecord(**record))
+            if not exhaustive:
+                break
+        else:
             design = evaluate_model(m, platform, coeffs, max_parallel=max_parallel)
             ops = count_ops_params(m).total_ops
             gops = design.gops(ops, platform)
@@ -225,21 +222,11 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
             perf = requirements.performance(gops, latency)
             perf_ok = requirements.meets(gops, latency)
             records.append(CandidateRecord(
-                index=index, replacement_vector=replacement_key(m),
-                replaced_positions=sum(r is Replacement.SEPARABLE
-                                       for r in m.replacement_vector),
-                accuracy=acc, accuracy_passed=True, gops=gops,
-                latency_ms=latency, performance=perf, performance_passed=perf_ok,
-                dsp_used=design.dsp_used, bram_used=design.bram_used,
-                alm_used=design.alm_used))
+                **record, gops=gops, latency_ms=latency, performance=perf,
+                performance_passed=perf_ok, dsp_used=design.dsp_used,
+                bram_used=design.bram_used, alm_used=design.alm_used))
             if perf_ok and (best is None or perf > best[0]):
                 best = (perf, m, design, gops, latency)
-        else:
-            records.append(CandidateRecord(
-                index=index, replacement_vector=replacement_key(m),
-                replaced_positions=sum(r is Replacement.SEPARABLE
-                                       for r in m.replacement_vector),
-                accuracy=acc, accuracy_passed=False))
 
         m = model_gen(pretrained, m)
         index += 1

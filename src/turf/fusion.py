@@ -40,19 +40,27 @@ places no unit means the dependencies form a cycle (a deadlock).
 Shortcut additions synchronise at tile completion with zero compute
 cycles.  One simulation covers one tile pass; spatial and output-channel
 tiling multiply the number of sequential passes.
+
+A fused design is derived once, by ``plan_block``, into a ``BlockPlan``:
+each layer's hardware config and module pipeline, its work units and fill
+under either computation sequence, and the pass count.  The cycle bound,
+the sequence enumeration, the simulator and the resource model all read
+that plan.  A bare convolution or fully-connected layer is planned as its
+own one-layer block.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
-                     ShapeMismatch, SimDeadlock, UnsupportedConfig)
-from .hw import (BufferOption, LayerHwConfig, Seq, instantiate_layer,
-                 intermediate_buffer_words, layer_cycle_counts)
-from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape
+                     SimDeadlock, UnsupportedConfig)
+from .hw import (BufferOption, LayerHwConfig, LayerPipeline, Seq,
+                 instantiate_layer, intermediate_buffer_words,
+                 layer_cycle_counts)
+from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 
 CYCLE_MODEL = (
     "one cycle = one parallel step of the nested loops; per-tile compute "
@@ -223,8 +231,6 @@ class SimReport:
     layers: tuple[LayerActivity, ...]
     buffers: tuple[BufferActivity, ...]
     events: tuple[SimEvent, ...] = ()
-    redundant_compute_ops: int = 0
-    extra_offchip_bytes: int = 0
     cycle_model: str = CYCLE_MODEL
 
     @property
@@ -234,6 +240,9 @@ class SimReport:
 
 # ---------------------------------------------------------------------------
 # Per-layer derivation
+
+_SEQ_ORDER = (Seq.FM, Seq.CM)
+
 
 @dataclass(frozen=True)
 class _LayerPlan:
@@ -252,7 +261,7 @@ def _tile_spatial(t_h: int, t_w: int, layer: LayerSpec) -> tuple[int, int]:
     return max(1, -(-t_h // s)), max(1, -(-t_w // s))
 
 
-def derive_layer_configs(block: BlockSpec, input_shape: TensorShape,
+def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                          cfg: FusedDesignConfig) -> list[LayerHwConfig]:
     """Expand a fused config into one LayerHwConfig per block layer."""
     layers = block.layers
@@ -260,11 +269,7 @@ def derive_layer_configs(block: BlockSpec, input_shape: TensorShape,
     if cfg.num_layers != n:
         raise PortMismatch(f"config has {cfg.num_layers} layers, block has {n}")
 
-    # channel extents through the block
-    chans = [input_shape.channels]
-    for layer in layers:
-        chans.append(layer.output_shape(
-            TensorShape(8, 8, chans[-1])).channels)
+    chans = [s.channels for s in layer_shapes(block, input_shape)]
 
     if cfg.t_c[0] < chans[0]:
         raise UnsupportedConfig(
@@ -303,30 +308,57 @@ def derive_layer_configs(block: BlockSpec, input_shape: TensorShape,
     return out
 
 
-def _plan_layers(block: BlockSpec, input_shape: TensorShape,
-                 cfg: FusedDesignConfig) -> list[_LayerPlan]:
-    plans = []
-    for i, (layer, hw) in enumerate(zip(block.layers,
-                                        derive_layer_configs(block, input_shape, cfg))):
-        cycles, units = layer_cycle_counts(layer, hw)
+@dataclass(frozen=True)
+class BlockPlan:
+    """One fused design of a stage, derived once by ``plan_block``.
+
+    ``by_seq[s][i]`` is layer i's plan under sequence s: a layer's plan
+    depends only on its own sequence, so any assignment's plans are picked
+    from these.  ``pipelines[i]`` is layer i's module chain under ``cfg``,
+    which the sequence does not change.
+    """
+
+    cfg: FusedDesignConfig
+    by_seq: dict[Seq, tuple[_LayerPlan, ...]]
+    pipelines: tuple[LayerPipeline, ...]
+    n_passes: int   # sequential tile passes: spatial tiles x output-channel slices
+
+    def layer_plans(self, seqs: tuple[Seq, ...]) -> list[_LayerPlan]:
+        return [self.by_seq[s][i] for i, s in enumerate(seqs)]
+
+    def buffers(self, seqs: tuple[Seq, ...], options: tuple[BufferOption, ...]
+                ) -> list[tuple[int, int, int]]:
+        """(tokens, capacity_tokens, words) per intermediate buffer; raises
+        ``InefficientConfig`` for an option too small for the sequences."""
+        return _buffer_caps(self.layer_plans(seqs), options)
+
+
+def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
+               cfg: FusedDesignConfig) -> BlockPlan:
+    """Derive ``cfg`` on ``op`` (a block, or a layer as its own one-layer
+    block): ``derive_layer_configs`` once and ``instantiate_layer`` once per
+    layer.  Raises what those raise for ``cfg``."""
+    by_seq: dict[Seq, list[_LayerPlan]] = {s: [] for s in _SEQ_ORDER}
+    pipelines = []
+    for layer, hw in zip(op.layers, derive_layer_configs(op, input_shape, cfg)):
         pipeline = instantiate_layer(layer, hw)
+        pipelines.append(pipeline)
         depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
-        plans.append(_LayerPlan(
-            layer=layer, hw=hw, units=units,
-            cycles_per_unit=cycles // units,
-            fill=pipeline.fill_latency,
-            producer_stream=depthwise or hw.seq is Seq.FM,
-            consumer_stream=depthwise or hw.seq is Seq.CM,
-        ))
-    return plans
-
-
-def _plans_by_seq(block: BlockSpec, input_shape: TensorShape,
-                  cfg: FusedDesignConfig) -> dict[Seq, list[_LayerPlan]]:
-    """Every layer's plan under each sequence.  A layer's plan depends only
-    on its own sequence, so any assignment's plans are picked from these."""
-    return {s: _plan_layers(block, input_shape, replace(cfg, seqs=(s,) * cfg.num_layers))
-            for s in _SEQ_ORDER}
+        for s in _SEQ_ORDER:
+            seq_hw = hw if hw.seq is s else replace(hw, seq=s)
+            cycles, units = layer_cycle_counts(layer, seq_hw)
+            by_seq[s].append(_LayerPlan(
+                layer=layer, hw=seq_hw, units=units,
+                cycles_per_unit=cycles // units,
+                fill=pipeline.fill_latency,
+                producer_stream=depthwise or s is Seq.FM,
+                consumer_stream=depthwise or s is Seq.CM,
+            ))
+    spatial = math.ceil(input_shape.height / cfg.t_h) * \
+        math.ceil(input_shape.width / cfg.t_w)
+    n_passes = spatial * math.ceil(op.output_shape(input_shape).channels / cfg.t_f)
+    return BlockPlan(cfg, {s: tuple(p) for s, p in by_seq.items()},
+                     tuple(pipelines), n_passes)
 
 
 def _buffer_tokens(plans: list[_LayerPlan], option: BufferOption,
@@ -499,14 +531,6 @@ def _pass_lower_bound(plans: list[_LayerPlan]) -> int:
     return finish + plans[-1].fill
 
 
-def _pass_count(block: BlockSpec, input_shape: TensorShape,
-                cfg: FusedDesignConfig) -> int:
-    """Sequential tile passes: spatial tiles times output-channel slices."""
-    spatial = math.ceil(input_shape.height / cfg.t_h) * \
-        math.ceil(input_shape.width / cfg.t_w)
-    return spatial * math.ceil(block.output_shape(input_shape).channels / cfg.t_f)
-
-
 def _sim_report(plans: list[_LayerPlan], options: tuple[BufferOption, ...],
                 caps: list[tuple[int, int, int]], simulated: tuple,
                 n_passes: int) -> SimReport:
@@ -541,7 +565,7 @@ def _sim_report(plans: list[_LayerPlan], options: tuple[BufferOption, ...],
     )
 
 
-def simulate_fused(block: BlockSpec, input_shape: TensorShape,
+def simulate_fused(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                    cfg: FusedDesignConfig, collect_events: bool = False,
                    include_fill: bool = True) -> SimReport:
     """Simulate one fused launch of ``block`` over ``input_shape``.
@@ -549,20 +573,19 @@ def simulate_fused(block: BlockSpec, input_shape: TensorShape,
     Spatial tiles and output-channel slices execute as sequential passes of
     the same pipeline; the report covers the whole input.
     """
-    plans = _plan_layers(block, input_shape, cfg)
+    plan = plan_block(block, input_shape, cfg)
+    plans = plan.layer_plans(cfg.seqs)
     if not include_fill:
         plans = [replace(p, fill=0) for p in plans]
     options = cfg.buffer_options
     caps = _buffer_caps(plans, options)
     return _sim_report(plans, options, caps,
-                       _simulate_pass(plans, caps, collect_events),
-                       _pass_count(block, input_shape, cfg))
+                       _simulate_pass(plans, caps, collect_events), plan.n_passes)
 
 
 # ---------------------------------------------------------------------------
 # Sequence enumeration
 
-_SEQ_ORDER = (Seq.FM, Seq.CM)
 _OPTION_ORDER = (BufferOption.MATCH_PREV, BufferOption.MATCH_NEXT, BufferOption.DOUBLE)
 
 
@@ -581,27 +604,24 @@ class SeqCandidate:
         return tuple(_SEQ_ORDER.index(s) for s in self.seqs)
 
 
-def enumerate_sequences(block: BlockSpec, input_shape: TensorShape,
-                        cfg: FusedDesignConfig,
-                        max_layers: int = 8) -> list[SeqCandidate]:
-    """Evaluate every computation-sequence combination of the block.
+def enumerate_sequences(plan: BlockPlan, max_layers: int = 8) -> list[SeqCandidate]:
+    """Evaluate every computation-sequence combination of a planned design.
 
     For each of the 2^N sequence assignments, all buffer-option
     combinations are simulated and the best (lowest cycles, then smallest
     buffer footprint) is kept.  Entries are sorted by total cycles, then
     total buffer words, then the FM-before-CM lexicographic order of the
-    sequence string.  Each layer is planned once per sequence;
-    options whose buffers cannot hold what the sequences need are rejected
-    by sizing alone, and only each assignment's best options get a report.
+    sequence string.  Options whose buffers cannot hold what the sequences
+    need are rejected by sizing alone, and only each assignment's best
+    options get a report.
     """
-    n = cfg.num_layers
+    n = plan.cfg.num_layers
     if n > max_layers:
         raise UnsupportedConfig(f"{n} layers exceeds enumeration bound {max_layers}")
-    n_passes = _pass_count(block, input_shape, cfg)
-    by_seq = _plans_by_seq(block, input_shape, cfg)
+    n_passes = plan.n_passes
     results = []
     for seqs in itertools.product(_SEQ_ORDER, repeat=n):
-        plans = [by_seq[s][i] for i, s in enumerate(seqs)]
+        plans = plan.layer_plans(seqs)
         best = None
         for options in itertools.product(_OPTION_ORDER, repeat=max(0, n - 1)):
             try:
@@ -623,16 +643,13 @@ def enumerate_sequences(block: BlockSpec, input_shape: TensorShape,
     return results
 
 
-def cycles_lower_bound(block: BlockSpec, input_shape: TensorShape,
-                       cfg: FusedDesignConfig) -> int:
+def cycles_lower_bound(plan: BlockPlan) -> int:
     """A lower bound on the ``total_cycles`` of every candidate that
-    ``enumerate_sequences`` returns for ``cfg``'s tiles and parallelism:
-    the passes times the least ``_pass_lower_bound`` over the 2^N sequence
-    assignments.  Raises what plan derivation raises for ``cfg``."""
-    by_seq = _plans_by_seq(block, input_shape, cfg)
-    return _pass_count(block, input_shape, cfg) * min(
-        _pass_lower_bound([by_seq[s][i] for i, s in enumerate(seqs)])
-        for seqs in itertools.product(_SEQ_ORDER, repeat=cfg.num_layers))
+    ``enumerate_sequences`` returns for ``plan``: the passes times the
+    least ``_pass_lower_bound`` over the 2^N sequence assignments."""
+    return plan.n_passes * min(
+        _pass_lower_bound(plan.layer_plans(seqs))
+        for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers))
 
 
 # ---------------------------------------------------------------------------
@@ -673,21 +690,14 @@ def tiling_overhead(block: BlockSpec, input_shape: TensorShape,
         raise InvalidTiling(f"tile {tile} smaller than the block receptive field {rf}")
 
     # per-layer map dims and per-output-pixel op counts
-    shapes = [input_shape]
-    for layer in layers:
-        shapes.append(layer.output_shape(shapes[-1]))
-    ops_per_px = []
-    for layer, shp in zip(layers, shapes):
-        out = layer.output_shape(shp)
-        ops_per_px.append(layer.ops(shp) // (out.height * out.width))
+    shapes = layer_shapes(block, input_shape)
+    ops_per_px = [layer.ops(shp) // (out.height * out.width)
+                  for layer, shp, out in zip(layers, shapes, shapes[1:])]
 
-    total_stride_h = total_stride_w = 1
-    for layer in layers:
-        total_stride_h *= layer.stride
-        total_stride_w *= layer.stride
+    total_stride = math.prod(layer.stride for layer in layers)
     out_h, out_w = shapes[-1].height, shapes[-1].width
-    tile_out_h = max(1, -(-t_h // total_stride_h))
-    tile_out_w = max(1, -(-t_w // total_stride_w))
+    tile_out_h = max(1, -(-t_h // total_stride))
+    tile_out_w = max(1, -(-t_w // total_stride))
 
     # computed[j]: pixels of layer j's output produced across all tiles
     computed = [0] * len(layers)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InefficientConfig, UnsupportedConfig
 from .ir import LayerKind, LayerSpec
@@ -46,9 +46,6 @@ class ModuleKind(enum.Enum):
     WINOGRAD_WEIGHT_TRANSFORM = "WinogradWeightTransform"
     WINOGRAD_OUTPUT_TRANSFORM = "WinogradOutputTransform"
     DOT_PRODUCT_ARRAY = "DotProductArray"
-    ELEMENTWISE_ADD = "ElementwiseAdd"
-    ACTIVATION = "Activation"
-    NORM = "Norm"
 
 
 class Seq(enum.Enum):
@@ -209,7 +206,8 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
     buffer or transforms; the Winograd path inserts the three transform
     modules around the dot-product array.  The dot-product array folds the
     P_c channel lanes in its adder tree, so downstream modules see
-    channel-accumulated streams.
+    channel-accumulated streams.  Only convolution and fully-connected
+    layers have a pipeline; no block kind admits any other layer.
     """
     p_h, p_w, p_c, p_f = hw.parallelism
     kind = layer.kind
@@ -261,15 +259,6 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
         ]
         return LayerPipeline(layer, hw, tuple(modules))
 
-    if kind is LayerKind.ELEMENTWISE_ADD:
-        w = p_c * p_h * p_w
-        return LayerPipeline(layer, hw, (ModuleDesc(ModuleKind.ELEMENTWISE_ADD, {}, w, w),))
-    if kind is LayerKind.ACTIVATION:
-        w = p_c * p_h * p_w
-        return LayerPipeline(layer, hw, (ModuleDesc(ModuleKind.ACTIVATION, {}, w, w),))
-    if kind is LayerKind.BATCH_NORM:
-        w = p_c * p_h * p_w
-        return LayerPipeline(layer, hw, (ModuleDesc(ModuleKind.NORM, {}, w, w),))
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
 
 
@@ -314,22 +303,6 @@ class BufferOption(enum.Enum):
     MATCH_PREV = "MatchPrev"   # adopt the previous layer's output-side size
     MATCH_NEXT = "MatchNext"   # adopt the next layer's input-side size
     DOUBLE = "Double"          # double the previous-output size (ping-pong)
-
-
-def buffer_words(prev_seq: Seq, cur_seq: Seq, tile: tuple[int, int, int, int],
-                 parallelism: tuple[int, int, int, int],
-                 double_buffering: bool = False) -> int:
-    """Intermediate buffer size in words, by the published sizing table.
-
-    tile/parallelism are those of the consuming layer i:
-      (FM,CM)  P_c T_h T_w      (CM,FM)  T_c T_h T_w
-      (FM,FM)  P_c T_h T_w      (CM,CM)  T_c T_h T_w
-    with double buffering doubling the value.
-    """
-    t_h, t_w, t_c, _ = tile
-    p_c = parallelism[2]
-    base = p_c * t_h * t_w if prev_seq is Seq.FM else t_c * t_h * t_w
-    return 2 * base if double_buffering else base
 
 
 def intermediate_buffer_words(prev_seq: Seq, cur_seq: Seq,

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import enum
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .errors import InvalidReplacement, ShapeMismatch, UnknownModel, reading
+from .errors import InvalidReplacement, ShapeMismatch, reading
 
 
 class LayerKind(enum.Enum):
@@ -92,6 +91,11 @@ class LayerSpec:
         needs_f = (LayerKind.STANDARD_CONV, LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED)
         if self.kind in needs_f and self.out_channels is None:
             raise ShapeMismatch(f"{self.kind.value} requires out_channels")
+
+    @property
+    def layers(self) -> tuple[LayerSpec, ...]:
+        """A layer staged on its own is its own one-layer block."""
+        return (self,)
 
     def output_shape(self, shape: TensorShape) -> TensorShape:
         h, w, c = shape.as_tuple()
@@ -190,6 +194,14 @@ class BlockSpec:
         if self.shortcut_projection is not None:
             total += self.shortcut_projection.params(shape)
         return total
+
+
+def layer_shapes(op: LayerSpec | BlockSpec, shape: TensorShape) -> list[TensorShape]:
+    """The shape into each of ``op``'s layers, then the shape out of the last."""
+    shapes = [shape]
+    for layer in op.layers:
+        shapes.append(layer.output_shape(shapes[-1]))
+    return shapes
 
 
 @dataclass(frozen=True)
@@ -447,9 +459,3 @@ def model_from_json(doc: dict) -> ModelSpec:
 def load_model(path: str) -> ModelSpec:
     with reading(path), open(path) as fh:
         return model_from_json(json.load(fh))
-
-
-def save_model(model: ModelSpec, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,9 +1,9 @@
 """Functional reference convolution kernels.
 
-These are the arithmetic ground truth for everything downstream: direct
+These are the arithmetic ground truth for the Winograd path: direct
 convolution (cross-correlation, matching the index direction of the layer
-definition), depthwise-separable convolution, Winograd minimal-filtering
-convolution for 3x3 kernels at stride 1, and fixed-point quantisation.
+definition) and Winograd minimal-filtering convolution for 3x3 kernels at
+stride 1.
 
 The Winograd transform matrices are exact rationals built from the
 Cook-Toom construction with interpolation points {0, +-1, +-2, inf} for
@@ -17,7 +17,6 @@ All operations are pure; tensors are never mutated.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,38 +92,6 @@ def conv_direct(inp: Tensor3, filt: Filter4, stride: int = 1, padding: int = 0) 
             window = padded[:, kh:kh + (ho - 1) * stride + 1:stride,
                             kw:kw + (wo - 1) * stride + 1:stride]
             out += np.einsum("fc,cij->fij", filt.data[:, :, kh, kw], window)
-    return Tensor3.from_array(out)
-
-
-def conv_depthwise(inp: Tensor3, dw_filter: np.ndarray, stride: int = 1,
-                   padding: int = 0) -> Tensor3:
-    """Per-channel spatial convolution with a [c][kh][kw] filter."""
-    dw_filter = np.asarray(dw_filter, dtype=np.float64)
-    if dw_filter.shape[0] != inp.shape.channels:
-        raise ShapeMismatch("depthwise filter needs one kernel per input channel")
-    c = inp.shape.channels
-    k = dw_filter.shape[1]
-    padded = np.pad(inp.data, ((0, 0), (padding, padding), (padding, padding)))
-    ho = (inp.shape.height + 2 * padding - k) // stride + 1
-    wo = (inp.shape.width + 2 * padding - k) // stride + 1
-    out = np.zeros((c, ho, wo))
-    for kh in range(k):
-        for kw in range(k):
-            window = padded[:, kh:kh + (ho - 1) * stride + 1:stride,
-                            kw:kw + (wo - 1) * stride + 1:stride]
-            out += dw_filter[:, kh, kw][:, None, None] * window
-    return Tensor3.from_array(out)
-
-
-def conv_depthwise_separable(inp: Tensor3, dw_filter: np.ndarray,
-                             pw_filter: np.ndarray, stride: int = 1,
-                             padding: int = 0) -> Tensor3:
-    """Y[f,x,y] = sum_c (D_c * Ghat_c)(x,y) . G[f,c] -- depthwise then pointwise."""
-    pw_filter = np.asarray(pw_filter, dtype=np.float64)
-    if pw_filter.ndim != 2 or pw_filter.shape[1] != inp.shape.channels:
-        raise ShapeMismatch("pointwise filter must be [F][C]")
-    mid = conv_depthwise(inp, dw_filter, stride=stride, padding=padding)
-    out = np.einsum("fc,cij->fij", pw_filter, mid.data)
     return Tensor3.from_array(out)
 
 
@@ -252,14 +219,6 @@ def transform_mult_counts(config: WinogradConfig) -> dict[str, dict[str, int]]:
     return out
 
 
-def winograd_tile(d: np.ndarray, g: np.ndarray, config: WinogradConfig) -> np.ndarray:
-    """One output tile: A^T [(G g G^T) .* (B^T d B)] A for a single channel."""
-    a_t, b_t, gm = config.matrices()
-    u = gm @ g @ gm.T
-    v = b_t @ d @ b_t.T
-    return a_t @ (u * v) @ a_t.T
-
-
 def conv_winograd(inp: Tensor3, filt: Filter4, config: WinogradConfig,
                   padding: int = 0) -> Tensor3:
     """Winograd convolution, stride 1, K = r.  Equals conv_direct up to fp error.
@@ -305,65 +264,3 @@ def conv_winograd(inp: Tensor3, filt: Filter4, config: WinogradConfig,
         for tx in range(tiles_x):
             out[:, ty * m:(ty + 1) * m, tx * m:(tx + 1) * m] = y[:, ty, tx]
     return Tensor3.from_array(out[:, :ho, :wo])
-
-
-# ---------------------------------------------------------------------------
-# Fixed-point quantisation
-
-@dataclass(frozen=True)
-class FixedPointFormat:
-    """Two's-complement fixed point; round to nearest even, saturate on overflow."""
-
-    total_bits: int = 16
-    fraction_bits: int = 8
-
-    def __post_init__(self):
-        if not 1 <= self.fraction_bits < self.total_bits:
-            raise UnsupportedConfig("need 1 <= fraction_bits < total_bits")
-
-    @property
-    def scale(self) -> int:
-        return 1 << self.fraction_bits
-
-    @property
-    def max_value(self) -> float:
-        return ((1 << (self.total_bits - 1)) - 1) / self.scale
-
-    @property
-    def min_value(self) -> float:
-        return -(1 << (self.total_bits - 1)) / self.scale
-
-
-def quantize_array(arr: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    scaled = np.rint(np.asarray(arr, dtype=np.float64) * fmt.scale)  # rint = half to even
-    lo = -(1 << (fmt.total_bits - 1))
-    hi = (1 << (fmt.total_bits - 1)) - 1
-    return np.clip(scaled, lo, hi) / fmt.scale
-
-
-def quantize(t: Tensor3, fmt: FixedPointFormat) -> Tensor3:
-    return Tensor3(t.shape, quantize_array(t.data, fmt))
-
-
-# ---------------------------------------------------------------------------
-# Flat binary tensor fixtures (for cross-implementation oracle exchange)
-
-_MAGIC = b"TRF3"
-
-
-def save_tensor(t: Tensor3, path: str) -> None:
-    """Little-endian float64, header: magic + uint32 dims (c, h, w)."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", t.shape.channels, t.shape.height, t.shape.width))
-        fh.write(t.data.astype("<f8").tobytes())
-
-
-def load_tensor(path: str) -> Tensor3:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ShapeMismatch(f"not a tensor fixture: bad magic {magic!r}")
-        c, h, w = struct.unpack("<III", fh.read(12))
-        data = np.frombuffer(fh.read(8 * c * h * w), dtype="<f8").reshape(c, h, w)
-        return Tensor3(TensorShape(h, w, c), data.copy())

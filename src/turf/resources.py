@@ -14,6 +14,12 @@ Roofline accounting (16-bit words, 2 bytes):
   * the layer-by-layer baseline moves every intermediate map off chip and
     back, plus weights.
 The compute roof is DSPs x 2 ops x clock.
+
+The search plans each grid point once (``fusion.plan_block``); its cycle
+bound, its sequence/buffer candidates and each candidate's resources are
+read from that ``BlockPlan``.  A stage is searched when it has a hardware
+pipeline: a block, or a convolution or fully-connected layer as its own
+one-layer block.
 """
 
 from __future__ import annotations
@@ -22,17 +28,18 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources as importlib_resources
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      PortMismatch, UnsupportedConfig, reading)
-from .fusion import (FusedDesignConfig, SimReport, cycles_lower_bound,
-                     derive_layer_configs, enumerate_sequences, simulate_fused,
-                     tiling_overhead)
-from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq, instantiate_layer,
+from .fusion import (BlockPlan, FusedDesignConfig, SimReport,
+                     cycles_lower_bound, derive_layer_configs,
+                     enumerate_sequences, plan_block, tiling_overhead)
+from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
                  validate_winograd)
-from .ir import BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape
+from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
+                 layer_shapes)
 from .kernels import winograd_config
 
 WORD_BYTES = 2
@@ -89,6 +96,19 @@ class CalibrationTable:
 
     alm: dict
     source: str = "builtin-placeholder"
+
+    def __post_init__(self):
+        if not isinstance(self.alm, dict):
+            raise CalibrationError("the ALM table must map module kinds to "
+                                   f"coefficients, got {self.alm!r}")
+        for kind, entry in self.alm.items():
+            values = [entry.get(k) for k in ("base", "per_width")] \
+                if isinstance(entry, dict) else [None]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and math.isfinite(v) and v >= 0 for v in values):
+                raise CalibrationError(
+                    f"ALM entry {kind!r} needs numeric, non-negative base and "
+                    f"per_width, got {entry!r}")
 
     def coeff(self, kind: ModuleKind) -> tuple[float, float]:
         try:
@@ -147,8 +167,6 @@ def _dsp_terms(layer: LayerSpec, p_h: int, p_w: int, use_winograd: bool,
         return p_h * p_w, 0, 0
     if kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
         return layer.kernel_size ** 2 * p_h * p_w, 0, 0
-    if kind in (LayerKind.ELEMENTWISE_ADD, LayerKind.ACTIVATION, LayerKind.BATCH_NORM):
-        return 0, 0, 0
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
 
 
@@ -160,22 +178,21 @@ def _layer_dsp(layer: LayerSpec, hw: LayerHwConfig) -> int:
     return (a * hw.p_c + c) * lanes_f + b * hw.p_c
 
 
-def estimate_resources(block: BlockSpec, input_shape: TensorShape,
-                       cfg: FusedDesignConfig,
+def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
+                       options: tuple[BufferOption, ...],
                        coeffs: CalibrationTable | None = None) -> ResourceEstimate:
-    """Linear resource prediction for one fused design."""
+    """Linear resource prediction for ``plan``'s design run with the
+    computation sequences ``seqs`` and intermediate-buffer ``options``."""
     coeffs = coeffs or load_calibration()
-    layer_hw = derive_layer_configs(block, input_shape, cfg)
-    layers = block.layers
-    n = len(layers)
+    plans = plan.layer_plans(seqs)
 
     dsp = 0
     alm = 0.0
     buffers_words: list[int] = []
 
-    for i, (layer, hw) in enumerate(zip(layers, layer_hw)):
+    for p, pipeline in zip(plans, plan.pipelines):
+        layer, hw = p.layer, p.hw
         dsp += _layer_dsp(layer, hw)
-        pipeline = instantiate_layer(layer, hw)
         for mod in (*pipeline.modules, *pipeline.weight_path):
             base, per_width = coeffs.coeff(mod.kind)
             alm += (base + per_width * (mod.in_width + mod.out_width)) * mod.replication
@@ -190,19 +207,16 @@ def estimate_resources(block: BlockSpec, input_shape: TensorShape,
 
     # first input buffer: filter-major layers reuse the whole input tile,
     # channel-major ones stream chunk by chunk
-    first = layer_hw[0]
+    first = plans[0].hw
     in_words = (first.t_c if first.seq is Seq.FM else first.p_c) * first.t_h * first.t_w
     buffers_words.append(in_words)
     # last output buffer: channel-major accumulates the full output tile
-    last = layer_hw[-1]
-    out_shape = layers[-1].output_shape(TensorShape(last.t_h, last.t_w, last.t_c))
+    last = plans[-1].hw
+    out_shape = plans[-1].layer.output_shape(TensorShape(last.t_h, last.t_w, last.t_c))
     out_ch = last.t_f if last.seq is Seq.CM else last.p_f
     buffers_words.append(out_ch * out_shape.height * out_shape.width)
-    # intermediate buffers per their sizing option
-    from .fusion import _buffer_tokens, _plan_layers  # sizing shared with the simulator
-    plans = _plan_layers(block, input_shape, cfg)
-    for i in range(n - 1):
-        buffers_words.append(_buffer_tokens(plans, cfg.buffer_options[i], i)[2])
+    # intermediate buffers per their sizing option, as the simulator sizes them
+    buffers_words += [words for _, _, words in plan.buffers(seqs, options)]
 
     bram = sum(_bram_blocks(w) for w in buffers_words)
     return ResourceEstimate(dsp_used=dsp, bram_used=bram,
@@ -234,17 +248,11 @@ class RooflineComparison:
     weight_model: str = "weights streamed once per full-map pass"
 
 
-def block_weight_words(block: BlockSpec, input_shape: TensorShape) -> int:
-    return block.params(input_shape)
-
-
 def block_traffic_bytes(block: BlockSpec, input_shape: TensorShape,
                         fused: bool) -> int:
     """Off-chip bytes for one full-map pass (untiled)."""
-    shapes = [input_shape]
-    for layer in block.layers:
-        shapes.append(layer.output_shape(shapes[-1]))
-    weights = block_weight_words(block, input_shape)
+    shapes = layer_shapes(block, input_shape)
+    weights = block.params(input_shape)
     if fused:
         words = shapes[0].volume() + shapes[-1].volume() + weights
     else:
@@ -281,31 +289,6 @@ def roofline(block: BlockSpec, input_shape: TensorShape,
     )
 
 
-def canonical_blocks() -> dict[str, tuple[BlockSpec, TensorShape]]:
-    """Shipped demo instances of the three studied block kinds.
-
-    Dimensions are chosen so the blocks span the bandwidth-bound /
-    compute-bound divide of the default platform; the roofline analysis
-    of these three is the reference fusion-benefit experiment.
-    """
-    dwsep = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE, (
-        LayerSpec(LayerKind.DEPTHWISE_CONV, kernel_size=3, padding=1),
-        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=64)))
-    bottleneck = BlockSpec(BlockKind.BOTTLENECK, (
-        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=32),
-        LayerSpec(LayerKind.STANDARD_CONV, kernel_size=3, out_channels=32, padding=1),
-        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=128)), has_shortcut=True)
-    sep_bottleneck = BlockSpec(BlockKind.SEPARABLE_BOTTLENECK, (
-        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=128),
-        LayerSpec(LayerKind.DEPTHWISE_CONV, kernel_size=3, padding=1),
-        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=64)), has_shortcut=True)
-    return {
-        "depthwise_separable": (dwsep, TensorShape(112, 112, 32)),
-        "bottleneck": (bottleneck, TensorShape(56, 56, 128)),
-        "separable_bottleneck": (sep_bottleneck, TensorShape(28, 28, 64)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Candidate evaluation and selection
 
@@ -315,10 +298,6 @@ class DesignCandidate:
     sim: SimReport
     resources: ResourceEstimate
     roofline: RooflinePoint
-
-    @property
-    def latency_cycles(self) -> int:
-        return self.sim.total_cycles
 
     def key(self) -> tuple:
         """Deterministic total order: best first."""
@@ -401,10 +380,7 @@ def _grid_points(block: BlockSpec, input_shape: TensorShape, dsp_total: int,
     (tile, spatial option, surviving parallelism combo), in search order."""
     layers = block.layers
     n = len(layers)
-    chans = [input_shape.channels]
-    for layer in layers:
-        chans.append(layer.output_shape(TensorShape(
-            input_shape.height, input_shape.width, chans[-1])).channels)
+    chans = [s.channels for s in layer_shapes(block, input_shape)]
 
     wino_ok = [l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
                and l.kernel_size == 3 and l.stride == 1 for l in layers]
@@ -447,13 +423,13 @@ def _grid_points(block: BlockSpec, input_shape: TensorShape, dsp_total: int,
             yield make_cfg(ps)
 
 
-def _rooflined_points(block: BlockSpec, input_shape: TensorShape,
-                      platform: PlatformSpec, max_parallel: int,
-                      grid_depth: int | None, winograd_m: int = 4,
-                      min_tile: int = 14) -> Iterator[tuple[FusedDesignConfig, RooflinePoint]]:
-    """``_grid_points`` with each point's fused roofline point, skipping the
-    points whose roofline raises.  The roofline reads only T_h, T_w and T_f
-    of a config, so it is worked out once per tile."""
+def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
+                    platform: PlatformSpec, max_parallel: int,
+                    grid_depth: int | None, winograd_m: int = 4,
+                    min_tile: int = 14) -> Iterator[tuple[BlockPlan, RooflinePoint]]:
+    """Each ``_grid_points`` config planned, with its fused roofline point;
+    points whose roofline or plan raises are skipped.  The roofline reads
+    only T_h, T_w and T_f of a config, so it is worked out once per tile."""
     rooflines: dict = {}
     for cfg in _grid_points(block, input_shape, platform.dsp_total, max_parallel,
                             winograd_m, grid_depth, min_tile):
@@ -463,28 +439,25 @@ def _rooflined_points(block: BlockSpec, input_shape: TensorShape,
                 rooflines[tile] = roofline(block, input_shape, platform, cfg).fused
             except (UnsupportedConfig, PortMismatch, InvalidTiling):
                 rooflines[tile] = None
-        if rooflines[tile] is not None:
-            yield cfg, rooflines[tile]
+        if rooflines[tile] is None:
+            continue
+        try:
+            plan = plan_block(block, input_shape, cfg)
+        except (UnsupportedConfig, PortMismatch):
+            continue
+        yield plan, rooflines[tile]
 
 
-def _point_candidates(block: BlockSpec, input_shape: TensorShape,
-                      cfg: FusedDesignConfig, rl: RooflinePoint,
+def _point_candidates(plan: BlockPlan, rl: RooflinePoint,
                       coeffs: CalibrationTable) -> list[DesignCandidate]:
-    """Every sequence/buffer candidate of one grid point; none when the
-    point's sequences cannot be derived."""
-    try:
-        seq_cands = enumerate_sequences(block, input_shape, cfg)
-    except (UnsupportedConfig, PortMismatch, InvalidTiling):
-        return []
-    candidates = []
-    for sc in seq_cands:
-        scfg = replace(cfg, seqs=sc.seqs, buffer_options=sc.buffer_options)
-        res = estimate_resources(block, input_shape, scfg, coeffs)
-        candidates.append(DesignCandidate(scfg, sc.report, res, rl))
-    return candidates
+    """Every sequence/buffer candidate of one planned grid point."""
+    return [DesignCandidate(
+        replace(plan.cfg, seqs=sc.seqs, buffer_options=sc.buffer_options), sc.report,
+        estimate_resources(plan, sc.seqs, sc.buffer_options, coeffs), rl)
+        for sc in enumerate_sequences(plan)]
 
 
-def design_candidates(block: BlockSpec, input_shape: TensorShape,
+def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                       platform: PlatformSpec,
                       coeffs: CalibrationTable | None = None,
                       max_parallel: int = 64,
@@ -510,13 +483,13 @@ def design_candidates(block: BlockSpec, input_shape: TensorShape,
     """
     coeffs = coeffs or load_calibration()
     candidates = []
-    for cfg, rl in _rooflined_points(block, input_shape, platform, max_parallel,
-                                     grid_depth, winograd_m, min_tile):
-        candidates += _point_candidates(block, input_shape, cfg, rl, coeffs)
+    for plan, rl in _planned_points(block, input_shape, platform, max_parallel,
+                                    grid_depth, winograd_m, min_tile):
+        candidates += _point_candidates(plan, rl, coeffs)
     return candidates
 
 
-def design_gen(block: BlockSpec, input_shape: TensorShape,
+def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                platform: PlatformSpec,
                coeffs: CalibrationTable | None = None,
                max_parallel: int = 64,
@@ -537,22 +510,17 @@ def design_gen(block: BlockSpec, input_shape: TensorShape,
     point is evaluated, so ``Infeasible`` reports the same count.
     """
     coeffs = coeffs or load_calibration()
-    ranked = []
-    for cfg, rl in _rooflined_points(block, input_shape, platform, max_parallel,
-                                     grid_depth):
-        try:
-            cycles = cycles_lower_bound(block, input_shape, cfg)
-        except (UnsupportedConfig, PortMismatch, InvalidTiling):
-            continue
-        ranked.append(((-rl.attainable_gops, cycles), cfg, rl))
+    ranked = [((-rl.attainable_gops, cycles_lower_bound(plan)), plan, rl)
+              for plan, rl in _planned_points(block, input_shape, platform,
+                                              max_parallel, grid_depth)]
     ranked.sort(key=lambda r: r[0])  # stable: grid order among equal bounds
 
     candidates = []
     best = None  # the first two key fields of the best feasible candidate
-    for bound, cfg, rl in ranked:
+    for bound, plan, rl in ranked:
         if best is not None and bound > best:
             break
-        for c in _point_candidates(block, input_shape, cfg, rl, coeffs):
+        for c in _point_candidates(plan, rl, coeffs):
             candidates.append(c)
             key = c.key()[:2]
             if c.resources.feasible(platform) and (best is None or key < best):
@@ -589,33 +557,13 @@ class ModelDesign:
         return ResourceEstimate(self.dsp_used, self.bram_used, self.alm_used)
 
 
-def _as_block(op) -> BlockSpec | None:
-    """View a stage as a simulatable block; None for zero-cost stages."""
-    if isinstance(op, BlockSpec):
-        return op
-    if op.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV,
-                   LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
-        return _SingleLayerBlock(op)
-    return None
-
-
-class _SingleLayerBlock:
-    """Adapter giving a bare layer the BlockSpec surface the DSE consumes."""
-
-    def __init__(self, layer: LayerSpec):
-        self.layers = (layer,)
-        self.has_shortcut = False
-        self.shortcut_projection = None
-        self.kind = None
-
-    def output_shape(self, shape):
-        return self.layers[0].output_shape(shape)
-
-    def ops(self, shape):
-        return self.layers[0].ops(shape)
-
-    def params(self, shape):
-        return self.layers[0].params(shape)
+def has_pipeline(op: BlockSpec | LayerSpec) -> bool:
+    """Whether a stage runs on the template: a block, or a convolution or
+    fully-connected layer as its own one-layer block.  Other stages
+    (pooling, activation, ...) cost nothing."""
+    return isinstance(op, BlockSpec) or op.kind in (
+        LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV,
+        LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED)
 
 
 _STAGE_CACHE: dict = {}
@@ -637,15 +585,14 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
     total = 0
     dsp = bram = alm = 0
     for i, stage in enumerate(model.stages):
-        block = _as_block(stage.op)
-        if block is None:
+        if not has_pipeline(stage.op):
             rows.append(StageDesign(i, stage.name, None))
             continue
         key = (stage.op, stage.input_shape, platform, max_parallel,
                grid_depth, calibration)
         best = _STAGE_CACHE.get(key)
         if best is None:
-            best = design_gen(block, stage.input_shape, platform, coeffs,
+            best = design_gen(stage.op, stage.input_shape, platform, coeffs,
                               max_parallel=max_parallel, grid_depth=grid_depth)
             _STAGE_CACHE[key] = best
         rows.append(StageDesign(i, stage.name, best))

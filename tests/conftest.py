@@ -37,6 +37,31 @@ def bottleneck_block(mid, out):
                      has_shortcut=True)
 
 
+def canonical_blocks() -> dict[str, tuple[BlockSpec, TensorShape]]:
+    """Demo instances of the three studied block kinds.
+
+    Dimensions are chosen so the blocks span the bandwidth-bound /
+    compute-bound divide of the default platform; the roofline analysis
+    of these three is the reference fusion-benefit experiment.
+    """
+    dwsep = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE, (
+        LayerSpec(LayerKind.DEPTHWISE_CONV, kernel_size=3, padding=1),
+        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=64)))
+    bottleneck = BlockSpec(BlockKind.BOTTLENECK, (
+        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=32),
+        LayerSpec(LayerKind.STANDARD_CONV, kernel_size=3, out_channels=32, padding=1),
+        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=128)), has_shortcut=True)
+    sep_bottleneck = BlockSpec(BlockKind.SEPARABLE_BOTTLENECK, (
+        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=128),
+        LayerSpec(LayerKind.DEPTHWISE_CONV, kernel_size=3, padding=1),
+        LayerSpec(LayerKind.POINTWISE_CONV, out_channels=64)), has_shortcut=True)
+    return {
+        "depthwise_separable": (dwsep, TensorShape(112, 112, 32)),
+        "bottleneck": (bottleneck, TensorShape(56, 56, 128)),
+        "separable_bottleneck": (sep_bottleneck, TensorShape(28, 28, 64)),
+    }
+
+
 def small_custom_model(n_convs=3, base_channels=8, size=32):
     """Shape-consistent custom model with one replaceable position per conv."""
     stages = []

@@ -21,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from turf import resources
 from turf.errors import Infeasible
-from turf.fusion import FusedDesignConfig, cycles_lower_bound
+from turf.fusion import FusedDesignConfig, cycles_lower_bound, plan_block
 from turf.hw import Seq
 from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
                             PlatformSpec, ResourceEstimate, RooflinePoint,
-                            _as_block, design_candidates, design_gen,
+                            design_candidates, design_gen, has_pipeline,
                             pick_best_design)
 
 PLATFORMS = {
@@ -44,10 +44,9 @@ def distinct_stages(model_name: str):
     """(stage name, block, input shape) once per distinct DSE stage."""
     seen = set()
     for stage in build_reference_model(model_name).stages:
-        block = _as_block(stage.op)
-        if block is not None and (stage.op, stage.input_shape) not in seen:
+        if has_pipeline(stage.op) and (stage.op, stage.input_shape) not in seen:
             seen.add((stage.op, stage.input_shape))
-            yield stage.name, block, stage.input_shape
+            yield stage.name, stage.op, stage.input_shape
 
 
 @functools.cache
@@ -91,7 +90,8 @@ def test_design_gen_equals_full_enumeration(model_name, platform_name):
 def test_cycles_bound_below_every_candidate(model_name):
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         for c in cands:
-            assert cycles_lower_bound(block, shape, c.cfg) <= c.sim.total_cycles, \
+            assert cycles_lower_bound(plan_block(block, shape, c.cfg)) \
+                <= c.sim.total_cycles, \
                 (name, c.cfg)
 
 
@@ -121,16 +121,17 @@ def fake_grids(draw):
 @given(fake_grids())
 def test_search_order_and_cutoff(points):
     """The best-first search over arbitrary points with valid bounds picks
-    what full enumeration picks; the DSE helpers are replaced by the points."""
+    what full enumeration picks; the DSE helpers are replaced by the points,
+    each point's config standing in for its plan."""
     platform = STRATIX_V_5SGSD8
     by_cfg = {cfg: (bound, cands) for cfg, _, bound, cands in points}
     every = [c for *_, cands in points for c in cands]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resources, "_rooflined_points",
+        mp.setattr(resources, "_planned_points",
                    lambda *args: [(cfg, rl) for cfg, rl, _, _ in points])
-        mp.setattr(resources, "cycles_lower_bound", lambda b, s, cfg: by_cfg[cfg][0])
+        mp.setattr(resources, "cycles_lower_bound", lambda cfg: by_cfg[cfg][0])
         mp.setattr(resources, "_point_candidates",
-                   lambda b, s, cfg, rl, coeffs: by_cfg[cfg][1])
+                   lambda cfg, rl, coeffs: by_cfg[cfg][1])
         got = _selection(lambda: design_gen(None, None, platform,
                                             CalibrationTable(alm={})))
     assert got == _selection(lambda: pick_best_design(every, platform))

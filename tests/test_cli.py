@@ -49,6 +49,18 @@ BAD_CFG_DOC = {
 }
 
 
+# a zero-cost stage: pooling has no hardware pipeline
+POOL_MODEL_DOC = {
+    "base": "Custom",
+    "stages": [
+        {"name": "c1", "input": [16, 16, 8], "kind": "StandardConv",
+         "kernel": 3, "stride": 1, "padding": 1, "out_channels": 16},
+        {"name": "pool", "input": [16, 16, 16], "kind": "Pooling",
+         "kernel": 2, "stride": 2},
+    ],
+}
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "model.json").write_text(json.dumps(MODEL_DOC))
@@ -161,6 +173,16 @@ class TestDse:
         assert doc["selected"]["dsp"] <= doc["platform"]["dsp_total"]
         assert csv_out.read_text().startswith("stage,intensity")
 
+    def test_unpadded_kernel_larger_than_eight(self, tmp_path):
+        # an 11x11 stride-4 unpadded first layer, as in AlexNet
+        doc = {"base": "Custom", "stages": [
+            {"name": "conv1", "input": [35, 35, 3], "kind": "StandardConv",
+             "kernel": 11, "stride": 4, "padding": 0, "out_channels": 8}]}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        out = tmp_path / "dse.json"
+        assert main(["dse", str(tmp_path / "model.json"), "--out", str(out)]) == 0
+        _validate(json.loads(out.read_text()), "dse_report.schema.json")
+
     def test_whole_model_report(self, workdir):
         out = workdir / "dse_model.json"
         rc = main(["dse", str(workdir / "model.json"),
@@ -252,6 +274,46 @@ class TestStageIndex:
         assert err.startswith("UnsupportedConfig")
         assert f"{command[-1]} {index} is out of range" in err
         assert "0..2" in err
+
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "{model}", "--config", "{cfg}", "--block", "1"],
+        ["dse", "{model}", "--block", "1"],
+        ["hw", "describe", "{model}", "--config", "{cfg}", "--layer", "1"],
+    ])
+    def test_zero_cost_stage_exits_one(self, workdir, capsys, command):
+        (workdir / "pool.json").write_text(json.dumps(POOL_MODEL_DOC))
+        argv = [a.format(model=workdir / "pool.json", cfg=workdir / "cfg.json")
+                for a in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("UnsupportedConfig: stage 1 (pool) has no hardware pipeline")
+
+
+def _shipped_alm():
+    doc = json.loads(importlib_resources.files("turf.data")
+                     .joinpath("alm_coefficients.json").read_text())
+    return doc["alm"]
+
+
+class TestBadCalibration:
+    """A malformed ALM table is rejected at load, naming the entry."""
+
+    @pytest.mark.parametrize("alm,named", [
+        ([], "[]"),
+        (5, "5"),
+        ({**_shipped_alm(), "LineBuffer": {"base": 60}}, "'LineBuffer'"),
+        ({**_shipped_alm(), "InputBuffer": {"base": "40", "per_width": 6}}, "'InputBuffer'"),
+        ({**_shipped_alm(), "DotProductArray": {"base": 80, "per_width": -18}},
+         "'DotProductArray'"),
+    ], ids=["list", "number", "no-per-width", "string", "negative"])
+    def test_exits_one_naming_the_entry(self, workdir, capsys, alm, named):
+        (workdir / "cal.json").write_text(json.dumps({"alm": alm}))
+        assert main(["dse", str(workdir / "model.json"),
+                     "--calibration", str(workdir / "cal.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CalibrationError: ")
+        assert named in err and "Traceback" not in err
 
 
 class TestBadDocuments:

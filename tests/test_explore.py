@@ -90,8 +90,7 @@ class TestSyntheticOracle:
 
     def test_deterministic(self):
         base = replace_layer(small_custom_model(), 2)
-        assert SyntheticOracle(seed=5).evaluate(base) \
-            == SyntheticOracle(seed=5).evaluate(base)
+        assert SyntheticOracle().evaluate(base) == SyntheticOracle().evaluate(base)
 
 
 class TestTableOracle:

@@ -12,7 +12,7 @@ from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
 from turf.fusion import (FusedDesignConfig, config_from_json,
                          config_from_layer_tuples, config_to_json,
                          derive_layer_configs, enumerate_sequences,
-                         simulate_fused, tiling_overhead)
+                         plan_block, simulate_fused, tiling_overhead)
 from turf.hw import BufferOption, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
 
@@ -75,21 +75,29 @@ class TestHandTracedToy:
 
 class TestSingleLayer:
     def test_total_is_units_times_cycles_plus_fill(self):
-        layer = std_conv(8)
-        block = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE, (dw_conv(), pw_conv(8)))
-        # use a 1-layer view via a dwsep block's first layer alone:
         cfg = FusedDesignConfig(t_h=8, t_w=8, t_c=(4,), t_f=4, p_h=1, p_w=1,
                                 p_c=(2,), p_f=2, seqs=(Seq.CM,),
                                 buffer_options=(), use_winograd=(False,))
-        single = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE, (dw_conv(), pw_conv(4)))
-        # simulate just the depthwise layer as an N=1 block stand-in
-        from turf.resources import _SingleLayerBlock
-        blk = _SingleLayerBlock(dw_conv())
+        # a bare layer is its own one-layer block
+        blk = dw_conv()
         report = simulate_fused(blk, TensorShape(8, 8, 4), cfg)
         cycles, units = 2 * 8 * 8, 2
         assert report.per_pass_cycles == cycles + report.fill_cycles
         no_fill = simulate_fused(blk, TensorShape(8, 8, 4), cfg, include_fill=False)
         assert no_fill.total_cycles == cycles
+
+
+class LayerChain:
+    """An arbitrary layer chain with the block surface a plan reads; block
+    kinds fix their layer lists, so random chains use this stand-in."""
+
+    def __init__(self, layers):
+        self.layers = tuple(layers)
+
+    def output_shape(self, shape):
+        for layer in self.layers:
+            shape = layer.output_shape(shape)
+        return shape
 
 
 def random_valid_config(rng: random.Random):
@@ -108,11 +116,7 @@ def random_valid_config(rng: random.Random):
         else:
             layers.append(std_conv(chans[i + 1]))
         kinds.append(kind)
-    block = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE, (dw_conv(), pw_conv(chans[1])))
-    # wrap arbitrary layer chains through the generic block surface
-    from turf.resources import _SingleLayerBlock
-    blk = _SingleLayerBlock(layers[0])
-    blk.layers = tuple(layers)
+    blk = LayerChain(layers)
 
     size = rng.choice([4, 8, 12])
     p_of = lambda t: rng.choice([p for p in (1, 2, 4) if t % p == 0])
@@ -202,7 +206,7 @@ class TestEnumeration:
                                 seqs=(Seq.FM,) * 3,
                                 buffer_options=(BufferOption.DOUBLE,) * 2,
                                 use_winograd=(False,) * 3)
-        entries = enumerate_sequences(block, TensorShape(8, 8, 8), cfg)
+        entries = enumerate_sequences(plan_block(block, TensorShape(8, 8, 8), cfg))
         assert len(entries) == 8
         assert {e.label for e in entries} \
             == {"".join(c) for c in itertools.product("FC", repeat=3)}
@@ -212,17 +216,16 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_single_layer_gives_two(self):
-        from turf.resources import _SingleLayerBlock
-        blk = _SingleLayerBlock(std_conv(8))
+        blk = std_conv(8)
         cfg = FusedDesignConfig(t_h=8, t_w=8, t_c=(4,), t_f=8, p_h=1, p_w=1,
                                 p_c=(2,), p_f=2, seqs=(Seq.FM,),
                                 buffer_options=(), use_winograd=(False,))
-        entries = enumerate_sequences(blk, TensorShape(8, 8, 4), cfg)
+        entries = enumerate_sequences(plan_block(blk, TensorShape(8, 8, 4), cfg))
         assert [e.label for e in entries] == ["F", "C"]
 
     def test_toy_best_is_fm_cm_variant(self):
         block, shape, cfg = toy_two_layer((Seq.FM, Seq.FM), BufferOption.DOUBLE)
-        entries = enumerate_sequences(block, shape, cfg)
+        entries = enumerate_sequences(plan_block(block, shape, cfg))
         assert entries[0].label == "FC"
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import dw_conv, pw_conv, std_conv
 from turf.errors import InefficientConfig, UnsupportedConfig
 from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
-                     buffer_words, input_buffer, instantiate_layer,
+                     input_buffer, instantiate_layer,
                      intermediate_buffer_words, layer_cycle_counts,
                      line_buffer, output_buffer, winograd_input_transform,
                      winograd_output_transform, winograd_weight_transform)
@@ -146,18 +146,29 @@ class TestBufferWords:
            cur=st.sampled_from([Seq.FM, Seq.CM]),
            double=st.booleans())
     def test_sizing_table(self, t_h, t_w, t_c, p_c, prev, cur, double):
+        # the producer-side options follow the published table:
+        #   (FM,CM) P_c T_h T_w   (CM,FM) T_c T_h T_w
+        #   (FM,FM) P_c T_h T_w   (CM,CM) T_c T_h T_w
+        # doubled by double buffering; a filter-major consumer must hold
+        # its whole input tile
         tile = (t_h, t_w, t_c, 1)
         par = (1, 1, p_c, 1)
-        got = buffer_words(prev, cur, tile, par, double)
+        option = BufferOption.DOUBLE if double else BufferOption.MATCH_PREV
         base = p_c * t_h * t_w if prev is Seq.FM else t_c * t_h * t_w
-        assert got == (2 * base if double else base)
+        if cur is Seq.FM and base < t_c * t_h * t_w:
+            with pytest.raises(InefficientConfig):
+                intermediate_buffer_words(prev, cur, tile, par, option)
+        else:
+            got = intermediate_buffer_words(prev, cur, tile, par, option)
+            assert got == (2 * base if double else base)
 
     def test_table_examples(self):
         # previous layer filter-major, next channel-major, single buffer
-        assert buffer_words(Seq.FM, Seq.CM, (8, 8, 99, 1), (1, 1, 4, 1)) == 256
+        assert intermediate_buffer_words(Seq.FM, Seq.CM, (8, 8, 99, 1), (1, 1, 4, 1),
+                                         BufferOption.MATCH_PREV) == 256
         # previous channel-major, doubled
-        assert buffer_words(Seq.CM, Seq.FM, (8, 8, 16, 1), (1, 1, 4, 1),
-                            double_buffering=True) == 2048
+        assert intermediate_buffer_words(Seq.CM, Seq.FM, (8, 8, 16, 1), (1, 1, 4, 1),
+                                         BufferOption.DOUBLE) == 2048
 
     def test_cm_cm_small_buffer_rejected(self):
         with pytest.raises(InefficientConfig):

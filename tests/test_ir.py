@@ -1,11 +1,13 @@
 """Model IR: shapes, counting, replacement, JSON round-trips."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bottleneck_block, dwsep_block, small_custom_model, std_conv
+from conftest import (bottleneck_block, dw_conv, dwsep_block, pw_conv,
+                      small_custom_model, std_conv)
 from turf.errors import InvalidReplacement, ShapeMismatch
 from turf.ir import (BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec,
                      Replacement, Stage, TensorShape, count_ops_params,
@@ -40,6 +42,35 @@ class TestTypes:
                   Stage(TensorShape(8, 8, 16), c1))  # expects 8 channels
         with pytest.raises(ShapeMismatch):
             ModelSpec("Custom", stages)
+
+
+def _block_docs():
+    """One valid model document per block kind (a single block stage)."""
+    blocks = {
+        BlockKind.STACKED: BlockSpec(BlockKind.STACKED, (std_conv(4), std_conv(4)),
+                                     has_shortcut=True),
+        BlockKind.DEPTHWISE_SEPARABLE: dwsep_block(8),
+        BlockKind.BOTTLENECK: bottleneck_block(4, 8),
+        BlockKind.SEPARABLE_BOTTLENECK: BlockSpec(
+            BlockKind.SEPARABLE_BOTTLENECK, (pw_conv(8), dw_conv(), pw_conv(4)),
+            has_shortcut=True),
+    }
+    return {kind: model_to_json(ModelSpec("Custom", (Stage(TensorShape(8, 8, 4), b),)))
+            for kind, b in blocks.items()}
+
+
+@pytest.mark.parametrize("swap", [LayerKind.ACTIVATION, LayerKind.BATCH_NORM,
+                                  LayerKind.ELEMENTWISE_ADD, LayerKind.POOLING],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", list(BlockKind), ids=lambda k: k.value)
+def test_block_admits_no_layer_without_pipeline(kind, swap):
+    doc = _block_docs()[kind]
+    model_from_json(doc)  # the unswapped block loads
+    for i in range(len(doc["stages"][0]["block"]["layers"])):
+        swapped = json.loads(json.dumps(doc))
+        swapped["stages"][0]["block"]["layers"][i] = {"kind": swap.value}
+        with pytest.raises(ShapeMismatch):
+            model_from_json(swapped)
 
 
 class TestCounting:

@@ -7,12 +7,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from turf.errors import ShapeMismatch, UnsupportedConfig
-from turf.kernels import (Filter4, FixedPointFormat, Tensor3,
-                          WINOGRAD_F2_3, WINOGRAD_F4_3, conv_direct,
-                          conv_depthwise_separable, conv_winograd,
-                          is_power_of_two, load_tensor, quantize,
-                          quantize_array, save_tensor, transform_mult_counts,
-                          winograd_config, winograd_tile)
+from turf.kernels import (Filter4, Tensor3, WINOGRAD_F2_3, WINOGRAD_F4_3,
+                          conv_direct, conv_winograd, is_power_of_two,
+                          transform_mult_counts, winograd_config)
 
 
 def naive_conv(data, weights, stride=1, padding=0):
@@ -93,38 +90,6 @@ class TestConvDirect:
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
-class TestDepthwiseSeparable:
-    def test_center_tap_identity(self, rng):
-        inp = Tensor3.from_array(rng.standard_normal((3, 6, 6)))
-        dw = np.zeros((3, 3, 3))
-        dw[:, 1, 1] = 1.0
-        pw = np.eye(3)
-        out = conv_depthwise_separable(inp, dw, pw, padding=1)
-        np.testing.assert_allclose(out.data, inp.data, atol=1e-15)
-
-    def test_composition_oracle(self, rng):
-        # depthwise as grouped direct conv, then 1x1 direct conv; integer
-        # values keep float64 exact so equality is bit-for-bit
-        c, f = 3, 5
-        inp = rng.integers(-6, 7, (c, 6, 6)).astype(float)
-        dw = rng.integers(-6, 7, (c, 3, 3)).astype(float)
-        pw = rng.integers(-6, 7, (f, c)).astype(float)
-        got = conv_depthwise_separable(Tensor3.from_array(inp), dw, pw, padding=1)
-
-        mid = np.zeros((c, 6, 6))
-        for cc in range(c):
-            w = dw[cc][None, None]
-            mid[cc] = naive_conv(inp[cc][None], w, padding=1)[0]
-        expected = naive_conv(mid, pw[:, :, None, None])
-        np.testing.assert_array_equal(got.data, expected)
-
-    def test_pointwise_shape_check(self, rng):
-        inp = Tensor3.from_array(rng.standard_normal((3, 4, 4)))
-        with pytest.raises(ShapeMismatch):
-            conv_depthwise_separable(inp, rng.standard_normal((3, 3, 3)),
-                                     rng.standard_normal((5, 4)))
-
-
 class TestWinograd:
     @pytest.mark.parametrize("cfg", [WINOGRAD_F2_3, WINOGRAD_F4_3],
                              ids=["F2_3", "F4_3"])
@@ -174,7 +139,8 @@ class TestWinograd:
     def test_float_tile_matches_rational_path(self, rng):
         d = rng.standard_normal((6, 6))
         g = rng.standard_normal((3, 3))
-        tile = winograd_tile(d, g, WINOGRAD_F4_3)
+        a_t, b_t, gm = WINOGRAD_F4_3.matrices()
+        tile = a_t @ ((gm @ g @ gm.T) * (b_t @ d @ b_t.T)) @ a_t.T
         direct = naive_conv(d[None], g[None, None])
         np.testing.assert_allclose(tile, direct[0], atol=1e-10)
 
@@ -200,52 +166,19 @@ class TestWinograd:
         assert f4["weight"]["general"] > 0
 
 
+def to_fixed_point(arr, fraction_bits=12, total_bits=16):
+    """Two's-complement fixed point: round half to even, saturate."""
+    scale = 1 << fraction_bits
+    limit = 1 << (total_bits - 1)
+    return np.clip(np.rint(np.asarray(arr) * scale), -limit, limit - 1) / scale
+
+
 class TestFixedPoint:
-    def test_zero_maps_to_zero(self):
-        for frac in (1, 4, 8, 15):
-            fmt = FixedPointFormat(16, frac)
-            assert quantize_array(np.array([0.0]), fmt)[0] == 0.0
-
-    def test_on_grid_value_exact(self):
-        fmt = FixedPointFormat(16, 8)
-        v = 1.00390625  # 1 + 1/256
-        assert quantize_array(np.array([v]), fmt)[0] == v
-
-    def test_saturation(self):
-        fmt = FixedPointFormat(16, 8)
-        out = quantize_array(np.array([1e6, -1e6]), fmt)
-        assert out[0] == fmt.max_value
-        assert out[1] == fmt.min_value
-
-    def test_round_half_to_even(self):
-        fmt = FixedPointFormat(16, 1)
-        # .25 scaled by 2 = 0.5 -> rounds to 0 (even); .75 -> 1.5 -> 2
-        assert quantize_array(np.array([0.25]), fmt)[0] == 0.0
-        assert quantize_array(np.array([0.75]), fmt)[0] == 1.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(-200, 200), st.floats(-200, 200),
-           st.integers(1, 15))
-    def test_idempotent_and_monotone(self, x, y, frac):
-        fmt = FixedPointFormat(16, frac)
-        qx = quantize_array(np.array([x]), fmt)[0]
-        assert quantize_array(np.array([qx]), fmt)[0] == qx
-        qy = quantize_array(np.array([y]), fmt)[0]
-        if x <= y:
-            assert qx <= qy
-
-    def test_invalid_format(self):
-        with pytest.raises(UnsupportedConfig):
-            FixedPointFormat(16, 0)
-        with pytest.raises(UnsupportedConfig):
-            FixedPointFormat(8, 8)
-
     def test_winograd_quantization_regression(self):
         # empirical bound measured over 100 seeded trials and frozen:
         # F(2^2,3^2) is exact on the 16/12 grid, F(4^2,3^2) stays within
         # one quantisation step
-        fmt = FixedPointFormat(16, 12)
-        ulp = 1.0 / fmt.scale
+        ulp = 1.0 / (1 << 12)
         rng = np.random.default_rng(1234)
         bounds = {2: 0.0, 4: ulp}
         for cfg in (WINOGRAD_F2_3, WINOGRAD_F4_3):
@@ -255,34 +188,9 @@ class TestFixedPoint:
                 w = int(rng.integers(4, 13))
                 c = int(rng.integers(1, 5))
                 f = int(rng.integers(1, 5))
-                inp = Tensor3.from_array(
-                    quantize_array(rng.uniform(-1, 1, (c, h, w)), fmt))
-                filt = Filter4(quantize_array(rng.uniform(-1, 1, (f, c, 3, 3)), fmt))
-                ref = quantize(conv_direct(inp, filt, padding=1), fmt)
-                win = quantize(conv_winograd(inp, filt, cfg, padding=1), fmt)
-                worst = max(worst, float(np.abs(ref.data - win.data).max()))
+                inp = Tensor3.from_array(to_fixed_point(rng.uniform(-1, 1, (c, h, w))))
+                filt = Filter4(to_fixed_point(rng.uniform(-1, 1, (f, c, 3, 3))))
+                ref = to_fixed_point(conv_direct(inp, filt, padding=1).data)
+                win = to_fixed_point(conv_winograd(inp, filt, cfg, padding=1).data)
+                worst = max(worst, float(np.abs(ref - win).max()))
             assert worst <= bounds[cfg.m] + 1e-15
-
-
-class TestSerialization:
-    def test_round_trip(self, rng, tmp_path):
-        t = Tensor3.from_array(rng.standard_normal((3, 4, 5)))
-        path = tmp_path / "t.bin"
-        save_tensor(t, str(path))
-        back = load_tensor(str(path))
-        assert back.shape == t.shape
-        np.testing.assert_array_equal(back.data, t.data)
-
-    def test_header_layout(self, rng, tmp_path):
-        t = Tensor3.from_array(rng.standard_normal((2, 3, 4)))
-        path = tmp_path / "t.bin"
-        save_tensor(t, str(path))
-        raw = path.read_bytes()
-        assert raw[:4] == b"TRF3"
-        assert len(raw) == 4 + 12 + 8 * 2 * 3 * 4
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\0" * 20)
-        with pytest.raises(ShapeMismatch):
-            load_tensor(str(path))

@@ -27,7 +27,7 @@ from turf.hw import BufferOption, LayerHwConfig, Seq, instantiate_layer
 from turf.ir import LayerKind, LayerSpec, TensorShape
 from turf.kernels import transform_mult_counts, winograd_config
 from turf.models import build_reference_model
-from turf.resources import (STRATIX_V_5SGSD8, _as_block, _grid_points,
+from turf.resources import (STRATIX_V_5SGSD8, _dsp_terms, _grid_points,
                             _layer_dsp, _parallelism_combos, _pow2_divisors,
                             _tile_options)
 
@@ -123,8 +123,7 @@ def _stage(model_name, stage_name):
     """(block, input shape, reference grid) of one reference-model stage."""
     model = build_reference_model(model_name)
     stage = next(s for s in model.stages if s.name == stage_name)
-    block = _as_block(stage.op)
-    return block, stage.input_shape, reference_grid(block, stage.input_shape)
+    return stage.op, stage.input_shape, reference_grid(stage.op, stage.input_shape)
 
 
 @pytest.mark.parametrize("model_name,stage_name", STAGES)
@@ -171,8 +170,23 @@ def test_closed_form_equals_pipeline_count(kind):
             want = _outcome(pipeline_dsp, layer, hw)
             assert _outcome(_layer_dsp, layer, hw) == want, (layer, hw)
             checked += want is not UnsupportedConfig
-    # Pooling has no pipeline; every other kind has counted configurations
-    assert (checked == 0) == (kind is LayerKind.POOLING)
+    # only convolution and fully-connected layers have a pipeline
+    assert (checked == 0) == (kind in NO_PIPELINE)
+
+
+NO_PIPELINE = (LayerKind.ACTIVATION, LayerKind.BATCH_NORM,
+               LayerKind.ELEMENTWISE_ADD, LayerKind.POOLING)
+
+
+@pytest.mark.parametrize("kind", NO_PIPELINE, ids=lambda k: k.value)
+def test_kinds_without_pipeline_raise(kind):
+    # no block kind admits these layers (tests/test_ir.py), and a stage of
+    # one is zero-cost, so neither the DSP count nor the pipeline has them
+    layer = LayerSpec(kind)
+    with pytest.raises(UnsupportedConfig):
+        _dsp_terms(layer, 1, 1, False, 4)
+    with pytest.raises(UnsupportedConfig):
+        instantiate_layer(layer, LayerHwConfig((8, 8, 8, 8), (1, 1, 2, 2)))
 
 
 def _product_rows(model_name, stage_name):

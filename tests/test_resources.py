@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from conftest import dwsep_block, pw_conv, stacked_block, std_conv
+from conftest import canonical_blocks, dwsep_block, pw_conv, stacked_block, std_conv
 from turf.errors import CalibrationError, Infeasible
-from turf.fusion import FusedDesignConfig
+from turf.fusion import FusedDesignConfig, plan_block
 from turf.hw import BufferOption, ModuleKind, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable,
                             DesignCandidate, PlatformSpec, RooflinePoint,
-                            block_traffic_bytes, canonical_blocks,
-                            design_candidates, design_gen, estimate_resources,
+                            block_traffic_bytes, design_candidates, design_gen, estimate_resources,
                             load_calibration, pick_best_design, roofline)
 
 
@@ -28,6 +27,12 @@ def simple_cfg(block, shape, seqs=None, p=2):
         seqs=seqs or (Seq.FM,) * (n - 1) + (Seq.CM,),
         buffer_options=(BufferOption.DOUBLE,) * (n - 1),
         use_winograd=(False,) * n)
+
+
+def estimate(block, shape, cfg, coeffs=None):
+    """``estimate_resources`` for ``cfg`` as it stands."""
+    return estimate_resources(plan_block(block, shape, cfg), cfg.seqs,
+                              cfg.buffer_options, coeffs)
 
 
 class TestPlatform:
@@ -70,8 +75,8 @@ class TestResourceEstimate:
     def test_dsp_monotone_in_parallelism(self):
         block = dwsep_block(16)
         shape = TensorShape(16, 16, 8)
-        smaller = estimate_resources(block, shape, simple_cfg(block, shape, p=2))
-        larger = estimate_resources(block, shape, simple_cfg(block, shape, p=4))
+        smaller = estimate(block, shape, simple_cfg(block, shape, p=2))
+        larger = estimate(block, shape, simple_cfg(block, shape, p=4))
         assert larger.dsp_used >= smaller.dsp_used
 
     def test_missing_coefficient_raises(self):
@@ -80,7 +85,7 @@ class TestResourceEstimate:
         broken = CalibrationTable(alm={"LineBuffer": {"base": 1, "per_width": 1}},
                                   source="broken")
         with pytest.raises(CalibrationError):
-            estimate_resources(block, shape, simple_cfg(block, shape), broken)
+            estimate(block, shape, simple_cfg(block, shape), broken)
 
     def test_winograd_transform_multipliers_counted(self):
         from turf.resources import _layer_dsp
@@ -202,6 +207,31 @@ class TestDesignGen:
         assert cands
         assert all(c.resources.dsp_used <= STRATIX_V_5SGSD8.dsp_total
                    for c in cands)
+
+
+def test_each_grid_point_is_derived_once(monkeypatch):
+    """Only ``plan_block`` instantiates layers, once per layer per point."""
+    import turf.cli, turf.fusion, turf.hw, turf.resources
+    from turf.models import build_reference_model
+
+    calls = {"instantiate_layer": 0, "plan_block": 0}
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, home in (("instantiate_layer", turf.hw), ("plan_block", turf.fusion)):
+        orig, wrapped = getattr(home, name), count(name, getattr(home, name))
+        for module in (turf.hw, turf.fusion, turf.resources, turf.cli):
+            if module.__dict__.get(name) is orig:
+                monkeypatch.setattr(module, name, wrapped)
+    stage = next(s for s in build_reference_model("resnet50").stages
+                 if s.name == "res2_1")
+    design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, grid_depth=4)
+    assert calls["plan_block"] > 0
+    assert calls["instantiate_layer"] == 3 * calls["plan_block"]
 
 
 class TestStageCache:
