@@ -180,16 +180,16 @@ def cmd_simulate(args) -> int:
                   "input_shape": list(stage.input_shape.as_tuple())},
         "config": config_to_json(cfg),
     }
+    plan = plan_block(stage.op, stage.input_shape, cfg)
     if args.enumerate_seqs:
-        entries = enumerate_sequences(plan_block(stage.op, stage.input_shape, cfg))
+        entries = enumerate_sequences(plan)
         doc["sequences"] = [{
             "seqs": e.label,
             "buffer_options": [o.value for o in e.buffer_options],
             "total_cycles": e.report.total_cycles,
             "total_buffer_words": e.report.total_buffer_words,
         } for e in entries]
-    report = simulate_fused(stage.op, stage.input_shape, cfg,
-                            collect_events=bool(args.trace))
+    report = simulate_fused(plan, collect_events=bool(args.trace))
     doc["report"] = _jsonify(dataclasses.replace(report, events=()))
     if args.trace:
         trace = [{"time": e.time, "layer": e.layer, "unit": e.unit,
@@ -237,8 +237,7 @@ def cmd_dse(args) -> int:
     if args.block is not None:
         stage = _pipeline_stage(model, args.block, "--block")
         cands = design_candidates(stage.op, stage.input_shape, platform, coeffs,
-                                  max_parallel=args.max_parallel,
-                                  grid_depth=args.grid_depth)
+                                  args.grid_depth, args.max_parallel)
         best = pick_best_design(cands, platform)
         rl = roofline(stage.op, stage.input_shape, platform, best.cfg)
         doc["stage"] = {"index": args.block, "name": stage.name}
@@ -251,7 +250,7 @@ def cmd_dse(args) -> int:
         }
         csv_rows = [_csv_row(stage.name, c) for c in cands]
     else:
-        design = evaluate_model(model, platform, coeffs,
+        design = evaluate_model(model, platform, coeffs, {},
                                 max_parallel=args.max_parallel,
                                 grid_depth=args.grid_depth)
         ops = count_ops_params(model).total_ops

@@ -93,6 +93,10 @@ class TableOracle:
     name = "table"
 
     def __init__(self, table: dict[str, float]):
+        for key, accuracy in table.items():
+            if not 0.0 <= accuracy <= 1.0:
+                raise OracleError(f"table accuracy {accuracy} for replacement "
+                                  f"vector {key!r} is outside [0, 1]")
         self.table = dict(table)
 
     @classmethod
@@ -181,10 +185,9 @@ class ExplorationResult:
 
 
 def run_framework(requirements: Requirements, platform: PlatformSpec,
-                  pretrained: ModelSpec, oracle,
+                  pretrained: ModelSpec, oracle, coeffs: CalibrationTable,
                   exhaustive: bool = False,
                   finetune_budget: int = 1,
-                  coeffs: CalibrationTable | None = None,
                   max_parallel: int = 64) -> ExplorationResult:
     """Greedy joint search over model and hardware design spaces.
 
@@ -194,12 +197,15 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
     to the next candidate with one more top-down replacement.  With
     ``exhaustive`` the accuracy requirement no longer terminates the walk;
     every candidate is visited and accuracy only gates record updates.
+    The candidates share one stage-design table, so each distinct stage is
+    searched once per call.
 
     Raises NoSolution (with the full candidate log) when nothing meets
     both requirements.
     """
     records: list[CandidateRecord] = []
     best: tuple[float, ModelSpec, ModelDesign, float, float] | None = None
+    designs: dict = {}
 
     m = model_gen(pretrained)
     index = 0
@@ -215,7 +221,8 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
             if not exhaustive:
                 break
         else:
-            design = evaluate_model(m, platform, coeffs, max_parallel=max_parallel)
+            design = evaluate_model(m, platform, coeffs, designs,
+                                    max_parallel=max_parallel)
             ops = count_ops_params(m).total_ops
             gops = design.gops(ops, platform)
             latency = design.latency_ms(platform)

@@ -59,7 +59,7 @@ from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
                      SimDeadlock, UnsupportedConfig)
 from .hw import (BufferOption, LayerHwConfig, LayerPipeline, Seq,
                  instantiate_layer, intermediate_buffer_words,
-                 layer_cycle_counts)
+                 layer_cycle_counts, winograd_eligible)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 
 CYCLE_MODEL = (
@@ -279,8 +279,7 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
 
     wino = cfg.use_winograd
     if wino is None:
-        wino = tuple(l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
-                     and l.kernel_size == 3 and l.stride == 1 for l in layers)
+        wino = tuple(winograd_eligible(l) for l in layers)
 
     out = []
     th, tw = cfg.t_h, cfg.t_w
@@ -363,23 +362,15 @@ def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
 
 def _buffer_tokens(plans: list[_LayerPlan], option: BufferOption,
                    i: int) -> tuple[int, int, int]:
-    """(tokens, capacity_tokens, words) for the buffer after layer i."""
-    consumer = plans[i + 1]
-    tokens = math.ceil(consumer.hw.t_c / consumer.hw.p_c)
-    words = intermediate_buffer_words(plans[i].hw.seq, consumer.hw.seq,
-                                      consumer.hw.tile, consumer.hw.parallelism,
-                                      option)
-    chunk_words = consumer.hw.p_c * consumer.hw.t_h * consumer.hw.t_w
-    cap = max(1, words // chunk_words)
-    if not consumer.consumer_stream and cap < tokens:
-        raise InefficientConfig(
-            f"buffer {i}: filter-major consumer needs all {tokens} chunks resident, "
-            f"capacity is {cap}")
-    if not plans[i].producer_stream and cap < tokens:
-        raise InefficientConfig(
-            f"buffer {i}: channel-major producer accumulates {tokens} chunks, "
-            f"capacity is {cap}")
-    return tokens, cap, words
+    """(tokens, capacity_tokens, words) for the buffer after layer i.
+    ``intermediate_buffer_words`` rejects an option too small for the
+    sequences, so the capacity covers every token whenever the producer is
+    channel-major or the consumer filter-major."""
+    consumer = plans[i + 1].hw
+    words = intermediate_buffer_words(plans[i].hw.seq, consumer.seq,
+                                      consumer.tile, consumer.parallelism, option)
+    cap = max(1, words // (consumer.p_c * consumer.t_h * consumer.t_w))
+    return math.ceil(consumer.t_c / consumer.p_c), cap, words
 
 
 def _buffer_caps(plans: list[_LayerPlan],
@@ -450,7 +441,8 @@ def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
                         t = ready
                 if outbuf is not None and plan.producer_stream and u >= outbuf.cap:
                     # channel-major producers reserve the whole tile region
-                    # at unit 0; capacity >= tokens was validated, so no wait
+                    # at unit 0; their capacity covers every token
+                    # (``_buffer_tokens``), so no wait
                     freed = outbuf.freed[u - outbuf.cap]
                     if freed is None:
                         break
@@ -565,19 +557,18 @@ def _sim_report(plans: list[_LayerPlan], options: tuple[BufferOption, ...],
     )
 
 
-def simulate_fused(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                   cfg: FusedDesignConfig, collect_events: bool = False,
+def simulate_fused(plan: BlockPlan, collect_events: bool = False,
                    include_fill: bool = True) -> SimReport:
-    """Simulate one fused launch of ``block`` over ``input_shape``.
+    """Simulate one fused launch of ``plan``'s design over its stage's input,
+    with the config's own sequences and buffer options.
 
     Spatial tiles and output-channel slices execute as sequential passes of
     the same pipeline; the report covers the whole input.
     """
-    plan = plan_block(block, input_shape, cfg)
-    plans = plan.layer_plans(cfg.seqs)
+    plans = plan.layer_plans(plan.cfg.seqs)
     if not include_fill:
         plans = [replace(p, fill=0) for p in plans]
-    options = cfg.buffer_options
+    options = plan.cfg.buffer_options
     caps = _buffer_caps(plans, options)
     return _sim_report(plans, options, caps,
                        _simulate_pass(plans, caps, collect_events), plan.n_passes)
@@ -604,7 +595,7 @@ class SeqCandidate:
         return tuple(_SEQ_ORDER.index(s) for s in self.seqs)
 
 
-def enumerate_sequences(plan: BlockPlan, max_layers: int = 8) -> list[SeqCandidate]:
+def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
     """Evaluate every computation-sequence combination of a planned design.
 
     For each of the 2^N sequence assignments, all buffer-option
@@ -616,8 +607,6 @@ def enumerate_sequences(plan: BlockPlan, max_layers: int = 8) -> list[SeqCandida
     options get a report.
     """
     n = plan.cfg.num_layers
-    if n > max_layers:
-        raise UnsupportedConfig(f"{n} layers exceeds enumeration bound {max_layers}")
     n_passes = plan.n_passes
     results = []
     for seqs in itertools.product(_SEQ_ORDER, repeat=n):

@@ -187,13 +187,21 @@ class LayerPipeline:
                     f"!= {b.kind.value} in {b.effective_in}")
 
 
+def winograd_eligible(layer: LayerSpec) -> bool:
+    """Whether ``layer`` can take the Winograd path F(m^2, 3^2): a standard
+    or depthwise convolution with K=3 and stride 1."""
+    return (layer.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
+            and layer.kernel_size == 3 and layer.stride == 1)
+
+
 def validate_winograd(layer: LayerSpec, p_h: int, p_w: int, m: int) -> None:
     """Raise UnsupportedConfig unless ``layer`` can take the Winograd path
     F(m^2, 3^2) at spatial parallelism (p_h, p_w)."""
-    if layer.kind not in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
-        raise UnsupportedConfig(f"Winograd not supported for {layer.kind.value}")
-    if layer.kernel_size != 3 or layer.stride != 1:
-        raise UnsupportedConfig("Winograd path requires K=3, stride 1")
+    if not winograd_eligible(layer):
+        raise UnsupportedConfig(
+            "Winograd path requires a standard or depthwise conv with K=3, "
+            f"stride 1, got {layer.kind.value} K={layer.kernel_size} "
+            f"stride {layer.stride}")
     if p_h != m or p_w != m:
         raise UnsupportedConfig(
             f"Winograd convention: P_h = P_w = m (= {m}), got ({p_h}, {p_w})")

@@ -37,13 +37,15 @@ from .fusion import (BlockPlan, FusedDesignConfig, SimReport,
                      cycles_lower_bound, derive_layer_configs,
                      enumerate_sequences, plan_block, tiling_overhead)
 from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
-                 validate_winograd)
+                 validate_winograd, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
                  layer_shapes)
 from .kernels import winograd_config
 
 WORD_BYTES = 2
 M20K_BYTES = 2560  # one M20K block = 20 kbit
+WINOGRAD_M = 4     # the DSE's Winograd path is F(4x4, 3x3)
+MIN_TILE = 14      # the DSE halves spatial tiles down to this size
 
 
 @dataclass(frozen=True)
@@ -180,10 +182,9 @@ def _layer_dsp(layer: LayerSpec, hw: LayerHwConfig) -> int:
 
 def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
                        options: tuple[BufferOption, ...],
-                       coeffs: CalibrationTable | None = None) -> ResourceEstimate:
+                       coeffs: CalibrationTable) -> ResourceEstimate:
     """Linear resource prediction for ``plan``'s design run with the
     computation sequences ``seqs`` and intermediate-buffer ``options``."""
-    coeffs = coeffs or load_calibration()
     plans = plan.layer_plans(seqs)
 
     dsp = 0
@@ -328,9 +329,9 @@ def _pow2_divisors(limit: int, value: int) -> list[int]:
             if p <= limit and value % p == 0]
 
 
-def _tile_options(size: int, min_tile: int) -> list[int]:
+def _tile_options(size: int) -> list[int]:
     out = [size]
-    while size % 2 == 0 and size // 2 >= min_tile:
+    while size % 2 == 0 and size // 2 >= MIN_TILE:
         size //= 2
         out.append(size)
     return out
@@ -338,8 +339,7 @@ def _tile_options(size: int, min_tile: int) -> list[int]:
 
 def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
                         p_h: int, p_w: int, wino: tuple[bool, ...],
-                        winograd_m: int, dsp_total: int,
-                        grid_depth: int | None) -> list[tuple[int, ...]]:
+                        dsp_total: int, grid_depth: int) -> list[tuple[int, ...]]:
     """(P_c^1, ..., P_c^N, P_f) combos whose multipliers fit ``dsp_total``,
     largest first, cut to ``grid_depth`` plus the smallest as a floor.
 
@@ -354,7 +354,7 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
     """
     walk = [((p_c,), 0) for p_c in grids[0]]
     for i, layer in enumerate(block.layers):
-        a, b, c = _dsp_terms(layer, p_h, p_w, wino[i], winograd_m)
+        a, b, c = _dsp_terms(layer, p_h, p_w, wino[i], WINOGRAD_M)
         depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
         walk = [(ps + (p_f,), dsp)
                 for ps, used in walk
@@ -366,86 +366,75 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
         return []
     combos.sort(key=lambda ps: (-math.prod(ps), ps))
     floor = combos[-1]
-    if grid_depth is not None:
-        combos = combos[:grid_depth]
-        if floor not in combos:
-            combos.append(floor)
+    combos = combos[:grid_depth]
+    if floor not in combos:
+        combos.append(floor)
     return combos
 
 
-def _grid_points(block: BlockSpec, input_shape: TensorShape, dsp_total: int,
-                 max_parallel: int, winograd_m: int, grid_depth: int | None,
-                 min_tile: int) -> Iterator[FusedDesignConfig]:
+def _grid_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
+                 dsp_total: int, max_parallel: int,
+                 grid_depth: int) -> Iterator[FusedDesignConfig]:
     """The prefiltered grid of ``design_candidates``: one all-FM config per
-    (tile, spatial option, surviving parallelism combo), in search order."""
+    (tile, spatial option, surviving parallelism combo), in search order.
+    Multipliers do not depend on the tile, so each spatial option's combos
+    are found once, before the tile loop."""
     layers = block.layers
     n = len(layers)
     chans = [s.channels for s in layer_shapes(block, input_shape)]
-
-    wino_ok = [l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
-               and l.kernel_size == 3 and l.stride == 1 for l in layers]
-    spatial_opts = [(1, 1, (False,) * n)]
-    if any(wino_ok):
-        spatial_opts.append((winograd_m, winograd_m, tuple(wino_ok)))
-
     grids = [_pow2_divisors(max_parallel, c) for c in chans]
-    tiles_h = _tile_options(input_shape.height, min_tile)
-    tiles_w = _tile_options(input_shape.width, min_tile)
-    combos_by_spatial: dict = {}
-    for (t_h, t_w), spatial in itertools.product(zip(tiles_h, tiles_w), spatial_opts):
-        p_h, p_w, wino = spatial
-        if t_h % p_h or t_w % p_w:
-            continue
 
-        def make_cfg(ps):
-            return FusedDesignConfig(
-                t_h=t_h, t_w=t_w, t_c=tuple(chans[:-1]), t_f=chans[-1],
-                p_h=p_h, p_w=p_w, p_c=tuple(ps[:-1]), p_f=ps[-1],
-                seqs=(Seq.FM,) * n,
-                buffer_options=(BufferOption.DOUBLE,) * (n - 1),
-                use_winograd=wino, winograd_m=winograd_m)
+    eligible = tuple(winograd_eligible(l) for l in layers)
+    spatial_opts = [(1, 1, (False,) * n)]
+    if any(eligible):
+        spatial_opts.append((WINOGRAD_M, WINOGRAD_M, eligible))
+    combos = [_parallelism_combos(block, grids, *spatial, dsp_total, grid_depth)
+              for spatial in spatial_opts]
 
-        if spatial not in combos_by_spatial:
+    for t_h, t_w in zip(_tile_options(input_shape.height),
+                        _tile_options(input_shape.width)):
+        for (p_h, p_w, wino), spatial_combos in zip(spatial_opts, combos):
+            if t_h % p_h or t_w % p_w or not spatial_combos:
+                continue
+
+            def make_cfg(ps):
+                return FusedDesignConfig(
+                    t_h=t_h, t_w=t_w, t_c=tuple(chans[:-1]), t_f=chans[-1],
+                    p_h=p_h, p_w=p_w, p_c=tuple(ps[:-1]), p_f=ps[-1],
+                    seqs=(Seq.FM,) * n,
+                    buffer_options=(BufferOption.DOUBLE,) * (n - 1),
+                    use_winograd=wino, winograd_m=WINOGRAD_M)
+
             try:
-                combos_by_spatial[spatial] = _parallelism_combos(
-                    block, grids, *spatial, winograd_m, dsp_total, grid_depth)
+                # P = 1 divides every channel tile, so only the tile can fail
+                derive_layer_configs(block, input_shape, make_cfg((1,) * (n + 1)))
             except (UnsupportedConfig, PortMismatch):
-                combos_by_spatial[spatial] = []
-        combos = combos_by_spatial[spatial]
-        if not combos:
-            continue
-        try:
-            # P = 1 divides every channel tile, so only the tile can fail
-            derive_layer_configs(block, input_shape, make_cfg((1,) * (n + 1)))
-        except (UnsupportedConfig, PortMismatch):
-            continue
-        for ps in combos:
-            yield make_cfg(ps)
+                continue
+            for ps in spatial_combos:
+                yield make_cfg(ps)
 
 
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                     platform: PlatformSpec, max_parallel: int,
-                    grid_depth: int | None, winograd_m: int = 4,
-                    min_tile: int = 14) -> Iterator[tuple[BlockPlan, RooflinePoint]]:
-    """Each ``_grid_points`` config planned, with its fused roofline point;
-    points whose roofline or plan raises are skipped.  The roofline reads
-    only T_h, T_w and T_f of a config, so it is worked out once per tile."""
-    rooflines: dict = {}
-    for cfg in _grid_points(block, input_shape, platform.dsp_total, max_parallel,
-                            winograd_m, grid_depth, min_tile):
-        tile = (cfg.t_h, cfg.t_w, cfg.t_f)
-        if tile not in rooflines:
-            try:
-                rooflines[tile] = roofline(block, input_shape, platform, cfg).fused
-            except (UnsupportedConfig, PortMismatch, InvalidTiling):
-                rooflines[tile] = None
-        if rooflines[tile] is None:
-            continue
+                    grid_depth: int) -> Iterator[tuple[BlockPlan, RooflinePoint]]:
+    """Each ``_grid_points`` config planned, with its fused roofline point.
+    Every config sets T_f to the full output channel count, so the roofline
+    depends only on the tile: it is worked out once per tile, and a tile
+    whose roofline raises is skipped whole, as is a point whose plan raises."""
+    points = _grid_points(block, input_shape, platform.dsp_total, max_parallel,
+                          grid_depth)
+    for _, tile in itertools.groupby(points, key=lambda cfg: (cfg.t_h, cfg.t_w)):
+        tile = list(tile)
         try:
-            plan = plan_block(block, input_shape, cfg)
-        except (UnsupportedConfig, PortMismatch):
+            rl = roofline(block, input_shape, platform, tile[0]).fused
+        except (UnsupportedConfig, PortMismatch, InvalidTiling):
             continue
-        yield plan, rooflines[tile]
+        for cfg in tile:
+            try:
+                plan = plan_block(block, input_shape, cfg)
+            except (UnsupportedConfig, PortMismatch):
+                continue
+            yield plan, rl
 
 
 def _point_candidates(plan: BlockPlan, rl: RooflinePoint,
@@ -458,21 +447,18 @@ def _point_candidates(plan: BlockPlan, rl: RooflinePoint,
 
 
 def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                      platform: PlatformSpec,
-                      coeffs: CalibrationTable | None = None,
-                      max_parallel: int = 64,
-                      winograd_m: int = 4,
-                      grid_depth: int | None = None,
-                      min_tile: int = 14) -> list[DesignCandidate]:
+                      platform: PlatformSpec, coeffs: CalibrationTable,
+                      grid_depth: int,
+                      max_parallel: int = 64) -> list[DesignCandidate]:
     """Enumerate a bounded design grid for one block, every point in full.
 
-    The grid spans spatial tiles (full map halved down to ``min_tile``),
+    The grid spans spatial tiles (full map halved down to ``MIN_TILE``),
     power-of-two channel/filter parallelism, the Winograd path
-    (P_h = P_w = m) for 3x3 stride-1 layers alongside the direct path
-    (P_h = P_w = 1), and every computation-sequence / buffer-option
-    combination.  Parallelism combos whose multiplier count exceeds the
-    platform's DSPs are dropped before simulation; ``grid_depth`` then
-    keeps only the largest few surviving combos (plus the smallest as a
+    (P_h = P_w = ``WINOGRAD_M``) for 3x3 stride-1 layers alongside the
+    direct path (P_h = P_w = 1), and every computation-sequence /
+    buffer-option combination.  Parallelism combos whose multiplier count
+    exceeds the platform's DSPs are dropped before simulation; ``grid_depth``
+    then keeps only the largest few surviving combos (plus the smallest as a
     feasibility floor), since lower parallelism at equal roofline is
     dominated.  Multipliers do not depend on the tile, so this prefilter
     runs once per spatial option, from closed-form per-layer counts; a tile is
@@ -481,19 +467,16 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     is no longer a multiple of m).  ``design_gen`` searches the same grid
     best-first and returns what ``pick_best_design`` picks from this list.
     """
-    coeffs = coeffs or load_calibration()
     candidates = []
     for plan, rl in _planned_points(block, input_shape, platform, max_parallel,
-                                    grid_depth, winograd_m, min_tile):
+                                    grid_depth):
         candidates += _point_candidates(plan, rl, coeffs)
     return candidates
 
 
 def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-               platform: PlatformSpec,
-               coeffs: CalibrationTable | None = None,
-               max_parallel: int = 64,
-               grid_depth: int | None = None) -> DesignCandidate:
+               platform: PlatformSpec, coeffs: CalibrationTable,
+               grid_depth: int, max_parallel: int = 64) -> DesignCandidate:
     """Hardware DSE for one block: the candidate that
     ``pick_best_design(design_candidates(...))`` selects, found best-first.
 
@@ -509,7 +492,6 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     skips are skipped here too, and when no candidate is feasible every
     point is evaluated, so ``Infeasible`` reports the same count.
     """
-    coeffs = coeffs or load_calibration()
     ranked = [((-rl.attainable_gops, cycles_lower_bound(plan)), plan, rl)
               for plan, rl in _planned_points(block, input_shape, platform,
                                               max_parallel, grid_depth)]
@@ -566,21 +548,18 @@ def has_pipeline(op: BlockSpec | LayerSpec) -> bool:
         LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED)
 
 
-_STAGE_CACHE: dict = {}
-
-
 def evaluate_model(model: ModelSpec, platform: PlatformSpec,
-                   coeffs: CalibrationTable | None = None,
-                   max_parallel: int = 64,
-                   grid_depth: int | None = 4) -> ModelDesign:
+                   coeffs: CalibrationTable, designs: dict,
+                   max_parallel: int = 64, grid_depth: int = 4) -> ModelDesign:
     """Per-stage hardware DSE; the template is reused stage by stage, so the
     model's resource footprint is the maximum over stages and its latency
-    the sum.  Stage results are memoised (identical stages recur both
-    within a model and across replacement candidates), keyed by the
-    calibration's coefficients as well as its source."""
-    coeffs = coeffs or load_calibration()
-    # by content: tables from the same path can hold different coefficients
-    calibration = (coeffs.source, json.dumps(coeffs.alm, sort_keys=True))
+    the sum.
+
+    ``designs`` is one command's stage-design table, keyed by
+    ``(op, input_shape)``: identical stages recur within a model and across
+    replacement candidates, and each is searched once per table.  Share a
+    table only between calls with the same platform, calibration and
+    search bounds."""
     rows = []
     total = 0
     dsp = bram = alm = 0
@@ -588,13 +567,11 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
         if not has_pipeline(stage.op):
             rows.append(StageDesign(i, stage.name, None))
             continue
-        key = (stage.op, stage.input_shape, platform, max_parallel,
-               grid_depth, calibration)
-        best = _STAGE_CACHE.get(key)
+        key = (stage.op, stage.input_shape)
+        best = designs.get(key)
         if best is None:
-            best = design_gen(stage.op, stage.input_shape, platform, coeffs,
-                              max_parallel=max_parallel, grid_depth=grid_depth)
-            _STAGE_CACHE[key] = best
+            best = designs[key] = design_gen(stage.op, stage.input_shape, platform,
+                                             coeffs, grid_depth, max_parallel)
         rows.append(StageDesign(i, stage.name, best))
         total += best.sim.total_cycles
         dsp = max(dsp, best.resources.dsp_used)

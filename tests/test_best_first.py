@@ -27,7 +27,7 @@ from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
                             PlatformSpec, ResourceEstimate, RooflinePoint,
                             design_candidates, design_gen, has_pipeline,
-                            pick_best_design)
+                            load_calibration, pick_best_design)
 
 PLATFORMS = {
     "default": STRATIX_V_5SGSD8,
@@ -38,6 +38,7 @@ PLATFORMS = {
     # no design fits: both sides raise Infeasible
     "1-bram": replace(STRATIX_V_5SGSD8, bram_blocks=1),
 }
+COEFFS = load_calibration()
 
 
 def distinct_stages(model_name: str):
@@ -53,7 +54,8 @@ def distinct_stages(model_name: str):
 def stage_candidates(model_name: str, platform: PlatformSpec) -> list:
     """(stage name, block, input shape, ``design_candidates`` at grid depth 4)
     per distinct stage, shared by the tests below."""
-    return [(name, block, shape, design_candidates(block, shape, platform, grid_depth=4))
+    return [(name, block, shape,
+             design_candidates(block, shape, platform, COEFFS, grid_depth=4))
             for name, block, shape in distinct_stages(model_name)]
 
 
@@ -74,7 +76,8 @@ def test_design_gen_equals_full_enumeration(model_name, platform_name):
     gops_per_stage = []
     for name, block, shape, cands in stage_candidates(model_name, listed):
         want = _selection(lambda: pick_best_design(cands, platform))
-        got = _selection(lambda: design_gen(block, shape, platform, grid_depth=4))
+        got = _selection(lambda: design_gen(block, shape, platform, COEFFS,
+                                            grid_depth=4))
         assert got == want, name
         if platform_name == "1-bram":
             assert isinstance(got, str), name
@@ -133,5 +136,5 @@ def test_search_order_and_cutoff(points):
         mp.setattr(resources, "_point_candidates",
                    lambda cfg, rl, coeffs: by_cfg[cfg][1])
         got = _selection(lambda: design_gen(None, None, platform,
-                                            CalibrationTable(alm={})))
+                                            CalibrationTable(alm={}), 4))
     assert got == _selection(lambda: pick_best_design(every, platform))

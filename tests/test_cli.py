@@ -153,6 +153,26 @@ class TestSimulate:
         assert trace_doc == sorted(trace_doc,
                                    key=lambda e: (e["time"], e["layer"], e["unit"]))
 
+    def test_plans_the_config_once(self, workdir, monkeypatch):
+        """The enumeration and the simulation read one ``BlockPlan``."""
+        import turf.cli
+        import turf.fusion
+
+        plans = []
+        plan_block = turf.fusion.plan_block
+
+        def counted(*args):
+            plans.append(args)
+            return plan_block(*args)
+
+        for module in (turf.cli, turf.fusion):
+            monkeypatch.setattr(module, "plan_block", counted)
+        rc = main(["simulate", str(workdir / "model.json"), "--block", "1",
+                   "--config", str(workdir / "cfg.json"),
+                   "--enumerate-seqs", "--out", str(workdir / "sim.json")])
+        assert rc == 0
+        assert len(plans) == 1
+
     def test_port_mismatch_exits_one_with_name(self, workdir, capsys):
         rc = main(["simulate", str(workdir / "model.json"), "--block", "1",
                    "--config", str(workdir / "bad.json")])
@@ -367,6 +387,23 @@ class TestOracleErrors:
         err = capsys.readouterr().err
         assert err.startswith("OracleError: ")
         assert "Traceback" not in err and command in err
+
+
+    @pytest.mark.parametrize("accuracy", ["nan", "1.5"])
+    def test_table_accuracy_outside_unit_interval_exits_one(self, workdir, capsys,
+                                                             accuracy):
+        # a NaN would make the report invalid JSON, 1.5 break its schema
+        (workdir / "table.csv").write_text(
+            f"replacement_vector,accuracy\nO,0.9\nS,{accuracy}\n")
+        rc = main(["explore", "--model", str(workdir / "model.json"),
+                   "--min-acc", "0.5", "--max-latency-ms", "100",
+                   "--oracle", f"table:{workdir / 'table.csv'}",
+                   "--out", str(workdir / "explore.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OracleError: ")
+        assert "Traceback" not in err and "'S'" in err
+        assert not (workdir / "explore.json").exists()
 
 
 class TestUsageErrors:

@@ -11,7 +11,9 @@ from turf.explore import (CandidateRecord, ExternalOracle, Requirements,
                           SyntheticOracle, TableOracle, model_gen,
                           replacement_key, run_framework)
 from turf.ir import Replacement, count_ops_params, replace_layer
-from turf.resources import STRATIX_V_5SGSD8
+from turf.resources import STRATIX_V_5SGSD8, load_calibration
+
+COEFFS = load_calibration()
 
 
 class AlwaysPerfect:
@@ -129,7 +131,7 @@ class TestRunFramework:
     def test_perfect_oracle_visits_all_and_returns_fastest(self):
         base = small_custom_model(n_convs=3)
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base, AlwaysPerfect(),
-                            max_parallel=16)
+                            COEFFS, max_parallel=16)
         assert len(res.candidates) == base.num_replaceable + 1
         assert replacement_key(res.best_model) == "SSS"
         evaluated = [c for c in res.candidates if c.latency_ms is not None]
@@ -138,7 +140,7 @@ class TestRunFramework:
     def test_first_replacement_failing_returns_pretrained(self):
         base = small_custom_model(n_convs=3)
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base,
-                            FailAfterFirstReplacement(), max_parallel=16)
+                            FailAfterFirstReplacement(), COEFFS, max_parallel=16)
         assert replacement_key(res.best_model) == "OOO"
         assert len(res.candidates) == 2  # pretrained + the failing probe
 
@@ -146,14 +148,14 @@ class TestRunFramework:
         base = small_custom_model(n_convs=3)
         with pytest.raises(NoSolution) as exc:
             run_framework(self.REQ, STRATIX_V_5SGSD8, base, AlwaysFailing(),
-                          max_parallel=16)
+                          COEFFS, max_parallel=16)
         assert len(exc.value.candidates) == 1
         assert exc.value.candidates[0].accuracy_passed is False
 
     def test_fig8_peak_returns_one_replacement_variant(self):
         base = small_custom_model(n_convs=3)
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
-                            max_parallel=16)
+                            COEFFS, max_parallel=16)
         assert replacement_key(res.best_model) == "OOS"
         assert len(res.candidates) <= base.num_replaceable + 1
 
@@ -161,7 +163,7 @@ class TestRunFramework:
         base = small_custom_model(n_convs=3)
         req = Requirements(min_accuracy=0.90, min_gops=1.0)
         res = run_framework(req, STRATIX_V_5SGSD8, base, SyntheticOracle(),
-                            max_parallel=16)
+                            COEFFS, max_parallel=16)
         assert res.best_gops >= req.min_gops
         best_rec = next(c for c in res.candidates
                         if c.replacement_vector == replacement_key(res.best_model))
@@ -170,23 +172,55 @@ class TestRunFramework:
     def test_determinism(self):
         base = small_custom_model(n_convs=3)
         a = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
-                          max_parallel=16)
+                          COEFFS, max_parallel=16)
         b = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
-                          max_parallel=16)
+                          COEFFS, max_parallel=16)
         assert a.candidates == b.candidates
         assert replacement_key(a.best_model) == replacement_key(b.best_model)
 
     def test_exhaustive_mode_keeps_searching(self):
         base = small_custom_model(n_convs=3)
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
-                            exhaustive=True, max_parallel=16)
+                            COEFFS, exhaustive=True, max_parallel=16)
         # accuracy no longer terminates: every candidate is visited
         assert len(res.candidates) == base.num_replaceable + 1
         # but accuracy still gates the record: best is the peak variant
         assert replacement_key(res.best_model) == "OOS"
 
+    def test_each_distinct_stage_is_searched_once_per_call(self, monkeypatch):
+        """The candidate models of one call share one stage-design table:
+        on ResNet-50 (17 candidates of 18 pipeline stages each, 306 stage
+        lookups) ``design_gen`` runs once per distinct (op, input shape),
+        18 times, and a second call searches them all again."""
+        import turf.resources
+        from turf.models import build_reference_model
+        from turf.resources import has_pipeline
+
+        searched = []
+        design_gen = turf.resources.design_gen
+
+        def counted(op, input_shape, *args, **kwargs):
+            searched.append((op, input_shape))
+            return design_gen(op, input_shape, *args, **kwargs)
+
+        monkeypatch.setattr(turf.resources, "design_gen", counted)
+        base = build_reference_model("resnet50")
+        models = [base]
+        while (m := model_gen(base, models[-1])) is not None:
+            models.append(m)
+        stages = {(s.op, s.input_shape) for m in models for s in m.stages
+                  if has_pipeline(s.op)}
+        assert len(models) == 17 and len(stages) == 18
+        req = Requirements(min_accuracy=0.0, min_gops=1.0)
+        for _ in range(2):
+            searched.clear()
+            run_framework(req, STRATIX_V_5SGSD8, base, SyntheticOracle(), COEFFS,
+                          exhaustive=True)
+            assert len(searched) == len(stages)
+            assert set(searched) == stages
+
     def test_every_returned_design_is_feasible(self):
         base = small_custom_model(n_convs=3)
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
-                            max_parallel=16)
+                            COEFFS, max_parallel=16)
         assert res.best_design.resources().feasible(STRATIX_V_5SGSD8)

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dw_conv, dwsep_block, pw_conv, stacked_block, std_conv
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
@@ -15,6 +16,11 @@ from turf.fusion import (FusedDesignConfig, config_from_json,
                          plan_block, simulate_fused, tiling_overhead)
 from turf.hw import BufferOption, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
+
+
+def simulate(block, shape, cfg, **kwargs):
+    """``simulate_fused`` on ``cfg`` planned for ``block`` over ``shape``."""
+    return simulate_fused(plan_block(block, shape, cfg), **kwargs)
 
 
 def toy_two_layer(seqs, option, p_c=(2, 1), p_f=2):
@@ -46,7 +52,7 @@ class TestHandTracedToy:
 
     def test_fm_cm_double_is_30(self):
         block, shape, cfg = toy_two_layer((Seq.FM, Seq.CM), BufferOption.DOUBLE)
-        report = simulate_fused(block, shape, cfg, include_fill=False,
+        report = simulate(block, shape, cfg, include_fill=False,
                                 collect_events=True)
         assert report.total_cycles == 30
         assert [l.busy_cycles for l in report.layers] == [20, 20]
@@ -56,20 +62,20 @@ class TestHandTracedToy:
 
     def test_cm_cm_is_40(self):
         block, shape, cfg = toy_two_layer((Seq.CM, Seq.CM), BufferOption.MATCH_PREV)
-        report = simulate_fused(block, shape, cfg, include_fill=False)
+        report = simulate(block, shape, cfg, include_fill=False)
         assert report.total_cycles == 40
 
     def test_single_buffer_serialises(self):
         block, shape, cfg = toy_two_layer((Seq.FM, Seq.CM), BufferOption.MATCH_PREV)
-        report = simulate_fused(block, shape, cfg, include_fill=False)
+        report = simulate(block, shape, cfg, include_fill=False)
         assert report.total_cycles == 40  # producer stalls on the full slot
         assert report.layers[0].stall_cycles == 10
 
     def test_fig5_ordering(self):
         block, shape, cfg_fc = toy_two_layer((Seq.FM, Seq.CM), BufferOption.DOUBLE)
         _, _, cfg_cc = toy_two_layer((Seq.CM, Seq.CM), BufferOption.DOUBLE)
-        fc = simulate_fused(block, shape, cfg_fc, include_fill=False)
-        cc = simulate_fused(block, shape, cfg_cc, include_fill=False)
+        fc = simulate(block, shape, cfg_fc, include_fill=False)
+        cc = simulate(block, shape, cfg_cc, include_fill=False)
         assert fc.total_cycles < cc.total_cycles
 
 
@@ -80,10 +86,10 @@ class TestSingleLayer:
                                 buffer_options=(), use_winograd=(False,))
         # a bare layer is its own one-layer block
         blk = dw_conv()
-        report = simulate_fused(blk, TensorShape(8, 8, 4), cfg)
+        report = simulate(blk, TensorShape(8, 8, 4), cfg)
         cycles, units = 2 * 8 * 8, 2
         assert report.per_pass_cycles == cycles + report.fill_cycles
-        no_fill = simulate_fused(blk, TensorShape(8, 8, 4), cfg, include_fill=False)
+        no_fill = simulate(blk, TensorShape(8, 8, 4), cfg, include_fill=False)
         assert no_fill.total_cycles == cycles
 
 
@@ -156,14 +162,14 @@ class TestProperties:
         for _ in range(200):
             blk, shape, cfg = random_valid_config(rng)
             try:
-                report = simulate_fused(blk, shape, cfg, include_fill=False)
+                report = simulate(blk, shape, cfg, include_fill=False)
             except InefficientConfig:
                 continue
             busy = [l.busy_cycles for l in report.layers]
             assert max(busy) <= report.per_pass_cycles <= sum(busy)
             # all-double never slower
             try:
-                doubled = simulate_fused(blk, shape, cfg.__class__(
+                doubled = simulate(blk, shape, cfg.__class__(
                     **{**cfg.__dict__,
                        "buffer_options": tuple(BufferOption.DOUBLE
                                                for _ in cfg.buffer_options)}),
@@ -179,7 +185,7 @@ class TestProperties:
         from turf.hw import layer_cycle_counts
         for _ in range(50):
             blk, shape, cfg = random_valid_config(rng)
-            report = simulate_fused(blk, shape, cfg, include_fill=False)
+            report = simulate(blk, shape, cfg, include_fill=False)
             hw_cfgs = derive_layer_configs(blk, shape, cfg)
             for layer, hw, row in zip(blk.layers, hw_cfgs, report.layers):
                 cycles, units = layer_cycle_counts(layer, hw)
@@ -191,9 +197,58 @@ class TestProperties:
     def test_determinism_with_events(self):
         rng = random.Random(11)
         blk, shape, cfg = random_valid_config(rng)
-        a = simulate_fused(blk, shape, cfg, collect_events=True)
-        b = simulate_fused(blk, shape, cfg, collect_events=True)
+        a = simulate(blk, shape, cfg, collect_events=True)
+        b = simulate(blk, shape, cfg, collect_events=True)
         assert a == b
+
+
+@st.composite
+def planned_chains(draw):
+    """A 2-3 layer chain of standard, pointwise and depthwise layers with a
+    full-tile config whose channel parallelism divides every channel tile."""
+    kinds = draw(st.lists(st.sampled_from(["std", "pw", "dw"]), min_size=2,
+                          max_size=3))
+    chans = [2 ** draw(st.integers(0, 4))]
+    pars = [2 ** draw(st.integers(0, chans[0].bit_length() - 1))]
+    layers = []
+    for kind in kinds:
+        if kind == "dw":
+            layers.append(dw_conv())
+            chans.append(chans[-1])
+            pars.append(pars[-1])  # depthwise keeps its channel lanes
+            continue
+        chans.append(2 ** draw(st.integers(0, 4)))
+        pars.append(2 ** draw(st.integers(0, chans[-1].bit_length() - 1)))
+        layers.append(pw_conv(chans[-1]) if kind == "pw" else std_conv(chans[-1]))
+    size = draw(st.sampled_from([4, 8]))
+    n = len(layers)
+    cfg = FusedDesignConfig(
+        t_h=size, t_w=size, t_c=tuple(chans[:-1]), t_f=chans[-1], p_h=1, p_w=1,
+        p_c=tuple(pars[:-1]), p_f=pars[-1], seqs=(Seq.FM,) * n,
+        buffer_options=(BufferOption.DOUBLE,) * (n - 1), use_winograd=(False,) * n)
+    return plan_block(LayerChain(layers), TensorShape(size, size, chans[0]), cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planned_chains())
+def test_accepted_buffers_hold_what_the_sequences_need(plan):
+    """Every buffer option that sizing accepts holds all of a boundary's
+    tokens when its producer is channel-major (accumulating the whole tile)
+    or its consumer filter-major (re-reading it), which the simulator relies
+    on without checking, whether either side is depthwise or not."""
+    n = plan.cfg.num_layers
+    accepted = 0
+    for seqs in itertools.product((Seq.FM, Seq.CM), repeat=n):
+        for options in itertools.product(BufferOption, repeat=n - 1):
+            try:
+                buffers = plan.buffers(seqs, options)
+            except InefficientConfig:
+                continue
+            accepted += 1
+            for i, (tokens, cap, _) in enumerate(buffers):
+                if seqs[i] is Seq.CM or seqs[i + 1] is Seq.FM:
+                    assert cap >= tokens, (seqs, options, i)
+    assert accepted  # all channel-major with double buffers always fits
 
 
 class TestEnumeration:
@@ -261,7 +316,7 @@ class TestConfigValidation:
                                 buffer_options=(BufferOption.MATCH_NEXT,),
                                 use_winograd=(False, False))
         with pytest.raises(InefficientConfig):
-            simulate_fused(block, TensorShape(8, 8, 4), cfg)
+            simulate(block, TensorShape(8, 8, 4), cfg)
 
     def test_input_channel_tiling_rejected(self):
         block = stacked_block(4, 4)
@@ -270,7 +325,7 @@ class TestConfigValidation:
                                 buffer_options=(BufferOption.DOUBLE,),
                                 use_winograd=(False, False))
         with pytest.raises(UnsupportedConfig):
-            simulate_fused(block, TensorShape(8, 8, 4), cfg)
+            simulate(block, TensorShape(8, 8, 4), cfg)
 
 
 def brute_force_tiling(block, input_shape, tile):

@@ -1,16 +1,19 @@
 """Hardware building-module descriptors: width formulas, pipelines, cycle
 counts, and the intermediate-buffer sizing table."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dw_conv, pw_conv, std_conv
-from turf.errors import InefficientConfig, UnsupportedConfig
+from turf.errors import InefficientConfig, ShapeMismatch, UnsupportedConfig
 from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
                      input_buffer, instantiate_layer,
                      intermediate_buffer_words, layer_cycle_counts,
-                     line_buffer, output_buffer, winograd_input_transform,
+                     line_buffer, output_buffer, validate_winograd,
+                     winograd_eligible, winograd_input_transform,
                      winograd_output_transform, winograd_weight_transform)
 from turf.ir import LayerKind, LayerSpec
 
@@ -99,6 +102,23 @@ class TestPipelines:
             instantiate_layer(std_conv(16, k=5), hw)
         with pytest.raises(UnsupportedConfig):
             instantiate_layer(pw_conv(16), hw)
+        # one rule, standard or depthwise conv with K=3 and stride 1, for the
+        # search's Winograd flags and the pipeline's check
+        for kind, k, stride in itertools.product(LayerKind, (1, 3, 5), (1, 2)):
+            try:
+                layer = LayerSpec(kind, kernel_size=k, stride=stride, out_channels=None
+                                  if kind is LayerKind.DEPTHWISE_CONV else 8)
+            except ShapeMismatch:
+                continue
+            want = kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV) \
+                and k == 3 and stride == 1
+            assert winograd_eligible(layer) == want, layer
+            try:
+                validate_winograd(layer, 4, 4, 4)
+            except UnsupportedConfig:
+                assert not want, layer
+            else:
+                assert want, layer
 
     def test_parallelism_must_divide_tile(self):
         with pytest.raises(UnsupportedConfig):

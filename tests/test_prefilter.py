@@ -31,6 +31,9 @@ from turf.resources import (STRATIX_V_5SGSD8, _dsp_terms, _grid_points,
                             _layer_dsp, _parallelism_combos, _pow2_divisors,
                             _tile_options)
 
+# a grid depth above every stage's combo count: the cut keeps every combo
+ALL = 10 ** 6
+
 
 def pipeline_dsp(layer, hw):
     """Multipliers of the instantiated pipeline: the dot-product array plus,
@@ -69,7 +72,7 @@ def _spatial_options(block, winograd_m=4):
                                      if any(wino_ok) else [])
 
 
-def reference_grid(block, input_shape, max_parallel=64, winograd_m=4, min_tile=14):
+def reference_grid(block, input_shape, max_parallel=64, winograd_m=4):
     """{(t_h, t_w, p_h, p_w): [(combo, dsp)]} for every combo whose layer
     configs derive, in product order, from one ``_quick_dsp`` per combo."""
     n = len(block.layers)
@@ -77,8 +80,7 @@ def reference_grid(block, input_shape, max_parallel=64, winograd_m=4, min_tile=1
     grids = [_pow2_divisors(max_parallel, c) for c in chans]
     out = {}
     for (t_h, t_w), (p_h, p_w, wino) in itertools.product(
-            zip(_tile_options(input_shape.height, min_tile),
-                _tile_options(input_shape.width, min_tile)),
+            zip(_tile_options(input_shape.height), _tile_options(input_shape.width)),
             _spatial_options(block, winograd_m)):
         if t_h % p_h or t_w % p_w:
             continue
@@ -99,7 +101,7 @@ def reference_grid(block, input_shape, max_parallel=64, winograd_m=4, min_tile=1
 def _reference_combos(rows, dsp_total, grid_depth):
     combos = sorted((ps for ps, dsp in rows if dsp <= dsp_total),
                     key=lambda ps: (-math.prod(ps), ps))
-    if not combos or grid_depth is None:
+    if not combos:
         return combos
     floor = combos[-1]
     combos = combos[:grid_depth]
@@ -108,7 +110,7 @@ def _reference_combos(rows, dsp_total, grid_depth):
 
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
-    for cfg in _grid_points(block, input_shape, dsp_total, 64, 4, grid_depth, 14):
+    for cfg in _grid_points(block, input_shape, dsp_total, 64, grid_depth):
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(
             (*cfg.p_c, cfg.p_f))
     return out
@@ -130,7 +132,7 @@ def _stage(model_name, stage_name):
 def test_table_keeps_the_per_combo_loop_survivors(model_name, stage_name):
     block, shape, reference = _stage(model_name, stage_name)
     for dsp_total in (STRATIX_V_5SGSD8.dsp_total, 256):
-        for grid_depth in (4, None):
+        for grid_depth in (4, ALL):
             got = _grid_combos(block, shape, dsp_total, grid_depth)
             want = {key: combos for key, rows in reference.items()
                     if (combos := _reference_combos(rows, dsp_total, grid_depth))}
@@ -142,7 +144,7 @@ def test_res3_1_winograd_tile_28_rejected_whole():
     block, shape, reference = _stage("resnet50", "res3_1")
     assert reference[(28, 28, 4, 4)] == []
     assert reference[(56, 56, 4, 4)]
-    got = _grid_combos(block, shape, STRATIX_V_5SGSD8.dsp_total, None)
+    got = _grid_combos(block, shape, STRATIX_V_5SGSD8.dsp_total, ALL)
     assert (28, 28, 4, 4) not in got and (56, 56, 4, 4) in got
 
 
@@ -217,8 +219,8 @@ def test_pruned_walk_keeps_the_filtered_product(model_name, stage_name):
     block, grids, by_spatial = _product_rows(model_name, stage_name)
     for spatial, rows in by_spatial:
         for dsp_total in (1, 256, STRATIX_V_5SGSD8.dsp_total, 10 ** 9):
-            for grid_depth in (4, None):
-                got = _parallelism_combos(block, grids, *spatial, 4,
+            for grid_depth in (4, ALL):
+                got = _parallelism_combos(block, grids, *spatial,
                                           dsp_total, grid_depth)
                 assert got == _reference_combos(rows, dsp_total, grid_depth), \
                     (spatial, dsp_total, grid_depth)

@@ -32,7 +32,7 @@ def simple_cfg(block, shape, seqs=None, p=2):
 def estimate(block, shape, cfg, coeffs=None):
     """``estimate_resources`` for ``cfg`` as it stands."""
     return estimate_resources(plan_block(block, shape, cfg), cfg.seqs,
-                              cfg.buffer_options, coeffs)
+                              cfg.buffer_options, coeffs or load_calibration())
 
 
 class TestPlatform:
@@ -161,7 +161,7 @@ class TestPickBest:
     def _mk(self, att, cycles, dsp):
         cfg = simple_cfg(dwsep_block(8), TensorShape(8, 8, 8))
         from turf.fusion import simulate_fused
-        sim = simulate_fused(dwsep_block(8), TensorShape(8, 8, 8), cfg)
+        sim = simulate_fused(plan_block(dwsep_block(8), TensorShape(8, 8, 8), cfg))
         sim = type(sim)(**{**sim.__dict__, "total_cycles": cycles})
         from turf.resources import ResourceEstimate
         return DesignCandidate(cfg, sim, ResourceEstimate(dsp, 1, 1),
@@ -195,14 +195,14 @@ class TestPickBest:
 class TestDesignGen:
     def test_selected_design_fits_platform(self):
         for name, (block, shape) in canonical_blocks().items():
-            best = design_gen(block, shape, STRATIX_V_5SGSD8, grid_depth=3,
-                              max_parallel=32)
+            best = design_gen(block, shape, STRATIX_V_5SGSD8, load_calibration(),
+                              grid_depth=3, max_parallel=32)
             assert best.resources.feasible(STRATIX_V_5SGSD8)
             assert best.sim.total_cycles > 0
 
     def test_candidates_respect_dsp_prefilter(self):
         block, shape = canonical_blocks()["depthwise_separable"]
-        cands = design_candidates(block, shape, STRATIX_V_5SGSD8,
+        cands = design_candidates(block, shape, STRATIX_V_5SGSD8, load_calibration(),
                                   grid_depth=3, max_parallel=32)
         assert cands
         assert all(c.resources.dsp_used <= STRATIX_V_5SGSD8.dsp_total
@@ -229,26 +229,38 @@ def test_each_grid_point_is_derived_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapped)
     stage = next(s for s in build_reference_model("resnet50").stages
                  if s.name == "res2_1")
-    design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, grid_depth=4)
+    design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
+               grid_depth=4)
     assert calls["plan_block"] > 0
     assert calls["instantiate_layer"] == 3 * calls["plan_block"]
 
 
 class TestStageCache:
-    def test_tables_with_one_source_and_other_coefficients_kept_apart(self, monkeypatch):
-        import turf.resources as resources
+    def test_tables_with_one_source_and_other_coefficients_kept_apart(self, tmp_path):
+        """Stage designs live in one command's table: two ``dse`` runs in one
+        process, with calibration tables read from the same path (so sharing
+        a ``source``) but holding different coefficients, report different
+        ALMs, each what a fresh table gives."""
+        import json
+        from turf.cli import main
+        from turf.ir import model_to_json
         from turf.models import build_reference_model
         from turf.resources import evaluate_model
 
         model = build_reference_model("vgg16")
-        base = load_calibration()
-        heavier = CalibrationTable(
-            alm={kind: {"base": 3 * c["base"], "per_width": 3 * c["per_width"]}
-                 for kind, c in base.alm.items()},
-            source=base.source)
-        monkeypatch.setattr(resources, "_STAGE_CACHE", {})
-        first = evaluate_model(model, STRATIX_V_5SGSD8, base)
-        second = evaluate_model(model, STRATIX_V_5SGSD8, heavier)
-        monkeypatch.setattr(resources, "_STAGE_CACHE", {})
-        assert second == evaluate_model(model, STRATIX_V_5SGSD8, heavier)
-        assert second.alm_used != first.alm_used
+        model_path = tmp_path / "vgg16.json"
+        model_path.write_text(json.dumps(model_to_json(model)))
+        table_path = tmp_path / "alm.json"
+        reported = []
+        for scale in (1, 3):
+            alm = {kind: {k: scale * v for k, v in c.items()}
+                   for kind, c in load_calibration().alm.items()}
+            table_path.write_text(json.dumps({"alm": alm}))
+            out = tmp_path / f"dse_{scale}.json"
+            assert main(["dse", str(model_path), "--calibration", str(table_path),
+                         "--out", str(out)]) == 0
+            reported.append(json.loads(out.read_text())["selected"]["alm"])
+            table = CalibrationTable(alm, source=str(table_path))
+            assert reported[-1] == \
+                evaluate_model(model, STRATIX_V_5SGSD8, table, {}).alm_used
+        assert reported[0] != reported[1]
