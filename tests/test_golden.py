@@ -1,8 +1,8 @@
-"""Golden reports: DSE and simulate output stays byte-identical, manifest aside.
+"""Golden reports: every command's output stays byte-identical, manifest aside.
 
-Each case runs ``turf.cli.main`` on a shipped reference model and compares
-the report, without its ``manifest``, to the committed file under
-``tests/golden/``.  A change that moves a reported number on purpose
+Each case runs ``turf.cli.main`` (on a shipped reference model where the
+command reads one) and compares the report, without its ``manifest``, to
+the committed file under ``tests/golden/``.  A change that moves a reported number on purpose
 regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,8 +25,8 @@ from turf.models import build_reference_model
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SIM_CONFIG = GOLDEN / "resnet50_res2_1_config.json"
 
-# golden file -> (reference model, turf arguments); "{model}" and "{trace}"
-# are filled in, the report goes to --out
+# golden file -> (reference model or None, turf arguments); "{model}" and
+# "{trace}" are filled in, the report goes to --out
 CASES = {
     "dse_vgg16.json": ("vgg16", ("dse", "{model}")),
     "dse_mobilenetv1.json": ("mobilenetv1", ("dse", "{model}")),
@@ -45,6 +45,11 @@ CASES = {
     "hw_describe_resnet50_res2_1.json": (
         "resnet50", ("hw", "describe", "{model}", "--layer", "2", "--config",
                      str(SIM_CONFIG))),
+    # pins the numpy reference kernels' deviation bit for bit
+    "winograd_check_m4.json": (
+        None, ("winograd-check", "--m", "4", "--r", "3", "--trials", "20", "--seed", "7")),
+    "winograd_check_m2.json": (
+        None, ("winograd-check", "--m", "2", "--r", "3", "--trials", "20", "--seed", "7")),
 }
 # companion files a case writes besides its report
 TRACES = {"simulate_resnet50_res2_1.json": "simulate_resnet50_res2_1_trace.json"}
@@ -60,7 +65,7 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
     """Run one case; returns {golden file name: text it must equal}."""
     model_name, command = CASES[name]
     model_path = workdir / f"{model_name}.json"
-    if not model_path.exists():
+    if model_name is not None and not model_path.exists():
         model_path.write_text(json.dumps(model_to_json(build_reference_model(model_name))))
     out, trace = workdir / name, workdir / f"trace-{name}"
     argv = [a.format(model=model_path, trace=trace) for a in command]
