@@ -7,6 +7,10 @@ Exit codes: 0 success, 1 domain error (error class name on stderr),
 naturally), embed a run manifest, and are byte-identical across runs with
 the same inputs and seed; the TURF_SEED environment variable overrides
 --seed, and SOURCE_DATE_EPOCH (when set) supplies the manifest timestamp.
+
+``winograd-check`` is the only command that imports numpy (through
+``turf.conv``, inside the command); the others load only turf and the
+standard library.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import TurfError, UnsupportedConfig, reading
 from .explore import (ExternalOracle, Requirements, SyntheticOracle,
@@ -30,8 +32,7 @@ from .explore import (ExternalOracle, Requirements, SyntheticOracle,
 from .fusion import (config_from_json, config_to_json, enumerate_sequences,
                      plan_block, simulate_fused)
 from .ir import count_ops_params, load_model, model_to_json
-from .kernels import (Filter4, Tensor3, conv_direct, conv_winograd,
-                      winograd_config)
+from .kernels import winograd_config
 from .resources import (DesignCandidate, design_candidates, evaluate_model,
                         has_pipeline, load_calibration, load_platform,
                         pick_best_design, roofline)
@@ -46,10 +47,6 @@ def _jsonify(obj):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     return obj
 
 
@@ -341,19 +338,12 @@ def cmd_explore(args) -> int:
 # winograd-check
 
 def cmd_winograd_check(args) -> int:
+    # the numpy reference kernels load here, so no other command pays for numpy
+    from .conv import max_winograd_deviation
+
     cfg = winograd_config(args.m, args.r)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    max_dev = 0.0
-    for _ in range(args.trials):
-        h = int(rng.integers(args.r, 17))
-        w = int(rng.integers(args.r, 17))
-        c = int(rng.integers(1, 9))
-        f = int(rng.integers(1, 9))
-        inp = Tensor3.from_array(rng.standard_normal((c, h, w)))
-        filt = Filter4(rng.standard_normal((f, c, args.r, args.r)))
-        ref = conv_direct(inp, filt, padding=1)
-        win = conv_winograd(inp, filt, cfg, padding=1)
-        max_dev = max(max_dev, float(np.abs(ref.data - win.data).max()))
+    max_dev = max_winograd_deviation(cfg, args.trials,
+                                     args.seed if args.seed is not None else 0)
     doc = {
         "manifest": make_manifest(args, []),
         "config": {"m": args.m, "r": args.r},

@@ -557,8 +557,7 @@ def _sim_report(plans: list[_LayerPlan], options: tuple[BufferOption, ...],
     )
 
 
-def simulate_fused(plan: BlockPlan, collect_events: bool = False,
-                   include_fill: bool = True) -> SimReport:
+def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
     """Simulate one fused launch of ``plan``'s design over its stage's input,
     with the config's own sequences and buffer options.
 
@@ -566,8 +565,6 @@ def simulate_fused(plan: BlockPlan, collect_events: bool = False,
     the same pipeline; the report covers the whole input.
     """
     plans = plan.layer_plans(plan.cfg.seqs)
-    if not include_fill:
-        plans = [replace(p, fill=0) for p in plans]
     options = plan.cfg.buffer_options
     caps = _buffer_caps(plans, options)
     return _sim_report(plans, options, caps,

@@ -57,9 +57,22 @@ class PlatformSpec:
     clock_mhz: float
 
     def __post_init__(self):
-        if min(self.bandwidth_gbps, self.dsp_total, self.bram_blocks,
-               self.alm_total, self.clock_mhz) <= 0:
-            raise UnsupportedConfig("platform constants must be positive")
+        # TypeError/ValueError: a platform file with such a value is an
+        # InvalidDocument (``errors.reading``)
+        for name, value in self.to_json().items():
+            if name in ("dsp_total", "bram_blocks", "alm_total"):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise TypeError(f"platform constant {name} must be an "
+                                    f"integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"platform constant {name} must be a number, "
+                                f"got {value!r}")
+            elif not math.isfinite(value):
+                raise ValueError(f"platform constant {name} must be finite, "
+                                 f"got {value!r}")
+            if value <= 0:
+                raise UnsupportedConfig(f"platform constant {name} must be "
+                                        f"positive, got {value!r}")
 
     @property
     def compute_roof_gops(self) -> float:

@@ -15,6 +15,8 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from turf.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 MODEL_DOC = {
     "base": "Custom",
     "stages": [
@@ -249,6 +251,71 @@ class TestWinogradCheck:
         assert doc["speedup"] == 4.0
 
 
+# Runs turf.cli.main(argv) in a fresh interpreter (pytest's own has numpy
+# loaded) and prints, as its last line, the modules the run added.
+_IMPORT_PROBE = """\
+import sys
+before = set(sys.modules)
+from turf.cli import main
+rc = main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(rc)
+"""
+
+
+def _fresh_run(argv: list[str]) -> list[str]:
+    """Modules a cold ``turf`` run imports; the run must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.fixture(scope="module")
+def reference_models(tmp_path_factory):
+    from turf.ir import model_to_json
+    from turf.models import build_reference_model
+
+    root = tmp_path_factory.mktemp("models")
+    for name in ("vgg16", "resnet50"):
+        (root / f"{name}.json").write_text(
+            json.dumps(model_to_json(build_reference_model(name))))
+    return root
+
+
+class TestImportFootprint:
+    """Every command but winograd-check loads only turf and the standard
+    library: no numpy on the DSE path."""
+
+    @pytest.mark.parametrize("command", [
+        ("model", "show", "{vgg16}"),
+        ("hw", "describe", "{resnet50}", "--layer", "2", "--config", "{config}"),
+        ("simulate", "{resnet50}", "--block", "2", "--config", "{config}",
+         "--enumerate-seqs"),
+        ("dse", "{vgg16}"),
+        ("dse", "{resnet50}", "--block", "2"),
+        ("explore", "--model", "{resnet50}", "--min-acc", "0", "--min-gops", "1"),
+    ], ids=lambda c: " ".join(w for w in c if not w.startswith("{")))
+    def test_loads_only_turf_and_stdlib(self, reference_models, tmp_path, command):
+        paths = {"vgg16": reference_models / "vgg16.json",
+                 "resnet50": reference_models / "resnet50.json",
+                 "config": ROOT / "tests" / "golden" / "resnet50_res2_1_config.json"}
+        argv = [w.format(**paths) for w in command]
+        added = _fresh_run(argv + ["--out", str(tmp_path / "report.json")])
+        foreign = [m for m in added if m != "turf" and not m.startswith("turf.")
+                   and m.partition(".")[0] not in sys.stdlib_module_names]
+        assert foreign == []
+
+    def test_winograd_check_loads_numpy_and_runs(self, tmp_path):
+        out = tmp_path / "report.json"
+        added = _fresh_run(["winograd-check", "--trials", "3", "--out", str(out)])
+        assert "numpy" in added and "turf.conv" in added
+        assert json.loads(out.read_text())["max_abs_deviation"] < 1e-9
+
+
 class TestDeterminism:
     def test_dse_reports_byte_identical(self, workdir):
         out = workdir / "report.json"
@@ -367,6 +434,24 @@ class TestBadDocuments:
         err = self._run(capsys, ["dse", str(workdir / "model.json"),
                                  "--platform", str(workdir / "platform.json")])
         assert "dsp_total" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("bandwidth_gbps", float("nan")),   # passed a `<= 0` check, left NaN in the report
+        ("bandwidth_gbps", float("inf")),
+        ("bandwidth_gbps", True),           # was taken as 1 GB/s
+        ("clock_mhz", "200"),
+        ("dsp_total", 1963.7),
+        ("dsp_total", float("nan")),        # was reported as an empty candidate list
+        ("bram_blocks", False),
+        ("alm_total", None),
+    ])
+    def test_platform_constant_not_a_finite_number(self, workdir, capsys, field, value):
+        platform = {"bandwidth_gbps": 38.0, "dsp_total": 1963, "bram_blocks": 2567,
+                    "alm_total": 262400, "clock_mhz": 200.0, field: value}
+        (workdir / "platform.json").write_text(json.dumps(platform))
+        err = self._run(capsys, ["dse", str(workdir / "model.json"),
+                                 "--platform", str(workdir / "platform.json")])
+        assert field in err
 
     def test_oracle_table_without_accuracy_column(self, workdir, capsys):
         (workdir / "table.csv").write_text("replacement_vector,acc\nO,0.9\n")

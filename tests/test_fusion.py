@@ -1,6 +1,7 @@
 """Fused-block simulation: hand-traced oracles, ordering claims, bounds,
 and tiling overhead against a brute-force pixel counter."""
 
+import dataclasses
 import itertools
 import random
 
@@ -18,9 +19,16 @@ from turf.hw import BufferOption, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
 
 
-def simulate(block, shape, cfg, **kwargs):
-    """``simulate_fused`` on ``cfg`` planned for ``block`` over ``shape``."""
-    return simulate_fused(plan_block(block, shape, cfg), **kwargs)
+def simulate(block, shape, cfg, include_fill=True, **kwargs):
+    """``simulate_fused`` on ``cfg`` planned for ``block`` over ``shape``;
+    ``include_fill=False`` zeroes every layer's pipeline fill first, as the
+    hand-traced oracles assume."""
+    plan = plan_block(block, shape, cfg)
+    if not include_fill:
+        plan = dataclasses.replace(plan, by_seq={
+            seq: tuple(dataclasses.replace(p, fill=0) for p in plans)
+            for seq, plans in plan.by_seq.items()})
+    return simulate_fused(plan, **kwargs)
 
 
 def toy_two_layer(seqs, option, p_c=(2, 1), p_f=2):

@@ -3,7 +3,6 @@ counts, and the intermediate-buffer sizing table."""
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -7,8 +7,9 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from turf.errors import ShapeMismatch, UnsupportedConfig
-from turf.kernels import (Filter4, Tensor3, WINOGRAD_F2_3, WINOGRAD_F4_3,
-                          conv_direct, conv_winograd, is_power_of_two,
+from turf.conv import (Filter4, Tensor3, conv_direct, conv_winograd,
+                       winograd_matrices)
+from turf.kernels import (WINOGRAD_F2_3, WINOGRAD_F4_3, is_power_of_two,
                           transform_mult_counts, winograd_config)
 
 
@@ -139,7 +140,7 @@ class TestWinograd:
     def test_float_tile_matches_rational_path(self, rng):
         d = rng.standard_normal((6, 6))
         g = rng.standard_normal((3, 3))
-        a_t, b_t, gm = WINOGRAD_F4_3.matrices()
+        a_t, b_t, gm = winograd_matrices(WINOGRAD_F4_3)
         tile = a_t @ ((gm @ g @ gm.T) * (b_t @ d @ b_t.T)) @ a_t.T
         direct = naive_conv(d[None], g[None, None])
         np.testing.assert_allclose(tile, direct[0], atol=1e-10)
