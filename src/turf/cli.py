@@ -183,8 +183,8 @@ def cmd_simulate(args) -> int:
         doc["sequences"] = [{
             "seqs": e.label,
             "buffer_options": [o.value for o in e.buffer_options],
-            "total_cycles": e.report.total_cycles,
-            "total_buffer_words": e.report.total_buffer_words,
+            "total_cycles": e.total_cycles,
+            "total_buffer_words": e.total_buffer_words,
         } for e in entries]
     report = simulate_fused(plan, collect_events=bool(args.trace))
     doc["report"] = _jsonify(dataclasses.replace(report, events=()))
@@ -202,10 +202,10 @@ def cmd_simulate(args) -> int:
 # dse
 
 def _candidate_row(c: DesignCandidate, clock_mhz: float) -> dict:
-    seconds = c.sim.total_cycles / (clock_mhz * 1e6)
+    seconds = c.total_cycles / (clock_mhz * 1e6)
     return {
         "config": config_to_json(c.cfg),
-        "latency_cycles": c.sim.total_cycles,
+        "latency_cycles": c.total_cycles,
         "latency_ms": seconds * 1e3,
         "arithmetic_intensity": c.roofline.arithmetic_intensity,
         "attainable_gops": c.roofline.attainable_gops,
@@ -219,7 +219,7 @@ def _candidate_row(c: DesignCandidate, clock_mhz: float) -> dict:
 def _csv_row(stage_name: str, c: DesignCandidate) -> dict:
     return {"stage": stage_name, "intensity": c.roofline.arithmetic_intensity,
             "attainable_gops": c.roofline.attainable_gops,
-            "latency_cycles": c.sim.total_cycles, "dsp": c.resources.dsp_used}
+            "latency_cycles": c.total_cycles, "dsp": c.resources.dsp_used}
 
 
 def cmd_dse(args) -> int:
@@ -236,7 +236,8 @@ def cmd_dse(args) -> int:
         cands = design_candidates(stage.op, stage.input_shape, platform, coeffs,
                                   args.grid_depth, args.max_parallel)
         best = pick_best_design(cands, platform)
-        rl = roofline(stage.op, stage.input_shape, platform, best.cfg)
+        rl = roofline(stage.op, stage.input_shape, platform,
+                      (best.cfg.t_h, best.cfg.t_w, best.cfg.t_f))
         doc["stage"] = {"index": args.block, "name": stage.name}
         doc["candidates"] = [_candidate_row(c, platform.clock_mhz) for c in cands]
         doc["selected"] = _candidate_row(best, platform.clock_mhz)
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_win = add_parser("winograd-check", help="randomized equivalence trials")
     p_win.add_argument("--m", type=int, default=4)
     p_win.add_argument("--r", type=int, default=3)
-    p_win.add_argument("--trials", type=int, default=100)
+    p_win.add_argument("--trials", type=_positive_int, default=100)
     p_win.add_argument("--out")
     p_win.set_defaults(func=cmd_winograd_check)
 

@@ -57,40 +57,38 @@ def replacement_key(model: ModelSpec) -> str:
                    for r in model.replacement_vector)
 
 
+# SyntheticOracle's curve: peak at one top replacement, sharp fall-off
+# toward the bottom
+SYNTHETIC_BASE = 0.905
+SYNTHETIC_TOP_BONUS = 0.035
+SYNTHETIC_DECAY = 0.005
+SYNTHETIC_EXPONENT = 3.0
+
+
 class SyntheticOracle:
     """Deterministic stand-in for fine-tuned accuracy (clearly labelled so).
 
-    accuracy = base + top_bonus (if the top position is replaced)
-             - sum over replaced positions of decay * depth^exponent
-    where depth counts from the top (top position = 1).  Defaults peak at
-    one top replacement and fall off sharply toward the bottom.
+    accuracy = SYNTHETIC_BASE
+             + SYNTHETIC_TOP_BONUS (if the top position is replaced)
+             - sum over replaced positions of
+               SYNTHETIC_DECAY * depth^SYNTHETIC_EXPONENT
+    where depth counts from the top (top position = 1), clipped to [0, 1].
     """
-
-    name = "synthetic"
-
-    def __init__(self, base: float = 0.905, top_bonus: float = 0.035,
-                 decay: float = 0.005, exponent: float = 3.0):
-        self.base = base
-        self.top_bonus = top_bonus
-        self.decay = decay
-        self.exponent = exponent
 
     def evaluate(self, model: ModelSpec, budget: int = 1) -> float:
         n = model.num_replaceable
-        acc = self.base
+        acc = SYNTHETIC_BASE
         for pos, state in enumerate(model.replacement_vector):
             if state is Replacement.SEPARABLE:
                 depth = n - pos  # 1 at the top position
-                acc -= self.decay * depth ** self.exponent
+                acc -= SYNTHETIC_DECAY * depth ** SYNTHETIC_EXPONENT
                 if pos == n - 1:
-                    acc += self.top_bonus
+                    acc += SYNTHETIC_TOP_BONUS
         return max(0.0, min(1.0, acc))
 
 
 class TableOracle:
     """Replays measured accuracies keyed by the replacement vector (O/S string)."""
-
-    name = "table"
 
     def __init__(self, table: dict[str, float]):
         for key, accuracy in table.items():
@@ -117,8 +115,6 @@ class TableOracle:
 class ExternalOracle:
     """Shells out: the command receives the model JSON on stdin and prints
     an accuracy in [0, 1]."""
-
-    name = "external"
 
     def __init__(self, command: str):
         self.command = command
@@ -181,7 +177,6 @@ class ExplorationResult:
     best_latency_ms: float
     best_performance: float
     candidates: tuple[CandidateRecord, ...]
-    oracle_name: str
 
 
 def run_framework(requirements: Requirements, platform: PlatformSpec,
@@ -246,4 +241,4 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
     return ExplorationResult(
         best_model=model, best_design=design, best_gops=gops,
         best_latency_ms=latency, best_performance=perf,
-        candidates=tuple(records), oracle_name=getattr(oracle, "name", "custom"))
+        candidates=tuple(records))

@@ -46,7 +46,9 @@ each layer's hardware config and module pipeline, its work units and fill
 under either computation sequence, and the pass count.  The cycle bound,
 the sequence enumeration, the simulator and the resource model all read
 that plan.  A bare convolution or fully-connected layer is planned as its
-own one-layer block.
+own one-layer block.  The sequence enumeration keeps each candidate's
+cycles and buffer words as plain numbers; only ``simulate_fused`` builds a
+``SimReport``.
 """
 
 from __future__ import annotations
@@ -233,10 +235,6 @@ class SimReport:
     events: tuple[SimEvent, ...] = ()
     cycle_model: str = CYCLE_MODEL
 
-    @property
-    def total_buffer_words(self) -> int:
-        return sum(b.words for b in self.buffers)
-
 
 # ---------------------------------------------------------------------------
 # Per-layer derivation
@@ -325,12 +323,6 @@ class BlockPlan:
     def layer_plans(self, seqs: tuple[Seq, ...]) -> list[_LayerPlan]:
         return [self.by_seq[s][i] for i, s in enumerate(seqs)]
 
-    def buffers(self, seqs: tuple[Seq, ...], options: tuple[BufferOption, ...]
-                ) -> list[tuple[int, int, int]]:
-        """(tokens, capacity_tokens, words) per intermediate buffer; raises
-        ``InefficientConfig`` for an option too small for the sequences."""
-        return _buffer_caps(self.layer_plans(seqs), options)
-
 
 def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
                cfg: FusedDesignConfig) -> BlockPlan:
@@ -375,6 +367,8 @@ def _buffer_tokens(plans: list[_LayerPlan], option: BufferOption,
 
 def _buffer_caps(plans: list[_LayerPlan],
                  options: tuple[BufferOption, ...]) -> list[tuple[int, int, int]]:
+    """(tokens, capacity_tokens, words) per intermediate buffer; raises
+    ``InefficientConfig`` for an option too small for the sequences."""
     return [_buffer_tokens(plans, options[i], i) for i in range(len(plans) - 1)]
 
 
@@ -523,40 +517,6 @@ def _pass_lower_bound(plans: list[_LayerPlan]) -> int:
     return finish + plans[-1].fill
 
 
-def _sim_report(plans: list[_LayerPlan], options: tuple[BufferOption, ...],
-                caps: list[tuple[int, int, int]], simulated: tuple,
-                n_passes: int) -> SimReport:
-    """The report of one ``_simulate_pass`` result over ``n_passes`` passes."""
-    makespan, starts, finishes, (bufs, events) = simulated
-
-    layer_rows = []
-    for i, plan in enumerate(plans):
-        busy = plan.units * plan.cycles_per_unit
-        first = starts[i][0]
-        last = finishes[i][-1]
-        layer_rows.append(LayerActivity(
-            index=i, seq=plan.hw.seq, work_units=plan.units,
-            cycles_per_unit=plan.cycles_per_unit, busy_cycles=busy,
-            stall_cycles=(last - first) - busy, first_start=first,
-            last_finish=last, fill_cycles=plan.fill))
-
-    buffer_rows = []
-    for i, ((tokens, cap, words), b) in enumerate(zip(caps, bufs)):
-        buffer_rows.append(BufferActivity(
-            index=i, option=options[i], words=words,
-            tokens=tokens, capacity_tokens=cap, peak_tokens=b.peak()))
-
-    return SimReport(
-        total_cycles=makespan * n_passes,
-        per_pass_cycles=makespan,
-        n_passes=n_passes,
-        fill_cycles=sum(p.fill for p in plans),
-        layers=tuple(layer_rows),
-        buffers=tuple(buffer_rows),
-        events=tuple(sorted(events, key=lambda e: (e.time, e.layer, e.unit))),
-    )
-
-
 def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
     """Simulate one fused launch of ``plan``'s design over its stage's input,
     with the config's own sequences and buffer options.
@@ -567,8 +527,35 @@ def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
     plans = plan.layer_plans(plan.cfg.seqs)
     options = plan.cfg.buffer_options
     caps = _buffer_caps(plans, options)
-    return _sim_report(plans, options, caps,
-                       _simulate_pass(plans, caps, collect_events), plan.n_passes)
+    makespan, starts, finishes, (bufs, events) = _simulate_pass(
+        plans, caps, collect_events)
+
+    layer_rows = []
+    for i, p in enumerate(plans):
+        busy = p.units * p.cycles_per_unit
+        first = starts[i][0]
+        last = finishes[i][-1]
+        layer_rows.append(LayerActivity(
+            index=i, seq=p.hw.seq, work_units=p.units,
+            cycles_per_unit=p.cycles_per_unit, busy_cycles=busy,
+            stall_cycles=(last - first) - busy, first_start=first,
+            last_finish=last, fill_cycles=p.fill))
+
+    buffer_rows = []
+    for i, ((tokens, cap, words), b) in enumerate(zip(caps, bufs)):
+        buffer_rows.append(BufferActivity(
+            index=i, option=options[i], words=words,
+            tokens=tokens, capacity_tokens=cap, peak_tokens=b.peak()))
+
+    return SimReport(
+        total_cycles=makespan * plan.n_passes,
+        per_pass_cycles=makespan,
+        n_passes=plan.n_passes,
+        fill_cycles=sum(p.fill for p in plans),
+        layers=tuple(layer_rows),
+        buffers=tuple(buffer_rows),
+        events=tuple(sorted(events, key=lambda e: (e.time, e.layer, e.unit))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +568,12 @@ _OPTION_ORDER = (BufferOption.MATCH_PREV, BufferOption.MATCH_NEXT, BufferOption.
 class SeqCandidate:
     seqs: tuple[Seq, ...]
     buffer_options: tuple[BufferOption, ...]
-    report: SimReport
+    total_cycles: int
+    buffer_words: tuple[int, ...]   # words of each intermediate buffer
+
+    @property
+    def total_buffer_words(self) -> int:
+        return sum(self.buffer_words)
 
     @property
     def label(self) -> str:
@@ -597,14 +589,13 @@ def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
 
     For each of the 2^N sequence assignments, all buffer-option
     combinations are simulated and the best (lowest cycles, then smallest
-    buffer footprint) is kept.  Entries are sorted by total cycles, then
-    total buffer words, then the FM-before-CM lexicographic order of the
-    sequence string.  Options whose buffers cannot hold what the sequences
-    need are rejected by sizing alone, and only each assignment's best
-    options get a report.
+    buffer footprint, then the first in ``_OPTION_ORDER`` product order) is
+    kept.  Entries are sorted by total cycles, then total buffer words,
+    then the FM-before-CM lexicographic order of the sequence string.
+    Options whose buffers cannot hold what the sequences need are rejected
+    by sizing alone; each option set is sized once.
     """
     n = plan.cfg.num_layers
-    n_passes = plan.n_passes
     results = []
     for seqs in itertools.product(_SEQ_ORDER, repeat=n):
         plans = plan.layer_plans(seqs)
@@ -614,18 +605,15 @@ def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
                 caps = _buffer_caps(plans, options)
             except InefficientConfig:
                 continue
-            simulated = _simulate_pass(plans, caps, False)
-            # the report's (total_cycles, total_buffer_words), without building it
-            key = (simulated[0] * n_passes, sum(words for _, _, words in caps),
-                   tuple(_OPTION_ORDER.index(o) for o in options))
+            words = tuple(w for _, _, w in caps)
+            key = (_simulate_pass(plans, caps, False)[0] * plan.n_passes, sum(words))
             if best is None or key < best[0]:
-                best = (key, options, caps, simulated)
+                best = (key, options, words)
         if best is not None:
-            _, options, caps, simulated = best
-            results.append(SeqCandidate(
-                seqs, options, _sim_report(plans, options, caps, simulated, n_passes)))
-    results.sort(key=lambda c: (c.report.total_cycles,
-                                c.report.total_buffer_words, c.seq_order_key))
+            (cycles, _), options, words = best
+            results.append(SeqCandidate(seqs, options, cycles, words))
+    results.sort(key=lambda c: (c.total_cycles, c.total_buffer_words,
+                                c.seq_order_key))
     return results
 
 
@@ -641,12 +629,6 @@ def cycles_lower_bound(plan: BlockPlan) -> int:
 # ---------------------------------------------------------------------------
 # Tiling overhead
 
-@dataclass(frozen=True)
-class TilingOverhead:
-    redundant_ops: int
-    extra_offchip_bytes: int
-
-
 def _grow_back(region: tuple[int, int], layer: LayerSpec, size: int) -> tuple[int, int]:
     """Input interval needed to produce output rows [a, b), clipped to the map."""
     a, b = region
@@ -657,57 +639,37 @@ def _grow_back(region: tuple[int, int], layer: LayerSpec, size: int) -> tuple[in
 
 
 def tiling_overhead(block: BlockSpec, input_shape: TensorShape,
-                    tile: tuple[int, int], word_bytes: int = 2) -> TilingOverhead:
-    """Redundant computation and extra off-chip traffic from spatial tiling.
+                    tile: tuple[int, int]) -> int:
+    """Extra input words that halo re-reads cost when ``block``'s output is
+    tiled spatially by ``tile`` (T_h, T_w on the block input).
 
-    Output tiles partition the final feature map; each tile's required
-    region of every intermediate map grows by the downstream receptive
-    field, and pixels falling outside the tile's own share are recomputed
-    by neighbouring tiles.  Both counts are zero when the tile covers the
-    whole map.
+    Each output tile's input region grows back by the receptive field, so
+    neighbouring tiles re-read the halo between them.  Rows and columns
+    grow back independently, so the pixels read over all tiles are
+    (sum of rows read) x (sum of columns read); the overhead is that less
+    one full-map read.  It is zero when the tile covers the whole map.
     """
     layers = block.layers
-    t_h, t_w = tile
     # receptive-field check on the block input
     rf = 1
     for layer in reversed(layers):
         rf = (rf - 1) * layer.stride + layer.kernel_size
-    if t_h < rf or t_w < rf:
+    if min(tile) < rf:
         raise InvalidTiling(f"tile {tile} smaller than the block receptive field {rf}")
 
-    # per-layer map dims and per-output-pixel op counts
     shapes = layer_shapes(block, input_shape)
-    ops_per_px = [layer.ops(shp) // (out.height * out.width)
-                  for layer, shp, out in zip(layers, shapes, shapes[1:])]
-
     total_stride = math.prod(layer.stride for layer in layers)
-    out_h, out_w = shapes[-1].height, shapes[-1].width
-    tile_out_h = max(1, -(-t_h // total_stride))
-    tile_out_w = max(1, -(-t_w // total_stride))
-
-    # computed[j]: pixels of layer j's output produced across all tiles
-    computed = [0] * len(layers)
-    extra_px = 0
-    for ty in range(0, out_h, tile_out_h):
-        for tx in range(0, out_w, tile_out_w):
-            rows = (ty, min(out_h, ty + tile_out_h))
-            cols = (tx, min(out_w, tx + tile_out_w))
-            computed[-1] += (rows[1] - rows[0]) * (cols[1] - cols[0])
+    read = []  # block-input rows, then columns, read over all tiles
+    for t, sizes in zip(tile, ([s.height for s in shapes], [s.width for s in shapes])):
+        step = max(1, -(-t // total_stride))
+        lines = 0
+        for a in range(0, sizes[-1], step):
             # walk backward: the input region of layer j is the output
             # region layer j-1 must compute for this tile
-            for j in range(len(layers) - 1, -1, -1):
-                rows = _grow_back(rows, layers[j], shapes[j].height)
-                cols = _grow_back(cols, layers[j], shapes[j].width)
-                area = (rows[1] - rows[0]) * (cols[1] - cols[0])
-                if j > 0:
-                    computed[j - 1] += area
-            extra_px += area
-
-    redundant = sum((computed[j] - shapes[j + 1].height * shapes[j + 1].width)
-                    * ops_per_px[j] for j in range(len(layers)))
-    extra_px -= input_shape.height * input_shape.width
-
-    return TilingOverhead(
-        redundant_ops=max(0, redundant),
-        extra_offchip_bytes=max(0, extra_px) * input_shape.channels * word_bytes,
-    )
+            region = (a, min(sizes[-1], a + step))
+            for layer, size in zip(reversed(layers), reversed(sizes[:-1])):
+                region = _grow_back(region, layer, size)
+            lines += region[1] - region[0]
+        read.append(lines)
+    extra_px = read[0] * read[1] - input_shape.height * input_shape.width
+    return max(0, extra_px) * input_shape.channels

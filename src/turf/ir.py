@@ -251,9 +251,6 @@ class ModelSpec:
     def output_shape(self) -> TensorShape:
         return self.stages[-1].output_shape()
 
-    def stage_shapes(self) -> list[TensorShape]:
-        return [s.output_shape() for s in self.stages]
-
 
 @dataclass(frozen=True)
 class StageCount:
@@ -273,18 +270,6 @@ class OpParamReport:
     @property
     def gops(self) -> float:
         return self.total_ops / 1e9
-
-    @property
-    def params_m(self) -> float:
-        return self.total_params / 1e6
-
-    def by_category(self) -> dict[str, tuple[int, int]]:
-        out: dict[str, list[int]] = {}
-        for row in self.per_stage:
-            acc = out.setdefault(row.category, [0, 0])
-            acc[0] += row.ops
-            acc[1] += row.params
-        return {k: (v[0], v[1]) for k, v in out.items()}
 
 
 def _stage_category(op: LayerSpec | BlockSpec) -> str:

@@ -10,21 +10,21 @@ designs and are not ground truth.
 Roofline accounting (16-bit words, 2 bytes):
   * fused designs move the first layer's input, the last layer's output,
     and each layer's weights once per full-map pass (plus halo reloads and
-    output-slice re-reads when tiled);
+    output-slice re-reads for a (T_h, T_w, T_f) tile);
   * the layer-by-layer baseline moves every intermediate map off chip and
     back, plus weights.
 The compute roof is DSPs x 2 ops x clock.
 
 The search plans each grid point once (``fusion.plan_block``); its cycle
 bound, its sequence/buffer candidates and each candidate's resources are
-read from that ``BlockPlan``.  A stage is searched when it has a hardware
-pipeline: a block, or a convolution or fully-connected layer as its own
-one-layer block.
+read from that ``BlockPlan``.  Candidates carry plain cycle and buffer-word
+counts: only ``fusion.simulate_fused`` builds a ``SimReport``.  A stage is
+searched when it has a hardware pipeline: a block, or a convolution or
+fully-connected layer as its own one-layer block.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -33,9 +33,9 @@ from importlib import resources as importlib_resources
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      PortMismatch, UnsupportedConfig, reading)
-from .fusion import (BlockPlan, FusedDesignConfig, SimReport,
-                     cycles_lower_bound, derive_layer_configs,
-                     enumerate_sequences, plan_block, tiling_overhead)
+from .fusion import (BlockPlan, FusedDesignConfig, cycles_lower_bound,
+                     derive_layer_configs, enumerate_sequences, plan_block,
+                     tiling_overhead)
 from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
                  validate_winograd, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
@@ -110,7 +110,6 @@ class CalibrationTable:
     """ALM linear-model coefficients per module kind: base + per_width * width."""
 
     alm: dict
-    source: str = "builtin-placeholder"
 
     def __post_init__(self):
         if not isinstance(self.alm, dict):
@@ -137,9 +136,9 @@ def load_calibration(path: str | None = None) -> CalibrationTable:
     if path is None:
         ref = importlib_resources.files("turf.data").joinpath("alm_coefficients.json")
         doc = json.loads(ref.read_text())
-        return CalibrationTable(alm=doc["alm"], source="builtin-placeholder")
+        return CalibrationTable(alm=doc["alm"])
     with reading(path), open(path) as fh:
-        return CalibrationTable(alm=json.load(fh)["alm"], source=path)
+        return CalibrationTable(alm=json.load(fh)["alm"])
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,6 @@ class ResourceEstimate:
     dsp_used: int
     bram_used: int
     alm_used: int
-    calibration: str = "builtin-placeholder"
 
     def feasible(self, platform: PlatformSpec) -> bool:
         return (self.dsp_used <= platform.dsp_total
@@ -194,10 +192,11 @@ def _layer_dsp(layer: LayerSpec, hw: LayerHwConfig) -> int:
 
 
 def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
-                       options: tuple[BufferOption, ...],
+                       buffer_words: tuple[int, ...],
                        coeffs: CalibrationTable) -> ResourceEstimate:
     """Linear resource prediction for ``plan``'s design run with the
-    computation sequences ``seqs`` and intermediate-buffer ``options``."""
+    computation sequences ``seqs`` and intermediate ``buffer_words`` (as
+    ``fusion.enumerate_sequences`` sized them)."""
     plans = plan.layer_plans(seqs)
 
     dsp = 0
@@ -229,12 +228,11 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
     out_shape = plans[-1].layer.output_shape(TensorShape(last.t_h, last.t_w, last.t_c))
     out_ch = last.t_f if last.seq is Seq.CM else last.p_f
     buffers_words.append(out_ch * out_shape.height * out_shape.width)
-    # intermediate buffers per their sizing option, as the simulator sizes them
-    buffers_words += [words for _, _, words in plan.buffers(seqs, options)]
+    # intermediate buffers, as the sequence enumeration sized them
+    buffers_words += buffer_words
 
     bram = sum(_bram_blocks(w) for w in buffers_words)
-    return ResourceEstimate(dsp_used=dsp, bram_used=bram,
-                            alm_used=round(alm), calibration=coeffs.source)
+    return ResourceEstimate(dsp_used=dsp, bram_used=bram, alm_used=round(alm))
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +276,19 @@ def block_traffic_bytes(block: BlockSpec, input_shape: TensorShape,
 
 def roofline(block: BlockSpec, input_shape: TensorShape,
              platform: PlatformSpec,
-             cfg: FusedDesignConfig | None = None) -> RooflineComparison:
+             tile: tuple[int, int, int] | None = None) -> RooflineComparison:
     """Fused vs layer-by-layer roofline points for one block.
 
-    When a tiled config is given, halo reloads and per-output-slice input
-    re-reads are added to the fused traffic.
+    When a (T_h, T_w, T_f) tile is given, halo reloads and per-output-slice
+    input re-reads are added to the fused traffic.
     """
     ops = block.ops(input_shape)
     fused_bytes = block_traffic_bytes(block, input_shape, fused=True)
-    if cfg is not None:
-        if cfg.t_h < input_shape.height or cfg.t_w < input_shape.width:
-            fused_bytes += tiling_overhead(block, input_shape,
-                                           (cfg.t_h, cfg.t_w)).extra_offchip_bytes
-        out_ch = block.output_shape(input_shape).channels
-        f_passes = math.ceil(out_ch / cfg.t_f)
+    if tile is not None:
+        t_h, t_w, t_f = tile
+        if t_h < input_shape.height or t_w < input_shape.width:
+            fused_bytes += tiling_overhead(block, input_shape, (t_h, t_w)) * WORD_BYTES
+        f_passes = math.ceil(block.output_shape(input_shape).channels / t_f)
         fused_bytes += (f_passes - 1) * input_shape.volume() * WORD_BYTES
     baseline_bytes = block_traffic_bytes(block, input_shape, fused=False)
     roof = platform.compute_roof_gops
@@ -309,13 +306,13 @@ def roofline(block: BlockSpec, input_shape: TensorShape,
 @dataclass(frozen=True)
 class DesignCandidate:
     cfg: FusedDesignConfig
-    sim: SimReport
+    total_cycles: int
     resources: ResourceEstimate
     roofline: RooflinePoint
 
     def key(self) -> tuple:
         """Deterministic total order: best first."""
-        return (-self.roofline.attainable_gops, self.sim.total_cycles,
+        return (-self.roofline.attainable_gops, self.total_cycles,
                 self.resources.dsp_used, _cfg_sort_key(self.cfg))
 
 
@@ -385,13 +382,15 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
     return combos
 
 
-def _grid_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                 dsp_total: int, max_parallel: int,
-                 grid_depth: int) -> Iterator[FusedDesignConfig]:
-    """The prefiltered grid of ``design_candidates``: one all-FM config per
-    (tile, spatial option, surviving parallelism combo), in search order.
-    Multipliers do not depend on the tile, so each spatial option's combos
-    are found once, before the tile loop."""
+def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
+                    platform: PlatformSpec, max_parallel: int,
+                    grid_depth: int) -> Iterator[tuple[BlockPlan, RooflinePoint]]:
+    """The prefiltered grid of ``design_candidates``, in search order: one
+    all-FM config per (tile, spatial option, surviving parallelism combo),
+    planned, with its tile's fused roofline point.  Multipliers do not
+    depend on the tile, so each spatial option's combos are found once.  A
+    tile whose roofline raises is skipped whole, as is a spatial option
+    whose P = 1 probe fails and a point whose plan raises."""
     layers = block.layers
     n = len(layers)
     chans = [s.channels for s in layer_shapes(block, input_shape)]
@@ -401,11 +400,16 @@ def _grid_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     spatial_opts = [(1, 1, (False,) * n)]
     if any(eligible):
         spatial_opts.append((WINOGRAD_M, WINOGRAD_M, eligible))
-    combos = [_parallelism_combos(block, grids, *spatial, dsp_total, grid_depth)
+    combos = [_parallelism_combos(block, grids, *spatial, platform.dsp_total,
+                                  grid_depth)
               for spatial in spatial_opts]
 
     for t_h, t_w in zip(_tile_options(input_shape.height),
                         _tile_options(input_shape.width)):
+        try:
+            rl = roofline(block, input_shape, platform, (t_h, t_w, chans[-1])).fused
+        except InvalidTiling:
+            continue
         for (p_h, p_w, wino), spatial_combos in zip(spatial_opts, combos):
             if t_h % p_h or t_w % p_w or not spatial_combos:
                 continue
@@ -424,38 +428,20 @@ def _grid_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             except (UnsupportedConfig, PortMismatch):
                 continue
             for ps in spatial_combos:
-                yield make_cfg(ps)
-
-
-def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                    platform: PlatformSpec, max_parallel: int,
-                    grid_depth: int) -> Iterator[tuple[BlockPlan, RooflinePoint]]:
-    """Each ``_grid_points`` config planned, with its fused roofline point.
-    Every config sets T_f to the full output channel count, so the roofline
-    depends only on the tile: it is worked out once per tile, and a tile
-    whose roofline raises is skipped whole, as is a point whose plan raises."""
-    points = _grid_points(block, input_shape, platform.dsp_total, max_parallel,
-                          grid_depth)
-    for _, tile in itertools.groupby(points, key=lambda cfg: (cfg.t_h, cfg.t_w)):
-        tile = list(tile)
-        try:
-            rl = roofline(block, input_shape, platform, tile[0]).fused
-        except (UnsupportedConfig, PortMismatch, InvalidTiling):
-            continue
-        for cfg in tile:
-            try:
-                plan = plan_block(block, input_shape, cfg)
-            except (UnsupportedConfig, PortMismatch):
-                continue
-            yield plan, rl
+                try:
+                    plan = plan_block(block, input_shape, make_cfg(ps))
+                except (UnsupportedConfig, PortMismatch):
+                    continue
+                yield plan, rl
 
 
 def _point_candidates(plan: BlockPlan, rl: RooflinePoint,
                       coeffs: CalibrationTable) -> list[DesignCandidate]:
     """Every sequence/buffer candidate of one planned grid point."""
     return [DesignCandidate(
-        replace(plan.cfg, seqs=sc.seqs, buffer_options=sc.buffer_options), sc.report,
-        estimate_resources(plan, sc.seqs, sc.buffer_options, coeffs), rl)
+        replace(plan.cfg, seqs=sc.seqs, buffer_options=sc.buffer_options),
+        sc.total_cycles, estimate_resources(plan, sc.seqs, sc.buffer_words, coeffs),
+        rl)
         for sc in enumerate_sequences(plan)]
 
 
@@ -548,9 +534,6 @@ class ModelDesign:
         seconds = self.total_cycles / (platform.clock_mhz * 1e6)
         return model_ops / seconds / 1e9 if seconds > 0 else 0.0
 
-    def resources(self) -> ResourceEstimate:
-        return ResourceEstimate(self.dsp_used, self.bram_used, self.alm_used)
-
 
 def has_pipeline(op: BlockSpec | LayerSpec) -> bool:
     """Whether a stage runs on the template: a block, or a convolution or
@@ -586,7 +569,7 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
             best = designs[key] = design_gen(stage.op, stage.input_shape, platform,
                                              coeffs, grid_depth, max_parallel)
         rows.append(StageDesign(i, stage.name, best))
-        total += best.sim.total_cycles
+        total += best.total_cycles
         dsp = max(dsp, best.resources.dsp_used)
         bram = max(bram, best.resources.bram_used)
         alm = max(alm, best.resources.alm_used)

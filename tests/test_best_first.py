@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -94,7 +93,7 @@ def test_cycles_bound_below_every_candidate(model_name):
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         for c in cands:
             assert cycles_lower_bound(plan_block(block, shape, c.cfg)) \
-                <= c.sim.total_cycles, \
+                <= c.total_cycles, \
                 (name, c.cfg)
 
 
@@ -113,7 +112,7 @@ def fake_grids(draw):
         rl = RooflinePoint(draw(st.sampled_from([1.0, 2.0, 3.0])), 10.0, 1.0)
         bound = draw(st.integers(0, 4))
         cands = [DesignCandidate(
-            _fake_cfg(i, j), SimpleNamespace(total_cycles=bound + draw(st.integers(0, 3))),
+            _fake_cfg(i, j), bound + draw(st.integers(0, 3)),
             ResourceEstimate(draw(st.integers(1, 3)), draw(st.sampled_from([0, 10 ** 9])), 0),
             rl) for j in range(draw(st.integers(0, 3)))]
         points.append((_fake_cfg(i, 0), rl, bound, cands))

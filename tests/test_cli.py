@@ -514,6 +514,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "--grid-depth" in err and "expected an integer >= 1" in err
 
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    def test_trials_below_one_exits_two(self, capsys, value):
+        # a check with no trial would pass with a deviation of 0.0
+        with pytest.raises(SystemExit) as exc:
+            main(["winograd-check", f"--trials={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trials" in err and "expected an integer >= 1" in err
+
     def test_unknown_subcommand_exits_two(self, workdir):
         proc = subprocess.run(
             [sys.executable, "-m", "turf.cli", "nonsense"],

@@ -11,7 +11,7 @@ from turf.explore import (CandidateRecord, ExternalOracle, Requirements,
                           SyntheticOracle, TableOracle, model_gen,
                           replacement_key, run_framework)
 from turf.ir import Replacement, count_ops_params, replace_layer
-from turf.resources import STRATIX_V_5SGSD8, load_calibration
+from turf.resources import STRATIX_V_5SGSD8, ResourceEstimate, load_calibration
 
 COEFFS = load_calibration()
 
@@ -223,4 +223,6 @@ class TestRunFramework:
         base = small_custom_model(n_convs=3)
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
                             COEFFS, max_parallel=16)
-        assert res.best_design.resources().feasible(STRATIX_V_5SGSD8)
+        design = res.best_design
+        assert ResourceEstimate(design.dsp_used, design.bram_used,
+                                design.alm_used).feasible(STRATIX_V_5SGSD8)

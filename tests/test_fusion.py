@@ -3,6 +3,7 @@ and tiling overhead against a brute-force pixel counter."""
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -11,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import dw_conv, dwsep_block, pw_conv, stacked_block, std_conv
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
                          UnsupportedConfig)
-from turf.fusion import (FusedDesignConfig, config_from_json,
+from turf.fusion import (FusedDesignConfig, _buffer_caps, config_from_json,
                          config_from_layer_tuples, config_to_json,
                          derive_layer_configs, enumerate_sequences,
                          plan_block, simulate_fused, tiling_overhead)
 from turf.hw import BufferOption, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
+from turf.resources import WORD_BYTES
 
 
 def simulate(block, shape, cfg, include_fill=True, **kwargs):
@@ -213,7 +215,8 @@ class TestProperties:
 @st.composite
 def planned_chains(draw):
     """A 2-3 layer chain of standard, pointwise and depthwise layers with a
-    full-tile config whose channel parallelism divides every channel tile."""
+    config whose channel parallelism divides every channel tile, on a map
+    of one or two tiles a side."""
     kinds = draw(st.lists(st.sampled_from(["std", "pw", "dw"]), min_size=2,
                           max_size=3))
     chans = [2 ** draw(st.integers(0, 4))]
@@ -234,7 +237,8 @@ def planned_chains(draw):
         t_h=size, t_w=size, t_c=tuple(chans[:-1]), t_f=chans[-1], p_h=1, p_w=1,
         p_c=tuple(pars[:-1]), p_f=pars[-1], seqs=(Seq.FM,) * n,
         buffer_options=(BufferOption.DOUBLE,) * (n - 1), use_winograd=(False,) * n)
-    return plan_block(LayerChain(layers), TensorShape(size, size, chans[0]), cfg)
+    side = size * draw(st.sampled_from([1, 2]))
+    return plan_block(LayerChain(layers), TensorShape(side, side, chans[0]), cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +253,7 @@ def test_accepted_buffers_hold_what_the_sequences_need(plan):
     for seqs in itertools.product((Seq.FM, Seq.CM), repeat=n):
         for options in itertools.product(BufferOption, repeat=n - 1):
             try:
-                buffers = plan.buffers(seqs, options)
+                buffers = _buffer_caps(plan.layer_plans(seqs), options)
             except InefficientConfig:
                 continue
             accepted += 1
@@ -257,6 +261,20 @@ def test_accepted_buffers_hold_what_the_sequences_need(plan):
                 if seqs[i] is Seq.CM or seqs[i + 1] is Seq.FM:
                     assert cap >= tokens, (seqs, options, i)
     assert accepted  # all channel-major with double buffers always fits
+
+
+@settings(max_examples=100, deadline=None)
+@given(planned_chains())
+def test_enumerated_numbers_are_what_the_simulator_reports(plan):
+    """Each ``enumerate_sequences`` entry carries the cycles and buffer
+    words that ``simulate_fused`` reports for its sequences and options."""
+    for e in enumerate_sequences(plan):
+        cfg = dataclasses.replace(plan.cfg, seqs=e.seqs,
+                                  buffer_options=e.buffer_options)
+        report = simulate_fused(dataclasses.replace(plan, cfg=cfg))
+        assert e.total_cycles == report.total_cycles
+        assert e.buffer_words == tuple(b.words for b in report.buffers)
+        assert e.total_buffer_words == sum(b.words for b in report.buffers)
 
 
 class TestEnumeration:
@@ -274,8 +292,7 @@ class TestEnumeration:
         assert {e.label for e in entries} \
             == {"".join(c) for c in itertools.product("FC", repeat=3)}
         # sorted by latency then footprint
-        keys = [(e.report.total_cycles, e.report.total_buffer_words)
-                for e in entries]
+        keys = [(e.total_cycles, e.total_buffer_words) for e in entries]
         assert keys == sorted(keys)
 
     def test_single_layer_gives_two(self):
@@ -337,8 +354,9 @@ class TestConfigValidation:
 
 
 def brute_force_tiling(block, input_shape, tile):
-    """Per-pixel recomputation counter: walk each tile backward and mark
-    every output pixel of每 layer it computes; count multiplicities."""
+    """Extra off-chip input bytes of spatial tiling, by marking pixels: walk
+    each output tile back to the block input, count how often each input
+    pixel is fetched, and add up every fetch after a pixel's first."""
     layers = block.layers
     shapes = [input_shape]
     for layer in layers:
@@ -350,48 +368,73 @@ def brute_force_tiling(block, input_shape, tile):
         hi = (b - 1) * layer.stride + layer.kernel_size - layer.padding
         return max(0, lo), min(size, hi)
 
-    t_h, t_w = tile
+    # output tiles are the input tile shrunk by the block's stride
+    stride = math.prod(layer.stride for layer in layers)
+    th_out, tw_out = (max(1, -(-t // stride)) for t in tile)
     out_h, out_w = shapes[-1].height, shapes[-1].width
-    th_out, tw_out = t_h, t_w  # stride-1 test blocks
-    counts = [dict() for _ in layers]  # pixel -> times computed
-    input_fetch = {}
+    fetches = {}  # input pixel -> times fetched
     for ty in range(0, out_h, th_out):
         for tx in range(0, out_w, tw_out):
             rows = (ty, min(out_h, ty + th_out))
             cols = (tx, min(out_w, tx + tw_out))
-            for y in range(*rows):
-                for x in range(*cols):
-                    counts[-1][(y, x)] = counts[-1].get((y, x), 0) + 1
             for j in range(len(layers) - 1, -1, -1):
                 rows = back(rows, layers[j], shapes[j].height)
                 cols = back(cols, layers[j], shapes[j].width)
-                target = counts[j - 1] if j > 0 else input_fetch
-                for y in range(*rows):
-                    for x in range(*cols):
-                        target[(y, x)] = target.get((y, x), 0) + 1
+            for y in range(*rows):
+                for x in range(*cols):
+                    fetches[(y, x)] = fetches.get((y, x), 0) + 1
+    return sum(v - 1 for v in fetches.values()) * input_shape.channels * 2
 
-    redundant_ops = 0
-    for j, layer in enumerate(layers):
-        out = layer.output_shape(shapes[j])
-        per_px = layer.ops(shapes[j]) // (out.height * out.width)
-        extra_px = sum(v - 1 for v in counts[j].values())
-        redundant_ops += extra_px * per_px
-    extra_fetch = sum(v - 1 for v in input_fetch.values())
-    return redundant_ops, extra_fetch * input_shape.channels * 2
+
+def _receptive_field(block):
+    rf = 1
+    for layer in reversed(block.layers):
+        rf = (rf - 1) * layer.stride + layer.kernel_size
+    return rf
+
+
+@st.composite
+def tiled_blocks(draw):
+    """A stacked, bottleneck or depthwise-separable block whose strided
+    layer (stride 1 or 2) is a padded 3x3, so the tiles' input regions
+    cover the map; a map of 8-20 pixels a side, often not a multiple of
+    the tile; and a tile from the receptive field up to the whole map."""
+    kind = draw(st.sampled_from(["stacked", "bottleneck", "dwsep"]))
+    stride = draw(st.sampled_from([1, 2]))
+    if kind == "stacked":
+        block = BlockSpec(BlockKind.STACKED, (std_conv(4, stride=stride), std_conv(4)),
+                          has_shortcut=True)
+    elif kind == "bottleneck":
+        block = BlockSpec(BlockKind.BOTTLENECK,
+                          (pw_conv(4), std_conv(4, stride=stride), pw_conv(8)),
+                          has_shortcut=True)
+    else:
+        block = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE,
+                          (dw_conv(stride=stride), pw_conv(8)))
+    h, w = draw(st.integers(8, 20)), draw(st.integers(8, 20))
+    rf = _receptive_field(block)
+    tile = (draw(st.integers(rf, h)), draw(st.integers(rf, w)))
+    return block, TensorShape(h, w, draw(st.integers(1, 4))), tile
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiled_blocks())
+def test_halo_words_match_pixel_marking(case):
+    block, shape, tile = case
+    assert tiling_overhead(block, shape, tile) * WORD_BYTES \
+        == brute_force_tiling(block, shape, tile)
 
 
 class TestTilingOverhead:
     def test_full_map_is_free(self):
         block = stacked_block(4, 4)
-        ov = tiling_overhead(block, TensorShape(16, 16, 4), (16, 16))
-        assert (ov.redundant_ops, ov.extra_offchip_bytes) == (0, 0)
+        assert tiling_overhead(block, TensorShape(16, 16, 4), (16, 16)) == 0
 
     def test_matches_brute_force_oracle(self):
         block = stacked_block(4, 4)
         shape = TensorShape(16, 16, 4)
-        got = tiling_overhead(block, shape, (8, 8))
-        expected = brute_force_tiling(block, shape, (8, 8))
-        assert (got.redundant_ops, got.extra_offchip_bytes) == expected
+        assert tiling_overhead(block, shape, (8, 8)) * WORD_BYTES \
+            == brute_force_tiling(block, shape, (8, 8))
 
     @pytest.mark.parametrize("tile", [(8, 8), (4, 4), (8, 4)])
     def test_oracle_agreement_various_tiles(self, tile):
@@ -399,16 +442,27 @@ class TestTilingOverhead:
                           (pw_conv(4), std_conv(4), pw_conv(8)),
                           has_shortcut=True)
         shape = TensorShape(16, 16, 8)
-        got = tiling_overhead(block, shape, tile)
-        expected = brute_force_tiling(block, shape, tile)
-        assert (got.redundant_ops, got.extra_offchip_bytes) == expected
+        assert tiling_overhead(block, shape, tile) * WORD_BYTES \
+            == brute_force_tiling(block, shape, tile)
 
     def test_pointwise_layers_add_no_halo(self):
         block = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE,
                           (dw_conv(k=1, padding=0), pw_conv(8)))
-        ov = tiling_overhead(block, TensorShape(16, 16, 4), (8, 8))
-        assert ov.redundant_ops == 0
-        assert ov.extra_offchip_bytes == 0
+        assert tiling_overhead(block, TensorShape(16, 16, 4), (8, 8)) == 0
+
+    def test_strided_pointwise_counts_against_one_full_map_read(self):
+        """A stride-2 1x1 first layer (ResNet's downsampling bottleneck)
+        never reads the map's last row and column, and the untiled traffic
+        already counts them, so the overhead is measured against H x W."""
+        block = BlockSpec(BlockKind.BOTTLENECK,
+                          (LayerSpec(LayerKind.POINTWISE_CONV, out_channels=4, stride=2),
+                           std_conv(4), pw_conv(8)), has_shortcut=True)
+        # two 4-row output tiles read input rows [0, 9) and [6, 15)
+        assert tiling_overhead(block, TensorShape(16, 16, 2), (8, 8)) \
+            == (18 * 18 - 16 * 16) * 2
+        # tiles of a lone stride-2 1x1 read fewer pixels than one full map
+        layer = LayerSpec(LayerKind.POINTWISE_CONV, out_channels=4, stride=2)
+        assert tiling_overhead(layer, TensorShape(8, 8, 1), (4, 4)) == 0
 
     def test_tile_below_receptive_field_rejected(self):
         block = stacked_block(4, 4)  # receptive field 5

@@ -124,9 +124,11 @@ class TestCounting:
 
     def test_category_breakdown(self):
         model = small_custom_model()
-        cats = count_ops_params(model).by_category()
-        assert set(cats) <= {"conv", "fc", "block", "other"}
-        assert cats["conv"][0] > 0 and cats["fc"][0] > 0
+        ops = {}
+        for row in count_ops_params(model).per_stage:
+            ops[row.category] = ops.get(row.category, 0) + row.ops
+        assert set(ops) <= {"conv", "fc", "block", "other"}
+        assert ops["conv"] > 0 and ops["fc"] > 0
 
 
 class TestReplacement:
@@ -143,8 +145,8 @@ class TestReplacement:
     def test_shapes_preserved(self):
         model = small_custom_model(n_convs=3)
         replaced = replace_layer(model, 0)
-        assert [s.as_tuple() for s in replaced.stage_shapes()] \
-            == [s.as_tuple() for s in model.stage_shapes()]
+        assert [s.output_shape() for s in replaced.stages] \
+            == [s.output_shape() for s in model.stages]
 
     def test_bottleneck_becomes_separable_bottleneck(self):
         block = bottleneck_block(8, 32)

@@ -8,9 +8,10 @@ on the Winograd path, two per non-2^n transform constant and lane from
 the same count or raise the same error.  ``reference_grid`` is the earlier
 prefilter of ``design_candidates``: for every (tile, spatial option) it
 derives each parallelism combo's layer configs and sums their multipliers.
-``resources._grid_points`` must keep the same combos, in the same order,
-for every tile and spatial option, and ``_parallelism_combos`` (which drops
-prefixes over budget) the same combos as the filtered full product.
+The configs ``resources._planned_points`` plans must keep the same combos,
+in the same order, for every tile and spatial option, and
+``_parallelism_combos`` (which drops prefixes over budget) the same combos
+as the filtered full product.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -27,9 +29,9 @@ from turf.hw import BufferOption, LayerHwConfig, Seq, instantiate_layer
 from turf.ir import LayerKind, LayerSpec, TensorShape
 from turf.kernels import transform_mult_counts, winograd_config
 from turf.models import build_reference_model
-from turf.resources import (STRATIX_V_5SGSD8, _dsp_terms, _grid_points,
-                            _layer_dsp, _parallelism_combos, _pow2_divisors,
-                            _tile_options)
+from turf.resources import (STRATIX_V_5SGSD8, _dsp_terms, _layer_dsp,
+                            _parallelism_combos, _planned_points,
+                            _pow2_divisors, _tile_options)
 
 # a grid depth above every stage's combo count: the cut keeps every combo
 ALL = 10 ** 6
@@ -64,7 +66,7 @@ def _channels(block, input_shape):
 
 
 def _spatial_options(block, winograd_m=4):
-    """(P_h, P_w, per-layer Winograd flags) as ``_grid_points`` derives them."""
+    """(P_h, P_w, per-layer Winograd flags) as ``_planned_points`` derives them."""
     n = len(block.layers)
     wino_ok = tuple(l.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV)
                     and l.kernel_size == 3 and l.stride == 1 for l in block.layers)
@@ -110,7 +112,9 @@ def _reference_combos(rows, dsp_total, grid_depth):
 
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
-    for cfg in _grid_points(block, input_shape, dsp_total, 64, grid_depth):
+    platform = replace(STRATIX_V_5SGSD8, dsp_total=dsp_total)
+    for plan, _ in _planned_points(block, input_shape, platform, 64, grid_depth):
+        cfg = plan.cfg
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(
             (*cfg.p_c, cfg.p_f))
     return out

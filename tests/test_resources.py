@@ -6,7 +6,7 @@ import pytest
 
 from conftest import canonical_blocks, dwsep_block, pw_conv, stacked_block, std_conv
 from turf.errors import CalibrationError, Infeasible
-from turf.fusion import FusedDesignConfig, plan_block
+from turf.fusion import FusedDesignConfig, _buffer_caps, plan_block
 from turf.hw import BufferOption, ModuleKind, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable,
@@ -31,8 +31,10 @@ def simple_cfg(block, shape, seqs=None, p=2):
 
 def estimate(block, shape, cfg, coeffs=None):
     """``estimate_resources`` for ``cfg`` as it stands."""
-    return estimate_resources(plan_block(block, shape, cfg), cfg.seqs,
-                              cfg.buffer_options, coeffs or load_calibration())
+    plan = plan_block(block, shape, cfg)
+    caps = _buffer_caps(plan.layer_plans(cfg.seqs), cfg.buffer_options)
+    return estimate_resources(plan, cfg.seqs, tuple(w for _, _, w in caps),
+                              coeffs or load_calibration())
 
 
 class TestPlatform:
@@ -82,8 +84,7 @@ class TestResourceEstimate:
     def test_missing_coefficient_raises(self):
         block = dwsep_block(16)
         shape = TensorShape(16, 16, 8)
-        broken = CalibrationTable(alm={"LineBuffer": {"base": 1, "per_width": 1}},
-                                  source="broken")
+        broken = CalibrationTable(alm={"LineBuffer": {"base": 1, "per_width": 1}})
         with pytest.raises(CalibrationError):
             estimate(block, shape, simple_cfg(block, shape), broken)
 
@@ -160,11 +161,8 @@ class TestRoofline:
 class TestPickBest:
     def _mk(self, att, cycles, dsp):
         cfg = simple_cfg(dwsep_block(8), TensorShape(8, 8, 8))
-        from turf.fusion import simulate_fused
-        sim = simulate_fused(plan_block(dwsep_block(8), TensorShape(8, 8, 8), cfg))
-        sim = type(sim)(**{**sim.__dict__, "total_cycles": cycles})
         from turf.resources import ResourceEstimate
-        return DesignCandidate(cfg, sim, ResourceEstimate(dsp, 1, 1),
+        return DesignCandidate(cfg, cycles, ResourceEstimate(dsp, 1, 1),
                                RooflinePoint(att, 785.2, 38.0))
 
     def test_single_candidate(self):
@@ -198,7 +196,7 @@ class TestDesignGen:
             best = design_gen(block, shape, STRATIX_V_5SGSD8, load_calibration(),
                               grid_depth=3, max_parallel=32)
             assert best.resources.feasible(STRATIX_V_5SGSD8)
-            assert best.sim.total_cycles > 0
+            assert best.total_cycles > 0
 
     def test_candidates_respect_dsp_prefilter(self):
         block, shape = canonical_blocks()["depthwise_separable"]
@@ -210,7 +208,9 @@ class TestDesignGen:
 
 
 def test_each_grid_point_is_derived_once(monkeypatch):
-    """Only ``plan_block`` instantiates layers, once per layer per point."""
+    """Only ``plan_block`` instantiates layers, once per layer per point.
+    The search builds no ``SimReport``, and sizes the buffers of each
+    (sequences, options) set it simulates exactly once."""
     import turf.cli, turf.fusion, turf.hw, turf.resources
     from turf.models import build_reference_model
 
@@ -227,20 +227,44 @@ def test_each_grid_point_is_derived_once(monkeypatch):
         for module in (turf.hw, turf.fusion, turf.resources, turf.cli):
             if module.__dict__.get(name) is orig:
                 monkeypatch.setattr(module, name, wrapped)
+    reports = []
+    monkeypatch.setattr(turf.fusion, "SimReport",
+                        lambda *a, **k: reports.append(1))
+    # every layer plan of the search stays alive in its BlockPlan, so ids
+    # name each (layer plans, options) set uniquely
+    sized, caps_of, simulated = {}, {}, []
+
+    def buffer_caps(plans, options):
+        key = (tuple(map(id, plans)), options)
+        sized[key] = sized.get(key, 0) + 1
+        caps = orig_caps(plans, options)
+        caps_of[id(caps)] = key
+        return caps
+
+    def simulate_pass(plans, caps, collect_events):
+        simulated.append(caps_of[id(caps)])
+        return orig_pass(plans, caps, collect_events)
+
+    orig_caps, orig_pass = turf.fusion._buffer_caps, turf.fusion._simulate_pass
+    monkeypatch.setattr(turf.fusion, "_buffer_caps", buffer_caps)
+    monkeypatch.setattr(turf.fusion, "_simulate_pass", simulate_pass)
     stage = next(s for s in build_reference_model("resnet50").stages
                  if s.name == "res2_1")
     design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
                grid_depth=4)
     assert calls["plan_block"] > 0
     assert calls["instantiate_layer"] == 3 * calls["plan_block"]
+    assert reports == []
+    assert simulated and len(set(simulated)) == len(simulated)
+    assert all(sized[key] == 1 for key in simulated)
 
 
 class TestStageCache:
     def test_tables_with_one_source_and_other_coefficients_kept_apart(self, tmp_path):
         """Stage designs live in one command's table: two ``dse`` runs in one
-        process, with calibration tables read from the same path (so sharing
-        a ``source``) but holding different coefficients, report different
-        ALMs, each what a fresh table gives."""
+        process, with calibration tables read from the same path but holding
+        different coefficients, report different ALMs, each what a fresh
+        table gives."""
         import json
         from turf.cli import main
         from turf.ir import model_to_json
@@ -260,7 +284,7 @@ class TestStageCache:
             assert main(["dse", str(model_path), "--calibration", str(table_path),
                          "--out", str(out)]) == 0
             reported.append(json.loads(out.read_text())["selected"]["alm"])
-            table = CalibrationTable(alm, source=str(table_path))
+            table = CalibrationTable(alm)
             assert reported[-1] == \
                 evaluate_model(model, STRATIX_V_5SGSD8, table, {}).alm_used
         assert reported[0] != reported[1]
