@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import shlex
-import subprocess
 from dataclasses import dataclass
 
 from .errors import NoSolution, OracleError, TurfError, UnknownModel, reading
@@ -120,6 +118,8 @@ class ExternalOracle:
         self.command = command
 
     def evaluate(self, model: ModelSpec, budget: int = 1) -> float:
+        import shlex
+        import subprocess
         from .ir import model_to_json
         payload = json.dumps({"model": model_to_json(model), "budget": budget})
         try:

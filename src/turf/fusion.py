@@ -43,12 +43,12 @@ tiling multiply the number of sequential passes.
 
 A fused design is derived once, by ``plan_block``, into a ``BlockPlan``:
 each layer's hardware config and module pipeline, its work units and fill
-under either computation sequence, and the pass count.  The cycle bound,
-the sequence enumeration, the simulator and the resource model all read
-that plan.  A bare convolution or fully-connected layer is planned as its
-own one-layer block.  The sequence enumeration keeps each candidate's
-cycles and buffer words as plain numbers; only ``simulate_fused`` builds a
-``SimReport``.
+under either computation sequence, and the pass count.  The cycle bound
+of each sequence assignment, the buffer-option search, the simulator and
+the resource model all read that plan.  A bare convolution or
+fully-connected layer is planned as its own one-layer block.  The search
+keeps each candidate's cycles and buffer words as plain numbers; only
+``simulate_fused`` builds a ``SimReport``.
 """
 
 from __future__ import annotations
@@ -584,46 +584,59 @@ class SeqCandidate:
         return tuple(_SEQ_ORDER.index(s) for s in self.seqs)
 
 
-def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
-    """Evaluate every computation-sequence combination of a planned design.
+def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate | None:
+    """The buffer options that run ``plan``'s design fastest under the
+    sequences ``seqs``: lowest cycles, then fewest buffer words, then the
+    first in ``_OPTION_ORDER`` product order.  None when no option's buffers
+    hold what the sequences need.
 
-    For each of the 2^N sequence assignments, all buffer-option
-    combinations are simulated and the best (lowest cycles, then smallest
-    buffer footprint, then the first in ``_OPTION_ORDER`` product order) is
-    kept.  Entries are sorted by total cycles, then total buffer words,
-    then the FM-before-CM lexicographic order of the sequence string.
-    Options whose buffers cannot hold what the sequences need are rejected
-    by sizing alone; each option set is sized once.
+    Every option set is sized once; those that fit are simulated in
+    ascending (total words, product index) order, up to the first whose
+    makespan equals ``_pass_lower_bound``: no option is faster, and every
+    later one has at least as many words, so it is the pick.
     """
-    n = plan.cfg.num_layers
-    results = []
-    for seqs in itertools.product(_SEQ_ORDER, repeat=n):
-        plans = plan.layer_plans(seqs)
-        best = None
-        for options in itertools.product(_OPTION_ORDER, repeat=max(0, n - 1)):
-            try:
-                caps = _buffer_caps(plans, options)
-            except InefficientConfig:
-                continue
-            words = tuple(w for _, _, w in caps)
-            key = (_simulate_pass(plans, caps, False)[0] * plan.n_passes, sum(words))
-            if best is None or key < best[0]:
-                best = (key, options, words)
-        if best is not None:
-            (cycles, _), options, words = best
-            results.append(SeqCandidate(seqs, options, cycles, words))
+    plans = plan.layer_plans(seqs)
+    sized = []
+    for options in itertools.product(_OPTION_ORDER, repeat=len(seqs) - 1):
+        try:
+            caps = _buffer_caps(plans, options)
+        except InefficientConfig:
+            continue
+        sized.append((sum(w for _, _, w in caps), options, caps))
+    sized.sort(key=lambda s: s[0])  # stable: product order among equal words
+    floor = _pass_lower_bound(plans)
+    best = None
+    for _, options, caps in sized:
+        makespan = _simulate_pass(plans, caps, False)[0]
+        if best is None or makespan < best[0]:
+            best = (makespan, options, caps)
+            if makespan == floor:
+                break
+    if best is None:
+        return None
+    makespan, options, caps = best
+    return SeqCandidate(seqs, options, makespan * plan.n_passes,
+                        tuple(w for _, _, w in caps))
+
+
+def assignment_bounds(plan: BlockPlan) -> list[tuple[int, tuple[Seq, ...]]]:
+    """(bound, seqs) for each of the 2^N sequence assignments, in product
+    order, where the bound (the passes times ``_pass_lower_bound``) is at
+    most the ``total_cycles`` of ``best_options(plan, seqs)``."""
+    return [(plan.n_passes * _pass_lower_bound(plan.layer_plans(seqs)), seqs)
+            for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)]
+
+
+def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
+    """``best_options`` for every computation-sequence assignment of a
+    planned design that some buffer option fits, sorted by total cycles,
+    then total buffer words, then the FM-before-CM lexicographic order of
+    the sequence string."""
+    results = [c for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)
+               if (c := best_options(plan, seqs)) is not None]
     results.sort(key=lambda c: (c.total_cycles, c.total_buffer_words,
                                 c.seq_order_key))
     return results
-
-
-def cycles_lower_bound(plan: BlockPlan) -> int:
-    """A lower bound on the ``total_cycles`` of every candidate that
-    ``enumerate_sequences`` returns for ``plan``: the passes times the
-    least ``_pass_lower_bound`` over the 2^N sequence assignments."""
-    return plan.n_passes * min(
-        _pass_lower_bound(plan.layer_plans(seqs))
-        for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers))
 
 
 # ---------------------------------------------------------------------------

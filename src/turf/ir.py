@@ -267,10 +267,6 @@ class OpParamReport:
     total_params: int
     per_stage: tuple[StageCount, ...]
 
-    @property
-    def gops(self) -> float:
-        return self.total_ops / 1e9
-
 
 def _stage_category(op: LayerSpec | BlockSpec) -> str:
     if isinstance(op, BlockSpec):

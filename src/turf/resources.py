@@ -15,16 +15,18 @@ Roofline accounting (16-bit words, 2 bytes):
     back, plus weights.
 The compute roof is DSPs x 2 ops x clock.
 
-The search plans each grid point once (``fusion.plan_block``); its cycle
-bound, its sequence/buffer candidates and each candidate's resources are
-read from that ``BlockPlan``.  Candidates carry plain cycle and buffer-word
-counts: only ``fusion.simulate_fused`` builds a ``SimReport``.  A stage is
+The search plans each grid point once (``fusion.plan_block``); the cycle
+bound and buffer options of each sequence assignment, and each candidate's
+resources, are read from that ``BlockPlan``.  Candidates carry plain cycle
+and buffer-word counts: only ``fusion.simulate_fused`` builds a
+``SimReport``.  A stage is
 searched when it has a hardware pipeline: a block, or a convolution or
 fully-connected layer as its own one-layer block.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections.abc import Iterator
@@ -33,9 +35,9 @@ from importlib import resources as importlib_resources
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      PortMismatch, UnsupportedConfig, reading)
-from .fusion import (BlockPlan, FusedDesignConfig, cycles_lower_bound,
-                     derive_layer_configs, enumerate_sequences, plan_block,
-                     tiling_overhead)
+from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
+                     assignment_bounds, best_options, derive_layer_configs,
+                     enumerate_sequences, plan_block, tiling_overhead)
 from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
                  validate_winograd, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
@@ -351,7 +353,7 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
                         p_h: int, p_w: int, wino: tuple[bool, ...],
                         dsp_total: int, grid_depth: int) -> list[tuple[int, ...]]:
     """(P_c^1, ..., P_c^N, P_f) combos whose multipliers fit ``dsp_total``,
-    largest first, cut to ``grid_depth`` plus the smallest as a floor.
+    largest first, cut to ``grid_depth`` plus the all-ones combo as a floor.
 
     Layer i's multipliers are a·P_c^i·L_f + b·P_c^i + c·L_f (``_dsp_terms``,
     once per layer), with L_f the next entry of the combo, or 1 for a
@@ -360,7 +362,9 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
     exceeds ``dsp_total`` has no extension that fits.  The prefixes are
     extended one entry at a time in ``itertools.product`` order and such
     prefixes dropped, which keeps exactly the combos of the full product
-    whose sum fits, in the same order.
+    whose sum fits, in the same order.  Every count is also non-decreasing
+    in each P and 1 is in every grid, so whenever any combo fits, the
+    all-ones combo fits and is the smallest.
     """
     walk = [((p_c,), 0) for p_c in grids[0]]
     for i, layer in enumerate(block.layers):
@@ -371,12 +375,11 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
                 for p_f in grids[i + 1] if not depthwise or p_f == ps[i]
                 if (dsp := used + (a * ps[i] + c) * (1 if depthwise else p_f)
                     + b * ps[i]) <= dsp_total]
-    combos = [ps for ps, _ in walk]
-    if not combos:
+    if not walk:
         return []
-    combos.sort(key=lambda ps: (-math.prod(ps), ps))
-    floor = combos[-1]
-    combos = combos[:grid_depth]
+    combos = heapq.nsmallest(grid_depth, (ps for ps, _ in walk),
+                             key=lambda ps: (-math.prod(ps), ps))
+    floor = (1,) * len(grids)
     if floor not in combos:
         combos.append(floor)
     return combos
@@ -435,14 +438,13 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                 yield plan, rl
 
 
-def _point_candidates(plan: BlockPlan, rl: RooflinePoint,
-                      coeffs: CalibrationTable) -> list[DesignCandidate]:
-    """Every sequence/buffer candidate of one planned grid point."""
-    return [DesignCandidate(
+def _candidate(plan: BlockPlan, sc: SeqCandidate, rl: RooflinePoint,
+               coeffs: CalibrationTable) -> DesignCandidate:
+    """The design candidate of one sequence/buffer choice of a grid point."""
+    return DesignCandidate(
         replace(plan.cfg, seqs=sc.seqs, buffer_options=sc.buffer_options),
         sc.total_cycles, estimate_resources(plan, sc.seqs, sc.buffer_words, coeffs),
         rl)
-        for sc in enumerate_sequences(plan)]
 
 
 def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
@@ -454,23 +456,23 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     The grid spans spatial tiles (full map halved down to ``MIN_TILE``),
     power-of-two channel/filter parallelism, the Winograd path
     (P_h = P_w = ``WINOGRAD_M``) for 3x3 stride-1 layers alongside the
-    direct path (P_h = P_w = 1), and every computation-sequence /
-    buffer-option combination.  Parallelism combos whose multiplier count
-    exceeds the platform's DSPs are dropped before simulation; ``grid_depth``
-    then keeps only the largest few surviving combos (plus the smallest as a
-    feasibility floor), since lower parallelism at equal roofline is
-    dominated.  Multipliers do not depend on the tile, so this prefilter
-    runs once per spatial option, from closed-form per-layer counts; a tile is
-    then dropped whole when its per-layer tiles do not divide by the
-    spatial parallelism (a stride-2 layer can halve a tile to a size that
-    is no longer a multiple of m).  ``design_gen`` searches the same grid
+    direct path (P_h = P_w = 1), and every computation-sequence assignment
+    with its best buffer options (``fusion.enumerate_sequences``).
+    Parallelism combos whose multiplier count exceeds the platform's DSPs
+    are dropped before simulation; ``grid_depth`` then keeps only the
+    largest few surviving combos (plus the smallest as a feasibility
+    floor), since lower parallelism at equal roofline is dominated.
+    Multipliers do not depend on the tile, so this prefilter runs once per
+    spatial option, from closed-form per-layer counts; a tile is then
+    dropped whole when its per-layer tiles do not divide by the spatial
+    parallelism (a stride-2 layer can halve a tile to a size that is no
+    longer a multiple of m).  ``design_gen`` searches the same grid
     best-first and returns what ``pick_best_design`` picks from this list.
     """
-    candidates = []
-    for plan, rl in _planned_points(block, input_shape, platform, max_parallel,
-                                    grid_depth):
-        candidates += _point_candidates(plan, rl, coeffs)
-    return candidates
+    return [_candidate(plan, sc, rl, coeffs)
+            for plan, rl in _planned_points(block, input_shape, platform,
+                                            max_parallel, grid_depth)
+            for sc in enumerate_sequences(plan)]
 
 
 def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
@@ -479,33 +481,40 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     """Hardware DSE for one block: the candidate that
     ``pick_best_design(design_candidates(...))`` selects, found best-first.
 
-    Every candidate of a grid point shares the point's roofline, so its
-    ``attainable_gops``, and has ``total_cycles`` of at least the point's
-    ``cycles_lower_bound``.  So ``(-attainable_gops, cycles_lower_bound)``
-    is at most the first two fields of every key the point's candidates
-    have.  Points are evaluated in ascending order of that bound, and the
-    search stops at the first point whose bound exceeds the best feasible
-    key so far: every candidate left has a larger key and cannot be
-    selected.  A point whose bound equals the best is still evaluated,
-    since DSPs and the config break ties.  Points that ``design_candidates``
-    skips are skipped here too, and when no candidate is feasible every
-    point is evaluated, so ``Infeasible`` reports the same count.
+    The unit of the search is a (grid point, sequence assignment) pair,
+    which gives at most one candidate (``fusion.best_options``).  It shares
+    the point's roofline, so its ``attainable_gops``, and has
+    ``total_cycles`` of at least the assignment's bound
+    (``fusion.assignment_bounds``).  So ``(-attainable_gops, bound)`` is at
+    most the first two key fields of the unit's candidate.  Units are
+    evaluated in ascending order of that pair, stably in grid order then
+    product order, and the search stops at the first unit whose pair
+    exceeds the best feasible key so far: every candidate left has a larger
+    key and cannot be selected.  A unit whose pair equals the best is still
+    evaluated, since DSPs and the config break ties.  Units that
+    ``design_candidates`` skips are skipped here too, and when no candidate
+    is feasible every unit is evaluated, so ``Infeasible`` reports the same
+    count.
     """
-    ranked = [((-rl.attainable_gops, cycles_lower_bound(plan)), plan, rl)
+    ranked = [((-rl.attainable_gops, bound), plan, seqs, rl)
               for plan, rl in _planned_points(block, input_shape, platform,
-                                              max_parallel, grid_depth)]
-    ranked.sort(key=lambda r: r[0])  # stable: grid order among equal bounds
+                                              max_parallel, grid_depth)
+              for bound, seqs in assignment_bounds(plan)]
+    ranked.sort(key=lambda r: r[0])  # stable: grid order, then product order
 
     candidates = []
     best = None  # the first two key fields of the best feasible candidate
-    for bound, plan, rl in ranked:
+    for bound, plan, seqs, rl in ranked:
         if best is not None and bound > best:
             break
-        for c in _point_candidates(plan, rl, coeffs):
-            candidates.append(c)
-            key = c.key()[:2]
-            if c.resources.feasible(platform) and (best is None or key < best):
-                best = key
+        sc = best_options(plan, seqs)
+        if sc is None:
+            continue
+        c = _candidate(plan, sc, rl, coeffs)
+        candidates.append(c)
+        key = c.key()[:2]
+        if c.resources.feasible(platform) and (best is None or key < best):
+            best = key
     return pick_best_design(candidates, platform)
 
 

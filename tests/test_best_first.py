@@ -1,11 +1,13 @@
 """Best-first stage DSE: ``design_gen`` selects what full enumeration selects.
 
-``design_gen`` visits grid points in ascending order of
-``(-attainable_gops, cycles_lower_bound)`` and stops once that bound exceeds
-the best feasible key.  It is exact only if the bound never exceeds a
-candidate's ``total_cycles``.  Both are checked on the reference models'
-stages, and the search order and cutoff also on fake grids where ties and
-winners behind a lower bound are common.
+``design_gen`` evaluates (grid point, sequence assignment) units in
+ascending order of ``(-attainable_gops, bound)``, with the bound from
+``fusion.assignment_bounds``, and stops once that pair exceeds the best
+feasible key.  It is exact only if an assignment's bound never exceeds the
+``total_cycles`` of its candidate.  Both are checked on the reference
+models' stages, and the search order and cutoff also on fake grids where
+ties, winners behind a lower bound and units without a candidate are
+common.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from turf import resources
 from turf.errors import Infeasible
-from turf.fusion import FusedDesignConfig, cycles_lower_bound, plan_block
+from turf.fusion import FusedDesignConfig, assignment_bounds, plan_block
 from turf.hw import Seq
 from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
@@ -90,50 +92,60 @@ def test_design_gen_equals_full_enumeration(model_name, platform_name):
 @pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
                                         "mobilenetv2"])
 def test_cycles_bound_below_every_candidate(model_name):
+    """On every grid point, each sequence assignment's bound is at most the
+    cycles of that assignment's candidate."""
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         for c in cands:
-            assert cycles_lower_bound(plan_block(block, shape, c.cfg)) \
-                <= c.total_cycles, \
-                (name, c.cfg)
+            bounds = {seqs: bound for bound, seqs
+                      in assignment_bounds(plan_block(block, shape, c.cfg))}
+            assert bounds[c.cfg.seqs] <= c.total_cycles, (name, c.cfg)
 
 
-def _fake_cfg(point: int, candidate: int) -> FusedDesignConfig:
-    return FusedDesignConfig(t_h=point, t_w=1, t_c=(1,), t_f=1, p_h=1, p_w=candidate,
+def _fake_cfg(point: int, unit: int) -> FusedDesignConfig:
+    return FusedDesignConfig(t_h=point, t_w=1, t_c=(1,), t_f=1, p_h=1, p_w=unit,
                              p_c=(1,), p_f=1, seqs=(Seq.FM,), buffer_options=())
 
 
 @st.composite
 def fake_grids(draw):
-    """Grid points as (cfg, roofline point, cycles bound, candidates), with
-    few distinct GOPS, cycles and DSP values, so that equal bounds, equal
-    keys up to the config and winners behind a lower bound are common."""
+    """Grid points as (cfg, roofline point, units), each unit a sequence
+    assignment's (cycles bound, candidate or None when no buffer option
+    fits), with few distinct GOPS, cycles and DSP values, so that equal
+    bounds, equal keys up to the config and winners behind a lower bound
+    are common, within a point as across points."""
     points = []
-    for i in range(draw(st.integers(0, 6))):
+    for i in range(draw(st.integers(0, 5))):
         rl = RooflinePoint(draw(st.sampled_from([1.0, 2.0, 3.0])), 10.0, 1.0)
-        bound = draw(st.integers(0, 4))
-        cands = [DesignCandidate(
-            _fake_cfg(i, j), bound + draw(st.integers(0, 3)),
-            ResourceEstimate(draw(st.integers(1, 3)), draw(st.sampled_from([0, 10 ** 9])), 0),
-            rl) for j in range(draw(st.integers(0, 3)))]
-        points.append((_fake_cfg(i, 0), rl, bound, cands))
+        units = []
+        for j in range(draw(st.integers(1, 4))):
+            bound = draw(st.integers(0, 4))
+            cand = None if draw(st.integers(0, 3)) == 0 else DesignCandidate(
+                _fake_cfg(i, j), bound + draw(st.integers(0, 3)),
+                ResourceEstimate(draw(st.integers(1, 3)),
+                                 draw(st.sampled_from([0, 10 ** 9])), 0),
+                rl)
+            units.append((bound, cand))
+        points.append((_fake_cfg(i, 0), rl, units))
     return points
 
 
 @settings(max_examples=300, deadline=None)
 @given(fake_grids())
 def test_search_order_and_cutoff(points):
-    """The best-first search over arbitrary points with valid bounds picks
-    what full enumeration picks; the DSE helpers are replaced by the points,
-    each point's config standing in for its plan."""
+    """The best-first search over arbitrary units with valid bounds picks
+    what full enumeration picks; the DSE helpers are replaced by the units,
+    each point's config standing in for its plan and each unit's index for
+    its sequences."""
     platform = STRATIX_V_5SGSD8
-    by_cfg = {cfg: (bound, cands) for cfg, _, bound, cands in points}
-    every = [c for *_, cands in points for c in cands]
+    by_cfg = {cfg: units for cfg, _, units in points}
+    every = [c for *_, units in points for _, c in units if c is not None]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resources, "_planned_points",
-                   lambda *args: [(cfg, rl) for cfg, rl, _, _ in points])
-        mp.setattr(resources, "cycles_lower_bound", lambda cfg: by_cfg[cfg][0])
-        mp.setattr(resources, "_point_candidates",
-                   lambda cfg, rl, coeffs: by_cfg[cfg][1])
+                   lambda *args: [(cfg, rl) for cfg, rl, _ in points])
+        mp.setattr(resources, "assignment_bounds",
+                   lambda cfg: [(bound, j) for j, (bound, _) in enumerate(by_cfg[cfg])])
+        mp.setattr(resources, "best_options", lambda cfg, j: by_cfg[cfg][j][1])
+        mp.setattr(resources, "_candidate", lambda cfg, cand, rl, coeffs: cand)
         got = _selection(lambda: design_gen(None, None, platform,
                                             CalibrationTable(alm={}), 4))
     assert got == _selection(lambda: pick_best_design(every, platform))

@@ -287,7 +287,8 @@ def reference_models(tmp_path_factory):
 
 class TestImportFootprint:
     """Every command but winograd-check loads only turf and the standard
-    library: no numpy on the DSE path."""
+    library: no numpy on the DSE path, and no ``subprocess`` on a ``dse``
+    or ``explore`` run (only an ``external:`` oracle needs it)."""
 
     @pytest.mark.parametrize("command", [
         ("model", "show", "{vgg16}"),
@@ -307,6 +308,8 @@ class TestImportFootprint:
         foreign = [m for m in added if m != "turf" and not m.startswith("turf.")
                    and m.partition(".")[0] not in sys.stdlib_module_names]
         assert foreign == []
+        if command[0] in ("dse", "explore"):
+            assert "subprocess" not in added
 
     def test_winograd_check_loads_numpy_and_runs(self, tmp_path):
         out = tmp_path / "report.json"

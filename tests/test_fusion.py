@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dw_conv, dwsep_block, pw_conv, stacked_block, std_conv
+from turf import fusion
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
                          UnsupportedConfig)
-from turf.fusion import (FusedDesignConfig, _buffer_caps, config_from_json,
+from turf.fusion import (FusedDesignConfig, SeqCandidate, _buffer_caps,
+                         _simulate_pass, best_options, config_from_json,
                          config_from_layer_tuples, config_to_json,
                          derive_layer_configs, enumerate_sequences,
                          plan_block, simulate_fused, tiling_overhead)
@@ -275,6 +277,55 @@ def test_enumerated_numbers_are_what_the_simulator_reports(plan):
         assert e.total_cycles == report.total_cycles
         assert e.buffer_words == tuple(b.words for b in report.buffers)
         assert e.total_buffer_words == sum(b.words for b in report.buffers)
+
+
+def exhaustive_best_options(plan, seqs):
+    """Reference for ``best_options``: every buffer option that fits is
+    simulated, in ``_OPTION_ORDER`` product order, and the lowest
+    (cycles, words) kept, the first on ties."""
+    plans = plan.layer_plans(seqs)
+    best = None
+    for options in itertools.product(fusion._OPTION_ORDER, repeat=len(seqs) - 1):
+        try:
+            caps = _buffer_caps(plans, options)
+        except InefficientConfig:
+            continue
+        words = tuple(w for _, _, w in caps)
+        key = (_simulate_pass(plans, caps, False)[0] * plan.n_passes, sum(words))
+        if best is None or key < best[0]:
+            best = (key, options, words)
+    if best is None:
+        return None
+    (cycles, _), options, words = best
+    return SeqCandidate(seqs, options, cycles, words)
+
+
+def test_best_options_is_the_exhaustive_pick():
+    """``best_options`` returns the reference's pick on every sequence
+    assignment.  It stops at the first option whose makespan equals the
+    floor, ``_pass_lower_bound``.  On these chains some option always
+    reaches the real floor (a full-tile buffer never makes a producer
+    wait), so the floor is also drawn one cycle loose, still a lower bound
+    but one no option reaches, which runs the search to its end, and out of
+    reach above every makespan, where the stop must not fire either."""
+    true_floor = fusion._pass_lower_bound
+    floors = {"exact": true_floor, "loose": lambda plans: true_floor(plans) - 1,
+              "unreachable": lambda plans: math.inf}
+    reached = {name: set() for name in floors}
+
+    @settings(max_examples=150, deadline=None)
+    @given(planned_chains(), st.sampled_from(sorted(floors)))
+    def check(plan, floor):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fusion, "_pass_lower_bound", floors[floor])
+            for seqs in itertools.product((Seq.FM, Seq.CM), repeat=plan.cfg.num_layers):
+                got = best_options(plan, seqs)
+                assert got == exhaustive_best_options(plan, seqs), seqs
+                floor_cycles = plan.n_passes * floors[floor](plan.layer_plans(seqs))
+                reached[floor].add(got.total_cycles == floor_cycles)
+
+    check()
+    assert reached == {"exact": {True}, "loose": {False}, "unreachable": {False}}
 
 
 class TestEnumeration:

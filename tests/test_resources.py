@@ -210,11 +210,14 @@ class TestDesignGen:
 def test_each_grid_point_is_derived_once(monkeypatch):
     """Only ``plan_block`` instantiates layers, once per layer per point.
     The search builds no ``SimReport``, and sizes the buffers of each
-    (sequences, options) set it simulates exactly once."""
+    (sequences, options) set it simulates exactly once.  It simulates 8
+    option sets and estimates the resources of 2 candidates: the two
+    best-ranked sequence assignments, each stopped at its floor (full
+    enumeration of the 2 points it used to evaluate takes 41 and 8)."""
     import turf.cli, turf.fusion, turf.hw, turf.resources
     from turf.models import build_reference_model
 
-    calls = {"instantiate_layer": 0, "plan_block": 0}
+    calls = {"instantiate_layer": 0, "plan_block": 0, "estimate_resources": 0}
 
     def count(name, fn):
         def counted(*args, **kwargs):
@@ -222,7 +225,8 @@ def test_each_grid_point_is_derived_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name, home in (("instantiate_layer", turf.hw), ("plan_block", turf.fusion)):
+    for name, home in (("instantiate_layer", turf.hw), ("plan_block", turf.fusion),
+                       ("estimate_resources", turf.resources)):
         orig, wrapped = getattr(home, name), count(name, getattr(home, name))
         for module in (turf.hw, turf.fusion, turf.resources, turf.cli):
             if module.__dict__.get(name) is orig:
@@ -255,8 +259,9 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     assert calls["plan_block"] > 0
     assert calls["instantiate_layer"] == 3 * calls["plan_block"]
     assert reports == []
-    assert simulated and len(set(simulated)) == len(simulated)
+    assert len(set(simulated)) == len(simulated) == 8
     assert all(sized[key] == 1 for key in simulated)
+    assert calls["estimate_resources"] == 2
 
 
 class TestStageCache:
