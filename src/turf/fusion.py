@@ -41,25 +41,27 @@ Shortcut additions synchronise at tile completion with zero compute
 cycles.  One simulation covers one tile pass; spatial and output-channel
 tiling multiply the number of sequential passes.
 
-A fused design is derived once, by ``plan_block``, into a ``BlockPlan``:
-each layer's hardware config and module pipeline, its work units and fill
-under either computation sequence, and the pass count.  The cycle bound
-of each sequence assignment, the buffer-option search, the simulator and
-the resource model all read that plan.  A bare convolution or
-fully-connected layer is planned as its own one-layer block.  The search
-keeps each candidate's cycles and buffer words as plain numbers; only
-``simulate_fused`` builds a ``SimReport``.
+A fused design is scheduled once, by ``plan_block``, into a ``BlockPlan``:
+each layer's hardware config, its work units, cycles per unit, fill and
+stream flags under either computation sequence as plain numbers, and the
+pass count.  The cycle bound of each sequence assignment, the
+buffer-option search and the simulator read only that schedule; each
+layer's module pipeline is built when first read (the resource model,
+``hw describe``).  A bare convolution or fully-connected layer is its own
+one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
                      SimDeadlock, UnsupportedConfig)
-from .hw import (BufferOption, LayerHwConfig, LayerPipeline, Seq,
+from .hw import (BufferOption, LayerHwConfig, LayerPipeline, Seq, fill,
                  instantiate_layer, intermediate_buffer_words,
                  layer_cycle_counts, winograd_eligible)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
@@ -242,10 +244,9 @@ class SimReport:
 _SEQ_ORDER = (Seq.FM, Seq.CM)
 
 
-@dataclass(frozen=True)
-class _LayerPlan:
-    layer: LayerSpec
-    hw: LayerHwConfig
+class LayerSchedule(NamedTuple):
+    """One layer's work in a tile pass under one computation sequence."""
+
     units: int
     cycles_per_unit: int
     fill: int
@@ -253,27 +254,24 @@ class _LayerPlan:
     consumer_stream: bool   # takes token u at unit u (else needs all resident)
 
 
-def _tile_spatial(t_h: int, t_w: int, layer: LayerSpec) -> tuple[int, int]:
-    """Output tile dims (same-padding tiling convention: ceil division)."""
-    s = layer.stride
-    return max(1, -(-t_h // s)), max(1, -(-t_w // s))
-
-
 def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                         cfg: FusedDesignConfig) -> list[LayerHwConfig]:
-    """Expand a fused config into one LayerHwConfig per block layer."""
+                         cfg: FusedDesignConfig,
+                         chans: list[int] | None = None) -> list[LayerHwConfig]:
+    """Expand a fused config into one LayerHwConfig per block layer;
+    ``chans`` is the channels into each layer, then out of the last."""
     layers = block.layers
     n = len(layers)
     if cfg.num_layers != n:
         raise PortMismatch(f"config has {cfg.num_layers} layers, block has {n}")
 
-    chans = [s.channels for s in layer_shapes(block, input_shape)]
+    if chans is None:
+        chans = [s.channels for s in layer_shapes(block, input_shape)]
 
-    if cfg.t_c[0] < chans[0]:
+    if cfg.t_h > input_shape.height or cfg.t_w > input_shape.width or \
+            cfg.t_f > chans[-1]:
         raise UnsupportedConfig(
-            "input-channel tiling of a fused block would need cross-pass "
-            "accumulation of intermediate maps; tile T_c^1 must cover all "
-            f"{chans[0]} input channels")
+            f"tile (T_h, T_w, T_f) = {(cfg.t_h, cfg.t_w, cfg.t_f)} exceeds the "
+            f"stage's {(input_shape.height, input_shape.width, chans[-1])}")
 
     wino = cfg.use_winograd
     if wino is None:
@@ -283,17 +281,17 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     th, tw = cfg.t_h, cfg.t_w
     for i, layer in enumerate(layers):
         t_c, p_c = cfg.t_c[i], cfg.p_c[i]
-        if t_c != chans[i] and i > 0:
+        if t_c != chans[i]:
             raise UnsupportedConfig(
-                f"intermediate tile T_c^{i + 1}={t_c} must equal the full "
-                f"intermediate channel extent {chans[i]}")
+                f"tile T_c^{i + 1}={t_c} must equal the {chans[i]} channels into "
+                f"layer {i + 1}: tiling channels inside a fused block would need "
+                "cross-pass accumulation of intermediate maps")
         t_f, p_f = cfg.out_tile(i)
         if layer.kind is LayerKind.DEPTHWISE_CONV:
             if t_f != t_c or p_f != p_c:
                 raise PortMismatch(
                     f"layer {i} is depthwise (channels preserved): output tile "
                     f"({t_f},{p_f}) must equal input tile ({t_c},{p_c})")
-        th_out, tw_out = _tile_spatial(th, tw, layer)
         out.append(LayerHwConfig(
             tile=(th, tw, t_c, t_f),
             parallelism=(cfg.p_h, cfg.p_w, p_c, p_f),
@@ -301,75 +299,69 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             use_winograd=wino[i],
             winograd_m=cfg.winograd_m,
         ))
-        th, tw = th_out, tw_out
+        # the next layer's tile (same-padding tiling convention: ceil division)
+        th, tw = -(-th // layer.stride), -(-tw // layer.stride)
     return out
 
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """One fused design of a stage, derived once by ``plan_block``.
-
-    ``by_seq[s][i]`` is layer i's plan under sequence s: a layer's plan
-    depends only on its own sequence, so any assignment's plans are picked
-    from these.  ``pipelines[i]`` is layer i's module chain under ``cfg``,
-    which the sequence does not change.
-    """
+    """One fused design of a stage, scheduled once by ``plan_block``.
+    ``by_seq[s][i]`` is layer i's schedule under sequence s, and ``hws[i]``
+    its hardware config under ``cfg`` (the sequence changes neither the
+    config's other fields nor the module pipeline)."""
 
     cfg: FusedDesignConfig
-    by_seq: dict[Seq, tuple[_LayerPlan, ...]]
-    pipelines: tuple[LayerPipeline, ...]
+    layers: tuple[LayerSpec, ...]
+    hws: tuple[LayerHwConfig, ...]
+    by_seq: dict[Seq, tuple[LayerSchedule, ...]]
     n_passes: int   # sequential tile passes: spatial tiles x output-channel slices
 
-    def layer_plans(self, seqs: tuple[Seq, ...]) -> list[_LayerPlan]:
+    def schedule(self, seqs: tuple[Seq, ...]) -> list[LayerSchedule]:
         return [self.by_seq[s][i] for i, s in enumerate(seqs)]
+
+    @functools.cached_property
+    def pipelines(self) -> tuple[LayerPipeline, ...]:
+        return tuple(map(instantiate_layer, self.layers, self.hws))
 
 
 def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
-               cfg: FusedDesignConfig) -> BlockPlan:
-    """Derive ``cfg`` on ``op`` (a block, or a layer as its own one-layer
-    block): ``derive_layer_configs`` once and ``instantiate_layer`` once per
-    layer.  Raises what those raise for ``cfg``."""
-    by_seq: dict[Seq, list[_LayerPlan]] = {s: [] for s in _SEQ_ORDER}
-    pipelines = []
-    for layer, hw in zip(op.layers, derive_layer_configs(op, input_shape, cfg)):
-        pipeline = instantiate_layer(layer, hw)
-        pipelines.append(pipeline)
-        depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
-        for s in _SEQ_ORDER:
-            seq_hw = hw if hw.seq is s else replace(hw, seq=s)
-            cycles, units = layer_cycle_counts(layer, seq_hw)
-            by_seq[s].append(_LayerPlan(
-                layer=layer, hw=seq_hw, units=units,
-                cycles_per_unit=cycles // units,
-                fill=pipeline.fill_latency,
-                producer_stream=depthwise or s is Seq.FM,
-                consumer_stream=depthwise or s is Seq.CM,
-            ))
-    spatial = math.ceil(input_shape.height / cfg.t_h) * \
-        math.ceil(input_shape.width / cfg.t_w)
-    n_passes = spatial * math.ceil(op.output_shape(input_shape).channels / cfg.t_f)
-    return BlockPlan(cfg, {s: tuple(p) for s, p in by_seq.items()},
-                     tuple(pipelines), n_passes)
+               cfg: FusedDesignConfig, chans: list[int] | None = None) -> BlockPlan:
+    """Schedule ``cfg`` on ``op`` (a block, or a layer as its own one-layer
+    block): ``derive_layer_configs`` once, then per layer its cycles and
+    units (``layer_cycle_counts``) and its closed-form fill (``hw.fill``).
+    Raises what those raise for ``cfg``, which is all that
+    ``instantiate_layer`` would."""
+    if chans is None:
+        chans = [s.channels for s in layer_shapes(op, input_shape)]
+    layers = op.layers
+    hws = derive_layer_configs(op, input_shape, cfg, chans)
+    fm, cm = [], []
+    for layer, hw in zip(layers, hws):
+        cycles, f_units, c_units = layer_cycle_counts(layer, hw)
+        lag, depthwise = fill(layer, hw), layer.kind is LayerKind.DEPTHWISE_CONV
+        fm.append(LayerSchedule(f_units, cycles // f_units, lag, True, depthwise))
+        cm.append(LayerSchedule(c_units, cycles // c_units, lag, depthwise, True))
+    n_passes = math.ceil(input_shape.height / cfg.t_h) * \
+        math.ceil(input_shape.width / cfg.t_w) * math.ceil(chans[-1] / cfg.t_f)
+    return BlockPlan(cfg, layers, tuple(hws), {Seq.FM: tuple(fm), Seq.CM: tuple(cm)},
+                     n_passes)
 
 
-def _buffer_tokens(plans: list[_LayerPlan], option: BufferOption,
-                   i: int) -> tuple[int, int, int]:
-    """(tokens, capacity_tokens, words) for the buffer after layer i.
-    ``intermediate_buffer_words`` rejects an option too small for the
-    sequences, so the capacity covers every token whenever the producer is
-    channel-major or the consumer filter-major."""
-    consumer = plans[i + 1].hw
-    words = intermediate_buffer_words(plans[i].hw.seq, consumer.seq,
-                                      consumer.tile, consumer.parallelism, option)
-    cap = max(1, words // (consumer.p_c * consumer.t_h * consumer.t_w))
-    return math.ceil(consumer.t_c / consumer.p_c), cap, words
-
-
-def _buffer_caps(plans: list[_LayerPlan],
+def _buffer_caps(plan: BlockPlan, seqs: tuple[Seq, ...],
                  options: tuple[BufferOption, ...]) -> list[tuple[int, int, int]]:
-    """(tokens, capacity_tokens, words) per intermediate buffer; raises
-    ``InefficientConfig`` for an option too small for the sequences."""
-    return [_buffer_tokens(plans, options[i], i) for i in range(len(plans) - 1)]
+    """(tokens, capacity_tokens, words) per intermediate buffer of ``plan``
+    under ``seqs``.  ``intermediate_buffer_words`` raises
+    ``InefficientConfig`` for an option too small for the sequences, so the
+    capacity covers every token whenever the producer is channel-major or
+    the consumer filter-major."""
+    caps = []
+    for i, (option, consumer) in enumerate(zip(options, plan.hws[1:])):
+        words = intermediate_buffer_words(seqs[i], seqs[i + 1], consumer.tile,
+                                          consumer.parallelism, option)
+        cap = max(1, words // (consumer.p_c * consumer.t_h * consumer.t_w))
+        caps.append((math.ceil(consumer.t_c / consumer.p_c), cap, words))
+    return caps
 
 
 @dataclass
@@ -397,7 +389,7 @@ class _BufferState:
         return peak
 
 
-def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
+def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
                    collect_events: bool) -> tuple[int, list, list, list]:
     """One tile pass.  Returns (makespan, starts, finishes, (buffer states, events)).
 
@@ -436,7 +428,7 @@ def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
                 if outbuf is not None and plan.producer_stream and u >= outbuf.cap:
                     # channel-major producers reserve the whole tile region
                     # at unit 0; their capacity covers every token
-                    # (``_buffer_tokens``), so no wait
+                    # (``_buffer_caps``), so no wait
                     freed = outbuf.freed[u - outbuf.cap]
                     if freed is None:
                         break
@@ -489,7 +481,7 @@ def _simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
     return makespan, starts, finishes, (bufs, events)
 
 
-def _pass_lower_bound(plans: list[_LayerPlan]) -> int:
+def _pass_lower_bound(plans: list[LayerSchedule]) -> int:
     """A lower bound on ``_simulate_pass``'s makespan under any buffer sizing.
 
     Buffer-capacity waits only add delay, so they are left out, and every
@@ -499,7 +491,7 @@ def _pass_lower_bound(plans: list[_LayerPlan]) -> int:
     finishes no earlier than one unit after i's last token; otherwise every
     unit of i+1 waits for i's last token.  (A streaming producer releases
     one token per unit and a streaming consumer takes one per unit, as
-    ``_buffer_tokens`` sizes them.)  The last layer's fill ends the pass.
+    ``_buffer_caps`` sizes them.)  The last layer's fill ends the pass.
     """
     start = finish = 0
     for i, plan in enumerate(plans):
@@ -524,9 +516,9 @@ def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
     Spatial tiles and output-channel slices execute as sequential passes of
     the same pipeline; the report covers the whole input.
     """
-    plans = plan.layer_plans(plan.cfg.seqs)
-    options = plan.cfg.buffer_options
-    caps = _buffer_caps(plans, options)
+    seqs, options = plan.cfg.seqs, plan.cfg.buffer_options
+    plans = plan.schedule(seqs)
+    caps = _buffer_caps(plan, seqs, options)
     makespan, starts, finishes, (bufs, events) = _simulate_pass(
         plans, caps, collect_events)
 
@@ -536,7 +528,7 @@ def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
         first = starts[i][0]
         last = finishes[i][-1]
         layer_rows.append(LayerActivity(
-            index=i, seq=p.hw.seq, work_units=p.units,
+            index=i, seq=seqs[i], work_units=p.units,
             cycles_per_unit=p.cycles_per_unit, busy_cycles=busy,
             stall_cycles=(last - first) - busy, first_start=first,
             last_finish=last, fill_cycles=p.fill))
@@ -595,11 +587,11 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate | None:
     makespan equals ``_pass_lower_bound``: no option is faster, and every
     later one has at least as many words, so it is the pick.
     """
-    plans = plan.layer_plans(seqs)
+    plans = plan.schedule(seqs)
     sized = []
     for options in itertools.product(_OPTION_ORDER, repeat=len(seqs) - 1):
         try:
-            caps = _buffer_caps(plans, options)
+            caps = _buffer_caps(plan, seqs, options)
         except InefficientConfig:
             continue
         sized.append((sum(w for _, _, w in caps), options, caps))
@@ -623,7 +615,7 @@ def assignment_bounds(plan: BlockPlan) -> list[tuple[int, tuple[Seq, ...]]]:
     """(bound, seqs) for each of the 2^N sequence assignments, in product
     order, where the bound (the passes times ``_pass_lower_bound``) is at
     most the ``total_cycles`` of ``best_options(plan, seqs)``."""
-    return [(plan.n_passes * _pass_lower_bound(plan.layer_plans(seqs)), seqs)
+    return [(plan.n_passes * _pass_lower_bound(plan.schedule(seqs)), seqs)
             for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)]
 
 

@@ -64,14 +64,6 @@ class ModuleDesc:
     replication: int = 1
     latency: int = 0
 
-    @property
-    def effective_in(self) -> int:
-        return self.in_width * self.replication
-
-    @property
-    def effective_out(self) -> int:
-        return self.out_width * self.replication
-
 
 def line_buffer(p_c: int, p_h: int, p_w: int, k_prime: int,
                 replication: int = 1, row_length: int = 0) -> ModuleDesc:
@@ -121,12 +113,16 @@ def winograd_output_transform(p_c: int, p_f: int, k: int, m: int) -> ModuleDesc:
                       latency=2 * tk)
 
 
+def _array_latency(in_width: int) -> int:
+    """The adder tree's depth, plus one cycle for the multipliers."""
+    return max(1, math.ceil(math.log2(max(2, in_width)))) + 1
+
+
 def dot_product_array(in_width: int, out_width: int, multipliers: int,
                       cfg: dict) -> ModuleDesc:
-    depth = max(1, math.ceil(math.log2(max(2, in_width))))  # adder tree
     cfg = dict(cfg, multipliers=multipliers)
-    return ModuleDesc(ModuleKind.DOT_PRODUCT_ARRAY, cfg,
-                      in_width=in_width, out_width=out_width, latency=depth + 1)
+    return ModuleDesc(ModuleKind.DOT_PRODUCT_ARRAY, cfg, in_width=in_width,
+                      out_width=out_width, latency=_array_latency(in_width))
 
 
 @dataclass(frozen=True)
@@ -181,10 +177,10 @@ class LayerPipeline:
 
     def check_chain(self) -> None:
         for a, b in zip(self.modules, self.modules[1:]):
-            if a.effective_out != b.effective_in:
-                raise UnsupportedConfig(
-                    f"stream width break: {a.kind.value} out {a.effective_out} "
-                    f"!= {b.kind.value} in {b.effective_in}")
+            out, into = a.out_width * a.replication, b.in_width * b.replication
+            if out != into:
+                raise UnsupportedConfig(f"stream width break: {a.kind.value} out "
+                                        f"{out} != {b.kind.value} in {into}")
 
 
 def winograd_eligible(layer: LayerSpec) -> bool:
@@ -270,16 +266,36 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
 
 
-def layer_cycle_counts(layer: LayerSpec, hw: LayerHwConfig) -> tuple[int, int]:
-    """(compute_cycles per tile, work units per tile).
+def fill(layer: LayerSpec, hw: LayerHwConfig) -> int:
+    """``instantiate_layer(layer, hw).fill_latency`` in closed form: one
+    cycle each for the input and output buffers, (K'-1)·T_w + K' for a
+    K'-row line buffer, the dot-product array's latency and, on the
+    Winograd path (K' = T_k), 2·T_k per data transform.  Raises what
+    ``instantiate_layer`` raises for the same layer and config."""
+    kind, k = layer.kind, layer.kernel_size
+    if hw.use_winograd:
+        validate_winograd(layer, hw.p_h, hw.p_w, hw.winograd_m)
+        tk = winograd_config(hw.winograd_m, k).tile
+        return 2 + (tk - 1) * hw.t_w + 5 * tk + _array_latency(hw.p_c * tk * tk)
+    if kind in (LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
+        return 2 + _array_latency(hw.p_c * hw.p_h * hw.p_w)
+    if kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
+        window = (k + hw.p_h - 1) * (k + hw.p_w - 1)
+        return 2 + (k - 1) * hw.t_w + k + _array_latency(hw.p_c * window)
+    raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
+
+
+def layer_cycle_counts(layer: LayerSpec, hw: LayerHwConfig) -> tuple[int, int, int]:
+    """(compute_cycles per tile, work units per tile under FM, under CM).
 
     compute_cycles is the nested-loop trip count
     ceil(T_c/P_c) ceil(T_f/P_f) ceil(T_h/P_h) ceil(T_w/P_w); depthwise drops
     the T_f factor; the Winograd path processes one m x m output tile per
     P_h = P_w = m lane group, replacing the spatial trips with
-    ceil(T_h/m) ceil(T_w/m).  A work unit is one outer-loop chunk of the
-    seq-major index (filter chunk for FM, channel chunk for CM; depthwise
-    layers have a single combined channel axis).
+    ceil(T_h/m) ceil(T_w/m).  Neither depends on the sequence.  A work unit
+    is one outer-loop chunk of the seq-major index (filter chunk for FM,
+    channel chunk for CM; depthwise layers have a single combined channel
+    axis, chunked under either).
     """
     t_h, t_w, t_c, t_f = hw.tile
     p_h, p_w, p_c, p_f = hw.parallelism
@@ -294,15 +310,7 @@ def layer_cycle_counts(layer: LayerSpec, hw: LayerHwConfig) -> tuple[int, int]:
 
     c_trips = math.ceil(t_c / p_c)
     f_trips = 1 if depthwise else math.ceil(t_f / p_f)
-    compute_cycles = c_trips * f_trips * spatial
-
-    if depthwise:
-        work_units = c_trips
-    elif hw.seq is Seq.FM:
-        work_units = f_trips
-    else:
-        work_units = c_trips
-    return compute_cycles, work_units
+    return c_trips * f_trips * spatial, c_trips if depthwise else f_trips, c_trips
 
 
 class BufferOption(enum.Enum):

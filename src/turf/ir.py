@@ -176,21 +176,13 @@ class BlockSpec:
         return shape
 
     def ops(self, shape: TensorShape) -> int:
-        total = 0
-        cur = shape
-        for layer in self.layers:
-            total += layer.ops(cur)
-            cur = layer.output_shape(cur)
+        total = sum(map(LayerSpec.ops, self.layers, layer_shapes(self, shape)))
         if self.shortcut_projection is not None:
             total += self.shortcut_projection.ops(shape)
         return total
 
     def params(self, shape: TensorShape) -> int:
-        total = 0
-        cur = shape
-        for layer in self.layers:
-            total += layer.params(cur)
-            cur = layer.output_shape(cur)
+        total = sum(map(LayerSpec.params, self.layers, layer_shapes(self, shape)))
         if self.shortcut_projection is not None:
             total += self.shortcut_projection.params(shape)
         return total

@@ -15,12 +15,11 @@ Roofline accounting (16-bit words, 2 bytes):
     back, plus weights.
 The compute roof is DSPs x 2 ops x clock.
 
-The search plans each grid point once (``fusion.plan_block``); the cycle
-bound and buffer options of each sequence assignment, and each candidate's
-resources, are read from that ``BlockPlan``.  Candidates carry plain cycle
-and buffer-word counts: only ``fusion.simulate_fused`` builds a
-``SimReport``.  A stage is
-searched when it has a hardware pipeline: a block, or a convolution or
+The search schedules each grid point once (``fusion.plan_block``) and
+ranks it by that schedule's plain numbers; module pipelines are built only
+for the points whose candidates it evaluates, for their resources.
+Candidates carry plain cycle and buffer-word counts.  A stage is searched
+when it has a hardware pipeline: a block, or a convolution or
 fully-connected layer as its own one-layer block.
 """
 
@@ -36,8 +35,8 @@ from importlib import resources as importlib_resources
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      PortMismatch, UnsupportedConfig, reading)
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
-                     assignment_bounds, best_options, derive_layer_configs,
-                     enumerate_sequences, plan_block, tiling_overhead)
+                     assignment_bounds, best_options, enumerate_sequences,
+                     plan_block, tiling_overhead)
 from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
                  validate_winograd, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
@@ -198,15 +197,12 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
                        coeffs: CalibrationTable) -> ResourceEstimate:
     """Linear resource prediction for ``plan``'s design run with the
     computation sequences ``seqs`` and intermediate ``buffer_words`` (as
-    ``fusion.enumerate_sequences`` sized them)."""
-    plans = plan.layer_plans(seqs)
-
+    ``fusion.best_options`` sized them)."""
     dsp = 0
     alm = 0.0
     buffers_words: list[int] = []
 
-    for p, pipeline in zip(plans, plan.pipelines):
-        layer, hw = p.layer, p.hw
+    for layer, hw, pipeline in zip(plan.layers, plan.hws, plan.pipelines):
         dsp += _layer_dsp(layer, hw)
         for mod in (*pipeline.modules, *pipeline.weight_path):
             base, per_width = coeffs.coeff(mod.kind)
@@ -222,13 +218,13 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
 
     # first input buffer: filter-major layers reuse the whole input tile,
     # channel-major ones stream chunk by chunk
-    first = plans[0].hw
-    in_words = (first.t_c if first.seq is Seq.FM else first.p_c) * first.t_h * first.t_w
+    first = plan.hws[0]
+    in_words = (first.t_c if seqs[0] is Seq.FM else first.p_c) * first.t_h * first.t_w
     buffers_words.append(in_words)
     # last output buffer: channel-major accumulates the full output tile
-    last = plans[-1].hw
-    out_shape = plans[-1].layer.output_shape(TensorShape(last.t_h, last.t_w, last.t_c))
-    out_ch = last.t_f if last.seq is Seq.CM else last.p_f
+    last = plan.hws[-1]
+    out_shape = plan.layers[-1].output_shape(TensorShape(last.t_h, last.t_w, last.t_c))
+    out_ch = last.t_f if seqs[-1] is Seq.CM else last.p_f
     buffers_words.append(out_ch * out_shape.height * out_shape.width)
     # intermediate buffers, as the sequence enumeration sized them
     buffers_words += buffer_words
@@ -353,36 +349,54 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
                         p_h: int, p_w: int, wino: tuple[bool, ...],
                         dsp_total: int, grid_depth: int) -> list[tuple[int, ...]]:
     """(P_c^1, ..., P_c^N, P_f) combos whose multipliers fit ``dsp_total``,
-    largest first, cut to ``grid_depth`` plus the all-ones combo as a floor.
+    largest product first (then smallest tuple), cut to ``grid_depth`` plus
+    the all-ones combo as a floor.
 
-    Layer i's multipliers are a·P_c^i·L_f + b·P_c^i + c·L_f (``_dsp_terms``,
-    once per layer), with L_f the next entry of the combo, or 1 for a
-    depthwise layer, which keeps its channels and so only takes
-    P_c^{i+1} == P_c^i.  Every count is >= 0, so a prefix whose sum already
-    exceeds ``dsp_total`` has no extension that fits.  The prefixes are
-    extended one entry at a time in ``itertools.product`` order and such
-    prefixes dropped, which keeps exactly the combos of the full product
-    whose sum fits, in the same order.  Every count is also non-decreasing
-    in each P and 1 is in every grid, so whenever any combo fits, the
-    all-ones combo fits and is the smallest.
+    Layer i's multipliers are a·P_c^i·L_f + b·P_c^i + c·L_f (``_dsp_terms``),
+    with L_f the next entry of the combo, or 1 for a depthwise layer, which
+    keeps its channels and so only takes P_c^{i+1} == P_c^i.  Every count
+    is >= 0 and non-decreasing in each P, so a prefix over ``dsp_total`` has
+    no extension that fits.  The walk extends prefixes depth first, each
+    grid largest first, carrying the product, with a min-heap of the
+    ``grid_depth`` largest products found.  Once it is full, a prefix is
+    dropped when its product times the largest entry of each remaining grid
+    is strictly below the heap's minimum, as ``grid_depth`` combos then beat
+    every extension; one that can only tie is kept, since the tuple breaks
+    ties.  Since 1 is in every grid, whenever any combo fits, the all-ones
+    combo fits and is the smallest.
     """
-    walk = [((p_c,), 0) for p_c in grids[0]]
-    for i, layer in enumerate(block.layers):
-        a, b, c = _dsp_terms(layer, p_h, p_w, wino[i], WINOGRAD_M)
-        depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
-        walk = [(ps + (p_f,), dsp)
-                for ps, used in walk
-                for p_f in grids[i + 1] if not depthwise or p_f == ps[i]
-                if (dsp := used + (a * ps[i] + c) * (1 if depthwise else p_f)
-                    + b * ps[i]) <= dsp_total]
-    if not walk:
-        return []
-    combos = heapq.nsmallest(grid_depth, (ps for ps, _ in walk),
-                             key=lambda ps: (-math.prod(ps), ps))
+    # per entry: the multiplier terms of the layer whose L_f it is (none
+    # for P_c^1) and whether that layer is depthwise
+    terms = [(0, 0, 0, False)] + [
+        (*_dsp_terms(layer, p_h, p_w, wino[i], WINOGRAD_M),
+         layer.kind is LayerKind.DEPTHWISE_CONV) for i, layer in enumerate(block.layers)]
+    desc = [sorted(grid, reverse=True) for grid in grids]
+    # reach[i]: the largest product of entries i.. (1 past the last)
+    reach = [math.prod(grid[0] for grid in desc[i:]) for i in range(len(desc) + 1)]
+    top: list[int] = []     # min-heap of the largest complete products so far
+    kept = []
+
+    def extend(ps: tuple[int, ...], used: int, prod: int) -> None:
+        i = len(ps)         # the entry to choose
+        if i == len(desc):
+            kept.append((-prod, ps))
+            (heapq.heappush if len(top) < grid_depth else heapq.heappushpop)(top, prod)
+            return
+        a, b, c, depthwise = terms[i]
+        p_c = ps[-1] if ps else 0
+        for p in desc[i]:
+            if top and len(top) == grid_depth and prod * p * reach[i + 1] < top[0]:
+                break
+            if depthwise and p != p_c:
+                continue
+            dsp = used + (a * p_c + c) * (1 if depthwise else p) + b * p_c
+            if dsp <= dsp_total:
+                extend(ps + (p,), dsp, prod * p)
+
+    extend((), 0, 1)
+    combos = [ps for _, ps in heapq.nsmallest(grid_depth, kept)]
     floor = (1,) * len(grids)
-    if floor not in combos:
-        combos.append(floor)
-    return combos
+    return combos + [floor] if kept and floor not in combos else combos
 
 
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
@@ -390,10 +404,11 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                     grid_depth: int) -> Iterator[tuple[BlockPlan, RooflinePoint]]:
     """The prefiltered grid of ``design_candidates``, in search order: one
     all-FM config per (tile, spatial option, surviving parallelism combo),
-    planned, with its tile's fused roofline point.  Multipliers do not
-    depend on the tile, so each spatial option's combos are found once.  A
-    tile whose roofline raises is skipped whole, as is a spatial option
-    whose P = 1 probe fails and a point whose plan raises."""
+    scheduled (``fusion.plan_block``, with the stage's channels derived
+    once), with its tile's fused roofline point.  Multipliers do not depend
+    on the tile, so each spatial option's combos are found once.  A tile
+    whose roofline raises is skipped whole, as is a point whose plan
+    raises."""
     layers = block.layers
     n = len(layers)
     chans = [s.channels for s in layer_shapes(block, input_shape)]
@@ -414,25 +429,16 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
         except InvalidTiling:
             continue
         for (p_h, p_w, wino), spatial_combos in zip(spatial_opts, combos):
-            if t_h % p_h or t_w % p_w or not spatial_combos:
-                continue
-
-            def make_cfg(ps):
-                return FusedDesignConfig(
-                    t_h=t_h, t_w=t_w, t_c=tuple(chans[:-1]), t_f=chans[-1],
-                    p_h=p_h, p_w=p_w, p_c=tuple(ps[:-1]), p_f=ps[-1],
-                    seqs=(Seq.FM,) * n,
-                    buffer_options=(BufferOption.DOUBLE,) * (n - 1),
-                    use_winograd=wino, winograd_m=WINOGRAD_M)
-
-            try:
-                # P = 1 divides every channel tile, so only the tile can fail
-                derive_layer_configs(block, input_shape, make_cfg((1,) * (n + 1)))
-            except (UnsupportedConfig, PortMismatch):
+            if t_h % p_h or t_w % p_w:
                 continue
             for ps in spatial_combos:
                 try:
-                    plan = plan_block(block, input_shape, make_cfg(ps))
+                    plan = plan_block(block, input_shape, FusedDesignConfig(
+                        t_h=t_h, t_w=t_w, t_c=tuple(chans[:-1]), t_f=chans[-1],
+                        p_h=p_h, p_w=p_w, p_c=tuple(ps[:-1]), p_f=ps[-1],
+                        seqs=(Seq.FM,) * n,
+                        buffer_options=(BufferOption.DOUBLE,) * (n - 1),
+                        use_winograd=wino, winograd_m=WINOGRAD_M), chans)
                 except (UnsupportedConfig, PortMismatch):
                     continue
                 yield plan, rl
@@ -461,10 +467,8 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     Parallelism combos whose multiplier count exceeds the platform's DSPs
     are dropped before simulation; ``grid_depth`` then keeps only the
     largest few surviving combos (plus the smallest as a feasibility
-    floor), since lower parallelism at equal roofline is dominated.
-    Multipliers do not depend on the tile, so this prefilter runs once per
-    spatial option, from closed-form per-layer counts; a tile is then
-    dropped whole when its per-layer tiles do not divide by the spatial
+    floor), since lower parallelism at equal roofline is dominated.  A
+    point is dropped when its per-layer tiles do not divide by the spatial
     parallelism (a stride-2 layer can halve a tile to a size that is no
     longer a multiple of m).  ``design_gen`` searches the same grid
     best-first and returns what ``pick_best_design`` picks from this list.

@@ -185,6 +185,72 @@ class TestSimulate:
         assert err.startswith("PortMismatch")
 
 
+GOLDEN_CONFIG = ROOT / "tests" / "golden" / "resnet50_res2_1_config.json"
+
+
+def _edit(doc, **edits):
+    """``doc`` with its sections updated: ``tiles={"h": 112}`` and the like;
+    a top-level value replaces the entry."""
+    doc = json.loads(json.dumps(doc))
+    for key, value in edits.items():
+        if isinstance(value, dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    return doc
+
+
+# (reference model, stage, config): each one the stage cannot run
+REJECTED = {
+    # res2_1 is 56x56x64 in, 256 out; a tile past the data inflated cycles
+    "tile-past-map": ("resnet50", 2, {"tiles": {"h": 112, "w": 112}}),
+    "tile-past-input-channels": ("resnet50", 2, {"tiles": {"c": [128, 64, 64]}}),
+    "tile-past-output-channels": ("resnet50", 2, {"tiles": {"f": 512}}),
+    # the Winograd checks the module pipeline used to make first
+    "winograd-on-1x1": ("resnet50", 2, {"winograd": [True, False, False]}),
+    "winograd-on-stride-2": ("mobilenetv1", 2, {
+        "tiles": {"h": 56, "w": 56, "c": [64, 64], "f": 128},
+        "parallelism": {"h": 1, "w": 1, "c": [8, 8], "f": 16},
+        "seqs": ["FM", "FM"], "buffers": ["Double"], "winograd": [True, False]}),
+    "winograd-p-not-m": ("resnet50", 2, {
+        "parallelism": {"h": 2, "w": 2}, "winograd": [False, True, False]}),
+    "winograd-no-such-m": ("resnet50", 2, {
+        "parallelism": {"h": 7, "w": 7}, "winograd": [False, True, False],
+        "winograd_m": 7}),
+}
+
+
+class TestRejectedConfigs:
+    """A config the stage cannot run exits 1 naming ``UnsupportedConfig``,
+    from ``simulate`` (which never builds a module pipeline) and from
+    ``hw describe``."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    @pytest.mark.parametrize("command", ["simulate", "hw"])
+    def test_exits_one(self, tmp_path, capsys, monkeypatch, command, case):
+        import turf.fusion
+
+        model_name, stage, edits = REJECTED[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_edit(json.loads(GOLDEN_CONFIG.read_text()),
+                                        **edits)))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_json(build_reference_model(model_name))))
+        if command == "simulate":
+            def no_pipeline(*args):
+                raise AssertionError("simulate built a module pipeline")
+            monkeypatch.setattr(turf.fusion, "instantiate_layer", no_pipeline)
+            argv = ["simulate", str(model), "--block", str(stage)]
+        else:
+            argv = ["hw", "describe", str(model), "--layer", str(stage)]
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("UnsupportedConfig: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestDse:
     def test_block_report_validates(self, workdir):
         out = workdir / "dse.json"

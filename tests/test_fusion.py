@@ -30,7 +30,7 @@ def simulate(block, shape, cfg, include_fill=True, **kwargs):
     plan = plan_block(block, shape, cfg)
     if not include_fill:
         plan = dataclasses.replace(plan, by_seq={
-            seq: tuple(dataclasses.replace(p, fill=0) for p in plans)
+            seq: tuple(p._replace(fill=0) for p in plans)
             for seq, plans in plan.by_seq.items()})
     return simulate_fused(plan, **kwargs)
 
@@ -200,9 +200,9 @@ class TestProperties:
             report = simulate(blk, shape, cfg, include_fill=False)
             hw_cfgs = derive_layer_configs(blk, shape, cfg)
             for layer, hw, row in zip(blk.layers, hw_cfgs, report.layers):
-                cycles, units = layer_cycle_counts(layer, hw)
+                cycles, fm_units, cm_units = layer_cycle_counts(layer, hw)
                 assert row.busy_cycles == cycles
-                assert row.work_units == units
+                assert row.work_units == (fm_units if hw.seq is Seq.FM else cm_units)
                 assert row.stall_cycles + row.busy_cycles \
                     <= report.per_pass_cycles
 
@@ -255,7 +255,7 @@ def test_accepted_buffers_hold_what_the_sequences_need(plan):
     for seqs in itertools.product((Seq.FM, Seq.CM), repeat=n):
         for options in itertools.product(BufferOption, repeat=n - 1):
             try:
-                buffers = _buffer_caps(plan.layer_plans(seqs), options)
+                buffers = _buffer_caps(plan, seqs, options)
             except InefficientConfig:
                 continue
             accepted += 1
@@ -263,6 +263,23 @@ def test_accepted_buffers_hold_what_the_sequences_need(plan):
                 if seqs[i] is Seq.CM or seqs[i + 1] is Seq.FM:
                     assert cap >= tokens, (seqs, options, i)
     assert accepted  # all channel-major with double buffers always fits
+
+
+@settings(max_examples=100, deadline=None)
+@given(planned_chains())
+def test_schedule_follows_the_sequence(plan):
+    """A filter-major layer releases one token per unit and needs all of its
+    input; a channel-major one takes one token per unit and releases at the
+    end; a depthwise layer maps tokens one to one under either.  The
+    sequence changes how a layer's cycles split into units, not the cycles
+    or the fill."""
+    for i, layer in enumerate(plan.layers):
+        depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
+        fm, cm = plan.by_seq[Seq.FM][i], plan.by_seq[Seq.CM][i]
+        assert (fm.producer_stream, fm.consumer_stream) == (True, depthwise)
+        assert (cm.producer_stream, cm.consumer_stream) == (depthwise, True)
+        assert fm.units * fm.cycles_per_unit == cm.units * cm.cycles_per_unit
+        assert fm.fill == cm.fill
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,11 +300,11 @@ def exhaustive_best_options(plan, seqs):
     """Reference for ``best_options``: every buffer option that fits is
     simulated, in ``_OPTION_ORDER`` product order, and the lowest
     (cycles, words) kept, the first on ties."""
-    plans = plan.layer_plans(seqs)
+    plans = plan.schedule(seqs)
     best = None
     for options in itertools.product(fusion._OPTION_ORDER, repeat=len(seqs) - 1):
         try:
-            caps = _buffer_caps(plans, options)
+            caps = _buffer_caps(plan, seqs, options)
         except InefficientConfig:
             continue
         words = tuple(w for _, _, w in caps)
@@ -321,7 +338,7 @@ def test_best_options_is_the_exhaustive_pick():
             for seqs in itertools.product((Seq.FM, Seq.CM), repeat=plan.cfg.num_layers):
                 got = best_options(plan, seqs)
                 assert got == exhaustive_best_options(plan, seqs), seqs
-                floor_cycles = plan.n_passes * floors[floor](plan.layer_plans(seqs))
+                floor_cycles = plan.n_passes * floors[floor](plan.schedule(seqs))
                 reached[floor].add(got.total_cycles == floor_cycles)
 
     check()

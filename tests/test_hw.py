@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dw_conv, pw_conv, std_conv
 from turf.errors import InefficientConfig, ShapeMismatch, UnsupportedConfig
-from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
+from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq, fill,
                      input_buffer, instantiate_layer,
                      intermediate_buffer_words, layer_cycle_counts,
                      line_buffer, output_buffer, validate_winograd,
@@ -124,34 +124,82 @@ class TestPipelines:
             LayerHwConfig((16, 16, 8, 16), (1, 1, 3, 4))
 
 
+@st.composite
+def layer_configs(draw, kind, wino):
+    """A ``kind`` layer with a config of any P_c, P_h/P_w and T_w, on the
+    Winograd path or not.  Winograd draws mostly take a 3x3 stride-1 kernel
+    and keep P_h = P_w = m, so both accepted and rejected ones occur."""
+    k = draw(st.sampled_from([3, 3, 3, 1, 5]) if wino else st.sampled_from([1, 3, 5]))
+    stride = draw(st.sampled_from([1, 1, 2]))
+    layer = {"std": lambda: std_conv(8, k=k, stride=stride),
+             "dw": lambda: dw_conv(k, stride),
+             "pw": lambda: pw_conv(8),
+             "fc": lambda: LayerSpec(LayerKind.FULLY_CONNECTED, out_channels=8)}[kind]()
+    m = draw(st.sampled_from([2, 4]))
+    if wino:
+        p_h = p_w = draw(st.sampled_from([m, m, m, 1]))
+    else:
+        p_h, p_w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p_c, p_f = draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    tile = (p_h * draw(st.integers(1, 4)), p_w * draw(st.integers(1, 32)),
+            p_c * draw(st.integers(1, 3)), p_f)
+    return layer, LayerHwConfig(tile, (p_h, p_w, p_c, p_f), use_winograd=wino,
+                                winograd_m=m)
+
+
+@pytest.mark.parametrize("wino", [False, True])
+@pytest.mark.parametrize("kind", ["std", "dw", "pw", "fc"])
+def test_closed_form_fill_is_the_pipeline_fill(kind, wino):
+    """``fill`` equals the instantiated pipeline's fill latency, or raises
+    the same error, on every pipelined layer kind, Winograd or not."""
+    accepted = []
+
+    def outcome(count, layer, hw):
+        try:
+            return count(layer, hw)
+        except UnsupportedConfig as exc:
+            return str(exc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layer_configs(kind, wino))
+    def check(case):
+        layer, hw = case
+        want = outcome(lambda l, h: instantiate_layer(l, h).fill_latency, layer, hw)
+        assert outcome(fill, layer, hw) == want
+        accepted.append(isinstance(want, int))
+
+    check()
+    # only a standard or depthwise conv takes the Winograd path
+    assert any(accepted) == (not wino or kind in ("std", "dw"))
+    assert all(accepted) == (not wino)
+
+
 class TestCycleCounts:
     def test_trip_count_product(self):
         hw = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 4))
-        cycles, units = layer_cycle_counts(std_conv(32), hw)
-        assert cycles == 4 * 8 * 8 * 8  # 2048
+        assert layer_cycle_counts(std_conv(32), hw)[0] == 4 * 8 * 8 * 8  # 2048
 
     def test_work_units_by_major_index(self):
-        fm = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 4), seq=Seq.FM)
-        cm = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 4), seq=Seq.CM)
-        assert layer_cycle_counts(std_conv(32), fm)[1] == 8   # 32/4 filter chunks
-        assert layer_cycle_counts(std_conv(32), cm)[1] == 4   # 16/4 channel chunks
+        hw = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 4))
+        _, fm_units, cm_units = layer_cycle_counts(std_conv(32), hw)
+        assert fm_units == 8   # 32/4 filter chunks
+        assert cm_units == 4   # 16/4 channel chunks
 
     def test_winograd_spatial_trip_count(self):
         hw = LayerHwConfig((8, 8, 4, 4), (4, 4, 1, 1), use_winograd=True,
                            winograd_m=4)
-        cycles, _ = layer_cycle_counts(std_conv(4), hw)
-        assert cycles == 4 * 4 * 4  # 4 tiles instead of 64 pixels
+        assert layer_cycle_counts(std_conv(4), hw)[0] == 4 * 4 * 4  # 4 tiles instead of 64 pixels
 
     def test_depthwise_drops_filter_trips(self):
         hw = LayerHwConfig((8, 8, 16, 16), (1, 1, 4, 4))
-        cycles, units = layer_cycle_counts(dw_conv(), hw)
+        cycles, fm_units, cm_units = layer_cycle_counts(dw_conv(), hw)
         assert cycles == 4 * 8 * 8
-        assert units == 4
+        assert fm_units == cm_units == 4
 
     def test_cycles_divide_evenly_into_units(self):
-        for seq in (Seq.FM, Seq.CM):
-            hw = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 8), seq=seq)
-            cycles, units = layer_cycle_counts(std_conv(32), hw)
+        hw = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 8))
+        cycles, *units_by_seq = layer_cycle_counts(std_conv(32), hw)
+        for units in units_by_seq:
             assert cycles % units == 0
 
 

@@ -223,7 +223,7 @@ def test_pruned_walk_keeps_the_filtered_product(model_name, stage_name):
     block, grids, by_spatial = _product_rows(model_name, stage_name)
     for spatial, rows in by_spatial:
         for dsp_total in (1, 256, STRATIX_V_5SGSD8.dsp_total, 10 ** 9):
-            for grid_depth in (4, ALL):
+            for grid_depth in (1, 2, 4, ALL):
                 got = _parallelism_combos(block, grids, *spatial,
                                           dsp_total, grid_depth)
                 assert got == _reference_combos(rows, dsp_total, grid_depth), \

@@ -32,7 +32,7 @@ def simple_cfg(block, shape, seqs=None, p=2):
 def estimate(block, shape, cfg, coeffs=None):
     """``estimate_resources`` for ``cfg`` as it stands."""
     plan = plan_block(block, shape, cfg)
-    caps = _buffer_caps(plan.layer_plans(cfg.seqs), cfg.buffer_options)
+    caps = _buffer_caps(plan, cfg.seqs, cfg.buffer_options)
     return estimate_resources(plan, cfg.seqs, tuple(w for _, _, w in caps),
                               coeffs or load_calibration())
 
@@ -208,12 +208,15 @@ class TestDesignGen:
 
 
 def test_each_grid_point_is_derived_once(monkeypatch):
-    """Only ``plan_block`` instantiates layers, once per layer per point.
-    The search builds no ``SimReport``, and sizes the buffers of each
-    (sequences, options) set it simulates exactly once.  It simulates 8
-    option sets and estimates the resources of 2 candidates: the two
-    best-ranked sequence assignments, each stopped at its floor (full
-    enumeration of the 2 points it used to evaluate takes 41 and 8)."""
+    """The ranking builds no module pipeline: ``instantiate_layer`` runs
+    once per layer of each distinct grid point that has a unit evaluated
+    (3, one point; every point planned, 75 layers, before pipelines were
+    built lazily).  The search builds no ``SimReport``, and sizes the
+    buffers of each (sequences, options) set it simulates exactly once.
+    It simulates 8 option sets and estimates the resources of 2
+    candidates: the two best-ranked sequence assignments, each stopped at
+    its floor (full enumeration of the 2 points it used to evaluate takes
+    41 and 8)."""
     import turf.cli, turf.fusion, turf.hw, turf.resources
     from turf.models import build_reference_model
 
@@ -234,14 +237,18 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     reports = []
     monkeypatch.setattr(turf.fusion, "SimReport",
                         lambda *a, **k: reports.append(1))
-    # every layer plan of the search stays alive in its BlockPlan, so ids
-    # name each (layer plans, options) set uniquely
-    sized, caps_of, simulated = {}, {}, []
+    # every plan of the search stays alive in the ranked list, so ids name
+    # each (plan, sequences, options) set uniquely
+    evaluated, sized, caps_of, simulated = {}, {}, {}, []
 
-    def buffer_caps(plans, options):
-        key = (tuple(map(id, plans)), options)
+    def best_options(plan, seqs):
+        evaluated[id(plan)] = len(plan.layers)
+        return orig_best(plan, seqs)
+
+    def buffer_caps(plan, seqs, options):
+        key = (id(plan), seqs, options)
         sized[key] = sized.get(key, 0) + 1
-        caps = orig_caps(plans, options)
+        caps = orig_caps(plan, seqs, options)
         caps_of[id(caps)] = key
         return caps
 
@@ -249,15 +256,17 @@ def test_each_grid_point_is_derived_once(monkeypatch):
         simulated.append(caps_of[id(caps)])
         return orig_pass(plans, caps, collect_events)
 
+    orig_best = turf.resources.best_options
     orig_caps, orig_pass = turf.fusion._buffer_caps, turf.fusion._simulate_pass
+    monkeypatch.setattr(turf.resources, "best_options", best_options)
     monkeypatch.setattr(turf.fusion, "_buffer_caps", buffer_caps)
     monkeypatch.setattr(turf.fusion, "_simulate_pass", simulate_pass)
     stage = next(s for s in build_reference_model("resnet50").stages
                  if s.name == "res2_1")
     design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
                grid_depth=4)
-    assert calls["plan_block"] > 0
-    assert calls["instantiate_layer"] == 3 * calls["plan_block"]
+    assert calls["plan_block"] == 25
+    assert calls["instantiate_layer"] == sum(evaluated.values()) == 3
     assert reports == []
     assert len(set(simulated)) == len(simulated) == 8
     assert all(sized[key] == 1 for key in simulated)

@@ -16,7 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from turf.errors import SimDeadlock
-from turf.fusion import SimEvent, _LayerPlan, _pass_lower_bound, _simulate_pass
+from turf.fusion import LayerSchedule, SimEvent, _pass_lower_bound, _simulate_pass
 
 
 @dataclass
@@ -41,7 +41,7 @@ class RefBufferState:
         return peak
 
 
-def reference_simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, int]],
+def reference_simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
                    collect_events: bool) -> tuple[int, list, list, list]:
     """One tile pass by a global earliest-candidate event loop.  Returns
     (makespan, starts, finishes, (buffer states, events))."""
@@ -137,16 +137,9 @@ def reference_simulate_pass(plans: list[_LayerPlan], caps: list[tuple[int, int, 
     return makespan, starts, finishes, (bufs, events)
 
 
-def _plan(units, cycles, fill, producer_stream, consumer_stream):
-    # the simulator reads only the unit counts, cycles, fill and stream flags
-    return _LayerPlan(layer=None, hw=None, units=units, cycles_per_unit=cycles,
-                      fill=fill, producer_stream=producer_stream,
-                      consumer_stream=consumer_stream)
-
-
 @st.composite
 def plan_lists(draw):
-    """1-4 layers of 1-16 units.  As ``_buffer_tokens`` derives them, a
+    """1-4 layers of 1-16 units.  As ``_buffer_caps`` derives them, a
     buffer holds one token per unit of a streaming producer and of a
     streaming consumer; other token counts and all capacities are free."""
     n = draw(st.integers(1, 4))
@@ -158,8 +151,9 @@ def plan_lists(draw):
             units = caps[-1][0]
         else:
             units = draw(st.integers(1, 16))
-        plans.append(_plan(units, draw(st.integers(1, 40)), draw(st.integers(0, 12)),
-                           producer_stream, consumer_stream))
+        plans.append(LayerSchedule(units, draw(st.integers(1, 40)),
+                                   draw(st.integers(0, 12)),
+                                   producer_stream, consumer_stream))
         if i < n - 1:
             tokens = units if producer_stream else draw(st.integers(1, 16))
             caps.append((tokens, draw(st.integers(1, tokens + 2)), 0))
@@ -219,7 +213,7 @@ def test_lower_bound_at_most_makespan(case):
     ((True, True), (True, True), (False, False)),
 ])
 def test_deadlock_raised_by_both(seqs):
-    plans = [_plan(2, 5, 1, p, c) for p, c in seqs]
+    plans = [LayerSchedule(2, 5, 1, p, c) for p, c in seqs]
     caps = [(2, 1, 0)] * (len(plans) - 1)
     with pytest.raises(SimDeadlock):
         _simulate_pass(plans, caps, False)
@@ -230,7 +224,7 @@ def test_deadlock_raised_by_both(seqs):
 def test_peak_counts_reservation_before_free_at_same_time():
     # with one slot, token 1 is reserved the instant token 0 is freed;
     # the reservation counts first, so both are held at that time
-    plans = [_plan(2, 5, 0, True, False), _plan(2, 5, 0, True, True)]
+    plans = [LayerSchedule(2, 5, 0, True, False), LayerSchedule(2, 5, 0, True, True)]
     _, _, _, (bufs, _) = _simulate_pass(plans, [(2, 1, 0)], False)
     assert bufs[0].reserved == [0, 10] and bufs[0].freed == [10, 20]
     assert bufs[0].peak() == 2
