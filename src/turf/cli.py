@@ -143,11 +143,11 @@ def cmd_hw_describe(args) -> int:
     stage = _pipeline_stage(model, args.layer, "--layer")
     cfg = _load_config(args.config)
     chains = []
-    for pipeline in plan_block(stage.op, stage.input_shape, cfg).pipelines:
+    for i, pipeline in enumerate(plan_block(stage.op, stage.input_shape, cfg).pipelines):
         pipeline.check_chain()
         chains.append({
             "layer_kind": pipeline.layer.kind.value,
-            "seq": pipeline.hw.seq.value,
+            "seq": cfg.seqs[i].value,
             "winograd": pipeline.hw.use_winograd,
             "modules": [_jsonify(m) for m in pipeline.modules],
             "weight_path": [_jsonify(m) for m in pipeline.weight_path],

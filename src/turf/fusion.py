@@ -61,8 +61,8 @@ from typing import NamedTuple
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
                      SimDeadlock, UnsupportedConfig)
-from .hw import (BufferOption, LayerHwConfig, LayerPipeline, Seq, fill,
-                 instantiate_layer, intermediate_buffer_words,
+from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, Seq,
+                 fill, instantiate_layer, intermediate_buffer_words,
                  layer_cycle_counts, winograd_eligible)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 
@@ -81,7 +81,9 @@ class FusedDesignConfig:
 
     The flattened channel lists encode the port-matching constraint
     structurally: layer i's output channel tile/parallelism is layer i+1's
-    input one (``t_c[i+1]``/``p_c[i+1]``), closed by ``t_f``/``p_f``.
+    input one (``t_c[i+1]``/``p_c[i+1]``), closed by ``t_f``/``p_f``.  A plain
+    record: ``config_from_json`` checks a document's, and the search builds
+    its own valid by construction.
     """
 
     t_h: int
@@ -95,23 +97,7 @@ class FusedDesignConfig:
     seqs: tuple[Seq, ...]
     buffer_options: tuple[BufferOption, ...]
     use_winograd: tuple[bool, ...] | None = None
-    winograd_m: int = 4
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_c", tuple(self.t_c))
-        object.__setattr__(self, "p_c", tuple(self.p_c))
-        object.__setattr__(self, "seqs", tuple(Seq(s) for s in self.seqs))
-        object.__setattr__(self, "buffer_options",
-                           tuple(BufferOption(b) for b in self.buffer_options))
-        if self.use_winograd is not None:
-            object.__setattr__(self, "use_winograd", tuple(self.use_winograd))
-        n = len(self.seqs)
-        if len(self.t_c) != n or len(self.p_c) != n:
-            raise PortMismatch("need one T_c/P_c per layer")
-        if len(self.buffer_options) != max(0, n - 1):
-            raise PortMismatch(f"need {n - 1} buffer options for {n} layers")
-        if self.use_winograd is not None and len(self.use_winograd) != n:
-            raise PortMismatch("need one winograd flag per layer")
+    winograd_m: int = WINOGRAD_M
 
     @property
     def num_layers(self) -> int:
@@ -122,40 +108,6 @@ class FusedDesignConfig:
         if i + 1 < self.num_layers:
             return self.t_c[i + 1], self.p_c[i + 1]
         return self.t_f, self.p_f
-
-
-def config_from_layer_tuples(layers: list[dict],
-                             buffer_options: list[str],
-                             winograd_m: int = 4) -> FusedDesignConfig:
-    """Build a fused config from explicit per-layer tuples, checking Eq.-style
-    port matching: P_h/P_w equal across layers and P_c^i = P_f^(i-1)."""
-    if not layers:
-        raise PortMismatch("empty layer list")
-    t_h, t_w = layers[0]["tile"][0], layers[0]["tile"][1]
-    p_h, p_w = layers[0]["parallelism"][0], layers[0]["parallelism"][1]
-    t_c, p_c, seqs, wino = [], [], [], []
-    for i, entry in enumerate(layers):
-        th, tw, tc, tf = entry["tile"]
-        ph, pw, pc, pf = entry["parallelism"]
-        if (ph, pw) != (p_h, p_w):
-            raise PortMismatch(
-                f"layer {i}: spatial parallelism ({ph},{pw}) != layer 0 ({p_h},{p_w})")
-        if i > 0:
-            prev_pf = layers[i - 1]["parallelism"][3]
-            prev_tf = layers[i - 1]["tile"][3]
-            if pc != prev_pf:
-                raise PortMismatch(f"layer {i}: P_c={pc} != previous P_f={prev_pf}")
-            if tc != prev_tf:
-                raise PortMismatch(f"layer {i}: T_c={tc} != previous T_f={prev_tf}")
-        t_c.append(tc)
-        p_c.append(pc)
-        seqs.append(Seq(entry.get("seq", "FM")))
-        wino.append(bool(entry.get("winograd", False)))
-    t_f = layers[-1]["tile"][3]
-    p_f = layers[-1]["parallelism"][3]
-    return FusedDesignConfig(t_h, t_w, tuple(t_c), t_f, p_h, p_w, tuple(p_c), p_f,
-                             tuple(seqs), tuple(BufferOption(b) for b in buffer_options),
-                             use_winograd=tuple(wino), winograd_m=winograd_m)
 
 
 def config_to_json(cfg: FusedDesignConfig) -> dict:
@@ -171,24 +123,67 @@ def config_to_json(cfg: FusedDesignConfig) -> dict:
     return doc
 
 
+def _typed(value, kind: type, name: str):
+    """``value`` if its JSON type is ``kind`` (a bool is no integer)."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _typed_list(values, kind: type, name: str, n: int) -> tuple:
+    """``values``, a JSON list of ``n`` entries of type ``kind``, as a tuple."""
+    if len(_typed(values, list, name)) != n:
+        raise PortMismatch(f"need {n} {name} entries, got {len(values)}")
+    return tuple(_typed(v, kind, f"{name}[{i}]") for i, v in enumerate(values))
+
+
 def config_from_json(doc: dict) -> FusedDesignConfig:
-    """Parse a fused-design config document.
+    """Parse a fused-design config document, the one place a config is
+    checked and normalised.
 
     Accepts the flattened form (``tiles``/``parallelism`` with per-layer
-    channel lists) or an explicit per-layer list (``layers``), the latter
-    checked for port matching.
+    channel lists) or a per-layer list (``layers``), which is checked for
+    port matching and flattened.  Both then need JSON integers for tiles,
+    parallelism and ``winograd_m``, booleans for Winograd flags, one entry
+    per layer in each list, n - 1 buffers and valid names.  A wrong type
+    raises ``TypeError`` (``InvalidDocument`` under ``errors.reading``).
     """
     if "layers" in doc:
-        return config_from_layer_tuples(doc["layers"], doc.get("buffers", []),
-                                        winograd_m=doc.get("winograd_m", 4))
+        layers = doc["layers"]
+        if not layers:
+            raise PortMismatch("empty layer list")
+        tile_of = [tuple(entry["tile"]) for entry in layers]
+        par_of = [tuple(entry["parallelism"]) for entry in layers]
+        # unpacking checks that each tile and parallelism has 4 entries
+        for i, ((_, _, t_c, _), (p_h, p_w, p_c, _)) in enumerate(zip(tile_of, par_of)):
+            if (p_h, p_w) != par_of[0][:2]:
+                raise PortMismatch(f"layer {i}: spatial parallelism {(p_h, p_w)} "
+                                   f"!= layer 0 {par_of[0][:2]}")
+            if i and p_c != par_of[i - 1][3]:
+                raise PortMismatch(f"layer {i}: P_c={p_c} != previous P_f={par_of[i - 1][3]}")
+            if i and t_c != tile_of[i - 1][3]:
+                raise PortMismatch(f"layer {i}: T_c={t_c} != previous T_f={tile_of[i - 1][3]}")
+        doc = {**doc,
+               "tiles": {"h": tile_of[0][0], "w": tile_of[0][1],
+                         "c": [t[2] for t in tile_of], "f": tile_of[-1][3]},
+               "parallelism": {"h": par_of[0][0], "w": par_of[0][1],
+                               "c": [p[2] for p in par_of], "f": par_of[-1][3]},
+               "seqs": [entry.get("seq", "FM") for entry in layers],
+               "winograd": [entry.get("winograd", False) for entry in layers]}
     tiles, par = doc["tiles"], doc["parallelism"]
+    n = len(_typed(doc["seqs"], list, "seqs"))
     return FusedDesignConfig(
-        t_h=tiles["h"], t_w=tiles["w"], t_c=tuple(tiles["c"]), t_f=tiles["f"],
-        p_h=par["h"], p_w=par["w"], p_c=tuple(par["c"]), p_f=par["f"],
-        seqs=tuple(Seq(s) for s in doc["seqs"]),
-        buffer_options=tuple(BufferOption(b) for b in doc.get("buffers", [])),
-        use_winograd=tuple(doc["winograd"]) if "winograd" in doc else None,
-        winograd_m=doc.get("winograd_m", 4),
+        t_h=_typed(tiles["h"], int, "tiles.h"), t_w=_typed(tiles["w"], int, "tiles.w"),
+        t_c=_typed_list(tiles["c"], int, "tiles.c", n), t_f=_typed(tiles["f"], int, "tiles.f"),
+        p_h=_typed(par["h"], int, "parallelism.h"), p_w=_typed(par["w"], int, "parallelism.w"),
+        p_c=_typed_list(par["c"], int, "parallelism.c", n),
+        p_f=_typed(par["f"], int, "parallelism.f"),
+        seqs=tuple(map(Seq, doc["seqs"])),
+        buffer_options=tuple(map(BufferOption, _typed_list(
+            doc.get("buffers", []), str, "buffers", max(0, n - 1)))),
+        use_winograd=_typed_list(doc["winograd"], bool, "winograd", n)
+        if "winograd" in doc else None,
+        winograd_m=_typed(doc.get("winograd_m", WINOGRAD_M), int, "winograd_m"),
     )
 
 
@@ -295,7 +290,6 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
         out.append(LayerHwConfig(
             tile=(th, tw, t_c, t_f),
             parallelism=(cfg.p_h, cfg.p_w, p_c, p_f),
-            seq=cfg.seqs[i],
             use_winograd=wino[i],
             winograd_m=cfg.winograd_m,
         ))
@@ -571,10 +565,6 @@ class SeqCandidate:
     def label(self) -> str:
         return "".join("F" if s is Seq.FM else "C" for s in self.seqs)
 
-    @property
-    def seq_order_key(self) -> tuple[int, ...]:
-        return tuple(_SEQ_ORDER.index(s) for s in self.seqs)
-
 
 def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate | None:
     """The buffer options that run ``plan``'s design fastest under the
@@ -621,13 +611,12 @@ def assignment_bounds(plan: BlockPlan) -> list[tuple[int, tuple[Seq, ...]]]:
 
 def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
     """``best_options`` for every computation-sequence assignment of a
-    planned design that some buffer option fits, sorted by total cycles,
-    then total buffer words, then the FM-before-CM lexicographic order of
-    the sequence string."""
+    planned design that some buffer option fits, sorted (stably) by total
+    cycles, then total buffer words, then the product order it is built in:
+    FM before CM, lexicographic in the sequence string."""
     results = [c for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)
                if (c := best_options(plan, seqs)) is not None]
-    results.sort(key=lambda c: (c.total_cycles, c.total_buffer_words,
-                                c.seq_order_key))
+    results.sort(key=lambda c: (c.total_cycles, c.total_buffer_words))
     return results
 
 

@@ -37,6 +37,8 @@ from .errors import InefficientConfig, UnsupportedConfig
 from .ir import LayerKind, LayerSpec
 from .kernels import winograd_config
 
+WINOGRAD_M = 4     # the default Winograd path, F(4x4, 3x3), which the DSE explores
+
 
 class ModuleKind(enum.Enum):
     LINE_BUFFER = "LineBuffer"
@@ -127,13 +129,12 @@ def dot_product_array(in_width: int, out_width: int, multipliers: int,
 
 @dataclass(frozen=True)
 class LayerHwConfig:
-    """One layer's hardware knobs: tiles, parallelism, loop order, Winograd."""
+    """One layer's hardware knobs: tiles, parallelism and Winograd."""
 
     tile: tuple[int, int, int, int]          # (T_h, T_w, T_c, T_f)
     parallelism: tuple[int, int, int, int]   # (P_h, P_w, P_c, P_f)
-    seq: Seq = Seq.FM
     use_winograd: bool = False
-    winograd_m: int = 4
+    winograd_m: int = WINOGRAD_M
 
     def __post_init__(self):
         t_h, t_w, t_c, t_f = self.tile

@@ -98,24 +98,19 @@ class LayerSpec:
         return (self,)
 
     def output_shape(self, shape: TensorShape) -> TensorShape:
-        h, w, c = shape.as_tuple()
-        k, s, p = self.kernel_size, self.stride, self.padding
-        if self.kind in (LayerKind.STANDARD_CONV, LayerKind.POINTWISE_CONV):
-            ho = (h + 2 * p - k) // s + 1
-            wo = (w + 2 * p - k) // s + 1
-            return TensorShape(ho, wo, self.out_channels)
-        if self.kind is LayerKind.DEPTHWISE_CONV:
-            ho = (h + 2 * p - k) // s + 1
-            wo = (w + 2 * p - k) // s + 1
-            return TensorShape(ho, wo, c)
-        if self.kind is LayerKind.POOLING:
-            ho = (h + 2 * p - k) // s + 1
-            wo = (w + 2 * p - k) // s + 1
-            return TensorShape(max(ho, 1), max(wo, 1), c)
         if self.kind is LayerKind.FULLY_CONNECTED:
             return TensorShape(1, 1, self.out_channels)
-        # activation / batch norm / elementwise add are shape-preserving
-        return shape
+        if self.kind not in (*_CONV_KINDS, LayerKind.POOLING):
+            # activation / batch norm / elementwise add are shape-preserving
+            return shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        ho = (shape.height + 2 * p - k) // s + 1
+        wo = (shape.width + 2 * p - k) // s + 1
+        if self.kind is LayerKind.POOLING:
+            return TensorShape(max(ho, 1), max(wo, 1), shape.channels)
+        # a depthwise layer keeps its channels (and has no out_channels)
+        c = shape.channels if self.out_channels is None else self.out_channels
+        return TensorShape(ho, wo, c)
 
     def ops(self, shape: TensorShape) -> int:
         """Operation count on the given input shape (MAC = 2 ops)."""

@@ -33,11 +33,11 @@ from dataclasses import dataclass, replace
 from importlib import resources as importlib_resources
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
-                     PortMismatch, UnsupportedConfig, reading)
+                     UnsupportedConfig, reading)
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
                      assignment_bounds, best_options, enumerate_sequences,
                      plan_block, tiling_overhead)
-from .hw import (BufferOption, LayerHwConfig, ModuleKind, Seq,
+from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, ModuleKind, Seq,
                  validate_winograd, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
                  layer_shapes)
@@ -45,7 +45,6 @@ from .kernels import winograd_config
 
 WORD_BYTES = 2
 M20K_BYTES = 2560  # one M20K block = 20 kbit
-WINOGRAD_M = 4     # the DSE's Winograd path is F(4x4, 3x3)
 MIN_TILE = 14      # the DSE halves spatial tiles down to this size
 
 
@@ -408,7 +407,7 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     once), with its tile's fused roofline point.  Multipliers do not depend
     on the tile, so each spatial option's combos are found once.  A tile
     whose roofline raises is skipped whole, as is a point whose plan
-    raises."""
+    raises: the points are valid by construction otherwise."""
     layers = block.layers
     n = len(layers)
     chans = [s.channels for s in layer_shapes(block, input_shape)]
@@ -439,7 +438,8 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                         seqs=(Seq.FM,) * n,
                         buffer_options=(BufferOption.DOUBLE,) * (n - 1),
                         use_winograd=wino, winograd_m=WINOGRAD_M), chans)
-                except (UnsupportedConfig, PortMismatch):
+                except UnsupportedConfig:
+                    # a stride-2 layer halved the tile to a size m does not divide
                     continue
                 yield plan, rl
 

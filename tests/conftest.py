@@ -83,3 +83,19 @@ def small_custom_model(n_convs=3, base_channels=8, size=32):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def layers_form(doc: dict) -> dict:
+    """A flattened fused-config document (with ``winograd`` flags) in the
+    per-layer ``layers`` form; each layer's (T_h, T_w) repeats the block's."""
+    t, p = doc["tiles"], doc["parallelism"]
+    t_out, p_out = t["c"][1:] + [t["f"]], p["c"][1:] + [p["f"]]
+    layers = [{"tile": [t["h"], t["w"], t_c, t_f],
+               "parallelism": [p["h"], p["w"], p_c, p_f],
+               "seq": seq, "winograd": wino}
+              for t_c, t_f, p_c, p_f, seq, wino
+              in zip(t["c"], t_out, p["c"], p_out, doc["seqs"], doc["winograd"])]
+    out = {"layers": layers, "buffers": doc["buffers"]}
+    if "winograd_m" in doc:
+        out["winograd_m"] = doc["winograd_m"]
+    return out

@@ -1,5 +1,8 @@
 """CLI surface: subcommands, exit codes, schema-valid reports, determinism."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import shlex
@@ -10,9 +13,12 @@ from importlib import resources as importlib_resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from conftest import layers_form
+from turf import errors
 from turf.cli import main
 from turf.ir import model_to_json
 from turf.models import build_reference_model
@@ -94,8 +100,16 @@ def _inline_file_refs(node):
     return node
 
 
+@functools.cache
+def _validator(schema_name):
+    schema = _inline_file_refs(_load_schema(schema_name))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def _validate(doc, schema_name):
-    jsonschema.validate(doc, _inline_file_refs(_load_schema(schema_name)))
+    _validator(schema_name).validate(doc)
 
 
 class TestModelShow:
@@ -249,6 +263,127 @@ class TestRejectedConfigs:
         assert err.startswith("UnsupportedConfig: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
+
+
+@pytest.fixture(scope="module")
+def res2_1_model(tmp_path_factory):
+    """A model file of ResNet-50's first three stages, up to ``res2_1``."""
+    path = tmp_path_factory.mktemp("res2_1") / "model.json"
+    stages = model_to_json(build_reference_model("resnet50"))["stages"][:3]
+    path.write_text(json.dumps({"base": "Custom", "stages": stages}))
+    return str(path)
+
+
+def _config_argv(command, model):
+    """``simulate`` or ``hw describe`` on stage 2 of ``model``."""
+    if command == "simulate":
+        return ["simulate", model, "--block", "2", "--enumerate-seqs"]
+    return ["hw", "describe", model, "--layer", "2"]
+
+
+# tile and parallelism entries that are no JSON integer, and wrongly typed
+# Winograd fields
+INVALID_DOCUMENTS = {
+    "null-tile": {"tiles": {"h": None}},
+    "string-tile": {"tiles": {"w": "14"}},
+    "float-tile": {"tiles": {"h": 28.0}},
+    "bool-parallelism": {"parallelism": {"h": True}},
+    "string-winograd-m": {"winograd_m": "4"},
+    "string-winograd-flag": {"winograd": ["yes", False, False]},
+}
+
+
+class TestInvalidConfigDocuments:
+    """A config document with a value of the wrong JSON type exits 1 naming
+    ``InvalidDocument``, in either form, from ``simulate`` and ``hw describe``."""
+
+    @pytest.mark.parametrize("form", ["flat", "layers"])
+    @pytest.mark.parametrize("case", sorted(INVALID_DOCUMENTS))
+    @pytest.mark.parametrize("command", ["simulate", "hw"])
+    def test_exits_one(self, tmp_path, capsys, res2_1_model, command, case, form):
+        doc = _edit(json.loads(GOLDEN_CONFIG.read_text()), **INVALID_DOCUMENTS[case])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc if form == "flat" else layers_form(doc)))
+        assert main(_config_argv(command, res2_1_model) + [
+            "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidDocument: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+
+def _paths(node, path=()):
+    """The path of ``node`` and of every entry inside it."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _put(doc, path, value):
+    """``doc`` with the entry at ``path`` set to ``value``."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# what a fuzzed field gets: no value, a wrong type, zero or a negative
+# number, a plausible or a valid name, or a short list
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-64, 0), st.integers(1, 64),
+    st.floats(-64, 64), st.integers(1, 64).map(float),
+    st.sampled_from(["", "x", "FM", "CM", "Double", "MatchPrev", "MatchNext", "4"]),
+    st.lists(st.integers(-1, 64), max_size=4))
+
+TURF_ERRORS = {name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.TurfError)}
+
+SCHEMAS = {"simulate": "simulate_report.schema.json", "hw": "hw_describe.schema.json"}
+FUZZ_DOCS = {"flat": json.loads(GOLDEN_CONFIG.read_text())}
+FUZZ_DOCS["layers"] = layers_form(FUZZ_DOCS["flat"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(SCHEMAS)), form=st.sampled_from(["flat", "layers"]),
+       data=st.data())
+def test_fuzzed_config_documents_keep_the_contract(res2_1_model, command, form, data):
+    """The golden res2_1 config, in either form, with one to three fields
+    replaced by a fuzzed value: ``simulate`` or ``hw describe`` exits 0
+    with a report that validates against its schema, or exits 1 naming a
+    ``TurfError`` class first on stderr, with no traceback and no report.
+    Any other exception escapes ``main`` and fails the test."""
+    doc = FUZZ_DOCS[form]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]), label="path")
+        doc = _put(doc, path, data.draw(FUZZ_VALUES, label="value"))
+    workdir = os.path.dirname(res2_1_model)
+    cfg, out = os.path.join(workdir, "cfg.json"), os.path.join(workdir, "out.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    if os.path.exists(out):
+        os.remove(out)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main(_config_argv(command, res2_1_model) + ["--config", cfg, "--out", out])
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if rc == 0:
+        with open(out) as fh:
+            _validate(json.load(fh), SCHEMAS[command])
+    else:
+        assert rc == 1
+        assert err.split(":")[0] in TURF_ERRORS, err
+        assert not os.path.exists(out)
 
 
 class TestDse:

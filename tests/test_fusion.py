@@ -3,20 +3,21 @@ and tiling overhead against a brute-force pixel counter."""
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dw_conv, dwsep_block, pw_conv, stacked_block, std_conv
+from conftest import (dw_conv, dwsep_block, layers_form, pw_conv, stacked_block,
+                      std_conv)
 from turf import fusion
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
                          UnsupportedConfig)
 from turf.fusion import (FusedDesignConfig, SeqCandidate, _buffer_caps,
                          _simulate_pass, best_options, config_from_json,
-                         config_from_layer_tuples, config_to_json,
-                         derive_layer_configs, enumerate_sequences,
+                         config_to_json, derive_layer_configs, enumerate_sequences,
                          plan_block, simulate_fused, tiling_overhead)
 from turf.hw import BufferOption, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
@@ -202,7 +203,7 @@ class TestProperties:
             for layer, hw, row in zip(blk.layers, hw_cfgs, report.layers):
                 cycles, fm_units, cm_units = layer_cycle_counts(layer, hw)
                 assert row.busy_cycles == cycles
-                assert row.work_units == (fm_units if hw.seq is Seq.FM else cm_units)
+                assert row.work_units == (fm_units if row.seq is Seq.FM else cm_units)
                 assert row.stall_cycles + row.busy_cycles \
                     <= report.per_pass_cycles
 
@@ -377,26 +378,59 @@ class TestEnumeration:
         assert entries[0].label == "FC"
 
 
+@st.composite
+def fused_configs(draw):
+    """A fused config of one to three layers with arbitrary positive tiles
+    and parallelism, and Winograd flags that may be left to the default."""
+    n = draw(st.integers(1, 3))
+    sizes = st.integers(1, 512)
+
+    def entries(values, count):
+        return tuple(draw(st.lists(values, min_size=count, max_size=count)))
+
+    return FusedDesignConfig(
+        t_h=draw(sizes), t_w=draw(sizes), t_c=entries(sizes, n), t_f=draw(sizes),
+        p_h=draw(sizes), p_w=draw(sizes), p_c=entries(sizes, n), p_f=draw(sizes),
+        seqs=entries(st.sampled_from(Seq), n),
+        buffer_options=entries(st.sampled_from(BufferOption), n - 1),
+        use_winograd=entries(st.booleans(), n) if draw(st.booleans()) else None,
+        winograd_m=draw(st.sampled_from([2, 4])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fused_configs())
+def test_config_documents_round_trip(cfg):
+    """A config's document parses back to it, and its per-layer ``layers``
+    form parses to the same config; that form always sets the Winograd
+    flags, to False where the layer names none."""
+    doc = json.loads(json.dumps(config_to_json(cfg)))
+    assert config_from_json(doc) == cfg
+    wino = cfg.use_winograd or (False,) * cfg.num_layers
+    doc["winograd"] = list(wino)
+    assert config_from_json(layers_form(doc)) \
+        == dataclasses.replace(cfg, use_winograd=wino)
+
+
 class TestConfigValidation:
     def test_port_mismatch_rejected(self):
         with pytest.raises(PortMismatch):
-            config_from_layer_tuples([
+            config_from_json({"layers": [
                 {"tile": [8, 8, 4, 8], "parallelism": [1, 1, 2, 2], "seq": "FM"},
                 {"tile": [8, 8, 8, 8], "parallelism": [1, 1, 4, 2], "seq": "CM"},
-            ], ["Double"])
+            ], "buffers": ["Double"]})
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(PortMismatch):
-            config_from_layer_tuples([
+            config_from_json({"layers": [
                 {"tile": [8, 8, 4, 8], "parallelism": [1, 1, 2, 2], "seq": "FM"},
                 {"tile": [8, 8, 8, 8], "parallelism": [2, 1, 2, 2], "seq": "CM"},
-            ], ["Double"])
+            ], "buffers": ["Double"]})
 
     def test_flattened_form_encodes_matching(self):
-        cfg = config_from_layer_tuples([
+        cfg = config_from_json({"layers": [
             {"tile": [8, 8, 4, 8], "parallelism": [1, 1, 2, 2], "seq": "FM"},
             {"tile": [8, 8, 8, 8], "parallelism": [1, 1, 2, 4], "seq": "CM"},
-        ], ["Double"])
+        ], "buffers": ["Double"]})
         assert cfg.p_c == (2, 2)
         assert cfg.p_f == 4
         round_trip = config_from_json(config_to_json(cfg))
