@@ -76,6 +76,13 @@ def reading(path):
             f"{path} is not a valid document: {type(exc).__name__}: {exc}") from exc
 
 
+def typed(value, kind: type, name: str):
+    """``value`` if its JSON type is ``kind`` (a bool is no integer), else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 class NoSolution(TurfError):
     """Model search finished without any candidate meeting the requirements."""
 

@@ -49,6 +49,10 @@ buffer-option search and the simulator read only that schedule; each
 layer's module pipeline is built when first read (the resource model,
 ``hw describe``).  A bare convolution or fully-connected layer is its own
 one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
+
+The buffer-option search (``best_options``) decides by bound first: a walk
+of the recurrence with a capacity term, ``_pass_bound``, is the makespan when
+no buffer can make a streaming producer wait; simulation decides the rest.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
-                     SimDeadlock, UnsupportedConfig)
+                     SimDeadlock, UnsupportedConfig, typed)
 from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, Seq,
                  fill, instantiate_layer, intermediate_buffer_words,
                  layer_cycle_counts, winograd_eligible)
@@ -123,18 +127,11 @@ def config_to_json(cfg: FusedDesignConfig) -> dict:
     return doc
 
 
-def _typed(value, kind: type, name: str):
-    """``value`` if its JSON type is ``kind`` (a bool is no integer)."""
-    if type(value) is not kind:
-        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
 def _typed_list(values, kind: type, name: str, n: int) -> tuple:
     """``values``, a JSON list of ``n`` entries of type ``kind``, as a tuple."""
-    if len(_typed(values, list, name)) != n:
+    if len(typed(values, list, name)) != n:
         raise PortMismatch(f"need {n} {name} entries, got {len(values)}")
-    return tuple(_typed(v, kind, f"{name}[{i}]") for i, v in enumerate(values))
+    return tuple(typed(v, kind, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def config_from_json(doc: dict) -> FusedDesignConfig:
@@ -171,19 +168,19 @@ def config_from_json(doc: dict) -> FusedDesignConfig:
                "seqs": [entry.get("seq", "FM") for entry in layers],
                "winograd": [entry.get("winograd", False) for entry in layers]}
     tiles, par = doc["tiles"], doc["parallelism"]
-    n = len(_typed(doc["seqs"], list, "seqs"))
+    n = len(typed(doc["seqs"], list, "seqs"))
     return FusedDesignConfig(
-        t_h=_typed(tiles["h"], int, "tiles.h"), t_w=_typed(tiles["w"], int, "tiles.w"),
-        t_c=_typed_list(tiles["c"], int, "tiles.c", n), t_f=_typed(tiles["f"], int, "tiles.f"),
-        p_h=_typed(par["h"], int, "parallelism.h"), p_w=_typed(par["w"], int, "parallelism.w"),
+        t_h=typed(tiles["h"], int, "tiles.h"), t_w=typed(tiles["w"], int, "tiles.w"),
+        t_c=_typed_list(tiles["c"], int, "tiles.c", n), t_f=typed(tiles["f"], int, "tiles.f"),
+        p_h=typed(par["h"], int, "parallelism.h"), p_w=typed(par["w"], int, "parallelism.w"),
         p_c=_typed_list(par["c"], int, "parallelism.c", n),
-        p_f=_typed(par["f"], int, "parallelism.f"),
+        p_f=typed(par["f"], int, "parallelism.f"),
         seqs=tuple(map(Seq, doc["seqs"])),
         buffer_options=tuple(map(BufferOption, _typed_list(
             doc.get("buffers", []), str, "buffers", max(0, n - 1)))),
         use_winograd=_typed_list(doc["winograd"], bool, "winograd", n)
         if "winograd" in doc else None,
-        winograd_m=_typed(doc.get("winograd_m", WINOGRAD_M), int, "winograd_m"),
+        winograd_m=typed(doc.get("winograd_m", WINOGRAD_M), int, "winograd_m"),
     )
 
 
@@ -475,32 +472,40 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
     return makespan, starts, finishes, (bufs, events)
 
 
-def _pass_lower_bound(plans: list[LayerSchedule]) -> int:
-    """A lower bound on ``_simulate_pass``'s makespan under any buffer sizing.
+def _pass_bound(plans: list[LayerSchedule], caps) -> int:
+    """A lower bound on ``_simulate_pass``'s makespan with buffers ``caps``,
+    exact when none of them can make a streaming producer wait.
 
-    Buffer-capacity waits only add delay, so they are left out, and every
-    layer's units run back to back from the earliest start its input
+    Every layer's units run back to back from the earliest start its input
     allows.  When layer i streams out and layer i+1 streams in, unit u of
     i+1 takes token u, so i+1 starts after i's first token is ready and
     finishes no earlier than one unit after i's last token; otherwise every
     unit of i+1 waits for i's last token.  (A streaming producer releases
     one token per unit and a streaming consumer takes one per unit, as
-    ``_buffer_caps`` sizes them.)  The last layer's fill ends the pass.
+    ``_buffer_caps`` sizes them.)  If i's buffer holds ``cap`` < tokens,
+    i's unit u also waits for i+1 to finish unit u - cap, so each ``cap``
+    units of i cost at least one round trip through i+1.  The last layer's
+    fill ends the pass.
     """
-    start = finish = 0
-    for i, plan in enumerate(plans):
+    start, finish = 0, plans[0].units * plans[0].cycles_per_unit
+    for prev, plan, (tokens, cap, _) in zip(plans, plans[1:], caps):
         busy = plan.units * plan.cycles_per_unit
-        if i == 0:
-            finish = busy
-            continue
-        prev = plans[i - 1]
         if prev.producer_stream and plan.consumer_stream:
+            if cap < tokens:
+                laps, rest = divmod(prev.units - 1, cap)
+                finish = max(finish, start + (rest + 1) * prev.cycles_per_unit + laps * (
+                    prev.cycles_per_unit + prev.fill + plan.cycles_per_unit))
             start += prev.cycles_per_unit + prev.fill
             finish = max(start + busy, finish + prev.fill + plan.cycles_per_unit)
         else:
             start = finish + prev.fill
             finish = start + busy
     return finish + plans[-1].fill
+
+
+def _pass_lower_bound(plans: list[LayerSchedule]) -> int:
+    """``_pass_bound`` with every buffer holding all its tokens: a floor under any sizing."""
+    return _pass_bound(plans, itertools.repeat((1, 1, 0)))
 
 
 def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
@@ -572,10 +577,14 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate | None:
     first in ``_OPTION_ORDER`` product order.  None when no option's buffers
     hold what the sequences need.
 
-    Every option set is sized once; those that fit are simulated in
-    ascending (total words, product index) order, up to the first whose
-    makespan equals ``_pass_lower_bound``: no option is faster, and every
-    later one has at least as many words, so it is the pick.
+    Every option set is sized once; those that fit are taken in ascending
+    (total words, product index) order up to the first whose makespan is
+    the floor ``_pass_lower_bound``, the pick: no set is faster, and every
+    later one has at least as many words.  A set in which no buffer can make
+    a streaming producer wait has ``_pass_bound`` as its makespan.  A set
+    whose waiting buffers all feed streaming consumers cannot deadlock, and
+    if its bound is above the floor it is simulated only when no set reaches
+    the floor.  Every other set is simulated.
     """
     plans = plan.schedule(seqs)
     sized = []
@@ -587,16 +596,25 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate | None:
         sized.append((sum(w for _, _, w in caps), options, caps))
     sized.sort(key=lambda s: s[0])  # stable: product order among equal words
     floor = _pass_lower_bound(plans)
-    best = None
-    for _, options, caps in sized:
-        makespan = _simulate_pass(plans, caps, False)[0]
-        if best is None or makespan < best[0]:
-            best = (makespan, options, caps)
-            if makespan == floor:
-                break
-    if best is None:
+    done, deferred = [], []
+    for order, (_, options, caps) in enumerate(sized):
+        # per buffer that can make its streaming producer wait: does its consumer stream?
+        limited = [plans[i + 1].consumer_stream for i, (tokens, cap, _) in enumerate(caps)
+                   if plans[i].producer_stream and cap < tokens]
+        bound = _pass_bound(plans, caps)
+        if limited and all(limited) and bound > floor:
+            deferred.append((order, options, caps))
+            continue
+        makespan = _simulate_pass(plans, caps, False)[0] if limited else bound
+        done.append((makespan, order, options, caps))
+        if makespan == floor:
+            break
+    else:
+        done += [(_simulate_pass(plans, caps, False)[0], order, options, caps)
+                 for order, options, caps in deferred]
+    if not done:
         return None
-    makespan, options, caps = best
+    makespan, _, options, caps = min(done)
     return SeqCandidate(seqs, options, makespan * plan.n_passes,
                         tuple(w for _, _, w in caps))
 

@@ -23,7 +23,7 @@ import enum
 import json
 from dataclasses import dataclass, replace
 
-from .errors import InvalidReplacement, ShapeMismatch, reading
+from .errors import InvalidReplacement, ShapeMismatch, reading, typed
 
 
 class LayerKind(enum.Enum):
@@ -356,13 +356,15 @@ def _layer_to_json(layer: LayerSpec) -> dict:
 
 
 def _layer_from_json(d: dict) -> LayerSpec:
-    kind = LayerKind(d["kind"])
-    return LayerSpec(kind,
-                     kernel_size=d.get("kernel", 1),
-                     stride=d.get("stride", 1),
-                     out_channels=d.get("out_channels"),
+    out = d.get("out_channels")
+    if typed(d.get("padding", 0), int, "padding") < 0:
+        raise ValueError(f"padding must be >= 0, got {d['padding']}")
+    return LayerSpec(LayerKind(d["kind"]),
+                     kernel_size=typed(d.get("kernel", 1), int, "kernel"),
+                     stride=typed(d.get("stride", 1), int, "stride"),
+                     out_channels=None if out is None else typed(out, int, "out_channels"),
                      padding=d.get("padding", 0),
-                     has_bias=d.get("bias", False))
+                     has_bias=typed(d.get("bias", False), bool, "bias"))
 
 
 def model_to_json(model: ModelSpec) -> dict:
@@ -394,34 +396,37 @@ def model_from_json(doc: dict) -> ModelSpec:
     """Load a declarative model document.
 
     Two forms are accepted: a full stage list, or a shorthand naming a
-    reference model: ``{"base": "vgg16", "input": [224, 224, 3]}``.
+    reference model: ``{"base": "vgg16", "input": [224, 224, 3]}``.  Shapes,
+    kernels, strides, paddings (>= 0) and channel counts must be JSON
+    integers, bias and shortcut flags booleans, names strings; a wrong type
+    raises ``TypeError`` (``InvalidDocument`` under ``errors.reading``).
     """
     if "stages" not in doc:
         from .models import build_reference_model
-        shape = TensorShape(*doc.get("input", (224, 224, 3)))
+        shape = TensorShape(*(typed(n, int, "input") for n in doc.get("input", (224, 224, 3))))
         return build_reference_model(doc["base"], shape)
 
     stages = []
     for entry in doc["stages"]:
-        shape = TensorShape(*entry["input"])
+        shape = TensorShape(*(typed(n, int, "input") for n in entry["input"]))
         if "block" in entry:
             b = entry["block"]
             proj = _layer_from_json(b["projection"]) if "projection" in b else None
             op: LayerSpec | BlockSpec = BlockSpec(
                 BlockKind(b["kind"]),
                 tuple(_layer_from_json(l) for l in b["layers"]),
-                has_shortcut=b.get("shortcut", False),
+                has_shortcut=typed(b.get("shortcut", False), bool, "shortcut"),
                 shortcut_projection=proj)
         else:
             op = _layer_from_json(entry)
-        stages.append(Stage(shape, op, entry.get("name", "")))
+        stages.append(Stage(shape, op, typed(entry.get("name", ""), str, "name")))
 
     groups = tuple(tuple(g) for g in doc.get("groups", ()))
     if "replacements" in doc:
         vector = tuple(Replacement(r) for r in doc["replacements"])
     else:
         vector = tuple(Replacement.ORIGIN for _ in groups)
-    return ModelSpec(doc.get("base", "Custom"), tuple(stages), groups, vector)
+    return ModelSpec(typed(doc.get("base", "Custom"), str, "base"), tuple(stages), groups, vector)
 
 
 def load_model(path: str) -> ModelSpec:

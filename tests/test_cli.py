@@ -265,12 +265,16 @@ class TestRejectedConfigs:
         assert not (tmp_path / "out.json").exists()
 
 
+# ResNet-50's first three stages, up to ``res2_1``
+RES2_1_MODEL = {"base": "Custom",
+                "stages": model_to_json(build_reference_model("resnet50"))["stages"][:3]}
+
+
 @pytest.fixture(scope="module")
 def res2_1_model(tmp_path_factory):
-    """A model file of ResNet-50's first three stages, up to ``res2_1``."""
+    """A model file of ``RES2_1_MODEL``."""
     path = tmp_path_factory.mktemp("res2_1") / "model.json"
-    stages = model_to_json(build_reference_model("resnet50"))["stages"][:3]
-    path.write_text(json.dumps({"base": "Custom", "stages": stages}))
+    path.write_text(json.dumps(RES2_1_MODEL))
     return str(path)
 
 
@@ -348,42 +352,59 @@ FUZZ_VALUES = st.one_of(
 TURF_ERRORS = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.TurfError)}
 
-SCHEMAS = {"simulate": "simulate_report.schema.json", "hw": "hw_describe.schema.json"}
-FUZZ_DOCS = {"flat": json.loads(GOLDEN_CONFIG.read_text())}
+SCHEMAS = {"simulate": "simulate_report.schema.json", "hw": "hw_describe.schema.json",
+           "model": "model_table.schema.json", "dse": "dse_report.schema.json"}
+FUZZ_DOCS = {"flat": json.loads(GOLDEN_CONFIG.read_text()), "model": RES2_1_MODEL}
 FUZZ_DOCS["layers"] = layers_form(FUZZ_DOCS["flat"])
 
 
-@settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(sorted(SCHEMAS)), form=st.sampled_from(["flat", "layers"]),
-       data=st.data())
-def test_fuzzed_config_documents_keep_the_contract(res2_1_model, command, form, data):
-    """The golden res2_1 config, in either form, with one to three fields
-    replaced by a fuzzed value: ``simulate`` or ``hw describe`` exits 0
-    with a report that validates against its schema, or exits 1 naming a
-    ``TurfError`` class first on stderr, with no traceback and no report.
-    Any other exception escapes ``main`` and fails the test."""
+def _fuzz_run(data, form, workdir, argv_of):
+    """Replace one to three fields of ``FUZZ_DOCS[form]`` by fuzzed values,
+    write it to ``workdir`` and run ``main(argv_of(path))`` with an
+    ``--out`` report: exit 0 needs a report that validates against the
+    command's schema, exit 1 a ``TurfError`` class name first on stderr,
+    no traceback and no report.  Any other exception escapes ``main``."""
     doc = FUZZ_DOCS[form]
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         path = data.draw(st.sampled_from(list(_paths(doc))[1:]), label="path")
         doc = _put(doc, path, data.draw(FUZZ_VALUES, label="value"))
-    workdir = os.path.dirname(res2_1_model)
-    cfg, out = os.path.join(workdir, "cfg.json"), os.path.join(workdir, "out.json")
-    with open(cfg, "w") as fh:
+    fuzzed, out = os.path.join(workdir, "fuzzed.json"), os.path.join(workdir, "out.json")
+    with open(fuzzed, "w") as fh:
         json.dump(doc, fh)
     if os.path.exists(out):
         os.remove(out)
+    argv = argv_of(fuzzed)
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
-        rc = main(_config_argv(command, res2_1_model) + ["--config", cfg, "--out", out])
+        rc = main(argv + ["--out", out])
     err = stderr.getvalue()
     assert "Traceback" not in err
     if rc == 0:
         with open(out) as fh:
-            _validate(json.load(fh), SCHEMAS[command])
+            _validate(json.load(fh), SCHEMAS[argv[0]])
     else:
         assert rc == 1
         assert err.split(":")[0] in TURF_ERRORS, err
         assert not os.path.exists(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["simulate", "hw"]), form=st.sampled_from(["flat", "layers"]),
+       data=st.data())
+def test_fuzzed_config_documents_keep_the_contract(res2_1_model, command, form, data):
+    """The golden res2_1 config, in either form, fuzzed as ``_fuzz_run``
+    does, keeps the contract under ``simulate`` and ``hw describe``."""
+    _fuzz_run(data, form, os.path.dirname(res2_1_model),
+              lambda cfg: _config_argv(command, res2_1_model) + ["--config", cfg])
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from([("model", "show"), ("dse",)]), data=st.data())
+def test_fuzzed_model_documents_keep_the_contract(res2_1_model, command, data):
+    """``RES2_1_MODEL`` fuzzed as ``_fuzz_run`` does keeps the contract
+    under ``model show`` and a whole-model ``dse``."""
+    _fuzz_run(data, "model", os.path.dirname(res2_1_model),
+              lambda model: [*command, model])
 
 
 class TestDse:
@@ -629,6 +650,25 @@ class TestBadDocuments:
     def test_model_document_that_is_a_list(self, workdir, capsys):
         (workdir / "list.json").write_text(json.dumps([MODEL_DOC]))
         self._run(capsys, ["dse", str(workdir / "list.json")])
+
+    @pytest.mark.parametrize("argv", [["model", "show"], ["dse"]])
+    @pytest.mark.parametrize("field, value", [
+        ("out_channels", "16"),     # a traceback from the op count
+        ("kernel", 3.0),            # float op counts
+        ("input", [8.0, 8, 4]),
+        ("stride", True),
+        ("padding", -5),
+        ("bias", 1),
+        ("name", 5),
+    ])
+    def test_model_value_of_the_wrong_type(self, tmp_path, capsys, argv, field, value):
+        stage = {"input": [8, 8, 4], "kind": "StandardConv", "kernel": 3, "stride": 1,
+                 "padding": 1, "out_channels": 16, field: value}
+        (tmp_path / "model.json").write_text(json.dumps({"stages": [stage]}))
+        err = self._run(capsys, argv + [str(tmp_path / "model.json"),
+                                        "--out", str(tmp_path / "out.json")])
+        assert field in err
+        assert not (tmp_path / "out.json").exists()
 
     def test_platform_without_dsp_total(self, workdir, capsys):
         platform = {"bandwidth_gbps": 38.0, "bram_blocks": 2567,

@@ -14,7 +14,7 @@ from conftest import (dw_conv, dwsep_block, layers_form, pw_conv, stacked_block,
                       std_conv)
 from turf import fusion
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
-                         UnsupportedConfig)
+                         SimDeadlock, UnsupportedConfig)
 from turf.fusion import (FusedDesignConfig, SeqCandidate, _buffer_caps,
                          _simulate_pass, best_options, config_from_json,
                          config_to_json, derive_layer_configs, enumerate_sequences,
@@ -344,6 +344,32 @@ def test_best_options_is_the_exhaustive_pick():
 
     check()
     assert reached == {"exact": {True}, "loose": {False}, "unreachable": {False}}
+
+
+def test_a_set_that_might_deadlock_is_simulated(monkeypatch):
+    """A set with a too-small buffer before a consumer that needs every
+    token resident is simulated in its turn, not deferred on its bound, so
+    its ``SimDeadlock`` surfaces as before even though a later set reaches
+    the floor.  Sizing never builds such a set: these one-token buffers,
+    the other one feeding a streaming depthwise consumer so that the bound
+    rises above the floor, are patched in."""
+    cfg = FusedDesignConfig(t_h=4, t_w=4, t_c=(8, 8, 8), t_f=8, p_h=1, p_w=1,
+                            p_c=(2, 2, 2), p_f=2, seqs=(Seq.FM,) * 3,
+                            buffer_options=(BufferOption.DOUBLE,) * 2,
+                            use_winograd=(False,) * 3)
+    plan = plan_block(LayerChain((pw_conv(8), dw_conv(), pw_conv(8))),
+                      TensorShape(4, 4, 8), cfg)
+    seqs, sized = (Seq.FM,) * 3, fusion._buffer_caps
+    first = (BufferOption.MATCH_PREV,) * 2
+    one_token = [(4, 1, 0), (4, 1, 0)]
+    assert fusion._pass_bound(plan.schedule(seqs), one_token) \
+        > fusion._pass_lower_bound(plan.schedule(seqs))
+    assert best_options(plan, seqs).total_cycles == \
+        plan.n_passes * fusion._pass_lower_bound(plan.schedule(seqs))
+    monkeypatch.setattr(fusion, "_buffer_caps", lambda plan, seqs, options:
+                        one_token if options == first else sized(plan, seqs, options))
+    with pytest.raises(SimDeadlock):
+        best_options(plan, seqs)
 
 
 class TestEnumeration:

@@ -211,12 +211,15 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     """The ranking builds no module pipeline: ``instantiate_layer`` runs
     once per layer of each distinct grid point that has a unit evaluated
     (3, one point; every point planned, 75 layers, before pipelines were
-    built lazily).  The search builds no ``SimReport``, and sizes the
-    buffers of each (sequences, options) set it simulates exactly once.
-    It simulates 8 option sets and estimates the resources of 2
-    candidates: the two best-ranked sequence assignments, each stopped at
-    its floor (full enumeration of the 2 points it used to evaluate takes
-    41 and 8)."""
+    built lazily).  The search builds no ``SimReport`` and sizes the
+    buffers of each (sequences, options) set once.  It simulates none of
+    the 8 option sets it takes before stopping at each floor: 2 cannot
+    make a streaming producer wait, so ``_pass_bound`` is their makespan,
+    and the capacity-aware bound puts the other 6 above the floor, behind
+    an option that reaches it (all 8 were simulated before the bound had
+    a capacity term).  It estimates the resources of 2 candidates: the two
+    best-ranked sequence assignments (full enumeration of the 2 points it
+    used to evaluate takes 41 and 8)."""
     import turf.cli, turf.fusion, turf.hw, turf.resources
     from turf.models import build_reference_model
 
@@ -268,9 +271,30 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     assert calls["plan_block"] == 25
     assert calls["instantiate_layer"] == sum(evaluated.values()) == 3
     assert reports == []
-    assert len(set(simulated)) == len(simulated) == 8
-    assert all(sized[key] == 1 for key in simulated)
+    assert simulated == []
+    assert set(sized.values()) == {1}, sized
     assert calls["estimate_resources"] == 2
+
+
+def test_dse_simulates_few_passes(tmp_path, monkeypatch):
+    """``dse`` on ResNet-50 simulates 4 passes (78 when every option set
+    was simulated up to the floor): the others either cannot make a
+    streaming producer wait, so the bound is their makespan, or are
+    bounded above the floor behind an option that reaches it."""
+    import json
+    import turf.fusion
+    from turf.cli import main
+    from turf.ir import model_to_json
+    from turf.models import build_reference_model
+
+    model_path = tmp_path / "resnet50.json"
+    model_path.write_text(json.dumps(model_to_json(build_reference_model("resnet50"))))
+    simulated = []
+    orig = turf.fusion._simulate_pass
+    monkeypatch.setattr(turf.fusion, "_simulate_pass",
+                        lambda *args: simulated.append(1) or orig(*args))
+    assert main(["dse", str(model_path), "--out", str(tmp_path / "dse.json")]) == 0
+    assert len(simulated) == 4
 
 
 class TestStageCache:

@@ -16,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from turf.errors import SimDeadlock
-from turf.fusion import LayerSchedule, SimEvent, _pass_lower_bound, _simulate_pass
+from turf.fusion import (LayerSchedule, SimEvent, _pass_bound, _pass_lower_bound,
+                         _simulate_pass)
 
 
 @dataclass
@@ -201,6 +202,47 @@ def test_lower_bound_at_most_makespan(case):
     ref = _run(reference_simulate_pass, plans, caps)
     if ref is not SimDeadlock:
         assert _pass_lower_bound(plans) <= ref[0]
+
+
+def _limited(plans, caps):
+    """Per buffer that can make its streaming producer wait (it holds fewer
+    than all of its tokens): whether its consumer streams too."""
+    return [plans[i + 1].consumer_stream for i, (tokens, cap, _) in enumerate(caps)
+            if plans[i].producer_stream and cap < tokens]
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_lists())
+def test_capacity_bound_at_most_makespan(case):
+    """With every limited buffer feeding a streaming consumer, the pass
+    never deadlocks and the capacity-aware walk bounds its makespan."""
+    plans, caps = case
+    hypothesis.assume(all(_limited(plans, caps)))
+    assert _pass_bound(plans, caps) <= _simulate_pass(plans, caps, False)[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_lists())
+def test_bound_is_the_makespan_when_no_buffer_limits(case):
+    """With no buffer able to make a streaming producer wait, the walk is
+    the makespan, with or without the buffers."""
+    plans, caps = case
+    hypothesis.assume(not _limited(plans, caps))
+    assert _pass_bound(plans, caps) == _simulate_pass(plans, caps, False)[0] \
+        == _pass_lower_bound(plans)
+
+
+def test_one_slot_buffer_stalls_the_producer():
+    """A producer of 4 units (2 cycles, fill 1) into a one-token buffer
+    read by a slower streaming consumer (5 cycles): each producer unit
+    waits for the consumer to finish the previous token, so the pass takes
+    4 round trips of 2 + 1 + 5 cycles, which the capacity term gives
+    exactly, 9 cycles above the no-wait walk."""
+    plans = [LayerSchedule(4, 2, 1, True, False), LayerSchedule(4, 5, 0, True, True)]
+    makespan = _simulate_pass(plans, [(4, 1, 0)], False)[0]
+    assert makespan == _pass_bound(plans, [(4, 1, 0)]) == 4 * (2 + 1 + 5) == 32
+    assert _pass_lower_bound(plans) == _pass_bound(plans, [(4, 4, 0)]) == 2 + 1 + 4 * 5 == 23
+    assert _simulate_pass(plans, [(4, 4, 0)], False)[0] == 23
 
 
 @pytest.mark.parametrize("seqs", [
