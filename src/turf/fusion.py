@@ -246,6 +246,15 @@ class LayerSchedule(NamedTuple):
     consumer_stream: bool   # takes token u at unit u (else needs all resident)
 
 
+def layer_tiles(layers, t_h: int, t_w: int) -> list[tuple[int, int]]:
+    """Each layer's (T_h, T_w) for a block tile (T_h, T_w): the same-padding
+    tiling convention divides it by each earlier stride, rounding up."""
+    tiles = [(t_h, t_w)]
+    for layer in layers[:-1]:
+        tiles.append((-(-tiles[-1][0] // layer.stride), -(-tiles[-1][1] // layer.stride)))
+    return tiles
+
+
 def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                          cfg: FusedDesignConfig,
                          chans: list[int] | None = None) -> list[LayerHwConfig]:
@@ -270,8 +279,7 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
         wino = tuple(winograd_eligible(l) for l in layers)
 
     out = []
-    th, tw = cfg.t_h, cfg.t_w
-    for i, layer in enumerate(layers):
+    for i, (layer, (th, tw)) in enumerate(zip(layers, layer_tiles(layers, cfg.t_h, cfg.t_w))):
         t_c, p_c = cfg.t_c[i], cfg.p_c[i]
         if t_c != chans[i]:
             raise UnsupportedConfig(
@@ -290,8 +298,6 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             use_winograd=wino[i],
             winograd_m=cfg.winograd_m,
         ))
-        # the next layer's tile (same-padding tiling convention: ceil division)
-        th, tw = -(-th // layer.stride), -(-tw // layer.stride)
     return out
 
 

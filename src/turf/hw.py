@@ -268,25 +268,37 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
 
 
 def fill(layer: LayerSpec, hw: LayerHwConfig) -> int:
-    """``instantiate_layer(layer, hw).fill_latency`` in closed form: one
-    cycle each for the input and output buffers, (K'-1)·T_w + K' for a
-    K'-row line buffer, the dot-product array's latency and, on the
-    Winograd path (K' = T_k), 2·T_k per data transform.  Raises what
-    ``instantiate_layer`` raises for the same layer and config."""
+    """``instantiate_layer(layer, hw).fill_latency`` in closed form (``fill_cycles``)."""
+    return fill_cycles(layer, hw.t_w, hw.p_h, hw.p_w, hw.p_c, hw.use_winograd, hw.winograd_m)
+
+
+def fill_cycles(layer: LayerSpec, t_w: int, p_h: int, p_w: int, p_c: int,
+                use_winograd: bool, m: int) -> int:
+    """One layer's pipeline fill: one cycle each for the input and output
+    buffers, (K'-1)·T_w + K' for a K'-row line buffer, the dot-product
+    array's latency and, on the Winograd path (K' = T_k), 2·T_k per data
+    transform.  Raises what ``instantiate_layer`` raises for the same layer
+    and config."""
     kind, k = layer.kind, layer.kernel_size
-    if hw.use_winograd:
-        validate_winograd(layer, hw.p_h, hw.p_w, hw.winograd_m)
-        tk = winograd_config(hw.winograd_m, k).tile
-        return 2 + (tk - 1) * hw.t_w + 5 * tk + _array_latency(hw.p_c * tk * tk)
+    if use_winograd:
+        validate_winograd(layer, p_h, p_w, m)
+        tk = winograd_config(m, k).tile
+        return 2 + (tk - 1) * t_w + 5 * tk + _array_latency(p_c * tk * tk)
     if kind in (LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
-        return 2 + _array_latency(hw.p_c * hw.p_h * hw.p_w)
+        return 2 + _array_latency(p_c * p_h * p_w)
     if kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
-        window = (k + hw.p_h - 1) * (k + hw.p_w - 1)
-        return 2 + (k - 1) * hw.t_w + k + _array_latency(hw.p_c * window)
+        window = (k + p_h - 1) * (k + p_w - 1)
+        return 2 + (k - 1) * t_w + k + _array_latency(p_c * window)
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
 
 
 def layer_cycle_counts(layer: LayerSpec, hw: LayerHwConfig) -> tuple[int, int, int]:
+    """``cycle_counts`` of ``hw``'s tile and parallelism."""
+    return cycle_counts(layer, hw.tile, hw.parallelism, hw.use_winograd, hw.winograd_m)
+
+
+def cycle_counts(layer: LayerSpec, tile: tuple, parallelism: tuple, use_winograd: bool,
+                 m: int) -> tuple[int, int, int]:
     """(compute_cycles per tile, work units per tile under FM, under CM).
 
     compute_cycles is the nested-loop trip count
@@ -298,13 +310,12 @@ def layer_cycle_counts(layer: LayerSpec, hw: LayerHwConfig) -> tuple[int, int, i
     channel chunk for CM; depthwise layers have a single combined channel
     axis, chunked under either).
     """
-    t_h, t_w, t_c, t_f = hw.tile
-    p_h, p_w, p_c, p_f = hw.parallelism
+    t_h, t_w, t_c, t_f = tile
+    p_h, p_w, p_c, p_f = parallelism
     depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
 
-    if hw.use_winograd:
-        validate_winograd(layer, hw.p_h, hw.p_w, hw.winograd_m)
-        m = hw.winograd_m
+    if use_winograd:
+        validate_winograd(layer, p_h, p_w, m)
         spatial = math.ceil(t_h / m) * math.ceil(t_w / m)
     else:
         spatial = math.ceil(t_h / p_h) * math.ceil(t_w / p_w)

@@ -398,8 +398,9 @@ def model_from_json(doc: dict) -> ModelSpec:
     Two forms are accepted: a full stage list, or a shorthand naming a
     reference model: ``{"base": "vgg16", "input": [224, 224, 3]}``.  Shapes,
     kernels, strides, paddings (>= 0) and channel counts must be JSON
-    integers, bias and shortcut flags booleans, names strings; a wrong type
-    raises ``TypeError`` (``InvalidDocument`` under ``errors.reading``).
+    integers, bias and shortcut flags booleans, names strings, ``groups``
+    distinct stage indices; a wrong type raises ``TypeError``, a bad index
+    ``ValueError`` (``InvalidDocument`` under ``errors.reading``).
     """
     if "stages" not in doc:
         from .models import build_reference_model
@@ -421,7 +422,10 @@ def model_from_json(doc: dict) -> ModelSpec:
             op = _layer_from_json(entry)
         stages.append(Stage(shape, op, typed(entry.get("name", ""), str, "name")))
 
-    groups = tuple(tuple(g) for g in doc.get("groups", ()))
+    groups = tuple(tuple(typed(i, int, "groups") for i in typed(g, list, "groups"))
+                   for g in typed(doc.get("groups", []), list, "groups"))
+    if len(set(flat := sum(groups, ()))) < len(flat) or not set(flat) <= set(range(len(stages))):
+        raise ValueError(f"groups must be distinct stage indices < {len(stages)}: {doc['groups']}")
     if "replacements" in doc:
         vector = tuple(Replacement(r) for r in doc["replacements"])
     else:

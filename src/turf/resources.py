@@ -15,9 +15,9 @@ Roofline accounting (16-bit words, 2 bytes):
     back, plus weights.
 The compute roof is DSPs x 2 ops x clock.
 
-The search schedules each grid point once (``fusion.plan_block``) and
-ranks it by that schedule's plain numbers; module pipelines are built only
-for the points whose candidates it evaluates, for their resources.
+The search ranks each grid point by a closed-form floor and schedules
+(``fusion.plan_block``) only the points that can still win; module
+pipelines are built only for the points whose candidates it evaluates.
 Candidates carry plain cycle and buffer-word counts.  A stage is searched
 when it has a hardware pipeline: a block, or a convolution or
 fully-connected layer as its own one-layer block.
@@ -36,9 +36,9 @@ from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      UnsupportedConfig, reading)
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
                      assignment_bounds, best_options, enumerate_sequences,
-                     plan_block, tiling_overhead)
+                     layer_tiles, plan_block, tiling_overhead)
 from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, ModuleKind, Seq,
-                 validate_winograd, winograd_eligible)
+                 cycle_counts, fill_cycles, validate_winograd, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
                  layer_shapes)
 from .kernels import winograd_config
@@ -393,25 +393,30 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
                 extend(ps + (p,), dsp, prod * p)
 
     extend((), 0, 1)
+    del extend  # a recursive closure is a reference cycle: free the walk now
     combos = [ps for _, ps in heapq.nsmallest(grid_depth, kept)]
     floor = (1,) * len(grids)
     return combos + [floor] if kept and floor not in combos else combos
 
 
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                    platform: PlatformSpec, max_parallel: int,
-                    grid_depth: int) -> Iterator[tuple[BlockPlan, RooflinePoint]]:
-    """The prefiltered grid of ``design_candidates``, in search order: one
-    all-FM config per (tile, spatial option, surviving parallelism combo),
-    scheduled (``fusion.plan_block``, with the stage's channels derived
-    once), with its tile's fused roofline point.  Multipliers do not depend
-    on the tile, so each spatial option's combos are found once.  A tile
-    whose roofline raises is skipped whole, as is a point whose plan
-    raises: the points are valid by construction otherwise."""
+                    chans: list[int], platform: PlatformSpec, max_parallel: int,
+                    grid_depth: int) -> Iterator[tuple[tuple, tuple]]:
+    """The prefiltered grid of ``design_candidates`` in grid order, as
+    (floor, (its tile's fused roofline point, an all-FM config's fields)),
+    for a stage with ``chans`` channels into each layer and out of the last.
+    Combos are found once per spatial option: multipliers do not depend on
+    the tile.  A tile whose roofline raises is dropped, as is a (tile,
+    spatial option) where a layer's tile (``fusion.layer_tiles``) does not
+    divide by (P_h, P_w), which ``plan_block`` rejects.  The floor is
+    (-attainable GOPS, passes · (max_i busy_i + the last layer's fill)),
+    busy_i being layer i's trip product (``hw.cycle_counts``), its time per
+    pass under either sequence.  No pass is shorter, so the floor is at most
+    each assignment's pair (``fusion.assignment_bounds``), equal on one layer."""
     layers = block.layers
     n = len(layers)
-    chans = [s.channels for s in layer_shapes(block, input_shape)]
     grids = [_pow2_divisors(max_parallel, c) for c in chans]
+    t_c, seqs, options = tuple(chans[:-1]), (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1)
 
     eligible = tuple(winograd_eligible(l) for l in layers)
     spatial_opts = [(1, 1, (False,) * n)]
@@ -427,21 +432,18 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             rl = roofline(block, input_shape, platform, (t_h, t_w, chans[-1])).fused
         except InvalidTiling:
             continue
+        tiles = layer_tiles(layers, t_h, t_w)
+        passes = math.ceil(input_shape.height / t_h) * math.ceil(input_shape.width / t_w)
         for (p_h, p_w, wino), spatial_combos in zip(spatial_opts, combos):
-            if t_h % p_h or t_w % p_w:
+            if any(th % p_h or tw % p_w for th, tw in tiles):
                 continue
             for ps in spatial_combos:
-                try:
-                    plan = plan_block(block, input_shape, FusedDesignConfig(
-                        t_h=t_h, t_w=t_w, t_c=tuple(chans[:-1]), t_f=chans[-1],
-                        p_h=p_h, p_w=p_w, p_c=tuple(ps[:-1]), p_f=ps[-1],
-                        seqs=(Seq.FM,) * n,
-                        buffer_options=(BufferOption.DOUBLE,) * (n - 1),
-                        use_winograd=wino, winograd_m=WINOGRAD_M), chans)
-                except UnsupportedConfig:
-                    # a stride-2 layer halved the tile to a size m does not divide
-                    continue
-                yield plan, rl
+                busy = max(cycle_counts(layer, (*tile, chans[i], chans[i + 1]),
+                                        (p_h, p_w, ps[i], ps[i + 1]), wino[i], WINOGRAD_M)[0]
+                           for i, (layer, tile) in enumerate(zip(layers, tiles)))
+                lag = fill_cycles(layers[-1], tiles[-1][1], p_h, p_w, ps[-2], wino[-1], WINOGRAD_M)
+                yield ((-rl.attainable_gops, passes * (busy + lag)), (rl, (
+                    t_h, t_w, t_c, chans[-1], p_h, p_w, ps[:-1], ps[-1], seqs, options, wino)))
 
 
 def _candidate(plan: BlockPlan, sc: SeqCandidate, rl: RooflinePoint,
@@ -457,7 +459,7 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                       platform: PlatformSpec, coeffs: CalibrationTable,
                       grid_depth: int,
                       max_parallel: int = 64) -> list[DesignCandidate]:
-    """Enumerate a bounded design grid for one block, every point in full.
+    """Enumerate a bounded design grid for one block, every point planned.
 
     The grid spans spatial tiles (full map halved down to ``MIN_TILE``),
     power-of-two channel/filter parallelism, the Winograd path
@@ -467,15 +469,15 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     Parallelism combos whose multiplier count exceeds the platform's DSPs
     are dropped before simulation; ``grid_depth`` then keeps only the
     largest few surviving combos (plus the smallest as a feasibility
-    floor), since lower parallelism at equal roofline is dominated.  A
-    point is dropped when its per-layer tiles do not divide by the spatial
-    parallelism (a stride-2 layer can halve a tile to a size that is no
-    longer a multiple of m).  ``design_gen`` searches the same grid
-    best-first and returns what ``pick_best_design`` picks from this list.
+    floor), since lower parallelism at equal roofline is dominated.
+    ``design_gen`` searches the same grid best-first and returns what
+    ``pick_best_design`` picks from this list.
     """
+    chans = [s.channels for s in layer_shapes(block, input_shape)]
     return [_candidate(plan, sc, rl, coeffs)
-            for plan, rl in _planned_points(block, input_shape, platform,
-                                            max_parallel, grid_depth)
+            for _, (rl, fields) in _planned_points(block, input_shape, chans, platform,
+                                                   max_parallel, grid_depth)
+            for plan in [plan_block(block, input_shape, FusedDesignConfig(*fields), chans)]
             for sc in enumerate_sequences(plan)]
 
 
@@ -486,39 +488,36 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     ``pick_best_design(design_candidates(...))`` selects, found best-first.
 
     The unit of the search is a (grid point, sequence assignment) pair,
-    which gives at most one candidate (``fusion.best_options``).  It shares
-    the point's roofline, so its ``attainable_gops``, and has
-    ``total_cycles`` of at least the assignment's bound
-    (``fusion.assignment_bounds``).  So ``(-attainable_gops, bound)`` is at
-    most the first two key fields of the unit's candidate.  Units are
-    evaluated in ascending order of that pair, stably in grid order then
-    product order, and the search stops at the first unit whose pair
-    exceeds the best feasible key so far: every candidate left has a larger
-    key and cannot be selected.  A unit whose pair equals the best is still
-    evaluated, since DSPs and the config break ties.  Units that
-    ``design_candidates`` skips are skipped here too, and when no candidate
-    is feasible every unit is evaluated, so ``Infeasible`` reports the same
-    count.
+    which gives at most one candidate (``fusion.best_options``) with the
+    point's roofline and at least the assignment's bound in cycles
+    (``fusion.assignment_bounds``).  So the unit's pair ``(-attainable_gops,
+    bound)`` is at most its candidate's first two key fields, and at least
+    its point's floor (``_planned_points``).  Points are planned in floor
+    order, each once its floor is at most the smallest pair in the heap of
+    planned units, so units leave the heap in pair order; the search stops
+    at the first pair or floor above the best feasible key so far.  A pair
+    equal to the best is still evaluated, as DSPs and the config break
+    ties.  So the units evaluated are those whose pair is at most the
+    selected key, as if every point were planned; when no candidate is
+    feasible every unit is evaluated, so ``Infeasible`` reports the same count.
     """
-    ranked = [((-rl.attainable_gops, bound), plan, seqs, rl)
-              for plan, rl in _planned_points(block, input_shape, platform,
-                                              max_parallel, grid_depth)
-              for bound, seqs in assignment_bounds(plan)]
-    ranked.sort(key=lambda r: r[0])  # stable: grid order, then product order
-
-    candidates = []
-    best = None  # the first two key fields of the best feasible candidate
-    for bound, plan, seqs, rl in ranked:
-        if best is not None and bound > best:
+    chans = [s.channels for s in layer_shapes(block, input_shape)]
+    points = sorted(_planned_points(block, input_shape, chans, platform,
+                                    max_parallel, grid_depth), key=lambda p: p[0])
+    units, candidates = [], []  # units: a min-heap of (pair, j, k, plan, seqs, rl)
+    best = (math.inf,)  # the first two key fields of the best feasible candidate
+    for j, (floor, (rl, fields)) in enumerate(points + [((math.inf,), (None, None))]):
+        while units and units[0][0] < floor and units[0][0] <= best:
+            *_, plan, seqs, unit_rl = heapq.heappop(units)
+            if (sc := best_options(plan, seqs)) is not None:
+                candidates.append(c := _candidate(plan, sc, unit_rl, coeffs))
+                if c.resources.feasible(platform):
+                    best = min(best, c.key()[:2])
+        if fields is None or floor > best:
             break
-        sc = best_options(plan, seqs)
-        if sc is None:
-            continue
-        c = _candidate(plan, sc, rl, coeffs)
-        candidates.append(c)
-        key = c.key()[:2]
-        if c.resources.feasible(platform) and (best is None or key < best):
-            best = key
+        plan = plan_block(block, input_shape, FusedDesignConfig(*fields), chans)
+        for k, (bound, seqs) in enumerate(assignment_bounds(plan)):
+            heapq.heappush(units, ((floor[0], bound), j, k, plan, seqs, rl))
     return pick_best_design(candidates, platform)
 
 

@@ -13,7 +13,7 @@ common.
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -106,16 +106,24 @@ def _fake_cfg(point: int, unit: int) -> FusedDesignConfig:
                              p_c=(1,), p_f=1, seqs=(Seq.FM,), buffer_options=())
 
 
+def _fake_point(i, gops, floor, units):
+    """A grid point as ``_planned_points`` yields it, ``(floor, (roofline
+    point, config fields))``, with its units: each a sequence assignment's
+    (cycles bound, candidate or None when no buffer option fits)."""
+    rl = RooflinePoint(gops, 10.0, 1.0)
+    units = [(bound, cand and replace(cand, roofline=rl)) for bound, cand in units]
+    return ((-rl.attainable_gops, floor), (rl, astuple(_fake_cfg(i, 0)))), units
+
+
 @st.composite
 def fake_grids(draw):
-    """Grid points as (cfg, roofline point, units), each unit a sequence
-    assignment's (cycles bound, candidate or None when no buffer option
-    fits), with few distinct GOPS, cycles and DSP values, so that equal
-    bounds, equal keys up to the config and winners behind a lower bound
-    are common, within a point as across points."""
+    """Grid points as ``_fake_point`` gives them, with few distinct GOPS,
+    cycles and DSP values, so that equal bounds, equal keys up to the config
+    and winners behind a lower bound are common, within a point as across
+    points.  A point's floor is anywhere from 0 to its smallest unit bound,
+    so both exact and loose floors occur."""
     points = []
     for i in range(draw(st.integers(0, 5))):
-        rl = RooflinePoint(draw(st.sampled_from([1.0, 2.0, 3.0])), 10.0, 1.0)
         units = []
         for j in range(draw(st.integers(1, 4))):
             bound = draw(st.integers(0, 4))
@@ -123,29 +131,52 @@ def fake_grids(draw):
                 _fake_cfg(i, j), bound + draw(st.integers(0, 3)),
                 ResourceEstimate(draw(st.integers(1, 3)),
                                  draw(st.sampled_from([0, 10 ** 9])), 0),
-                rl)
+                None)
             units.append((bound, cand))
-        points.append((_fake_cfg(i, 0), rl, units))
+        floor = draw(st.integers(0, min(bound for bound, _ in units)))
+        points.append(_fake_point(i, draw(st.sampled_from([1.0, 2.0, 3.0])), floor, units))
     return points
 
 
-@settings(max_examples=300, deadline=None)
-@given(fake_grids())
-def test_search_order_and_cutoff(points):
-    """The best-first search over arbitrary units with valid bounds picks
-    what full enumeration picks; the DSE helpers are replaced by the units,
-    each point's config standing in for its plan and each unit's index for
-    its sequences."""
+def _search_and_enumeration(points):
+    """What ``design_gen`` and full enumeration pick from fake points; the
+    DSE helpers are replaced by the units, each point's config standing in
+    for its plan and each unit's index for its sequences."""
     platform = STRATIX_V_5SGSD8
-    by_cfg = {cfg: units for cfg, _, units in points}
-    every = [c for *_, units in points for _, c in units if c is not None]
+    by_cfg = {FusedDesignConfig(*fields): units for (_, (_, fields)), units in points}
+    every = [c for _, units in points for _, c in units if c is not None]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resources, "layer_shapes", lambda *args: [])
         mp.setattr(resources, "_planned_points",
-                   lambda *args: [(cfg, rl) for cfg, rl, _ in points])
+                   lambda *args: [point for point, _ in points])
+        mp.setattr(resources, "plan_block", lambda block, shape, cfg, chans: cfg)
         mp.setattr(resources, "assignment_bounds",
                    lambda cfg: [(bound, j) for j, (bound, _) in enumerate(by_cfg[cfg])])
         mp.setattr(resources, "best_options", lambda cfg, j: by_cfg[cfg][j][1])
         mp.setattr(resources, "_candidate", lambda cfg, cand, rl, coeffs: cand)
         got = _selection(lambda: design_gen(None, None, platform,
                                             CalibrationTable(alm={}), 4))
-    assert got == _selection(lambda: pick_best_design(every, platform))
+    return got, _selection(lambda: pick_best_design(every, platform))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fake_grids())
+def test_search_order_and_cutoff(points):
+    """The best-first search over arbitrary units with valid bounds and
+    floors picks what full enumeration picks."""
+    got, want = _search_and_enumeration(points)
+    assert got == want
+
+
+@pytest.mark.parametrize("tie", ["dsp", "config"])
+def test_floor_equal_to_the_best_is_still_planned(tie):
+    """Point 1's unit sets the best key to (-1, 5) before point 0, whose
+    floor is exactly that, is planned; point 0 must still be planned, as
+    its candidate wins on DSPs or, at equal DSPs, on the config."""
+    def cand(i, dsp):
+        return DesignCandidate(_fake_cfg(i, 0), 5, ResourceEstimate(dsp, 0, 0), None)
+    points = [_fake_point(0, 1.0, 5, [(5, cand(0, 1 if tie == "dsp" else 2))]),
+              _fake_point(1, 1.0, 4, [(4, cand(1, 2))])]
+    got, want = _search_and_enumeration(points)
+    assert got == want
+    assert got.cfg == _fake_cfg(0, 0)

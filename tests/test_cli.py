@@ -353,8 +353,10 @@ TURF_ERRORS = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.TurfError)}
 
 SCHEMAS = {"simulate": "simulate_report.schema.json", "hw": "hw_describe.schema.json",
-           "model": "model_table.schema.json", "dse": "dse_report.schema.json"}
-FUZZ_DOCS = {"flat": json.loads(GOLDEN_CONFIG.read_text()), "model": RES2_1_MODEL}
+           "model": "model_table.schema.json", "dse": "dse_report.schema.json",
+           "explore": "explore_result.schema.json"}
+FUZZ_DOCS = {"flat": json.loads(GOLDEN_CONFIG.read_text()),
+             "model": {**RES2_1_MODEL, "groups": [[0], [2]]}}
 FUZZ_DOCS["layers"] = layers_form(FUZZ_DOCS["flat"])
 
 
@@ -399,12 +401,16 @@ def test_fuzzed_config_documents_keep_the_contract(res2_1_model, command, form, 
 
 
 @settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from([("model", "show"), ("dse",)]), data=st.data())
+@given(command=st.sampled_from([("model", "show"), ("dse",), ("explore", "--model")]),
+       data=st.data())
 def test_fuzzed_model_documents_keep_the_contract(res2_1_model, command, data):
-    """``RES2_1_MODEL`` fuzzed as ``_fuzz_run`` does keeps the contract
-    under ``model show`` and a whole-model ``dse``."""
+    """``RES2_1_MODEL``, with its first and last stages as replacement
+    groups, fuzzed as ``_fuzz_run`` does keeps the contract under ``model
+    show``, a whole-model ``dse`` and an ``explore`` that every candidate
+    passes."""
+    explore = ["--min-acc", "0", "--max-latency-ms", "1e9"] if command[0] == "explore" else []
     _fuzz_run(data, "model", os.path.dirname(res2_1_model),
-              lambda model: [*command, model])
+              lambda model: [*command, model, *explore])
 
 
 class TestDse:
@@ -668,6 +674,22 @@ class TestBadDocuments:
         err = self._run(capsys, argv + [str(tmp_path / "model.json"),
                                         "--out", str(tmp_path / "out.json")])
         assert field in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("groups", [
+        [[5]], [[-7]],              # IndexError tracebacks from replace_layer
+        [["a"]], [[1.0]],           # TypeError tracebacks
+        [[0], [0]],                 # a stage in two groups
+    ])
+    def test_model_groups_not_stage_indices(self, tmp_path, capsys, groups):
+        stage = {"input": [8, 8, 4], "kind": "StandardConv", "kernel": 3, "stride": 1,
+                 "padding": 1, "out_channels": 16}
+        (tmp_path / "model.json").write_text(json.dumps({"stages": [stage],
+                                                         "groups": groups}))
+        err = self._run(capsys, ["explore", "--model", str(tmp_path / "model.json"),
+                                 "--min-acc", "0", "--max-latency-ms", "100",
+                                 "--out", str(tmp_path / "out.json")])
+        assert "groups" in err
         assert not (tmp_path / "out.json").exists()
 
     def test_platform_without_dsp_total(self, workdir, capsys):

@@ -8,7 +8,7 @@ on the Winograd path, two per non-2^n transform constant and lane from
 the same count or raise the same error.  ``reference_grid`` is the earlier
 prefilter of ``design_candidates``: for every (tile, spatial option) it
 derives each parallelism combo's layer configs and sums their multipliers.
-The configs ``resources._planned_points`` plans must keep the same combos,
+The configs ``resources._planned_points`` yields must keep the same combos,
 in the same order, for every tile and spatial option, and
 ``_parallelism_combos`` (which drops prefixes over budget) the same combos
 as the filtered full product.
@@ -113,8 +113,10 @@ def _reference_combos(rows, dsp_total, grid_depth):
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
     platform = replace(STRATIX_V_5SGSD8, dsp_total=dsp_total)
-    for plan, _ in _planned_points(block, input_shape, platform, 64, grid_depth):
-        cfg = plan.cfg
+    chans = _channels(block, input_shape)
+    for _, (_, fields) in _planned_points(block, input_shape, chans, platform, 64,
+                                          grid_depth):
+        cfg = FusedDesignConfig(*fields)
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(
             (*cfg.p_c, cfg.p_f))
     return out

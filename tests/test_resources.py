@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import canonical_blocks, dwsep_block, pw_conv, stacked_block, std_conv
-from turf.errors import CalibrationError, Infeasible
+from turf.errors import CalibrationError, Infeasible, InvalidTiling, UnsupportedConfig
 from turf.fusion import FusedDesignConfig, _buffer_caps, plan_block
 from turf.hw import BufferOption, ModuleKind, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
@@ -208,7 +209,10 @@ class TestDesignGen:
 
 
 def test_each_grid_point_is_derived_once(monkeypatch):
-    """The ranking builds no module pipeline: ``instantiate_layer`` runs
+    """The search plans 3 of the 25 grid points (every one was planned
+    before the ranking read each point's closed-form floor): the one it
+    evaluates and 2 whose floors tie with or fall below that point's units.
+    The ranking builds no module pipeline: ``instantiate_layer`` runs
     once per layer of each distinct grid point that has a unit evaluated
     (3, one point; every point planned, 75 layers, before pipelines were
     built lazily).  The search builds no ``SimReport`` and sizes the
@@ -240,12 +244,12 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     reports = []
     monkeypatch.setattr(turf.fusion, "SimReport",
                         lambda *a, **k: reports.append(1))
-    # every plan of the search stays alive in the ranked list, so ids name
-    # each (plan, sequences, options) set uniquely
+    # every evaluated plan is kept alive here, so ids name each (plan,
+    # sequences, options) set uniquely
     evaluated, sized, caps_of, simulated = {}, {}, {}, []
 
     def best_options(plan, seqs):
-        evaluated[id(plan)] = len(plan.layers)
+        evaluated[id(plan)] = plan
         return orig_best(plan, seqs)
 
     def buffer_caps(plan, seqs, options):
@@ -268,12 +272,133 @@ def test_each_grid_point_is_derived_once(monkeypatch):
                  if s.name == "res2_1")
     design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
                grid_depth=4)
-    assert calls["plan_block"] == 25
-    assert calls["instantiate_layer"] == sum(evaluated.values()) == 3
+    assert calls["plan_block"] == 3
+    assert calls["instantiate_layer"] == sum(len(p.layers) for p in evaluated.values()) == 3
     assert reports == []
     assert simulated == []
     assert set(sized.values()) == {1}, sized
     assert calls["estimate_resources"] == 2
+
+
+@pytest.mark.parametrize("model_name, planned, evaluated", [
+    ("vgg16", 12, 12), ("resnet50", 57, 12), ("mobilenetv1", 69, 11),
+    ("mobilenetv2", 45, 15)])
+def test_plans_only_points_that_can_win(monkeypatch, model_name, planned, evaluated):
+    """One ``evaluate_model`` plans few grid points, and on VGG-16, whose
+    one-layer stages have exact floors, only those it evaluates a unit of
+    (260, 150, 165 and 185 points were planned when each was planned to be
+    ranked)."""
+    import turf.resources
+    from turf.models import build_reference_model
+    from turf.resources import evaluate_model
+
+    plans, used = [], {}
+    orig_plan, orig_best = turf.resources.plan_block, turf.resources.best_options
+    monkeypatch.setattr(turf.resources, "plan_block",
+                        lambda *args: plans.append(orig_plan(*args)) or plans[-1])
+    monkeypatch.setattr(turf.resources, "best_options",
+                        lambda plan, seqs: used.setdefault(id(plan), plan) and
+                        orig_best(plan, seqs))
+    evaluate_model(build_reference_model(model_name), STRATIX_V_5SGSD8,
+                   load_calibration(), {})
+    assert (len(plans), len(used)) == (planned, evaluated)
+
+
+@st.composite
+def dse_stages(draw):
+    """A stage the DSE searches, with a DSP budget, grid depth and largest
+    parallelism: a standard, depthwise, pointwise or fully-connected layer
+    on its own, or a block of each kind, with stride 1 or 2 on its spatial
+    layers, on a map whose tiles the Winograd lanes may or may not divide."""
+    def chans():
+        return draw(st.sampled_from([1, 2, 3, 4, 8, 16, 24]))
+
+    def stride():
+        return draw(st.sampled_from([1, 2]))
+
+    def std(k=None):
+        k = k or draw(st.sampled_from([1, 3, 5]))
+        return LayerSpec(LayerKind.STANDARD_CONV, kernel_size=k, stride=stride(),
+                         padding=k // 2, out_channels=chans())
+
+    def dw(k=None):
+        k = k or draw(st.sampled_from([3, 5]))
+        return LayerSpec(LayerKind.DEPTHWISE_CONV, kernel_size=k, stride=stride(),
+                         padding=k // 2)
+
+    def pw():
+        return LayerSpec(LayerKind.POINTWISE_CONV, stride=stride(), out_channels=chans())
+
+    kind = draw(st.sampled_from(["std", "dw", "pw", "fc", "dwsep", "bottleneck",
+                                 "sep_bottleneck", "stacked"]))
+    op = {"std": std, "dw": dw, "pw": pw,
+          "fc": lambda: LayerSpec(LayerKind.FULLY_CONNECTED, out_channels=chans()),
+          "dwsep": lambda: BlockSpec(BlockKind.DEPTHWISE_SEPARABLE, (dw(), pw())),
+          "bottleneck": lambda: BlockSpec(BlockKind.BOTTLENECK, (pw(), std(3), pw()),
+                                          has_shortcut=True),
+          "sep_bottleneck": lambda: BlockSpec(BlockKind.SEPARABLE_BOTTLENECK,
+                                              (pw(), dw(3), pw()), has_shortcut=True),
+          "stacked": lambda: BlockSpec(BlockKind.STACKED, (std(), std()),
+                                       has_shortcut=True)}[kind]()
+    side = draw(st.sampled_from([7, 12, 15, 28, 30, 56]))
+    shape = TensorShape(side, draw(st.sampled_from([side, 2 * side])), chans())
+    platform = PlatformSpec(38.0, draw(st.sampled_from([64, 256, 1963])), 2567, 262400, 200.0)
+    return op, shape, platform, draw(st.sampled_from([1, 2, 4])), \
+        draw(st.sampled_from([8, 64]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dse_stages())
+def test_floor_is_below_every_assignment_bound(stage):
+    """Each grid point's floor is its plan's passes times its busiest
+    layer's cycles plus the last layer's fill, at most the pair of every
+    sequence assignment, and equal to it on a one-layer stage; a (tile,
+    spatial option) is dropped exactly when ``plan_block`` rejects its
+    configs."""
+    from turf.fusion import assignment_bounds
+    from turf.hw import WINOGRAD_M, winograd_eligible
+    from turf.ir import layer_shapes
+    from turf.resources import (_parallelism_combos, _planned_points,
+                                _pow2_divisors, _tile_options)
+
+    op, shape, platform, grid_depth, max_parallel = stage
+    layers = op.layers
+    n = len(layers)
+    chans = [s.channels for s in layer_shapes(op, shape)]
+    kept = set()
+    for floor, (rl, fields) in _planned_points(op, shape, chans, platform,
+                                               max_parallel, grid_depth):
+        cfg = FusedDesignConfig(*fields)
+        kept.add((cfg.t_h, cfg.t_w, cfg.p_h))
+        plan = plan_block(op, shape, cfg, chans)
+        fm = plan.by_seq[Seq.FM]
+        assert floor == (-rl.attainable_gops, plan.n_passes * (
+            max(p.units * p.cycles_per_unit for p in fm) + fm[-1].fill))
+        pairs = [(-rl.attainable_gops, bound) for bound, _ in assignment_bounds(plan)]
+        assert all(floor <= pair for pair in pairs), (cfg, floor, pairs)
+        if n == 1:
+            assert all(floor == pair for pair in pairs), (cfg, floor, pairs)
+
+    eligible = tuple(winograd_eligible(l) for l in layers)
+    spatial = [(1, (False,) * n)] + ([(WINOGRAD_M, eligible)] if any(eligible) else [])
+    grids = [_pow2_divisors(max_parallel, c) for c in chans]
+    for t_h, t_w in zip(_tile_options(shape.height), _tile_options(shape.width)):
+        try:
+            roofline(op, shape, platform, (t_h, t_w, chans[-1]))
+        except InvalidTiling:
+            continue
+        for p, wino in spatial:
+            for ps in _parallelism_combos(op, grids, p, p, wino, platform.dsp_total,
+                                          grid_depth):
+                cfg = FusedDesignConfig(
+                    t_h, t_w, tuple(chans[:-1]), chans[-1], p, p, ps[:-1], ps[-1],
+                    (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1), wino)
+                try:
+                    plan_block(op, shape, cfg, chans)
+                    rejected = False
+                except UnsupportedConfig:
+                    rejected = True
+                assert rejected == ((t_h, t_w, p) not in kept), cfg
 
 
 def test_dse_simulates_few_passes(tmp_path, monkeypatch):
