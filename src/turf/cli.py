@@ -78,7 +78,14 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    """Write ``doc`` as JSON.  JSON has no infinity or NaN, so a report that
+    holds one (from an extreme platform value) is an ``UnsupportedConfig``
+    and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise UnsupportedConfig(f"the report has a non-finite number: {exc}") from None
+    _write(text + "\n", out)
 
 
 def _pipeline_stage(model, index: int, option: str):
@@ -266,6 +273,7 @@ def cmd_dse(args) -> int:
             "dsp": design.dsp_used, "bram": design.bram_used,
             "alm": design.alm_used,
         }
+    _emit(doc, args.out)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["stage", "intensity",
@@ -273,7 +281,6 @@ def cmd_dse(args) -> int:
                                                     "latency_cycles", "dsp"])
             writer.writeheader()
             writer.writerows(csv_rows)
-    _emit(doc, args.out)
     return 0
 
 

@@ -50,9 +50,9 @@ layer's module pipeline is built when first read (the resource model,
 ``hw describe``).  A bare convolution or fully-connected layer is its own
 one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
 
-The buffer-option search (``best_options``) decides by bound first: a walk
-of the recurrence with a capacity term, ``_pass_bound``, is the makespan when
-no buffer can make a streaming producer wait; simulation decides the rest.
+The buffer-option search (``best_options``) is first fit: full-tile buffers
+reach the floor ``_pass_lower_bound`` under every sequence assignment, so it
+takes the smallest option set that does (Stuijk, Geilen & Basten, DAC 2006).
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from typing import NamedTuple
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
                      SimDeadlock, UnsupportedConfig, typed)
 from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, Seq,
-                 fill, instantiate_layer, intermediate_buffer_words,
-                 layer_cycle_counts, winograd_eligible)
+                 cycle_counts, fill_cycles, instantiate_layer,
+                 intermediate_buffer_words, winograd_eligible)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 
 CYCLE_MODEL = (
@@ -256,17 +256,13 @@ def layer_tiles(layers, t_h: int, t_w: int) -> list[tuple[int, int]]:
 
 
 def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                         cfg: FusedDesignConfig,
-                         chans: list[int] | None = None) -> list[LayerHwConfig]:
+                         cfg: FusedDesignConfig, chans: list[int]) -> list[LayerHwConfig]:
     """Expand a fused config into one LayerHwConfig per block layer;
     ``chans`` is the channels into each layer, then out of the last."""
     layers = block.layers
     n = len(layers)
     if cfg.num_layers != n:
         raise PortMismatch(f"config has {cfg.num_layers} layers, block has {n}")
-
-    if chans is None:
-        chans = [s.channels for s in layer_shapes(block, input_shape)]
 
     if cfg.t_h > input_shape.height or cfg.t_w > input_shape.width or \
             cfg.t_f > chans[-1]:
@@ -326,7 +322,7 @@ def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
                cfg: FusedDesignConfig, chans: list[int] | None = None) -> BlockPlan:
     """Schedule ``cfg`` on ``op`` (a block, or a layer as its own one-layer
     block): ``derive_layer_configs`` once, then per layer its cycles and
-    units (``layer_cycle_counts``) and its closed-form fill (``hw.fill``).
+    units (``hw.cycle_counts``) and its closed-form fill (``hw.fill_cycles``).
     Raises what those raise for ``cfg``, which is all that
     ``instantiate_layer`` would."""
     if chans is None:
@@ -335,8 +331,11 @@ def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
     hws = derive_layer_configs(op, input_shape, cfg, chans)
     fm, cm = [], []
     for layer, hw in zip(layers, hws):
-        cycles, f_units, c_units = layer_cycle_counts(layer, hw)
-        lag, depthwise = fill(layer, hw), layer.kind is LayerKind.DEPTHWISE_CONV
+        cycles, f_units, c_units = cycle_counts(layer, hw.tile, hw.parallelism,
+                                                hw.use_winograd, hw.winograd_m)
+        lag = fill_cycles(layer, hw.t_w, hw.p_h, hw.p_w, hw.p_c, hw.use_winograd,
+                          hw.winograd_m)
+        depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
         fm.append(LayerSchedule(f_units, cycles // f_units, lag, True, depthwise))
         cm.append(LayerSchedule(c_units, cycles // c_units, lag, depthwise, True))
     n_passes = math.ceil(input_shape.height / cfg.t_h) * \
@@ -577,22 +576,21 @@ class SeqCandidate:
         return "".join("F" if s is Seq.FM else "C" for s in self.seqs)
 
 
-def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate | None:
+def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate:
     """The buffer options that run ``plan``'s design fastest under the
-    sequences ``seqs``: lowest cycles, then fewest buffer words, then the
-    first in ``_OPTION_ORDER`` product order.  None when no option's buffers
-    hold what the sequences need.
+    sequences ``seqs``: the passes times the floor ``_pass_lower_bound`` in
+    cycles, with the fewest buffer words, then the first in
+    ``_OPTION_ORDER`` product order.
 
-    Every option set is sized once; those that fit are taken in ascending
-    (total words, product index) order up to the first whose makespan is
-    the floor ``_pass_lower_bound``, the pick: no set is faster, and every
-    later one has at least as many words.  A set in which no buffer can make
-    a streaming producer wait has ``_pass_bound`` as its makespan.  A set
-    whose waiting buffers all feed streaming consumers cannot deadlock, and
-    if its bound is above the floor it is simulated only when no set reaches
-    the floor.  Every other set is simulated.
+    First fit over the option sets that fit, in ascending (total words,
+    product index) order.  A set with no buffer below its tokens never makes
+    a producer wait, and ``intermediate_buffer_words`` accepts a full-tile
+    set under every ``seqs``.  A smaller buffer sits only between a streaming
+    filter-major producer and channel-major consumer; a set with one is
+    taken when ``_pass_bound`` and then ``_simulate_pass`` reach the floor.
     """
     plans = plan.schedule(seqs)
+    floor = _pass_lower_bound(plans)
     sized = []
     for options in itertools.product(_OPTION_ORDER, repeat=len(seqs) - 1):
         try:
@@ -601,45 +599,30 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate | None:
             continue
         sized.append((sum(w for _, _, w in caps), options, caps))
     sized.sort(key=lambda s: s[0])  # stable: product order among equal words
-    floor = _pass_lower_bound(plans)
-    done, deferred = [], []
-    for order, (_, options, caps) in enumerate(sized):
-        # per buffer that can make its streaming producer wait: does its consumer stream?
-        limited = [plans[i + 1].consumer_stream for i, (tokens, cap, _) in enumerate(caps)
-                   if plans[i].producer_stream and cap < tokens]
-        bound = _pass_bound(plans, caps)
-        if limited and all(limited) and bound > floor:
-            deferred.append((order, options, caps))
-            continue
-        makespan = _simulate_pass(plans, caps, False)[0] if limited else bound
-        done.append((makespan, order, options, caps))
-        if makespan == floor:
-            break
-    else:
-        done += [(_simulate_pass(plans, caps, False)[0], order, options, caps)
-                 for order, options, caps in deferred]
-    if not done:
-        return None
-    makespan, _, options, caps = min(done)
-    return SeqCandidate(seqs, options, makespan * plan.n_passes,
-                        tuple(w for _, _, w in caps))
+    for _, options, caps in sized:
+        if all(cap >= tokens for tokens, cap, _ in caps) or (
+                _pass_bound(plans, caps) == floor
+                and _simulate_pass(plans, caps, False)[0] == floor):
+            return SeqCandidate(seqs, options, floor * plan.n_passes,
+                                tuple(w for _, _, w in caps))
+    raise AssertionError(f"no buffer option set reaches the floor under {seqs}")
 
 
 def assignment_bounds(plan: BlockPlan) -> list[tuple[int, tuple[Seq, ...]]]:
     """(bound, seqs) for each of the 2^N sequence assignments, in product
-    order, where the bound (the passes times ``_pass_lower_bound``) is at
-    most the ``total_cycles`` of ``best_options(plan, seqs)``."""
+    order, where the bound (the passes times ``_pass_lower_bound``) is the
+    ``total_cycles`` of ``best_options(plan, seqs)``."""
     return [(plan.n_passes * _pass_lower_bound(plan.schedule(seqs)), seqs)
             for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)]
 
 
 def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
     """``best_options`` for every computation-sequence assignment of a
-    planned design that some buffer option fits, sorted (stably) by total
-    cycles, then total buffer words, then the product order it is built in:
-    FM before CM, lexicographic in the sequence string."""
-    results = [c for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)
-               if (c := best_options(plan, seqs)) is not None]
+    planned design, sorted (stably) by total cycles, then total buffer
+    words, then the product order it is built in: FM before CM,
+    lexicographic in the sequence string."""
+    results = [best_options(plan, seqs)
+               for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)]
     results.sort(key=lambda c: (c.total_cycles, c.total_buffer_words))
     return results
 

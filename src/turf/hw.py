@@ -267,11 +267,6 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
 
 
-def fill(layer: LayerSpec, hw: LayerHwConfig) -> int:
-    """``instantiate_layer(layer, hw).fill_latency`` in closed form (``fill_cycles``)."""
-    return fill_cycles(layer, hw.t_w, hw.p_h, hw.p_w, hw.p_c, hw.use_winograd, hw.winograd_m)
-
-
 def fill_cycles(layer: LayerSpec, t_w: int, p_h: int, p_w: int, p_c: int,
                 use_winograd: bool, m: int) -> int:
     """One layer's pipeline fill: one cycle each for the input and output
@@ -290,11 +285,6 @@ def fill_cycles(layer: LayerSpec, t_w: int, p_h: int, p_w: int, p_c: int,
         window = (k + p_h - 1) * (k + p_w - 1)
         return 2 + (k - 1) * t_w + k + _array_latency(p_c * window)
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
-
-
-def layer_cycle_counts(layer: LayerSpec, hw: LayerHwConfig) -> tuple[int, int, int]:
-    """``cycle_counts`` of ``hw``'s tile and parallelism."""
-    return cycle_counts(layer, hw.tile, hw.parallelism, hw.use_winograd, hw.winograd_m)
 
 
 def cycle_counts(layer: LayerSpec, tile: tuple, parallelism: tuple, use_winograd: bool,

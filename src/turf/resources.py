@@ -229,6 +229,8 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
     buffers_words += buffer_words
 
     bram = sum(_bram_blocks(w) for w in buffers_words)
+    if not math.isfinite(alm):
+        raise CalibrationError(f"the ALM coefficients give a non-finite ALM total ({alm})")
     return ResourceEstimate(dsp_used=dsp, bram_used=bram, alm_used=round(alm))
 
 
@@ -271,22 +273,19 @@ def block_traffic_bytes(block: BlockSpec, input_shape: TensorShape,
     return words * WORD_BYTES
 
 
-def roofline(block: BlockSpec, input_shape: TensorShape,
-             platform: PlatformSpec,
-             tile: tuple[int, int, int] | None = None) -> RooflineComparison:
-    """Fused vs layer-by-layer roofline points for one block.
-
-    When a (T_h, T_w, T_f) tile is given, halo reloads and per-output-slice
-    input re-reads are added to the fused traffic.
+def roofline(block: BlockSpec, input_shape: TensorShape, platform: PlatformSpec,
+             tile: tuple[int, int, int]) -> RooflineComparison:
+    """Fused vs layer-by-layer roofline points for one block run in
+    (T_h, T_w, T_f) tiles: halo reloads and per-output-slice input re-reads
+    add to the fused traffic.  The full-map tile adds nothing.
     """
     ops = block.ops(input_shape)
     fused_bytes = block_traffic_bytes(block, input_shape, fused=True)
-    if tile is not None:
-        t_h, t_w, t_f = tile
-        if t_h < input_shape.height or t_w < input_shape.width:
-            fused_bytes += tiling_overhead(block, input_shape, (t_h, t_w)) * WORD_BYTES
-        f_passes = math.ceil(block.output_shape(input_shape).channels / t_f)
-        fused_bytes += (f_passes - 1) * input_shape.volume() * WORD_BYTES
+    t_h, t_w, t_f = tile
+    if t_h < input_shape.height or t_w < input_shape.width:
+        fused_bytes += tiling_overhead(block, input_shape, (t_h, t_w)) * WORD_BYTES
+    f_passes = math.ceil(block.output_shape(input_shape).channels / t_f)
+    fused_bytes += (f_passes - 1) * input_shape.volume() * WORD_BYTES
     baseline_bytes = block_traffic_bytes(block, input_shape, fused=False)
     roof = platform.compute_roof_gops
     bw = platform.bandwidth_gbps
@@ -488,10 +487,10 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     ``pick_best_design(design_candidates(...))`` selects, found best-first.
 
     The unit of the search is a (grid point, sequence assignment) pair,
-    which gives at most one candidate (``fusion.best_options``) with the
-    point's roofline and at least the assignment's bound in cycles
+    which gives one candidate (``fusion.best_options``) with the point's
+    roofline and the assignment's bound in cycles
     (``fusion.assignment_bounds``).  So the unit's pair ``(-attainable_gops,
-    bound)`` is at most its candidate's first two key fields, and at least
+    bound)`` equals its candidate's first two key fields, and is at least
     its point's floor (``_planned_points``).  Points are planned in floor
     order, each once its floor is at most the smallest pair in the heap of
     planned units, so units leave the heap in pair order; the search stops
@@ -509,10 +508,9 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     for j, (floor, (rl, fields)) in enumerate(points + [((math.inf,), (None, None))]):
         while units and units[0][0] < floor and units[0][0] <= best:
             *_, plan, seqs, unit_rl = heapq.heappop(units)
-            if (sc := best_options(plan, seqs)) is not None:
-                candidates.append(c := _candidate(plan, sc, unit_rl, coeffs))
-                if c.resources.feasible(platform):
-                    best = min(best, c.key()[:2])
+            candidates.append(c := _candidate(plan, best_options(plan, seqs), unit_rl, coeffs))
+            if c.resources.feasible(platform):
+                best = min(best, c.key()[:2])
         if fields is None or floor > best:
             break
         plan = plan_block(block, input_shape, FusedDesignConfig(*fields), chans)

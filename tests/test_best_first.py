@@ -3,11 +3,10 @@
 ``design_gen`` evaluates (grid point, sequence assignment) units in
 ascending order of ``(-attainable_gops, bound)``, with the bound from
 ``fusion.assignment_bounds``, and stops once that pair exceeds the best
-feasible key.  It is exact only if an assignment's bound never exceeds the
-``total_cycles`` of its candidate.  Both are checked on the reference
-models' stages, and the search order and cutoff also on fake grids where
-ties, winners behind a lower bound and units without a candidate are
-common.
+feasible key.  It is exact when an assignment's bound never exceeds the
+``total_cycles`` of its candidate, and the bound equals them.  Both are
+checked on the reference models' stages, and the search order and cutoff
+also on fake grids where ties and winners behind a loose bound are common.
 """
 
 from __future__ import annotations
@@ -92,13 +91,13 @@ def test_design_gen_equals_full_enumeration(model_name, platform_name):
 @pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
                                         "mobilenetv2"])
 def test_cycles_bound_below_every_candidate(model_name):
-    """On every grid point, each sequence assignment's bound is at most the
-    cycles of that assignment's candidate."""
+    """On every grid point, each sequence assignment's bound is the cycles
+    of that assignment's candidate."""
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         for c in cands:
             bounds = {seqs: bound for bound, seqs
                       in assignment_bounds(plan_block(block, shape, c.cfg))}
-            assert bounds[c.cfg.seqs] <= c.total_cycles, (name, c.cfg)
+            assert bounds[c.cfg.seqs] == c.total_cycles, (name, c.cfg)
 
 
 def _fake_cfg(point: int, unit: int) -> FusedDesignConfig:
@@ -109,9 +108,9 @@ def _fake_cfg(point: int, unit: int) -> FusedDesignConfig:
 def _fake_point(i, gops, floor, units):
     """A grid point as ``_planned_points`` yields it, ``(floor, (roofline
     point, config fields))``, with its units: each a sequence assignment's
-    (cycles bound, candidate or None when no buffer option fits)."""
+    (cycles bound, candidate)."""
     rl = RooflinePoint(gops, 10.0, 1.0)
-    units = [(bound, cand and replace(cand, roofline=rl)) for bound, cand in units]
+    units = [(bound, replace(cand, roofline=rl)) for bound, cand in units]
     return ((-rl.attainable_gops, floor), (rl, astuple(_fake_cfg(i, 0)))), units
 
 
@@ -120,14 +119,16 @@ def fake_grids(draw):
     """Grid points as ``_fake_point`` gives them, with few distinct GOPS,
     cycles and DSP values, so that equal bounds, equal keys up to the config
     and winners behind a lower bound are common, within a point as across
-    points.  A point's floor is anywhere from 0 to its smallest unit bound,
-    so both exact and loose floors occur."""
+    points.  A candidate's cycles are anywhere from its unit's bound to 3
+    above, and a point's floor anywhere from 0 to its smallest unit bound,
+    so both exact and loose bounds and floors occur: the search is exact
+    under either."""
     points = []
     for i in range(draw(st.integers(0, 5))):
         units = []
         for j in range(draw(st.integers(1, 4))):
             bound = draw(st.integers(0, 4))
-            cand = None if draw(st.integers(0, 3)) == 0 else DesignCandidate(
+            cand = DesignCandidate(
                 _fake_cfg(i, j), bound + draw(st.integers(0, 3)),
                 ResourceEstimate(draw(st.integers(1, 3)),
                                  draw(st.sampled_from([0, 10 ** 9])), 0),
@@ -144,7 +145,7 @@ def _search_and_enumeration(points):
     for its plan and each unit's index for its sequences."""
     platform = STRATIX_V_5SGSD8
     by_cfg = {FusedDesignConfig(*fields): units for (_, (_, fields)), units in points}
-    every = [c for _, units in points for _, c in units if c is not None]
+    every = [c for _, units in points for _, c in units]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resources, "layer_shapes", lambda *args: [])
         mp.setattr(resources, "_planned_points",

@@ -20,8 +20,10 @@ jsonschema = pytest.importorskip("jsonschema")
 from conftest import layers_form
 from turf import errors
 from turf.cli import main
+from turf.hw import ModuleKind
 from turf.ir import model_to_json
 from turf.models import build_reference_model
+from turf.resources import STRATIX_V_5SGSD8, load_calibration
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -349,6 +351,10 @@ FUZZ_VALUES = st.one_of(
     st.sampled_from(["", "x", "FM", "CM", "Double", "MatchPrev", "MatchNext", "4"]),
     st.lists(st.integers(-1, 64), max_size=4))
 
+# what a fuzzed platform or calibration number gets: zero, a negative, the
+# smallest or a huge float, or a plausible value
+FUZZ_NUMBERS = st.one_of(st.sampled_from([0, -1, 5e-324, 1e308]), st.integers(1, 4096))
+
 TURF_ERRORS = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.TurfError)}
 
@@ -356,20 +362,28 @@ SCHEMAS = {"simulate": "simulate_report.schema.json", "hw": "hw_describe.schema.
            "model": "model_table.schema.json", "dse": "dse_report.schema.json",
            "explore": "explore_result.schema.json"}
 FUZZ_DOCS = {"flat": json.loads(GOLDEN_CONFIG.read_text()),
-             "model": {**RES2_1_MODEL, "groups": [[0], [2]]}}
+             "model": {**RES2_1_MODEL, "groups": [[0], [2]]},
+             "platform": STRATIX_V_5SGSD8.to_json(),
+             "calibration": {"alm": load_calibration().alm}}
 FUZZ_DOCS["layers"] = layers_form(FUZZ_DOCS["flat"])
 
 
-def _fuzz_run(data, form, workdir, argv_of):
-    """Replace one to three fields of ``FUZZ_DOCS[form]`` by fuzzed values,
+def _not_json(constant):
+    """``parse_constant`` hook: JSON has no ``NaN`` or ``Infinity``."""
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _fuzz_run(data, form, workdir, argv_of, values=FUZZ_VALUES):
+    """Replace one to three fields of ``FUZZ_DOCS[form]`` by ``values``,
     write it to ``workdir`` and run ``main(argv_of(path))`` with an
     ``--out`` report: exit 0 needs a report that validates against the
-    command's schema, exit 1 a ``TurfError`` class name first on stderr,
-    no traceback and no report.  Any other exception escapes ``main``."""
+    command's schema, parsed strictly as JSON (no ``NaN`` or ``Infinity``),
+    exit 1 a ``TurfError`` class name first on stderr, no traceback and no
+    report.  Any other exception escapes ``main``."""
     doc = FUZZ_DOCS[form]
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         path = data.draw(st.sampled_from(list(_paths(doc))[1:]), label="path")
-        doc = _put(doc, path, data.draw(FUZZ_VALUES, label="value"))
+        doc = _put(doc, path, data.draw(values, label="value"))
     fuzzed, out = os.path.join(workdir, "fuzzed.json"), os.path.join(workdir, "out.json")
     with open(fuzzed, "w") as fh:
         json.dump(doc, fh)
@@ -383,7 +397,7 @@ def _fuzz_run(data, form, workdir, argv_of):
     assert "Traceback" not in err
     if rc == 0:
         with open(out) as fh:
-            _validate(json.load(fh), SCHEMAS[argv[0]])
+            _validate(json.load(fh, parse_constant=_not_json), SCHEMAS[argv[0]])
     else:
         assert rc == 1
         assert err.split(":")[0] in TURF_ERRORS, err
@@ -411,6 +425,18 @@ def test_fuzzed_model_documents_keep_the_contract(res2_1_model, command, data):
     explore = ["--min-acc", "0", "--max-latency-ms", "1e9"] if command[0] == "explore" else []
     _fuzz_run(data, "model", os.path.dirname(res2_1_model),
               lambda model: [*command, model, *explore])
+
+
+@pytest.mark.parametrize("form", ["platform", "calibration"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_platform_and_calibration_documents_keep_the_contract(res2_1_model, form,
+                                                                     data):
+    """The default platform and calibration documents, with fields set to
+    ``FUZZ_NUMBERS`` as ``_fuzz_run`` does, keep the contract under a
+    whole-model ``dse`` of ``RES2_1_MODEL``."""
+    _fuzz_run(data, form, os.path.dirname(res2_1_model),
+              lambda doc: ["dse", res2_1_model, f"--{form}", doc], FUZZ_NUMBERS)
 
 
 class TestDse:
@@ -634,12 +660,13 @@ class TestBadCalibration:
 
 
 class TestBadDocuments:
-    """Unreadable or malformed input documents exit 1 naming InvalidDocument."""
+    """Unreadable or malformed input documents exit 1 naming InvalidDocument,
+    and documents whose values are out of range the error that rejects them."""
 
-    def _run(self, capsys, argv):
+    def _run(self, capsys, argv, error="InvalidDocument"):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("InvalidDocument: ")
+        assert err.startswith(f"{error}: ")
         assert "Traceback" not in err
         return err
 
@@ -717,6 +744,25 @@ class TestBadDocuments:
         err = self._run(capsys, ["dse", str(workdir / "model.json"),
                                  "--platform", str(workdir / "platform.json")])
         assert field in err
+
+    @pytest.mark.parametrize("option, doc, error", [
+        # a report with "latency_ms": Infinity, which is not JSON
+        ("platform", {**STRATIX_V_5SGSD8.to_json(), "clock_mhz": 5e-324},
+         "UnsupportedConfig"),
+        # "compute_roof_gops": Infinity
+        ("platform", {**STRATIX_V_5SGSD8.to_json(), "clock_mhz": 1e308},
+         "UnsupportedConfig"),
+        # an OverflowError traceback from rounding the ALM total
+        ("calibration", {"alm": {kind.value: {"base": 1e308, "per_width": 1e308}
+                                 for kind in ModuleKind}}, "CalibrationError"),
+    ])
+    def test_values_that_overflow_the_report(self, workdir, capsys, option, doc, error):
+        (workdir / "doc.json").write_text(json.dumps(doc))
+        self._run(capsys, ["dse", str(workdir / "model.json"), f"--{option}",
+                           str(workdir / "doc.json"), "--out", str(workdir / "out.json"),
+                           "--csv", str(workdir / "out.csv")], error)
+        assert not (workdir / "out.json").exists()
+        assert not (workdir / "out.csv").exists()
 
     def test_oracle_table_without_accuracy_column(self, workdir, capsys):
         (workdir / "table.csv").write_text("replacement_vector,acc\nO,0.9\n")

@@ -14,13 +14,13 @@ from conftest import (dw_conv, dwsep_block, layers_form, pw_conv, stacked_block,
                       std_conv)
 from turf import fusion
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
-                         SimDeadlock, UnsupportedConfig)
+                         UnsupportedConfig)
 from turf.fusion import (FusedDesignConfig, SeqCandidate, _buffer_caps,
                          _simulate_pass, best_options, config_from_json,
                          config_to_json, derive_layer_configs, enumerate_sequences,
                          plan_block, simulate_fused, tiling_overhead)
-from turf.hw import BufferOption, Seq
-from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
+from turf.hw import BufferOption, Seq, cycle_counts
+from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 from turf.resources import WORD_BYTES
 
 
@@ -195,13 +195,14 @@ class TestProperties:
 
     def test_work_conservation(self):
         rng = random.Random(77)
-        from turf.hw import layer_cycle_counts
         for _ in range(50):
             blk, shape, cfg = random_valid_config(rng)
             report = simulate(blk, shape, cfg, include_fill=False)
-            hw_cfgs = derive_layer_configs(blk, shape, cfg)
+            chans = [s.channels for s in layer_shapes(blk, shape)]
+            hw_cfgs = derive_layer_configs(blk, shape, cfg, chans)
             for layer, hw, row in zip(blk.layers, hw_cfgs, report.layers):
-                cycles, fm_units, cm_units = layer_cycle_counts(layer, hw)
+                cycles, fm_units, cm_units = cycle_counts(
+                    layer, hw.tile, hw.parallelism, hw.use_winograd, hw.winograd_m)
                 assert row.busy_cycles == cycles
                 assert row.work_units == (fm_units if row.seq is Seq.FM else cm_units)
                 assert row.stall_cycles + row.busy_cycles \
@@ -248,22 +249,25 @@ def planned_chains(draw):
 @given(planned_chains())
 def test_accepted_buffers_hold_what_the_sequences_need(plan):
     """Every buffer option that sizing accepts holds all of a boundary's
-    tokens when its producer is channel-major (accumulating the whole tile)
-    or its consumer filter-major (re-reading it), which the simulator relies
-    on without checking, whether either side is depthwise or not."""
+    tokens unless its producer is filter-major and its consumer
+    channel-major, so both sides of a buffer that can fill stream and the
+    simulator needs no check for a producer that never releases a token,
+    whether either side is depthwise or not.  Every sequence assignment
+    has a sized set that holds every token, which never makes a producer
+    wait: ``best_options`` relies on both."""
     n = plan.cfg.num_layers
-    accepted = 0
     for seqs in itertools.product((Seq.FM, Seq.CM), repeat=n):
+        unlimited = 0
         for options in itertools.product(BufferOption, repeat=n - 1):
             try:
                 buffers = _buffer_caps(plan, seqs, options)
             except InefficientConfig:
                 continue
-            accepted += 1
+            unlimited += all(cap >= tokens for tokens, cap, _ in buffers)
             for i, (tokens, cap, _) in enumerate(buffers):
-                if seqs[i] is Seq.CM or seqs[i + 1] is Seq.FM:
-                    assert cap >= tokens, (seqs, options, i)
-    assert accepted  # all channel-major with double buffers always fits
+                if cap < tokens:
+                    assert (seqs[i], seqs[i + 1]) == (Seq.FM, Seq.CM), (seqs, options, i)
+        assert unlimited, seqs
 
 
 @settings(max_examples=100, deadline=None)
@@ -318,58 +322,16 @@ def exhaustive_best_options(plan, seqs):
     return SeqCandidate(seqs, options, cycles, words)
 
 
-def test_best_options_is_the_exhaustive_pick():
+@settings(max_examples=150, deadline=None)
+@given(planned_chains())
+def test_best_options_is_the_exhaustive_pick(plan):
     """``best_options`` returns the reference's pick on every sequence
-    assignment.  It stops at the first option whose makespan equals the
-    floor, ``_pass_lower_bound``.  On these chains some option always
-    reaches the real floor (a full-tile buffer never makes a producer
-    wait), so the floor is also drawn one cycle loose, still a lower bound
-    but one no option reaches, which runs the search to its end, and out of
-    reach above every makespan, where the stop must not fire either."""
-    true_floor = fusion._pass_lower_bound
-    floors = {"exact": true_floor, "loose": lambda plans: true_floor(plans) - 1,
-              "unreachable": lambda plans: math.inf}
-    reached = {name: set() for name in floors}
-
-    @settings(max_examples=150, deadline=None)
-    @given(planned_chains(), st.sampled_from(sorted(floors)))
-    def check(plan, floor):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fusion, "_pass_lower_bound", floors[floor])
-            for seqs in itertools.product((Seq.FM, Seq.CM), repeat=plan.cfg.num_layers):
-                got = best_options(plan, seqs)
-                assert got == exhaustive_best_options(plan, seqs), seqs
-                floor_cycles = plan.n_passes * floors[floor](plan.schedule(seqs))
-                reached[floor].add(got.total_cycles == floor_cycles)
-
-    check()
-    assert reached == {"exact": {True}, "loose": {False}, "unreachable": {False}}
-
-
-def test_a_set_that_might_deadlock_is_simulated(monkeypatch):
-    """A set with a too-small buffer before a consumer that needs every
-    token resident is simulated in its turn, not deferred on its bound, so
-    its ``SimDeadlock`` surfaces as before even though a later set reaches
-    the floor.  Sizing never builds such a set: these one-token buffers,
-    the other one feeding a streaming depthwise consumer so that the bound
-    rises above the floor, are patched in."""
-    cfg = FusedDesignConfig(t_h=4, t_w=4, t_c=(8, 8, 8), t_f=8, p_h=1, p_w=1,
-                            p_c=(2, 2, 2), p_f=2, seqs=(Seq.FM,) * 3,
-                            buffer_options=(BufferOption.DOUBLE,) * 2,
-                            use_winograd=(False,) * 3)
-    plan = plan_block(LayerChain((pw_conv(8), dw_conv(), pw_conv(8))),
-                      TensorShape(4, 4, 8), cfg)
-    seqs, sized = (Seq.FM,) * 3, fusion._buffer_caps
-    first = (BufferOption.MATCH_PREV,) * 2
-    one_token = [(4, 1, 0), (4, 1, 0)]
-    assert fusion._pass_bound(plan.schedule(seqs), one_token) \
-        > fusion._pass_lower_bound(plan.schedule(seqs))
-    assert best_options(plan, seqs).total_cycles == \
-        plan.n_passes * fusion._pass_lower_bound(plan.schedule(seqs))
-    monkeypatch.setattr(fusion, "_buffer_caps", lambda plan, seqs, options:
-                        one_token if options == first else sized(plan, seqs, options))
-    with pytest.raises(SimDeadlock):
-        best_options(plan, seqs)
+    assignment, and its cycles are the passes times the floor
+    ``_pass_lower_bound``, which it stops at."""
+    for seqs in itertools.product((Seq.FM, Seq.CM), repeat=plan.cfg.num_layers):
+        got = best_options(plan, seqs)
+        assert got == exhaustive_best_options(plan, seqs), seqs
+        assert got.total_cycles == plan.n_passes * fusion._pass_lower_bound(plan.schedule(seqs))
 
 
 class TestEnumeration:

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dw_conv, pw_conv, std_conv
 from turf.errors import InefficientConfig, ShapeMismatch, UnsupportedConfig
-from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq, fill,
-                     input_buffer, instantiate_layer,
-                     intermediate_buffer_words, layer_cycle_counts,
-                     line_buffer, output_buffer, validate_winograd,
+from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq, cycle_counts,
+                     fill_cycles, input_buffer, instantiate_layer,
+                     intermediate_buffer_words, line_buffer, output_buffer, validate_winograd,
                      winograd_eligible, winograd_input_transform,
                      winograd_output_transform, winograd_weight_transform)
 from turf.ir import LayerKind, LayerSpec
@@ -150,7 +149,7 @@ def layer_configs(draw, kind, wino):
 @pytest.mark.parametrize("wino", [False, True])
 @pytest.mark.parametrize("kind", ["std", "dw", "pw", "fc"])
 def test_closed_form_fill_is_the_pipeline_fill(kind, wino):
-    """``fill`` equals the instantiated pipeline's fill latency, or raises
+    """``fill_cycles`` equals the instantiated pipeline's fill latency, or raises
     the same error, on every pipelined layer kind, Winograd or not."""
     accepted = []
 
@@ -165,7 +164,9 @@ def test_closed_form_fill_is_the_pipeline_fill(kind, wino):
     def check(case):
         layer, hw = case
         want = outcome(lambda l, h: instantiate_layer(l, h).fill_latency, layer, hw)
-        assert outcome(fill, layer, hw) == want
+        assert outcome(lambda l, h: fill_cycles(l, h.t_w, h.p_h, h.p_w, h.p_c,
+                                                h.use_winograd, h.winograd_m),
+                       layer, hw) == want
         accepted.append(isinstance(want, int))
 
     check()
@@ -176,29 +177,28 @@ def test_closed_form_fill_is_the_pipeline_fill(kind, wino):
 
 class TestCycleCounts:
     def test_trip_count_product(self):
-        hw = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 4))
-        assert layer_cycle_counts(std_conv(32), hw)[0] == 4 * 8 * 8 * 8  # 2048
+        assert cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 4), False, 4)[0] \
+            == 4 * 8 * 8 * 8  # 2048
 
     def test_work_units_by_major_index(self):
-        hw = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 4))
-        _, fm_units, cm_units = layer_cycle_counts(std_conv(32), hw)
+        _, fm_units, cm_units = cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 4),
+                                             False, 4)
         assert fm_units == 8   # 32/4 filter chunks
         assert cm_units == 4   # 16/4 channel chunks
 
     def test_winograd_spatial_trip_count(self):
-        hw = LayerHwConfig((8, 8, 4, 4), (4, 4, 1, 1), use_winograd=True,
-                           winograd_m=4)
-        assert layer_cycle_counts(std_conv(4), hw)[0] == 4 * 4 * 4  # 4 tiles instead of 64 pixels
+        # 4 tiles instead of 64 pixels
+        assert cycle_counts(std_conv(4), (8, 8, 4, 4), (4, 4, 1, 1), True, 4)[0] == 4 * 4 * 4
 
     def test_depthwise_drops_filter_trips(self):
-        hw = LayerHwConfig((8, 8, 16, 16), (1, 1, 4, 4))
-        cycles, fm_units, cm_units = layer_cycle_counts(dw_conv(), hw)
+        cycles, fm_units, cm_units = cycle_counts(dw_conv(), (8, 8, 16, 16), (1, 1, 4, 4),
+                                                  False, 4)
         assert cycles == 4 * 8 * 8
         assert fm_units == cm_units == 4
 
     def test_cycles_divide_evenly_into_units(self):
-        hw = LayerHwConfig((8, 8, 16, 32), (1, 1, 4, 8))
-        cycles, *units_by_seq = layer_cycle_counts(std_conv(32), hw)
+        cycles, *units_by_seq = cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 8),
+                                             False, 4)
         for units in units_by_seq:
             assert cycles % units == 0
 

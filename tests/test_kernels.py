@@ -7,8 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from turf.errors import ShapeMismatch, UnsupportedConfig
-from turf.conv import (Filter4, Tensor3, conv_direct, conv_winograd,
-                       winograd_matrices)
+from turf.conv import conv_direct, conv_winograd, winograd_matrices
 from turf.kernels import (WINOGRAD_F2_3, WINOGRAD_F4_3, is_power_of_two,
                           transform_mult_counts, winograd_config)
 
@@ -38,45 +37,58 @@ def naive_conv(data, weights, stride=1, padding=0):
 
 class TestConvDirect:
     def test_scalar_multiply(self):
-        inp = Tensor3.from_array(np.array([[[3.0]]]))
-        filt = Filter4(np.array([[[[2.0]]]]))
+        inp = np.array([[[3.0]]])
+        filt = np.array([[[[2.0]]]])
         out = conv_direct(inp, filt)
-        assert out.data.tolist() == [[[6.0]]]
+        assert out.tolist() == [[[6.0]]]
 
     def test_identity_kernel(self, rng):
-        inp = Tensor3.from_array(rng.standard_normal((3, 5, 5)))
+        inp = rng.standard_normal((3, 5, 5))
         eye = np.zeros((3, 3, 1, 1))
         for i in range(3):
             eye[i, i, 0, 0] = 1.0
-        out = conv_direct(inp, Filter4(eye))
-        np.testing.assert_array_equal(out.data, inp.data)
+        out = conv_direct(inp, eye)
+        np.testing.assert_array_equal(out, inp)
 
     def test_matches_naive_loop_oracle_exactly_on_integers(self, rng):
         # integer-valued inputs make float64 arithmetic exact, so the two
         # implementations must agree bit for bit whatever their sum order
         inp = rng.integers(-8, 9, (4, 8, 8)).astype(float)
         w = rng.integers(-8, 9, (3, 4, 3, 3)).astype(float)
-        got = conv_direct(Tensor3.from_array(inp), Filter4(w))
-        np.testing.assert_array_equal(got.data, naive_conv(inp, w))
+        got = conv_direct(inp, w)
+        np.testing.assert_array_equal(got, naive_conv(inp, w))
 
     def test_matches_naive_loop_oracle(self, rng):
         inp = rng.standard_normal((4, 8, 8))
         w = rng.standard_normal((3, 4, 3, 3))
-        got = conv_direct(Tensor3.from_array(inp), Filter4(w))
-        np.testing.assert_allclose(got.data, naive_conv(inp, w), atol=1e-12)
+        got = conv_direct(inp, w)
+        np.testing.assert_allclose(got, naive_conv(inp, w), atol=1e-12)
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 0), (3, 2)])
     def test_stride_padding_against_oracle(self, rng, stride, padding):
         inp = rng.standard_normal((2, 9, 9))
         w = rng.standard_normal((5, 2, 3, 3))
-        got = conv_direct(Tensor3.from_array(inp), Filter4(w), stride, padding)
-        np.testing.assert_allclose(got.data, naive_conv(inp, w, stride, padding),
+        got = conv_direct(inp, w, stride, padding)
+        np.testing.assert_allclose(got, naive_conv(inp, w, stride, padding),
                                    atol=1e-12)
 
     def test_channel_mismatch(self, rng):
-        inp = Tensor3.from_array(rng.standard_normal((2, 4, 4)))
+        inp = rng.standard_normal((2, 4, 4))
         with pytest.raises(ShapeMismatch):
-            conv_direct(inp, Filter4(rng.standard_normal((1, 3, 3, 3))))
+            conv_direct(inp, rng.standard_normal((1, 3, 3, 3)))
+
+    @pytest.mark.parametrize("conv", [
+        conv_direct, lambda inp, filt: conv_winograd(inp, filt, WINOGRAD_F4_3)],
+        ids=["direct", "winograd"])
+    @pytest.mark.parametrize("inp_shape, filt_shape", [
+        ((4, 4), (1, 1, 3, 3)),             # a map without channels
+        ((1, 4, 4), (1, 3, 3)),             # a filter without output channels
+        ((1, 4, 4), (1, 1, 3, 2)),          # a kernel that is not square
+        ((2, 4, 4), (1, 3, 3, 3)),          # channels that do not match
+    ])
+    def test_malformed_operands(self, rng, conv, inp_shape, filt_shape):
+        with pytest.raises(ShapeMismatch):
+            conv(rng.standard_normal(inp_shape), rng.standard_normal(filt_shape))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.floats(-3, 3), st.floats(-3, 3))
@@ -84,10 +96,8 @@ class TestConvDirect:
         r = np.random.default_rng(seed)
         d1, d2 = r.standard_normal((2, 2, 5, 5))
         w = r.standard_normal((3, 2, 3, 3))
-        filt = Filter4(w)
-        lhs = conv_direct(Tensor3.from_array(alpha * d1 + beta * d2), filt).data
-        rhs = (alpha * conv_direct(Tensor3.from_array(d1), filt).data
-               + beta * conv_direct(Tensor3.from_array(d2), filt).data)
+        lhs = conv_direct(alpha * d1 + beta * d2, w)
+        rhs = alpha * conv_direct(d1, w) + beta * conv_direct(d2, w)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -95,17 +105,17 @@ class TestWinograd:
     @pytest.mark.parametrize("cfg", [WINOGRAD_F2_3, WINOGRAD_F4_3],
                              ids=["F2_3", "F4_3"])
     def test_equivalence_random(self, rng, cfg):
-        inp = Tensor3.from_array(rng.standard_normal((2, 12, 12)))
-        filt = Filter4(rng.standard_normal((4, 2, 3, 3)))
+        inp = rng.standard_normal((2, 12, 12))
+        filt = rng.standard_normal((4, 2, 3, 3))
         ref = conv_direct(inp, filt, padding=1)
         win = conv_winograd(inp, filt, cfg, padding=1)
-        assert np.abs(ref.data - win.data).max() < 1e-9
+        assert np.abs(ref - win).max() < 1e-9
 
     def test_zero_filter(self, rng):
-        inp = Tensor3.from_array(rng.standard_normal((2, 8, 8)))
-        filt = Filter4(np.zeros((3, 2, 3, 3)))
+        inp = rng.standard_normal((2, 8, 8))
+        filt = np.zeros((3, 2, 3, 3))
         out = conv_winograd(inp, filt, WINOGRAD_F4_3)
-        assert not out.data.any()
+        assert not out.any()
 
     def test_multiplication_counts(self):
         assert WINOGRAD_F4_3.multiplies_per_tile == 36
@@ -146,8 +156,8 @@ class TestWinograd:
         np.testing.assert_allclose(tile, direct[0], atol=1e-10)
 
     def test_unsupported_kernel(self, rng):
-        inp = Tensor3.from_array(rng.standard_normal((1, 8, 8)))
-        filt = Filter4(rng.standard_normal((1, 1, 5, 5)))
+        inp = rng.standard_normal((1, 8, 8))
+        filt = rng.standard_normal((1, 1, 5, 5))
         with pytest.raises(UnsupportedConfig):
             conv_winograd(inp, filt, WINOGRAD_F4_3)
         with pytest.raises(UnsupportedConfig):
@@ -189,9 +199,9 @@ class TestFixedPoint:
                 w = int(rng.integers(4, 13))
                 c = int(rng.integers(1, 5))
                 f = int(rng.integers(1, 5))
-                inp = Tensor3.from_array(to_fixed_point(rng.uniform(-1, 1, (c, h, w))))
-                filt = Filter4(to_fixed_point(rng.uniform(-1, 1, (f, c, 3, 3))))
-                ref = to_fixed_point(conv_direct(inp, filt, padding=1).data)
-                win = to_fixed_point(conv_winograd(inp, filt, cfg, padding=1).data)
+                inp = to_fixed_point(rng.uniform(-1, 1, (c, h, w)))
+                filt = to_fixed_point(rng.uniform(-1, 1, (f, c, 3, 3)))
+                ref = to_fixed_point(conv_direct(inp, filt, padding=1))
+                win = to_fixed_point(conv_winograd(inp, filt, cfg, padding=1))
                 worst = max(worst, float(np.abs(ref - win).max()))
             assert worst <= bounds[cfg.m] + 1e-15

@@ -54,7 +54,8 @@ def pipeline_dsp(layer, hw):
 
 def _quick_dsp(block, input_shape, cfg):
     return sum(pipeline_dsp(layer, hw) for layer, hw in
-               zip(block.layers, derive_layer_configs(block, input_shape, cfg)))
+               zip(block.layers, derive_layer_configs(block, input_shape, cfg,
+                                                      _channels(block, input_shape))))
 
 
 def _channels(block, input_shape):
