@@ -14,7 +14,7 @@ from conftest import (dw_conv, dwsep_block, layers_form, pw_conv, stacked_block,
                       std_conv)
 from turf import fusion
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
-                         UnsupportedConfig)
+                         SimDeadlock, UnsupportedConfig)
 from turf.fusion import (FusedDesignConfig, SeqCandidate, _buffer_caps,
                          _simulate_pass, best_options, config_from_json,
                          config_to_json, derive_layer_configs, enumerate_sequences,
@@ -332,6 +332,30 @@ def test_best_options_is_the_exhaustive_pick(plan):
         got = best_options(plan, seqs)
         assert got == exhaustive_best_options(plan, seqs), seqs
         assert got.total_cycles == plan.n_passes * fusion._pass_lower_bound(plan.schedule(seqs))
+
+
+def test_a_set_that_might_deadlock_is_simulated(monkeypatch):
+    """A set with a buffer below its tokens is taken only once simulation
+    confirms its bound, so a set whose bound is the floor but which would
+    deadlock raises ``SimDeadlock`` rather than being picked.  A one-token
+    buffer before a filter-major consumer, which needs every token
+    resident, adds nothing to ``_pass_bound``; sizing never builds one, so
+    it is patched in as the first set."""
+    cfg = FusedDesignConfig(t_h=4, t_w=4, t_c=(8, 8), t_f=8, p_h=1, p_w=1,
+                            p_c=(2, 2), p_f=2, seqs=(Seq.FM,) * 2,
+                            buffer_options=(BufferOption.DOUBLE,),
+                            use_winograd=(False,) * 2)
+    plan = plan_block(LayerChain((pw_conv(8), pw_conv(8))), TensorShape(4, 4, 8), cfg)
+    seqs, sized = (Seq.FM,) * 2, fusion._buffer_caps
+    one_token = [(4, 1, 0)]
+    floor = fusion._pass_lower_bound(plan.schedule(seqs))
+    assert fusion._pass_bound(plan.schedule(seqs), one_token) == floor
+    assert best_options(plan, seqs).total_cycles == plan.n_passes * floor
+    monkeypatch.setattr(fusion, "_buffer_caps", lambda plan, seqs, options:
+                        one_token if options == (BufferOption.MATCH_PREV,)
+                        else sized(plan, seqs, options))
+    with pytest.raises(SimDeadlock):
+        best_options(plan, seqs)
 
 
 class TestEnumeration:
