@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import TurfError, UnsupportedConfig, reading
+from .errors import TurfError, UnsupportedConfig, reading, typed
 from .explore import (ExternalOracle, Requirements, SyntheticOracle,
                       TableOracle, replacement_key, run_framework)
 from .fusion import (config_from_json, config_to_json, enumerate_sequences,
@@ -51,11 +51,8 @@ def _jsonify(obj):
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def make_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
@@ -367,15 +364,25 @@ def cmd_winograd_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _int_at_least(low: int):
+    """argparse type for an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _finite(text: str) -> float:
+    """argparse type for a requirement: a number a JSON report can hold."""
     try:
-        value = int(text)
+        return typed(float(text), float, "requirement")
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="turf",
         description="CNN accelerator design-space exploration toolkit")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    # numpy takes no negative seed
+    common.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="RNG seed (TURF_SEED env var overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -421,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse.add_argument("--platform")
     p_dse.add_argument("--calibration")
     p_dse.add_argument("--block", type=int)
-    p_dse.add_argument("--max-parallel", type=_positive_int, default=64)
-    p_dse.add_argument("--grid-depth", type=_positive_int, default=4)
+    p_dse.add_argument("--max-parallel", type=_int_at_least(1), default=64)
+    p_dse.add_argument("--grid-depth", type=_int_at_least(1), default=4)
     p_dse.add_argument("--csv")
     p_dse.add_argument("--out")
     p_dse.set_defaults(func=cmd_dse)
@@ -431,20 +439,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--model", required=True)
     p_exp.add_argument("--platform")
     p_exp.add_argument("--calibration")
-    p_exp.add_argument("--min-acc", type=float, required=True)
-    p_exp.add_argument("--min-gops", type=float)
-    p_exp.add_argument("--max-latency-ms", type=float)
+    p_exp.add_argument("--min-acc", type=_finite, required=True)
+    p_exp.add_argument("--min-gops", type=_finite)
+    p_exp.add_argument("--max-latency-ms", type=_finite)
     p_exp.add_argument("--oracle", default="synthetic")
     p_exp.add_argument("--exhaustive", action="store_true")
     p_exp.add_argument("--finetune-budget", type=int, default=1)
-    p_exp.add_argument("--max-parallel", type=_positive_int, default=64)
+    p_exp.add_argument("--max-parallel", type=_int_at_least(1), default=64)
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_explore)
 
     p_win = add_parser("winograd-check", help="randomized equivalence trials")
     p_win.add_argument("--m", type=int, default=4)
     p_win.add_argument("--r", type=int, default=3)
-    p_win.add_argument("--trials", type=_positive_int, default=100)
+    p_win.add_argument("--trials", type=_int_at_least(1), default=100)
     p_win.add_argument("--out")
     p_win.set_defaults(func=cmd_winograd_check)
 
@@ -456,8 +464,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
-    if os.environ.get("TURF_SEED"):
-        args.seed = int(os.environ["TURF_SEED"])
+    if seed := os.environ.get("TURF_SEED"):
+        try:
+            args.seed = _int_at_least(0)(seed)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"TURF_SEED: {exc}")
     try:
         return args.func(args)
     except TurfError as exc:

@@ -2,8 +2,14 @@
 
 Every error the CLI maps to exit code 1 derives from TurfError; the error
 class name is the stable identifier printed on stderr.
+
+``typed`` checks every value of the four input documents (model, fused
+config, platform, calibration).  A number must be one JSON carries exactly
+(RFC 8259 section 6): a finite float, or an integer below 2**53 in
+magnitude.  A larger one overflows a report's float arithmetic.
 """
 
+import math
 from contextlib import contextmanager
 
 
@@ -77,9 +83,16 @@ def reading(path):
 
 
 def typed(value, kind: type, name: str):
-    """``value`` if its JSON type is ``kind`` (a bool is no integer), else TypeError."""
-    if type(value) is not kind:
-        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    """``value`` if its JSON type is ``kind``, else TypeError; ``float`` is
+    any JSON number (a bool is none).  A non-finite float or an integer of
+    magnitude 2**53 or more raises ValueError."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"{name} must be a JSON "
+                        f"{'number' if kind is float else kind.__name__}, got {value!r}")
+    if type(value) is int and not -2 ** 53 < value < 2 ** 53 \
+            or type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and below 2**53 in magnitude, "
+                         f"got {value!r}")
     return value
 
 

@@ -140,10 +140,11 @@ def config_from_json(doc: dict) -> FusedDesignConfig:
 
     Accepts the flattened form (``tiles``/``parallelism`` with per-layer
     channel lists) or a per-layer list (``layers``), which is checked for
-    port matching and flattened.  Both then need JSON integers for tiles,
-    parallelism and ``winograd_m``, booleans for Winograd flags, one entry
-    per layer in each list, n - 1 buffers and valid names.  A wrong type
-    raises ``TypeError`` (``InvalidDocument`` under ``errors.reading``).
+    port matching and flattened.  ``errors.typed`` then checks both: JSON
+    integers for tiles, parallelism and ``winograd_m``, booleans for Winograd
+    flags, one entry per layer in each list, n - 1 buffers and valid names.
+    A wrong type raises ``TypeError``, a huge integer ``ValueError``
+    (``InvalidDocument`` under ``errors.reading``).
     """
     if "layers" in doc:
         layers = doc["layers"]

@@ -145,22 +145,9 @@ class LayerHwConfig:
             if t % p != 0:
                 raise UnsupportedConfig(f"P_{name}={p} must divide T_{name}={t}")
 
-    @property
-    def t_h(self): return self.tile[0]
-    @property
-    def t_w(self): return self.tile[1]
-    @property
-    def t_c(self): return self.tile[2]
-    @property
-    def t_f(self): return self.tile[3]
-    @property
-    def p_h(self): return self.parallelism[0]
-    @property
-    def p_w(self): return self.parallelism[1]
-    @property
-    def p_c(self): return self.parallelism[2]
-    @property
-    def p_f(self): return self.parallelism[3]
+    # each tile and parallelism entry by name
+    t_h, t_w, t_c, t_f = (property(lambda self, i=i: self.tile[i]) for i in range(4))
+    p_h, p_w, p_c, p_f = (property(lambda self, i=i: self.parallelism[i]) for i in range(4))
 
 
 @dataclass(frozen=True)

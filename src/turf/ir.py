@@ -396,11 +396,11 @@ def model_from_json(doc: dict) -> ModelSpec:
     """Load a declarative model document.
 
     Two forms are accepted: a full stage list, or a shorthand naming a
-    reference model: ``{"base": "vgg16", "input": [224, 224, 3]}``.  Shapes,
-    kernels, strides, paddings (>= 0) and channel counts must be JSON
-    integers, bias and shortcut flags booleans, names strings, ``groups``
-    distinct stage indices; a wrong type raises ``TypeError``, a bad index
-    ``ValueError`` (``InvalidDocument`` under ``errors.reading``).
+    reference model: ``{"base": "vgg16", "input": [224, 224, 3]}``.
+    ``errors.typed`` checks each value: shapes, kernels, strides, paddings
+    (>= 0) and channel counts are JSON integers, flags booleans, names
+    strings, ``groups`` distinct stage indices.  A wrong type raises
+    ``TypeError``, a huge integer or a bad index ``ValueError``.
     """
     if "stages" not in doc:
         from .models import build_reference_model

@@ -29,11 +29,11 @@ import heapq
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources as importlib_resources
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
-                     UnsupportedConfig, reading)
+                     UnsupportedConfig, reading, typed)
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
                      assignment_bounds, best_options, enumerate_sequences,
                      layer_tiles, plan_block, tiling_overhead)
@@ -56,39 +56,25 @@ class PlatformSpec:
     alm_total: int
     clock_mhz: float
 
-    def __post_init__(self):
-        # TypeError/ValueError: a platform file with such a value is an
-        # InvalidDocument (``errors.reading``)
-        for name, value in self.to_json().items():
-            if name in ("dsp_total", "bram_blocks", "alm_total"):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise TypeError(f"platform constant {name} must be an "
-                                    f"integer, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"platform constant {name} must be a number, "
-                                f"got {value!r}")
-            elif not math.isfinite(value):
-                raise ValueError(f"platform constant {name} must be finite, "
-                                 f"got {value!r}")
-            if value <= 0:
-                raise UnsupportedConfig(f"platform constant {name} must be "
-                                        f"positive, got {value!r}")
-
     @property
     def compute_roof_gops(self) -> float:
         """DSPs x 2 ops (one MAC) x clock."""
         return self.dsp_total * 2 * self.clock_mhz / 1e3
 
     def to_json(self) -> dict:
-        return {"bandwidth_gbps": self.bandwidth_gbps, "dsp_total": self.dsp_total,
-                "bram_blocks": self.bram_blocks, "alm_total": self.alm_total,
-                "clock_mhz": self.clock_mhz}
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, doc: dict) -> "PlatformSpec":
-        return cls(bandwidth_gbps=doc["bandwidth_gbps"], dsp_total=doc["dsp_total"],
-                   bram_blocks=doc["bram_blocks"], alm_total=doc["alm_total"],
-                   clock_mhz=doc["clock_mhz"])
+        """The platform in ``doc``, each constant checked with ``errors.typed``:
+        the three counts are JSON integers and the two rates JSON numbers.  A
+        constant <= 0 is an UnsupportedConfig."""
+        spec = {f.name: typed(doc[f.name], int if f.type == "int" else float, f.name)
+                for f in fields(cls)}
+        for name, value in spec.items():
+            if value <= 0:
+                raise UnsupportedConfig(f"platform constant {name} must be positive, got {value!r}")
+        return cls(**spec)
 
 
 # Stratix-V 5SGSD8 on the evaluation node: 262.4K ALMs, 1963 variable-
@@ -111,19 +97,6 @@ class CalibrationTable:
 
     alm: dict
 
-    def __post_init__(self):
-        if not isinstance(self.alm, dict):
-            raise CalibrationError("the ALM table must map module kinds to "
-                                   f"coefficients, got {self.alm!r}")
-        for kind, entry in self.alm.items():
-            values = [entry.get(k) for k in ("base", "per_width")] \
-                if isinstance(entry, dict) else [None]
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and math.isfinite(v) and v >= 0 for v in values):
-                raise CalibrationError(
-                    f"ALM entry {kind!r} needs numeric, non-negative base and "
-                    f"per_width, got {entry!r}")
-
     def coeff(self, kind: ModuleKind) -> tuple[float, float]:
         try:
             entry = self.alm[kind.value]
@@ -133,12 +106,26 @@ class CalibrationTable:
 
 
 def load_calibration(path: str | None = None) -> CalibrationTable:
+    """The ALM table at ``path``, or the shipped one.  Each entry's ``base``
+    and ``per_width`` are checked with ``errors.typed`` as JSON numbers and
+    must be >= 0; a bad entry is a CalibrationError naming it."""
     if path is None:
         ref = importlib_resources.files("turf.data").joinpath("alm_coefficients.json")
-        doc = json.loads(ref.read_text())
-        return CalibrationTable(alm=doc["alm"])
-    with reading(path), open(path) as fh:
-        return CalibrationTable(alm=json.load(fh)["alm"])
+        alm = json.loads(ref.read_text())["alm"]
+    else:
+        with reading(path), open(path) as fh:
+            alm = json.load(fh)["alm"]
+    if type(alm) is not dict:
+        raise CalibrationError(f"the ALM table must map module kinds to coefficients, "
+                               f"got {alm!r}")
+    for kind, entry in alm.items():
+        try:
+            if min(typed(entry[k], float, k) for k in ("base", "per_width")) < 0:
+                raise ValueError
+        except (KeyError, TypeError, ValueError):
+            raise CalibrationError(f"ALM entry {kind!r} needs numeric, non-negative "
+                                   f"base and per_width, got {entry!r}") from None
+    return CalibrationTable(alm)
 
 
 @dataclass(frozen=True)

@@ -343,17 +343,23 @@ def _put(doc, path, value):
     return doc
 
 
+# integers JSON does not carry exactly (RFC 8259 section 6), which every
+# document rejects at parse time; none below 2**53, as an accepted huge map
+# makes ``dse`` walk every tile row
+HUGE_INTEGERS = [2 ** 53, -2 ** 53, 10 ** 400]
+
 # what a fuzzed field gets: no value, a wrong type, zero or a negative
-# number, a plausible or a valid name, or a short list
+# number, a huge integer, a plausible or a valid name, or a short list
 FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-64, 0), st.integers(1, 64),
-    st.floats(-64, 64), st.integers(1, 64).map(float),
+    st.floats(-64, 64), st.integers(1, 64).map(float), st.sampled_from(HUGE_INTEGERS),
     st.sampled_from(["", "x", "FM", "CM", "Double", "MatchPrev", "MatchNext", "4"]),
     st.lists(st.integers(-1, 64), max_size=4))
 
 # what a fuzzed platform or calibration number gets: zero, a negative, the
-# smallest or a huge float, or a plausible value
-FUZZ_NUMBERS = st.one_of(st.sampled_from([0, -1, 5e-324, 1e308]), st.integers(1, 4096))
+# smallest or a huge float, a huge integer, or a plausible value
+FUZZ_NUMBERS = st.one_of(st.sampled_from([0, -1, 5e-324, 1e308, *HUGE_INTEGERS]),
+                         st.integers(1, 4096))
 
 TURF_ERRORS = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.TurfError)}
@@ -649,7 +655,10 @@ class TestBadCalibration:
         ({**_shipped_alm(), "InputBuffer": {"base": "40", "per_width": 6}}, "'InputBuffer'"),
         ({**_shipped_alm(), "DotProductArray": {"base": 80, "per_width": -18}},
          "'DotProductArray'"),
-    ], ids=["list", "number", "no-per-width", "string", "negative"])
+        # an OverflowError traceback from math.isfinite
+        ({**_shipped_alm(), "LineBuffer": {"base": 10 ** 400, "per_width": 6}},
+         "'LineBuffer'"),
+    ], ids=["list", "number", "no-per-width", "string", "negative", "huge"])
     def test_exits_one_naming_the_entry(self, workdir, capsys, alm, named):
         (workdir / "cal.json").write_text(json.dumps({"alm": alm}))
         assert main(["dse", str(workdir / "model.json"),
@@ -703,6 +712,30 @@ class TestBadDocuments:
         assert field in err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("out_channels", 10 ** 400),        # OverflowError tracebacks from total_gops
+        ("input", [10 ** 200, 10 ** 200, 4]),
+    ], ids=["out_channels-10**400", "input-10**200"])
+    def test_model_integer_json_does_not_carry_exactly(self, tmp_path, capsys, field, value):
+        stage = {"input": [8, 8, 4], "kind": "StandardConv", "kernel": 3, "stride": 1,
+                 "padding": 1, "out_channels": 16, field: value}
+        (tmp_path / "model.json").write_text(json.dumps({"stages": [stage]}))
+        err = self._run(capsys, ["model", "show", str(tmp_path / "model.json"),
+                                 "--out", str(tmp_path / "out.json")])
+        assert field in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_model_dimensions_just_below_the_json_limit(self, tmp_path):
+        n = 2 ** 53 - 1
+        stage = {"input": [n, n, n], "kind": "StandardConv", "kernel": 3, "stride": 1,
+                 "padding": 1, "out_channels": n}
+        (tmp_path / "model.json").write_text(json.dumps({"stages": [stage]}))
+        assert main(["model", "show", str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / "out.json")]) == 0
+        doc = json.loads((tmp_path / "out.json").read_text(), parse_constant=_not_json)
+        _validate(doc, "model_table.schema.json")
+        assert doc["per_stage"][0]["ops"] == 2 * 9 * n ** 4
+
     @pytest.mark.parametrize("groups", [
         [[5]], [[-7]],              # IndexError tracebacks from replace_layer
         [["a"]], [[1.0]],           # TypeError tracebacks
@@ -736,6 +769,9 @@ class TestBadDocuments:
         ("dsp_total", float("nan")),
         ("bram_blocks", False),
         ("alm_total", None),
+        # OverflowError tracebacks from compute_roof_gops
+        pytest.param("dsp_total", 10 ** 400, id="dsp_total-10**400"),
+        pytest.param("bandwidth_gbps", 10 ** 400, id="bandwidth_gbps-10**400"),
     ])
     def test_platform_constant_not_a_finite_number(self, workdir, capsys, field, value):
         platform = {"bandwidth_gbps": 38.0, "dsp_total": 1963, "bram_blocks": 2567,
@@ -817,6 +853,38 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--max-parallel" in err and "expected an integer >= 1" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("option, others", [
+        ("--min-acc", ["--max-latency-ms", "100"]),
+        ("--min-gops", ["--min-acc", "0.9"]),
+        ("--max-latency-ms", ["--min-acc", "0.9"]),
+    ], ids=["min-acc", "min-gops", "max-latency-ms"])
+    def test_non_finite_requirement_exits_two(self, workdir, capsys, option, others,
+                                              value):
+        # a report holding the requirement could not be written as JSON
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--model", str(workdir / "model.json"), *others,
+                  f"{option}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert option in err and "expected a finite number" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_turf_seed_not_a_seed_exits_two(self, capsys, monkeypatch, value):
+        # numpy takes no negative seed
+        monkeypatch.setenv("TURF_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["winograd-check", "--trials", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "TURF_SEED" in err and "expected an integer >= 0" in err
+
+    def test_negative_seed_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["winograd-check", "--trials", "2", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-3", "x"])
     def test_grid_depth_below_one_exits_two(self, workdir, capsys, value):
