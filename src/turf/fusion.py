@@ -631,47 +631,46 @@ def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
 # ---------------------------------------------------------------------------
 # Tiling overhead
 
-def _grow_back(region: tuple[int, int], layer: LayerSpec, size: int) -> tuple[int, int]:
-    """Input interval needed to produce output rows [a, b), clipped to the map."""
-    a, b = region
-    k, s, p = layer.kernel_size, layer.stride, layer.padding
-    lo = a * s - p
-    hi = (b - 1) * s + k - p
-    return max(0, lo), min(size, hi)
-
-
-def tiling_overhead(block: BlockSpec, input_shape: TensorShape,
+def tiling_overhead(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                     tile: tuple[int, int]) -> int:
     """Extra input words that halo re-reads cost when ``block``'s output is
-    tiled spatially by ``tile`` (T_h, T_w on the block input).
+    tiled spatially by ``tile`` (T_h, T_w on the block input); a bare layer
+    is a one-layer block.
 
-    Each output tile's input region grows back by the receptive field, so
-    neighbouring tiles re-read the halo between them.  Rows and columns
-    grow back independently, so the pixels read over all tiles are
-    (sum of rows read) x (sum of columns read); the overhead is that less
-    one full-map read.  It is zero when the tile covers the whole map.
+    Output rows [a, b) of a layer (k, s, p) read its input rows
+    [max(0, a·s - p), min(size, (b-1)·s + k - p)).  Walked back through
+    the block, the low clips compose to one, max(0, a·scale - lo), as every
+    padding is >= 0, and the high clips fold into one cap, so the tile reads
+    block-input rows [max(0, a·scale - lo), min(cap, b·scale - hi)).  One
+    backward pass gives scale, lo, hi and each axis's cap; the receptive
+    field is scale + lo - hi.  Consecutive tiles share a boundary, so the
+    rows read over all tiles are the last tile's end plus, over each inner
+    boundary, its end less its start: two arithmetic series, clipped at
+    cap and at 0.  Rows and columns grow back independently, so the pixels
+    read are (rows read) x (columns read); the overhead is that less one
+    full-map read, and zero when the tile covers the whole map.
     """
-    layers = block.layers
-    # receptive-field check on the block input
-    rf = 1
-    for layer in reversed(layers):
-        rf = (rf - 1) * layer.stride + layer.kernel_size
+    shapes = layer_shapes(block, input_shape)
+    out = shapes[-1]
+    scale, lo, hi, caps = 1, 0, 0, (out.height, out.width)
+    for layer, shape in zip(reversed(block.layers), reversed(shapes[:-1])):
+        k, s, p = layer.kernel_size, layer.stride, layer.padding
+        scale, lo, hi = scale * s, lo * s + p, hi * s + s - k + p
+        caps = tuple(min(size, cap * s + k - p - s)
+                     for size, cap in zip((shape.height, shape.width), caps))
+    rf = scale + lo - hi
     if min(tile) < rf:
         raise InvalidTiling(f"tile {tile} smaller than the block receptive field {rf}")
 
-    shapes = layer_shapes(block, input_shape)
-    total_stride = math.prod(layer.stride for layer in layers)
     read = []  # block-input rows, then columns, read over all tiles
-    for t, sizes in zip(tile, ([s.height for s in shapes], [s.width for s in shapes])):
-        step = max(1, -(-t // total_stride))
-        lines = 0
-        for a in range(0, sizes[-1], step):
-            # walk backward: the input region of layer j is the output
-            # region layer j-1 must compute for this tile
-            region = (a, min(sizes[-1], a + step))
-            for layer, size in zip(reversed(layers), reversed(sizes[:-1])):
-                region = _grow_back(region, layer, size)
-            lines += region[1] - region[0]
-        read.append(lines)
+    for t, n, cap in zip(tile, (out.height, out.width), caps):
+        step = max(1, -(-t // scale))  # output rows per tile
+        m = -(-n // step) - 1  # inner boundaries, j·step for j = 1..m
+        d = step * scale
+        u = min(m, max(0, (cap + hi) // d))  # boundaries whose end is under cap
+        z = min(m, max(0, lo // d))  # boundaries whose start clips to 0
+        ends = d * u * (u + 1) // 2 - hi * u + (m - u) * cap
+        starts = d * (m * (m + 1) - z * (z + 1)) // 2 - lo * (m - z)
+        read.append(min(cap, n * scale - hi) + ends - starts)
     extra_px = read[0] * read[1] - input_shape.height * input_shape.width
     return max(0, extra_px) * input_shape.channels

@@ -7,7 +7,7 @@ precision DSP block), and buffer word counts packed into M20K blocks
 placeholder values; they stand in for constants fitted to synthesised
 designs and are not ground truth.
 
-Roofline accounting (16-bit words, 2 bytes):
+Roofline accounting (16-bit words, 2 bytes), summed only in ``roofline``:
   * fused designs move the first layer's input, the last layer's output,
     and each layer's weights once per full-map pass (plus halo reloads and
     output-slice re-reads for a (T_h, T_w, T_f) tile);
@@ -246,34 +246,25 @@ class RooflineComparison:
     weight_model: str = "weights streamed once per full-map pass"
 
 
-def block_traffic_bytes(block: BlockSpec, input_shape: TensorShape,
-                        fused: bool) -> int:
-    """Off-chip bytes for one full-map pass (untiled)."""
-    shapes = layer_shapes(block, input_shape)
-    weights = block.params(input_shape)
-    if fused:
-        words = shapes[0].volume() + shapes[-1].volume() + weights
-    else:
-        words = weights
-        for i in range(len(block.layers)):
-            words += shapes[i].volume() + shapes[i + 1].volume()
-    return words * WORD_BYTES
-
-
 def roofline(block: BlockSpec, input_shape: TensorShape, platform: PlatformSpec,
              tile: tuple[int, int, int]) -> RooflineComparison:
     """Fused vs layer-by-layer roofline points for one block run in
-    (T_h, T_w, T_f) tiles: halo reloads and per-output-slice input re-reads
-    add to the fused traffic.  The full-map tile adds nothing.
+    (T_h, T_w, T_f) tiles: the one place a tile's off-chip bytes are
+    summed, as the module docstring lists them.  The full-map tile adds no
+    halo (``fusion.tiling_overhead``) and no re-read.
     """
+    shapes = layer_shapes(block, input_shape)
     ops = block.ops(input_shape)
-    fused_bytes = block_traffic_bytes(block, input_shape, fused=True)
+    weights = block.params(input_shape)
     t_h, t_w, t_f = tile
+    halo = 0
     if t_h < input_shape.height or t_w < input_shape.width:
-        fused_bytes += tiling_overhead(block, input_shape, (t_h, t_w)) * WORD_BYTES
-    f_passes = math.ceil(block.output_shape(input_shape).channels / t_f)
-    fused_bytes += (f_passes - 1) * input_shape.volume() * WORD_BYTES
-    baseline_bytes = block_traffic_bytes(block, input_shape, fused=False)
+        halo = tiling_overhead(block, input_shape, (t_h, t_w))
+    f_passes = math.ceil(shapes[-1].channels / t_f)
+    fused_bytes = (f_passes * input_shape.volume() + shapes[-1].volume()
+                   + weights + halo) * WORD_BYTES
+    baseline_bytes = (weights + sum(a.volume() + b.volume()
+                                    for a, b in zip(shapes, shapes[1:]))) * WORD_BYTES
     roof = platform.compute_roof_gops
     bw = platform.bandwidth_gbps
     return RooflineComparison(

@@ -344,8 +344,8 @@ def _put(doc, path, value):
 
 
 # integers JSON does not carry exactly (RFC 8259 section 6), which every
-# document rejects at parse time; none below 2**53, as an accepted huge map
-# makes ``dse`` walk every tile row
+# document rejects at parse time; none below 2**53, as an accepted huge
+# channel count makes ``dse`` simulate passes that grow with it
 HUGE_INTEGERS = [2 ** 53, -2 ** 53, 10 ** 400]
 
 # what a fuzzed field gets: no value, a wrong type, zero or a negative
@@ -462,6 +462,17 @@ class TestDse:
         doc = {"base": "Custom", "stages": [
             {"name": "conv1", "input": [35, 35, 3], "kind": "StandardConv",
              "kernel": 11, "stride": 4, "padding": 0, "out_channels": 8}]}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        out = tmp_path / "dse.json"
+        assert main(["dse", str(tmp_path / "model.json"), "--out", str(out)]) == 0
+        _validate(json.loads(out.read_text()), "dse_report.schema.json")
+
+    def test_huge_map(self, tmp_path):
+        # the halo is summed in closed form, so a 2**24-wide map costs what
+        # a small one does
+        doc = {"base": "Custom", "stages": [
+            {"name": "conv1", "input": [2 ** 24, 2 ** 24, 4], "kind": "StandardConv",
+             "kernel": 3, "stride": 1, "padding": 1, "out_channels": 4}]}
         (tmp_path / "model.json").write_text(json.dumps(doc))
         out = tmp_path / "dse.json"
         assert main(["dse", str(tmp_path / "model.json"), "--out", str(out)]) == 0

@@ -6,15 +6,16 @@ import itertools
 import json
 import math
 import random
+import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (dw_conv, dwsep_block, layers_form, pw_conv, stacked_block,
                       std_conv)
 from turf import fusion
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
-                         SimDeadlock, UnsupportedConfig)
+                         ShapeMismatch, SimDeadlock, UnsupportedConfig)
 from turf.fusion import (FusedDesignConfig, SeqCandidate, _buffer_caps,
                          _simulate_pass, best_options, config_from_json,
                          config_to_json, derive_layer_configs, enumerate_sequences,
@@ -467,6 +468,15 @@ class TestConfigValidation:
             simulate(block, TensorShape(8, 8, 4), cfg)
 
 
+def back(region, layer, size):
+    """Input rows of ``layer`` that its output rows [a, b) read, clipped to
+    the map of ``size`` rows."""
+    a, b = region
+    lo = a * layer.stride - layer.padding
+    hi = (b - 1) * layer.stride + layer.kernel_size - layer.padding
+    return max(0, lo), min(size, hi)
+
+
 def brute_force_tiling(block, input_shape, tile):
     """Extra off-chip input bytes of spatial tiling, by marking pixels: walk
     each output tile back to the block input, count how often each input
@@ -475,12 +485,6 @@ def brute_force_tiling(block, input_shape, tile):
     shapes = [input_shape]
     for layer in layers:
         shapes.append(layer.output_shape(shapes[-1]))
-
-    def back(region, layer, size):
-        a, b = region
-        lo = a * layer.stride - layer.padding
-        hi = (b - 1) * layer.stride + layer.kernel_size - layer.padding
-        return max(0, lo), min(size, hi)
 
     # output tiles are the input tile shrunk by the block's stride
     stride = math.prod(layer.stride for layer in layers)
@@ -539,6 +543,65 @@ def test_halo_words_match_pixel_marking(case):
         == brute_force_tiling(block, shape, tile)
 
 
+def walked_tiling(block, input_shape, tile):
+    """Halo words by definition: the rows each output tile grows back to on
+    the block input, summed over the tiles, times the same sum for columns,
+    less one full-map read; ``InvalidTiling`` for a tile under the receptive
+    field."""
+    if min(tile) < _receptive_field(block):
+        raise InvalidTiling(tile)
+    shapes = layer_shapes(block, input_shape)
+    stride = math.prod(layer.stride for layer in block.layers)
+    read = []
+    for t, sizes in zip(tile, ([s.height for s in shapes], [s.width for s in shapes])):
+        step = max(1, -(-t // stride))
+        lines = 0
+        for a in range(0, sizes[-1], step):
+            region = (a, min(sizes[-1], a + step))
+            for layer, size in zip(reversed(block.layers), reversed(sizes[:-1])):
+                region = back(region, layer, size)
+            lines += region[1] - region[0]
+        read.append(lines)
+    return max(0, read[0] * read[1] - input_shape.height * input_shape.width) \
+        * input_shape.channels
+
+
+@st.composite
+def layer_chains(draw):
+    """1-3 convolutions of kernel 1-7, stride 1-3 and padding 0-4 over a map
+    of 1-60 pixels a side, and a tile up to the whole map.  A chain this
+    free is no ``BlockSpec`` kind, and ``tiling_overhead`` reads only a
+    block's layers, so a namespace holding them stands in for the block."""
+    layers = draw(st.lists(st.builds(
+        lambda k, s, p: LayerSpec(LayerKind.STANDARD_CONV, kernel_size=k, stride=s,
+                                  out_channels=2, padding=p),
+        st.integers(1, 7), st.integers(1, 3), st.integers(0, 4)), min_size=1, max_size=3))
+    shape = TensorShape(draw(st.integers(1, 60)), draw(st.integers(1, 60)),
+                        draw(st.integers(1, 3)))
+    block = types.SimpleNamespace(layers=tuple(layers))
+    try:
+        layer_shapes(block, shape)
+    except ShapeMismatch:
+        assume(False)  # a layer's output would have no rows or columns
+    tile = (draw(st.integers(1, shape.height)), draw(st.integers(1, shape.width)))
+    return block, shape, tile
+
+
+@settings(max_examples=500, deadline=None)
+@given(layer_chains())
+def test_halo_words_match_the_tile_walk(case):
+    """The closed form equals the walk over every tile, on chains whose
+    tiles need not cover the map, and raises exactly where it does."""
+    block, shape, tile = case
+    try:
+        expected = walked_tiling(block, shape, tile)
+    except InvalidTiling:
+        with pytest.raises(InvalidTiling):
+            tiling_overhead(block, shape, tile)
+    else:
+        assert tiling_overhead(block, shape, tile) == expected
+
+
 class TestTilingOverhead:
     def test_full_map_is_free(self):
         block = stacked_block(4, 4)
@@ -577,6 +640,14 @@ class TestTilingOverhead:
         # tiles of a lone stride-2 1x1 read fewer pixels than one full map
         layer = LayerSpec(LayerKind.POINTWISE_CONV, out_channels=4, stride=2)
         assert tiling_overhead(layer, TensorShape(8, 8, 1), (4, 4)) == 0
+
+    def test_huge_map_in_closed_form(self):
+        """A padded 3x3 over a 2**52-wide map: each of the M - 1 inner tile
+        boundaries re-reads one row on either side."""
+        h = 2 ** 52
+        m = h // 16
+        assert tiling_overhead(std_conv(4), TensorShape(h, h, 4), (16, 16)) \
+            == ((h + 2 * (m - 1)) ** 2 - h ** 2) * 4
 
     def test_tile_below_receptive_field_rejected(self):
         block = stacked_block(4, 4)  # receptive field 5

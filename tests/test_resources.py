@@ -12,7 +12,7 @@ from turf.hw import BufferOption, ModuleKind, Seq
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable,
                             DesignCandidate, PlatformSpec, RooflinePoint,
-                            block_traffic_bytes, design_candidates, design_gen, estimate_resources,
+                            design_candidates, design_gen, estimate_resources,
                             load_calibration, pick_best_design, roofline)
 
 
@@ -130,8 +130,8 @@ class TestRoofline:
     def test_intermediate_traffic_accounting(self):
         block = stacked_block(4, 4)
         shape = TensorShape(8, 8, 4)
-        fused = block_traffic_bytes(block, shape, fused=True)
-        baseline = block_traffic_bytes(block, shape, fused=False)
+        rc = untiled_roofline(block, shape, STRATIX_V_5SGSD8)
+        fused, baseline = rc.fused_bytes, rc.baseline_bytes
         words = 8 * 8 * 4  # every map in this block has the same volume
         weights = block.params(shape)
         # fused: input + output once; baseline: input, intermediate written
