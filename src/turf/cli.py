@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import TurfError, UnsupportedConfig, reading, typed
+from .errors import NoSolution, TurfError, UnsupportedConfig, reading, typed
 from .explore import (ExternalOracle, Requirements, SyntheticOracle,
                       TableOracle, replacement_key, run_framework)
 from .fusion import (config_from_json, config_to_json, enumerate_sequences,
@@ -267,8 +267,8 @@ def cmd_dse(args) -> int:
             "total_cycles": design.total_cycles,
             "latency_ms": design.latency_ms(platform),
             "gops": design.gops(ops, platform),
-            "dsp": design.dsp_used, "bram": design.bram_used,
-            "alm": design.alm_used,
+            "dsp": design.resources.dsp_used, "bram": design.resources.bram_used,
+            "alm": design.resources.alm_used,
         }
     _emit(doc, args.out)
     if args.csv:
@@ -317,23 +317,22 @@ def cmd_explore(args) -> int:
                                exhaustive=args.exhaustive,
                                finetune_budget=args.finetune_budget,
                                coeffs=coeffs, max_parallel=args.max_parallel)
-    except TurfError as exc:
-        if hasattr(exc, "candidates"):
-            doc["outcome"] = "NoSolution"
-            doc["candidates"] = [_jsonify(c) for c in exc.candidates]
-            _emit(doc, args.out)
+    except NoSolution as exc:
+        doc["outcome"] = "NoSolution"
+        doc["candidates"] = [_jsonify(c) for c in exc.candidates]
+        _emit(doc, args.out)
         raise
+    best = result.best
     doc["outcome"] = "solution"
     doc["candidates"] = [_jsonify(c) for c in result.candidates]
     doc["best"] = {
-        "replacement_vector": replacement_key(result.best_model),
-        "gops": result.best_gops,
-        "latency_ms": result.best_latency_ms,
-        "performance": result.best_performance,
+        "replacement_vector": best.replacement_vector,
+        "gops": best.gops,
+        "latency_ms": best.latency_ms,
+        "performance": best.performance,
         "model": model_to_json(result.best_model),
-        "resources": {"dsp": result.best_design.dsp_used,
-                      "bram": result.best_design.bram_used,
-                      "alm": result.best_design.alm_used},
+        "resources": {"dsp": best.dsp_used, "bram": best.bram_used,
+                      "alm": best.alm_used},
     }
     _emit(doc, args.out)
     return 0
@@ -383,6 +382,14 @@ def _finite(text: str) -> float:
         return typed(float(text), float, "requirement")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+
+
+def _fraction(text: str) -> float:
+    """argparse type for an accuracy: a number in [0, 1]."""
+    value = _finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,12 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--model", required=True)
     p_exp.add_argument("--platform")
     p_exp.add_argument("--calibration")
-    p_exp.add_argument("--min-acc", type=_finite, required=True)
-    p_exp.add_argument("--min-gops", type=_finite)
-    p_exp.add_argument("--max-latency-ms", type=_finite)
+    p_exp.add_argument("--min-acc", type=_fraction, required=True)
+    target = p_exp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--min-gops", type=_finite)
+    target.add_argument("--max-latency-ms", type=_finite)
     p_exp.add_argument("--oracle", default="synthetic")
     p_exp.add_argument("--exhaustive", action="store_true")
-    p_exp.add_argument("--finetune-budget", type=int, default=1)
+    p_exp.add_argument("--finetune-budget", type=_int_at_least(0), default=1)
     p_exp.add_argument("--max-parallel", type=_int_at_least(1), default=64)
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_explore)

@@ -42,11 +42,7 @@ class InefficientConfig(TurfError):
 
 
 class SimDeadlock(TurfError):
-    """Pipeline simulation cannot make progress; carries the partial event trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or []
+    """Pipeline simulation cannot make progress."""
 
 
 class InvalidTiling(TurfError):

@@ -155,6 +155,9 @@ def model_gen(pretrained: ModelSpec,
 
 @dataclass(frozen=True)
 class CandidateRecord:
+    """One visited candidate model.  The performance fields and resources
+    are set only when its accuracy passed and its design was evaluated."""
+
     index: int
     replacement_vector: str
     replaced_positions: int
@@ -171,11 +174,14 @@ class CandidateRecord:
 
 @dataclass(frozen=True)
 class ExplorationResult:
+    """The search's outcome: ``candidates`` logs every visited model in
+    visit order, and ``best`` is the record among them that passed both
+    requirements with the highest performance (the first such on a tie),
+    ``best_model`` and ``best_design`` its model and whole-model design."""
+
     best_model: ModelSpec
     best_design: ModelDesign
-    best_gops: float
-    best_latency_ms: float
-    best_performance: float
+    best: CandidateRecord
     candidates: tuple[CandidateRecord, ...]
 
 
@@ -199,7 +205,7 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
     both requirements.
     """
     records: list[CandidateRecord] = []
-    best: tuple[float, ModelSpec, ModelDesign, float, float] | None = None
+    best: tuple[CandidateRecord, ModelSpec, ModelDesign] | None = None
     designs: dict = {}
 
     m = model_gen(pretrained)
@@ -225,10 +231,11 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
             perf_ok = requirements.meets(gops, latency)
             records.append(CandidateRecord(
                 **record, gops=gops, latency_ms=latency, performance=perf,
-                performance_passed=perf_ok, dsp_used=design.dsp_used,
-                bram_used=design.bram_used, alm_used=design.alm_used))
-            if perf_ok and (best is None or perf > best[0]):
-                best = (perf, m, design, gops, latency)
+                performance_passed=perf_ok, dsp_used=design.resources.dsp_used,
+                bram_used=design.resources.bram_used,
+                alm_used=design.resources.alm_used))
+            if perf_ok and (best is None or perf > best[0].performance):
+                best = (records[-1], m, design)
 
         m = model_gen(pretrained, m)
         index += 1
@@ -237,8 +244,6 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
         raise NoSolution(
             f"no candidate met accuracy >= {requirements.min_accuracy} and the "
             f"{requirements.metric} requirement", candidates=records)
-    perf, model, design, gops, latency = best
-    return ExplorationResult(
-        best_model=model, best_design=design, best_gops=gops,
-        best_latency_ms=latency, best_performance=perf,
-        candidates=tuple(records))
+    record, model, design = best
+    return ExplorationResult(best_model=model, best_design=design, best=record,
+                             candidates=tuple(records))

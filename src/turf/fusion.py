@@ -67,7 +67,7 @@ from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
                      SimDeadlock, UnsupportedConfig, typed)
 from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, Seq,
                  cycle_counts, fill_cycles, instantiate_layer,
-                 intermediate_buffer_words, winograd_eligible)
+                 intermediate_buffer_words)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 
 CYCLE_MODEL = (
@@ -100,7 +100,7 @@ class FusedDesignConfig:
     p_f: int
     seqs: tuple[Seq, ...]
     buffer_options: tuple[BufferOption, ...]
-    use_winograd: tuple[bool, ...] | None = None
+    use_winograd: tuple[bool, ...]
     winograd_m: int = WINOGRAD_M
 
     @property
@@ -115,16 +115,14 @@ class FusedDesignConfig:
 
 
 def config_to_json(cfg: FusedDesignConfig) -> dict:
-    doc = {
+    return {
         "tiles": {"h": cfg.t_h, "w": cfg.t_w, "c": list(cfg.t_c), "f": cfg.t_f},
         "parallelism": {"h": cfg.p_h, "w": cfg.p_w, "c": list(cfg.p_c), "f": cfg.p_f},
         "seqs": [s.value for s in cfg.seqs],
         "buffers": [b.value for b in cfg.buffer_options],
         "winograd_m": cfg.winograd_m,
+        "winograd": list(cfg.use_winograd),
     }
-    if cfg.use_winograd is not None:
-        doc["winograd"] = list(cfg.use_winograd)
-    return doc
 
 
 def _typed_list(values, kind: type, name: str, n: int) -> tuple:
@@ -143,6 +141,7 @@ def config_from_json(doc: dict) -> FusedDesignConfig:
     port matching and flattened.  ``errors.typed`` then checks both: JSON
     integers for tiles, parallelism and ``winograd_m``, booleans for Winograd
     flags, one entry per layer in each list, n - 1 buffers and valid names.
+    In both forms a layer with no Winograd flag runs the direct path.
     A wrong type raises ``TypeError``, a huge integer ``ValueError``
     (``InvalidDocument`` under ``errors.reading``).
     """
@@ -179,8 +178,7 @@ def config_from_json(doc: dict) -> FusedDesignConfig:
         seqs=tuple(map(Seq, doc["seqs"])),
         buffer_options=tuple(map(BufferOption, _typed_list(
             doc.get("buffers", []), str, "buffers", max(0, n - 1)))),
-        use_winograd=_typed_list(doc["winograd"], bool, "winograd", n)
-        if "winograd" in doc else None,
+        use_winograd=_typed_list(doc.get("winograd", [False] * n), bool, "winograd", n),
         winograd_m=typed(doc.get("winograd_m", WINOGRAD_M), int, "winograd_m"),
     )
 
@@ -271,10 +269,6 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             f"tile (T_h, T_w, T_f) = {(cfg.t_h, cfg.t_w, cfg.t_f)} exceeds the "
             f"stage's {(input_shape.height, input_shape.width, chans[-1])}")
 
-    wino = cfg.use_winograd
-    if wino is None:
-        wino = tuple(winograd_eligible(l) for l in layers)
-
     out = []
     for i, (layer, (th, tw)) in enumerate(zip(layers, layer_tiles(layers, cfg.t_h, cfg.t_w))):
         t_c, p_c = cfg.t_c[i], cfg.p_c[i]
@@ -292,7 +286,7 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
         out.append(LayerHwConfig(
             tile=(th, tw, t_c, t_f),
             parallelism=(cfg.p_h, cfg.p_w, p_c, p_f),
-            use_winograd=wino[i],
+            use_winograd=cfg.use_winograd[i],
             winograd_m=cfg.winograd_m,
         ))
     return out
@@ -466,9 +460,7 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
             placed += u - next_unit[i]
             next_unit[i] = u
         if not placed:
-            raise SimDeadlock(
-                f"no schedulable unit with {remaining} units remaining",
-                trace=events)
+            raise SimDeadlock(f"no schedulable unit with {remaining} units remaining")
         remaining -= placed
 
     # intermediate fills already propagated through token release times;

@@ -235,9 +235,6 @@ class ModelSpec:
     def num_replaceable(self) -> int:
         return len(self.replacement_groups)
 
-    def output_shape(self) -> TensorShape:
-        return self.stages[-1].output_shape()
-
 
 @dataclass(frozen=True)
 class StageCount:
@@ -283,7 +280,7 @@ def count_ops_params(model: ModelSpec) -> OpParamReport:
     )
 
 
-def _separable_of_conv(conv: LayerSpec, in_channels: int) -> BlockSpec:
+def _separable_of_conv(conv: LayerSpec) -> BlockSpec:
     """standard convolution -> depthwise separable block (same I/O shape)."""
     dw = LayerSpec(LayerKind.DEPTHWISE_CONV, kernel_size=conv.kernel_size,
                    stride=conv.stride, padding=conv.padding, has_bias=False)
@@ -324,7 +321,7 @@ def replace_layer(model: ModelSpec, position: int) -> ModelSpec:
         stage = stages[idx]
         op = stage.op
         if isinstance(op, LayerSpec) and op.kind is LayerKind.STANDARD_CONV:
-            new_op = _separable_of_conv(op, stage.input_shape.channels)
+            new_op = _separable_of_conv(op)
         elif isinstance(op, BlockSpec) and op.kind is BlockKind.BOTTLENECK:
             new_op = _separable_of_bottleneck(op)
         else:

@@ -59,9 +59,9 @@ class WinogradConfig:
     @functools.cached_property
     def general_constants(self) -> tuple[int, int, int]:
         """(input, weight, output) transform entries that need a real
-        multiplier, classified once per instance by ``transform_mult_counts``."""
+        multiplier, counted once per instance by ``transform_mult_counts``."""
         counts = transform_mult_counts(self)
-        return tuple(counts[name]["general"] for name in ("input", "weight", "output"))
+        return counts["input"], counts["weight"], counts["output"]
 
 
 WINOGRAD_F2_3 = WinogradConfig(
@@ -118,21 +118,9 @@ def is_power_of_two(value: Fraction) -> bool:
     return (num == 1 and den & (den - 1) == 0) or (den == 1 and num & (num - 1) == 0)
 
 
-def transform_mult_counts(config: WinogradConfig) -> dict[str, dict[str, int]]:
-    """Classify transform-matrix entries: zero / power-of-two (shift) / general.
-
-    General entries need real multipliers in hardware; shifts do not.
-    """
-    out = {}
-    for name, mat in (("input", config.b_t), ("weight", config.g), ("output", config.a_t)):
-        zero = pow2 = general = 0
-        for row in mat:
-            for x in row:
-                if x == 0:
-                    zero += 1
-                elif is_power_of_two(x):
-                    pow2 += 1
-                else:
-                    general += 1
-        out[name] = {"zero": zero, "pow2": pow2, "general": general}
-    return out
+def transform_mult_counts(config: WinogradConfig) -> dict[str, int]:
+    """Each transform's count of general entries: neither zero nor a power
+    of two.  They need real multipliers in hardware; shifts do not."""
+    return {name: sum(x != 0 and not is_power_of_two(x) for row in mat for x in row)
+            for name, mat in (("input", config.b_t), ("weight", config.g),
+                              ("output", config.a_t))}

@@ -84,7 +84,7 @@ def vgg16(input_shape: TensorShape = _DEFAULT_INPUT) -> ModelSpec:
     return _finish("VGG16", stages, groups, [f"group{g}" for g in range(1, 6)])
 
 
-def _bottleneck(in_ch, mid_ch, out_ch, stride, project):
+def _bottleneck(mid_ch, out_ch, stride, project):
     # Original ResNet (v1) downsampling convention: the stride sits on the
     # first 1x1 convolution of the block.
     layers = (_pw(mid_ch, stride=stride), _conv(mid_ch, k=3), _pw(out_ch))
@@ -97,15 +97,13 @@ def resnet50(input_shape: TensorShape = _DEFAULT_INPUT) -> ModelSpec:
     plan = [("conv1", _conv(64, k=7, stride=2, padding=3), None),
             ("pool1", _pool(3, 2, padding=1), None)]
     stage_cfg = [(64, 256, 3, 1), (128, 512, 4, 2), (256, 1024, 6, 2), (512, 2048, 3, 2)]
-    in_ch = 64
     group_order = []
     for s, (mid, out, blocks, first_stride) in enumerate(stage_cfg, start=1):
         for b in range(blocks):
             stride = first_stride if b == 0 else 1
             name = f"res{s + 1}_{b + 1}"
-            plan.append((name, _bottleneck(in_ch, mid, out, stride, project=b == 0), name))
+            plan.append((name, _bottleneck(mid, out, stride, project=b == 0), name))
             group_order.append(name)
-            in_ch = out
     plan += [("pool5", _pool(7, 7), None), ("fc", _fc(1000), None)]
     stages, groups = _chain(plan, input_shape)
     return _finish("ResNet50", stages, groups, group_order)

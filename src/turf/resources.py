@@ -445,8 +445,11 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     with its best buffer options (``fusion.enumerate_sequences``).
     Parallelism combos whose multiplier count exceeds the platform's DSPs
     are dropped before simulation; ``grid_depth`` then keeps only the
-    largest few surviving combos (plus the smallest as a feasibility
-    floor), since lower parallelism at equal roofline is dominated.
+    ``grid_depth`` surviving combos of largest product (plus the smallest
+    as a feasibility floor).  That cut is a search bound, not a dominance
+    argument: a dropped combo can be faster.  An uncut grid picks a
+    different design for 7 of ResNet-50's stages under the default depth 4,
+    and its total cycles fall from 4,367,268 to 4,078,951.
     ``design_gen`` searches the same grid best-first and returns what
     ``pick_best_design`` picks from this list.
     """
@@ -509,11 +512,14 @@ class StageDesign:
 
 @dataclass(frozen=True)
 class ModelDesign:
+    """A model's design on one reused template, as ``evaluate_model`` builds
+    it: each stage's selected candidate, the latency summed over stages,
+    and the resources as the per-field maximum over stages (the template
+    runs one stage at a time, so it must fit the largest)."""
+
     stages: tuple[StageDesign, ...]
     total_cycles: int
-    dsp_used: int
-    bram_used: int
-    alm_used: int
+    resources: ResourceEstimate
 
     def latency_ms(self, platform: PlatformSpec) -> float:
         return self.total_cycles / (platform.clock_mhz * 1e3)
@@ -535,9 +541,11 @@ def has_pipeline(op: BlockSpec | LayerSpec) -> bool:
 def evaluate_model(model: ModelSpec, platform: PlatformSpec,
                    coeffs: CalibrationTable, designs: dict,
                    max_parallel: int = 64, grid_depth: int = 4) -> ModelDesign:
-    """Per-stage hardware DSE; the template is reused stage by stage, so the
-    model's resource footprint is the maximum over stages and its latency
-    the sum.
+    """Per-stage hardware DSE (``design_gen``) of every stage with a
+    pipeline; a zero-cost stage gets no candidate.  The template is reused
+    stage by stage, so the model's ``total_cycles`` is the sum of the
+    candidates' cycles and its ``resources`` the per-field maximum of
+    theirs (all zero when no stage has a pipeline).
 
     ``designs`` is one command's stage-design table, keyed by
     ``(op, input_shape)``: identical stages recur within a model and across
@@ -545,20 +553,16 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
     table only between calls with the same platform, calibration and
     search bounds."""
     rows = []
-    total = 0
-    dsp = bram = alm = 0
     for i, stage in enumerate(model.stages):
-        if not has_pipeline(stage.op):
-            rows.append(StageDesign(i, stage.name, None))
-            continue
-        key = (stage.op, stage.input_shape)
-        best = designs.get(key)
-        if best is None:
-            best = designs[key] = design_gen(stage.op, stage.input_shape, platform,
-                                             coeffs, grid_depth, max_parallel)
+        best = None
+        if has_pipeline(stage.op):
+            key = (stage.op, stage.input_shape)
+            best = designs.get(key)
+            if best is None:
+                best = designs[key] = design_gen(stage.op, stage.input_shape, platform,
+                                                 coeffs, grid_depth, max_parallel)
         rows.append(StageDesign(i, stage.name, best))
-        total += best.total_cycles
-        dsp = max(dsp, best.resources.dsp_used)
-        bram = max(bram, best.resources.bram_used)
-        alm = max(alm, best.resources.alm_used)
-    return ModelDesign(tuple(rows), total, dsp, bram, alm)
+    chosen = [row.candidate for row in rows if row.candidate is not None]
+    peak = ResourceEstimate(*(max((getattr(c.resources, f.name) for c in chosen), default=0)
+                              for f in fields(ResourceEstimate)))
+    return ModelDesign(tuple(rows), sum(c.total_cycles for c in chosen), peak)

@@ -102,7 +102,8 @@ def test_cycles_bound_below_every_candidate(model_name):
 
 def _fake_cfg(point: int, unit: int) -> FusedDesignConfig:
     return FusedDesignConfig(t_h=point, t_w=1, t_c=(1,), t_f=1, p_h=1, p_w=unit,
-                             p_c=(1,), p_f=1, seqs=(Seq.FM,), buffer_options=())
+                             p_c=(1,), p_f=1, seqs=(Seq.FM,), buffer_options=(),
+                             use_winograd=(False,))
 
 
 def _fake_point(i, gops, floor, units):

@@ -299,6 +299,29 @@ INVALID_DOCUMENTS = {
 }
 
 
+@pytest.mark.parametrize("form", ["flat", "layers"])
+@pytest.mark.parametrize("command", ["simulate", "hw"])
+def test_config_without_winograd_flags_runs_the_direct_path(tmp_path, res2_1_model,
+                                                           command, form):
+    """A config that names no Winograd flag, in either form, gives the report
+    of the same config with every flag False."""
+    doc = json.loads(GOLDEN_CONFIG.read_text())
+    assert doc["winograd"] == [False, False, False]
+    flagged = doc if form == "flat" else layers_form(doc)
+    bare = json.loads(json.dumps(flagged))
+    for entry in [bare] if form == "flat" else bare["layers"]:
+        del entry["winograd"]
+    reports = []
+    for name, cfg_doc in (("flagged", flagged), ("bare", bare)):
+        cfg, out = tmp_path / f"{name}_cfg.json", tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        assert main(_config_argv(command, res2_1_model) + [
+            "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append({k: v for k, v in json.loads(out.read_text()).items()
+                        if k != "manifest"})
+    assert reports[0] == reports[1]
+
+
 class TestInvalidConfigDocuments:
     """A config document with a value of the wrong JSON type exits 1 naming
     ``InvalidDocument``, in either form, from ``simulate`` and ``hw describe``."""
@@ -880,6 +903,37 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert option in err and "expected a finite number" in err
+
+    @pytest.mark.parametrize("targets", [
+        [], ["--min-gops", "1", "--max-latency-ms", "100"],
+    ], ids=["neither", "both"])
+    def test_not_exactly_one_performance_target_exits_two(self, workdir, capsys,
+                                                          targets):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--model", str(workdir / "model.json"),
+                  "--min-acc", "0.5", *targets])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--min-gops" in err and "--max-latency-ms" in err
+
+    @pytest.mark.parametrize("value", ["-0.1", "1.5", "2"])
+    def test_min_acc_outside_unit_interval_exits_two(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--model", str(workdir / "model.json"),
+                  "--max-latency-ms", "100", f"--min-acc={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--min-acc" in err and "expected a number in [0, 1]" in err
+
+    @pytest.mark.parametrize("value", ["-5", "x"])
+    def test_finetune_budget_below_zero_exits_two(self, workdir, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--model", str(workdir / "model.json"),
+                  "--min-acc", "0.5", "--max-latency-ms", "100",
+                  f"--finetune-budget={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--finetune-budget" in err and "expected an integer >= 0" in err
 
     @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_turf_seed_not_a_seed_exits_two(self, capsys, monkeypatch, value):

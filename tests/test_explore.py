@@ -11,7 +11,7 @@ from turf.explore import (CandidateRecord, ExternalOracle, Requirements,
                           SyntheticOracle, TableOracle, model_gen,
                           replacement_key, run_framework)
 from turf.ir import Replacement, count_ops_params, replace_layer
-from turf.resources import STRATIX_V_5SGSD8, ResourceEstimate, load_calibration
+from turf.resources import STRATIX_V_5SGSD8, load_calibration
 
 COEFFS = load_calibration()
 
@@ -135,7 +135,7 @@ class TestRunFramework:
         assert len(res.candidates) == base.num_replaceable + 1
         assert replacement_key(res.best_model) == "SSS"
         evaluated = [c for c in res.candidates if c.latency_ms is not None]
-        assert res.best_latency_ms == min(c.latency_ms for c in evaluated)
+        assert res.best.latency_ms == min(c.latency_ms for c in evaluated)
 
     def test_first_replacement_failing_returns_pretrained(self):
         base = small_custom_model(n_convs=3)
@@ -164,10 +164,26 @@ class TestRunFramework:
         req = Requirements(min_accuracy=0.90, min_gops=1.0)
         res = run_framework(req, STRATIX_V_5SGSD8, base, SyntheticOracle(),
                             COEFFS, max_parallel=16)
-        assert res.best_gops >= req.min_gops
+        assert res.best.gops >= req.min_gops
         best_rec = next(c for c in res.candidates
                         if c.replacement_vector == replacement_key(res.best_model))
         assert best_rec.accuracy >= req.min_accuracy
+
+    @pytest.mark.parametrize("req", [
+        Requirements(min_accuracy=0.90, min_gops=1.0),
+        Requirements(min_accuracy=0.90, max_latency_ms=1000.0),
+    ], ids=["gops", "latency"])
+    def test_best_is_the_passing_record_of_highest_performance(self, req):
+        base = small_custom_model(n_convs=3)
+        res = run_framework(req, STRATIX_V_5SGSD8, base, SyntheticOracle(),
+                            COEFFS, exhaustive=True, max_parallel=16)
+        assert any(c is res.best for c in res.candidates)
+        passing = [c for c in res.candidates
+                   if c.accuracy_passed and c.performance_passed]
+        assert len(passing) < len(res.candidates)  # accuracy rejects some
+        top = max(c.performance for c in passing)
+        assert res.best is next(c for c in passing if c.performance == top)
+        assert res.best.replacement_vector == replacement_key(res.best_model)
 
     def test_determinism(self):
         base = small_custom_model(n_convs=3)
@@ -223,6 +239,4 @@ class TestRunFramework:
         base = small_custom_model(n_convs=3)
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
                             COEFFS, max_parallel=16)
-        design = res.best_design
-        assert ResourceEstimate(design.dsp_used, design.bram_used,
-                                design.alm_used).feasible(STRATIX_V_5SGSD8)
+        assert res.best_design.resources.feasible(STRATIX_V_5SGSD8)

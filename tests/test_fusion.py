@@ -393,8 +393,8 @@ class TestEnumeration:
 
 @st.composite
 def fused_configs(draw):
-    """A fused config of one to three layers with arbitrary positive tiles
-    and parallelism, and Winograd flags that may be left to the default."""
+    """A fused config of one to three layers with arbitrary positive tiles,
+    parallelism and Winograd flags."""
     n = draw(st.integers(1, 3))
     sizes = st.integers(1, 512)
 
@@ -406,7 +406,7 @@ def fused_configs(draw):
         p_h=draw(sizes), p_w=draw(sizes), p_c=entries(sizes, n), p_f=draw(sizes),
         seqs=entries(st.sampled_from(Seq), n),
         buffer_options=entries(st.sampled_from(BufferOption), n - 1),
-        use_winograd=entries(st.booleans(), n) if draw(st.booleans()) else None,
+        use_winograd=entries(st.booleans(), n),
         winograd_m=draw(st.sampled_from([2, 4])))
 
 
@@ -414,14 +414,16 @@ def fused_configs(draw):
 @given(fused_configs())
 def test_config_documents_round_trip(cfg):
     """A config's document parses back to it, and its per-layer ``layers``
-    form parses to the same config; that form always sets the Winograd
-    flags, to False where the layer names none."""
+    form parses to the same config.  Without its Winograd flags, either
+    form gives the config with every flag False."""
     doc = json.loads(json.dumps(config_to_json(cfg)))
-    assert config_from_json(doc) == cfg
-    wino = cfg.use_winograd or (False,) * cfg.num_layers
-    doc["winograd"] = list(wino)
-    assert config_from_json(layers_form(doc)) \
-        == dataclasses.replace(cfg, use_winograd=wino)
+    per_layer = layers_form(doc)
+    assert config_from_json(doc) == config_from_json(per_layer) == cfg
+    del doc["winograd"]
+    for entry in per_layer["layers"]:
+        del entry["winograd"]
+    direct = dataclasses.replace(cfg, use_winograd=(False,) * cfg.num_layers)
+    assert config_from_json(doc) == config_from_json(per_layer) == direct
 
 
 class TestConfigValidation:

@@ -156,7 +156,7 @@ class TestReplacement:
         new_block = out.stages[0].op
         assert new_block.kind is BlockKind.SEPARABLE_BOTTLENECK
         assert new_block.layers[1].kind is LayerKind.DEPTHWISE_CONV
-        assert out.output_shape() == model.output_shape()
+        assert out.stages[-1].output_shape() == model.stages[-1].output_shape()
 
     def test_double_replacement_rejected(self):
         model = replace_layer(small_custom_model(), 0)

@@ -172,9 +172,9 @@ class TestWinograd:
         assert not is_power_of_two(Fraction(5))
         # the 2x2-tile instance is shift-only; the 4x4 one is not
         f2 = transform_mult_counts(WINOGRAD_F2_3)
-        assert all(v["general"] == 0 for v in f2.values())
+        assert all(v == 0 for v in f2.values())
         f4 = transform_mult_counts(WINOGRAD_F4_3)
-        assert f4["weight"]["general"] > 0
+        assert f4["weight"] > 0
 
 
 def to_fixed_point(arr, fraction_bits=12, total_bits=16):

@@ -46,9 +46,9 @@ def pipeline_dsp(layer, hw):
     if hw.use_winograd:
         lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
         counts = transform_mult_counts(winograd_config(hw.winograd_m, layer.kernel_size))
-        dsp += 2 * counts["input"]["general"] * hw.p_c
-        dsp += 2 * counts["weight"]["general"] * hw.p_c * lanes_f
-        dsp += 2 * counts["output"]["general"] * lanes_f
+        dsp += 2 * counts["input"] * hw.p_c
+        dsp += 2 * counts["weight"] * hw.p_c * lanes_f
+        dsp += 2 * counts["output"] * lanes_f
     return dsp
 
 

@@ -455,5 +455,24 @@ class TestStageCache:
             reported.append(json.loads(out.read_text())["selected"]["alm"])
             table = CalibrationTable(alm)
             assert reported[-1] == \
-                evaluate_model(model, STRATIX_V_5SGSD8, table, {}).alm_used
+                evaluate_model(model, STRATIX_V_5SGSD8, table, {}).resources.alm_used
         assert reported[0] != reported[1]
+
+
+@pytest.mark.parametrize("model_name", ["resnet50", "mobilenetv2"])
+def test_model_design_aggregates_its_stages(model_name):
+    """A whole-model design holds one candidate per stage with a pipeline;
+    its cycles are their sum and its resources their per-field maximum."""
+    from turf.models import build_reference_model
+    from turf.resources import ResourceEstimate, evaluate_model, has_pipeline
+
+    model = build_reference_model(model_name)
+    design = evaluate_model(model, STRATIX_V_5SGSD8, load_calibration(), {})
+    assert [row.candidate is not None for row in design.stages] \
+        == [has_pipeline(stage.op) for stage in model.stages]
+    chosen = [row.candidate for row in design.stages if row.candidate is not None]
+    assert design.total_cycles == sum(c.total_cycles for c in chosen)
+    assert design.resources == ResourceEstimate(
+        max(c.resources.dsp_used for c in chosen),
+        max(c.resources.bram_used for c in chosen),
+        max(c.resources.alm_used for c in chosen))

@@ -89,9 +89,7 @@ def reference_simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, in
             if ok and (best is None or (t, i) < best):
                 best = (t, i)
         if best is None:
-            raise SimDeadlock(
-                f"no schedulable unit with {remaining} units remaining",
-                trace=events)
+            raise SimDeadlock(f"no schedulable unit with {remaining} units remaining")
 
         t, i = best
         plan = plans[i]
