@@ -2,10 +2,10 @@
 hardware DSE -> reports.
 
 Subcommands: model, hw, simulate, dse, explore, winograd-check.
-Exit codes: 0 success, 1 domain error (error class name on stderr),
-2 usage error.  Reports are JSON (CSV companions where tables map
-naturally), embed a run manifest, and are byte-identical across runs with
-the same inputs and seed; the TURF_SEED environment variable overrides
+Exit codes: 0 success, 1 domain error or unwritable output path (error
+class name on stderr), 2 usage error.  Reports are JSON (CSV companions
+where tables map naturally), embed a run manifest, and are byte-identical
+across runs with the same inputs and seed; the TURF_SEED environment variable overrides
 --seed, and SOURCE_DATE_EPOCH (when set) supplies the manifest timestamp.
 
 ``winograd-check`` is the only command that imports numpy (through
@@ -31,11 +31,11 @@ from .explore import (ExternalOracle, Requirements, SyntheticOracle,
                       TableOracle, replacement_key, run_framework)
 from .fusion import (config_from_json, config_to_json, enumerate_sequences,
                      plan_block, simulate_fused)
-from .ir import count_ops_params, load_model, model_to_json
+from .ir import count_ops_params, has_pipeline, load_model, model_to_json
 from .kernels import winograd_config
 from .resources import (DesignCandidate, design_candidates, evaluate_model,
-                        has_pipeline, load_calibration, load_platform,
-                        pick_best_design, roofline)
+                        load_calibration, load_platform, pick_best_design,
+                        roofline)
 
 
 def _jsonify(obj):
@@ -479,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"TURF_SEED: {exc}")
     try:
         return args.func(args)
-    except TurfError as exc:
+    except (TurfError, OSError) as exc:  # inputs are read under errors.reading
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
 

@@ -42,13 +42,13 @@ cycles.  One simulation covers one tile pass; spatial and output-channel
 tiling multiply the number of sequential passes.
 
 A fused design is scheduled once, by ``plan_block``, into a ``BlockPlan``:
-each layer's hardware config, its work units, cycles per unit, fill and
-stream flags under either computation sequence as plain numbers, and the
-pass count.  The cycle bound of each sequence assignment, the
-buffer-option search and the simulator read only that schedule; each
-layer's module pipeline is built when first read (the resource model,
-``hw describe``).  A bare convolution or fully-connected layer is its own
-one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
+each layer's hardware config and chain terms (``hw.layer_terms``), its work
+units, cycles per unit, fill and stream flags under either computation
+sequence as plain numbers, and the pass count.  The cycle bound of each
+sequence assignment, the buffer-option search and the simulator read only
+that schedule; each layer's module pipeline is built when first read (the
+resource model, ``hw describe``).  A bare convolution or fully-connected
+layer is its own one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
 
 The buffer-option search (``best_options``) is first fit: full-tile buffers
 reach the floor ``_pass_lower_bound`` under every sequence assignment, so it
@@ -65,9 +65,9 @@ from typing import NamedTuple
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
                      SimDeadlock, UnsupportedConfig, typed)
-from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, Seq,
-                 cycle_counts, fill_cycles, instantiate_layer,
-                 intermediate_buffer_words)
+from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, LayerTerms,
+                 Seq, cycle_counts, fill_cycles, instantiate_layer,
+                 intermediate_buffer_words, layer_terms)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 
 CYCLE_MODEL = (
@@ -296,12 +296,14 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
 class BlockPlan:
     """One fused design of a stage, scheduled once by ``plan_block``.
     ``by_seq[s][i]`` is layer i's schedule under sequence s, and ``hws[i]``
-    its hardware config under ``cfg`` (the sequence changes neither the
-    config's other fields nor the module pipeline)."""
+    its hardware config under ``cfg`` with ``terms[i]`` its chain's
+    constants (the sequence changes neither the config's other fields nor
+    the module pipeline)."""
 
     cfg: FusedDesignConfig
     layers: tuple[LayerSpec, ...]
     hws: tuple[LayerHwConfig, ...]
+    terms: tuple[LayerTerms, ...]
     by_seq: dict[Seq, tuple[LayerSchedule, ...]]
     n_passes: int   # sequential tile passes: spatial tiles x output-channel slices
 
@@ -316,27 +318,27 @@ class BlockPlan:
 def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
                cfg: FusedDesignConfig, chans: list[int] | None = None) -> BlockPlan:
     """Schedule ``cfg`` on ``op`` (a block, or a layer as its own one-layer
-    block): ``derive_layer_configs`` once, then per layer its cycles and
-    units (``hw.cycle_counts``) and its closed-form fill (``hw.fill_cycles``).
-    Raises what those raise for ``cfg``, which is all that
-    ``instantiate_layer`` would."""
+    block): ``derive_layer_configs`` once, then per layer its chain's terms
+    (``hw.layer_terms``), its cycles and units (``hw.cycle_counts``) and its
+    closed-form fill (``hw.fill_cycles``).  Raises what those raise for
+    ``cfg``, which is all that ``instantiate_layer`` would."""
     if chans is None:
         chans = [s.channels for s in layer_shapes(op, input_shape)]
     layers = op.layers
     hws = derive_layer_configs(op, input_shape, cfg, chans)
+    terms = tuple(layer_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
+                  for layer, hw in zip(layers, hws))
     fm, cm = [], []
-    for layer, hw in zip(layers, hws):
-        cycles, f_units, c_units = cycle_counts(layer, hw.tile, hw.parallelism,
-                                                hw.use_winograd, hw.winograd_m)
-        lag = fill_cycles(layer, hw.t_w, hw.p_h, hw.p_w, hw.p_c, hw.use_winograd,
-                          hw.winograd_m)
+    for layer, hw, t in zip(layers, hws, terms):
+        cycles, f_units, c_units = cycle_counts(layer, hw.tile, hw.parallelism)
+        lag = fill_cycles(t, hw.t_w, hw.p_c)
         depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
         fm.append(LayerSchedule(f_units, cycles // f_units, lag, True, depthwise))
         cm.append(LayerSchedule(c_units, cycles // c_units, lag, depthwise, True))
     n_passes = math.ceil(input_shape.height / cfg.t_h) * \
         math.ceil(input_shape.width / cfg.t_w) * math.ceil(chans[-1] / cfg.t_f)
-    return BlockPlan(cfg, layers, tuple(hws), {Seq.FM: tuple(fm), Seq.CM: tuple(cm)},
-                     n_passes)
+    return BlockPlan(cfg, layers, tuple(hws), terms,
+                     {Seq.FM: tuple(fm), Seq.CM: tuple(cm)}, n_passes)
 
 
 def _buffer_caps(plan: BlockPlan, seqs: tuple[Seq, ...],

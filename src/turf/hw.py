@@ -20,7 +20,13 @@ buffers per channel lane and chain on effective widths
 path, when Winograd transforms weights, is attached separately) with
 parameters chosen so neighbouring effective widths agree.  Channel
 accumulation happens inside the dot-product array's adder tree, so
-post-array modules see channel-folded streams.
+post-array modules see channel-folded streams.  It is the reference chain;
+``layer_terms`` is its closed form, the one dispatch on a layer's path
+(Winograd, pointwise/FC, standard/depthwise).  The terms are derived once
+per design and read by ``fill_cycles`` and ``layer_dsp``: through
+``fusion.plan_block`` by the simulator and ``resources.estimate_resources``
+(line-buffer rows, multipliers), and per spatial option by the DSE's
+prefilter and point floor (``resources._planned_points``).
 
 Module latencies model pipeline fill only (the papers' width tuples say
 nothing about latency); they are additive constants reported separately
@@ -32,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InefficientConfig, UnsupportedConfig
 from .ir import LayerKind, LayerSpec
@@ -254,49 +261,73 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
 
 
-def fill_cycles(layer: LayerSpec, t_w: int, p_h: int, p_w: int, p_c: int,
-                use_winograd: bool, m: int) -> int:
-    """One layer's pipeline fill: one cycle each for the input and output
-    buffers, (K'-1)·T_w + K' for a K'-row line buffer, the dot-product
-    array's latency and, on the Winograd path (K' = T_k), 2·T_k per data
-    transform.  Raises what ``instantiate_layer`` raises for the same layer
-    and config."""
+class LayerTerms(NamedTuple):
+    """One layer chain's line-buffer rows K' (0 with none), inputs per channel
+    lane into the dot-product array, transform fill and multiplier terms."""
+
+    rows: int
+    window: int
+    transform_fill: int
+    a: int
+    b: int
+    c: int
+
+
+def layer_terms(layer: LayerSpec, p_h: int, p_w: int, use_winograd: bool,
+                m: int) -> LayerTerms:
+    """The closed form of ``instantiate_layer``'s chain for ``layer`` at
+    spatial parallelism (p_h, p_w), raising what it raises.  Winograd path
+    F(m^2, 3^2): T_k rows and T_k^2 inputs, 2·T_k fill per data transform,
+    a = T_k^2 Hadamard lanes plus 2·g_w, b = 2·g_in and c = 2·g_out, with g_*
+    each transform's non-2^n constants (two constant-matrix multiplies; 2^n
+    ones are shifts).  Direct path: K rows and (K+P_h-1)(K+P_w-1) inputs for
+    standard/depthwise conv, no line buffer and P_h·P_w inputs for
+    pointwise/FC, and a = K^2·P_h·P_w."""
     kind, k = layer.kind, layer.kernel_size
     if use_winograd:
         validate_winograd(layer, p_h, p_w, m)
-        tk = winograd_config(m, k).tile
-        return 2 + (tk - 1) * t_w + 5 * tk + _array_latency(p_c * tk * tk)
+        config = winograd_config(m, k)
+        tk = config.tile
+        g_in, g_w, g_out = config.general_constants
+        return LayerTerms(tk, tk * tk, 4 * tk, tk * tk + 2 * g_w, 2 * g_in, 2 * g_out)
     if kind in (LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
-        return 2 + _array_latency(p_c * p_h * p_w)
+        return LayerTerms(0, p_h * p_w, 0, p_h * p_w, 0, 0)
     if kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
-        window = (k + p_h - 1) * (k + p_w - 1)
-        return 2 + (k - 1) * t_w + k + _array_latency(p_c * window)
+        return LayerTerms(k, (k + p_h - 1) * (k + p_w - 1), 0, k * k * p_h * p_w, 0, 0)
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
 
 
-def cycle_counts(layer: LayerSpec, tile: tuple, parallelism: tuple, use_winograd: bool,
-                 m: int) -> tuple[int, int, int]:
+def fill_cycles(terms: LayerTerms, t_w: int, p_c: int) -> int:
+    """One layer's pipeline fill: one cycle each for the input and output
+    buffers, (K'-1)·T_w + K' for a K'-row line buffer, the data transforms'
+    fill and the dot-product array's latency."""
+    rows, window, transform_fill = terms[:3]
+    return 2 + max(rows - 1, 0) * t_w + rows + transform_fill + _array_latency(p_c * window)
+
+
+def layer_dsp(terms: LayerTerms, p_c: int, lanes_f: int) -> int:
+    """Multipliers (= 16-bit DSP blocks) one layer's pipeline instantiates:
+    a·P_c·L_f + b·P_c + c·L_f, where L_f is 1 for a depthwise layer and P_f
+    otherwise.  Each count is >= 0 and non-decreasing in P_c and L_f."""
+    return (terms.a * p_c + terms.c) * lanes_f + terms.b * p_c
+
+
+def cycle_counts(layer: LayerSpec, tile: tuple, parallelism: tuple) -> tuple[int, int, int]:
     """(compute_cycles per tile, work units per tile under FM, under CM).
 
     compute_cycles is the nested-loop trip count
     ceil(T_c/P_c) ceil(T_f/P_f) ceil(T_h/P_h) ceil(T_w/P_w); depthwise drops
-    the T_f factor; the Winograd path processes one m x m output tile per
-    P_h = P_w = m lane group, replacing the spatial trips with
-    ceil(T_h/m) ceil(T_w/m).  Neither depends on the sequence.  A work unit
-    is one outer-loop chunk of the seq-major index (filter chunk for FM,
-    channel chunk for CM; depthwise layers have a single combined channel
-    axis, chunked under either).
+    the T_f factor.  On the Winograd path P_h = P_w = m (``layer_terms``
+    checks it), so the spatial trips count one m x m output tile each.
+    Neither depends on the sequence.  A work unit is one outer-loop chunk of
+    the seq-major index (filter chunk for FM, channel chunk for CM;
+    depthwise layers have a single combined channel axis, chunked under
+    either).
     """
     t_h, t_w, t_c, t_f = tile
     p_h, p_w, p_c, p_f = parallelism
     depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
-
-    if use_winograd:
-        validate_winograd(layer, p_h, p_w, m)
-        spatial = math.ceil(t_h / m) * math.ceil(t_w / m)
-    else:
-        spatial = math.ceil(t_h / p_h) * math.ceil(t_w / p_w)
-
+    spatial = math.ceil(t_h / p_h) * math.ceil(t_w / p_w)
     c_trips = math.ceil(t_c / p_c)
     f_trips = 1 if depthwise else math.ceil(t_f / p_f)
     return c_trips * f_trips * spatial, c_trips if depthwise else f_trips, c_trips

@@ -262,6 +262,12 @@ def _stage_category(op: LayerSpec | BlockSpec) -> str:
     return "other"
 
 
+def has_pipeline(op: LayerSpec | BlockSpec) -> bool:
+    """Whether a stage runs on the hardware template: a block, or a conv or
+    FC layer as its own one-layer block.  Other stages cost nothing."""
+    return _stage_category(op) != "other"
+
+
 def count_ops_params(model: ModelSpec) -> OpParamReport:
     """Count operations and parameters stage by stage (MAC = 2 ops)."""
     rows = []

@@ -37,11 +37,10 @@ from .errors import (CalibrationError, Infeasible, InvalidTiling,
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
                      assignment_bounds, best_options, enumerate_sequences,
                      layer_tiles, plan_block, tiling_overhead)
-from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, ModuleKind, Seq,
-                 cycle_counts, fill_cycles, validate_winograd, winograd_eligible)
+from .hw import (WINOGRAD_M, BufferOption, LayerTerms, ModuleKind, Seq, cycle_counts,
+                 fill_cycles, layer_dsp, layer_terms, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
-                 layer_shapes)
-from .kernels import winograd_config
+                 has_pipeline, layer_shapes)
 
 WORD_BYTES = 2
 M20K_BYTES = 2560  # one M20K block = 20 kbit
@@ -144,40 +143,6 @@ def _bram_blocks(words: int) -> int:
     return math.ceil(words * WORD_BYTES / M20K_BYTES)
 
 
-def _dsp_terms(layer: LayerSpec, p_h: int, p_w: int, use_winograd: bool,
-               winograd_m: int) -> tuple[int, int, int]:
-    """(a, b, c) such that the multipliers (= 16-bit DSP blocks) one layer's
-    pipeline instantiates are a·P_c·L_f + b·P_c + c·L_f, where L_f is 1 for a
-    depthwise layer and P_f otherwise; all three are >= 0.
-
-    Direct path: the dot-product array alone, a = P_h·P_w for pointwise/FC
-    and K²·P_h·P_w for standard/depthwise conv.  Winograd path: a = T_k²
-    Hadamard lanes plus 2·g_w weight-transform multipliers, b = 2·g_in,
-    c = 2·g_out, with g_* the transforms' non-2^n constants (2^n constants
-    become shifts; each transform is two constant-matrix multiplies).
-    Raises what ``instantiate_layer`` raises for the same layer and option.
-    """
-    kind = layer.kind
-    if use_winograd:
-        validate_winograd(layer, p_h, p_w, winograd_m)
-        config = winograd_config(winograd_m, layer.kernel_size)
-        g_in, g_w, g_out = config.general_constants
-        return config.tile ** 2 + 2 * g_w, 2 * g_in, 2 * g_out
-    if kind in (LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
-        return p_h * p_w, 0, 0
-    if kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
-        return layer.kernel_size ** 2 * p_h * p_w, 0, 0
-    raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
-
-
-def _layer_dsp(layer: LayerSpec, hw: LayerHwConfig) -> int:
-    """Multipliers one layer's pipeline instantiates, in closed form
-    (``_dsp_terms``)."""
-    a, b, c = _dsp_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
-    lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
-    return (a * hw.p_c + c) * lanes_f + b * hw.p_c
-
-
 def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
                        buffer_words: tuple[int, ...],
                        coeffs: CalibrationTable) -> ResourceEstimate:
@@ -188,18 +153,17 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
     alm = 0.0
     buffers_words: list[int] = []
 
-    for layer, hw, pipeline in zip(plan.layers, plan.hws, plan.pipelines):
-        dsp += _layer_dsp(layer, hw)
+    for layer, hw, terms, pipeline in zip(plan.layers, plan.hws, plan.terms,
+                                          plan.pipelines):
+        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
+        dsp += layer_dsp(terms, hw.p_c, lanes_f)
         for mod in (*pipeline.modules, *pipeline.weight_path):
             base, per_width = coeffs.coeff(mod.kind)
             alm += (base + per_width * (mod.in_width + mod.out_width)) * mod.replication
 
-        # line-buffer rows and a double-buffered weight staging chunk
-        if layer.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
-            k_prime = (hw.winograd_m + layer.kernel_size - 1) if hw.use_winograd \
-                else layer.kernel_size
-            buffers_words.append(k_prime * hw.t_w * hw.p_c)
-        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
+        # line-buffer rows (none without a line buffer) and a double-buffered
+        # weight staging chunk
+        buffers_words.append(terms.rows * hw.t_w * hw.p_c)
         buffers_words.append(2 * hw.p_c * lanes_f * layer.kernel_size ** 2)
 
     # first input buffer: filter-major layers reuse the whole input tile,
@@ -322,14 +286,15 @@ def _tile_options(size: int) -> list[int]:
 
 
 def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
-                        p_h: int, p_w: int, wino: tuple[bool, ...],
-                        dsp_total: int, grid_depth: int) -> list[tuple[int, ...]]:
+                        terms: list[LayerTerms], dsp_total: int,
+                        grid_depth: int) -> list[tuple[int, ...]]:
     """(P_c^1, ..., P_c^N, P_f) combos whose multipliers fit ``dsp_total``,
     largest product first (then smallest tuple), cut to ``grid_depth`` plus
     the all-ones combo as a floor.
 
-    Layer i's multipliers are a·P_c^i·L_f + b·P_c^i + c·L_f (``_dsp_terms``),
-    with L_f the next entry of the combo, or 1 for a depthwise layer, which
+    Layer i's multipliers are a·P_c^i·L_f + b·P_c^i + c·L_f (``hw.layer_dsp``
+    on ``terms[i]``, its chain's constants at the spatial option), with L_f
+    the next entry of the combo, or 1 for a depthwise layer, which
     keeps its channels and so only takes P_c^{i+1} == P_c^i.  Every count
     is >= 0 and non-decreasing in each P, so a prefix over ``dsp_total`` has
     no extension that fits.  The walk extends prefixes depth first, each
@@ -343,9 +308,8 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
     """
     # per entry: the multiplier terms of the layer whose L_f it is (none
     # for P_c^1) and whether that layer is depthwise
-    terms = [(0, 0, 0, False)] + [
-        (*_dsp_terms(layer, p_h, p_w, wino[i], WINOGRAD_M),
-         layer.kind is LayerKind.DEPTHWISE_CONV) for i, layer in enumerate(block.layers)]
+    mults = [(0, 0, 0, False)] + [(t.a, t.b, t.c, layer.kind is LayerKind.DEPTHWISE_CONV)
+                                  for layer, t in zip(block.layers, terms)]
     desc = [sorted(grid, reverse=True) for grid in grids]
     # reach[i]: the largest product of entries i.. (1 past the last)
     reach = [math.prod(grid[0] for grid in desc[i:]) for i in range(len(desc) + 1)]
@@ -358,7 +322,7 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
             kept.append((-prod, ps))
             (heapq.heappush if len(top) < grid_depth else heapq.heappushpop)(top, prod)
             return
-        a, b, c, depthwise = terms[i]
+        a, b, c, depthwise = mults[i]
         p_c = ps[-1] if ps else 0
         for p in desc[i]:
             if top and len(top) == grid_depth and prod * p * reach[i + 1] < top[0]:
@@ -382,10 +346,11 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     """The prefiltered grid of ``design_candidates`` in grid order, as
     (floor, (its tile's fused roofline point, an all-FM config's fields)),
     for a stage with ``chans`` channels into each layer and out of the last.
-    Combos are found once per spatial option: multipliers do not depend on
-    the tile.  A tile whose roofline raises is dropped, as is a (tile,
-    spatial option) where a layer's tile (``fusion.layer_tiles``) does not
-    divide by (P_h, P_w), which ``plan_block`` rejects.  The floor is
+    Each layer's chain terms (``hw.layer_terms``) and the combos are found
+    once per spatial option: neither depends on the tile.  A tile whose
+    roofline raises is dropped, as is a (tile, spatial option) where a
+    layer's tile (``fusion.layer_tiles``) does not divide by (P_h, P_w),
+    which ``plan_block`` rejects.  The floor is
     (-attainable GOPS, passes · (max_i busy_i + the last layer's fill)),
     busy_i being layer i's trip product (``hw.cycle_counts``), its time per
     pass under either sequence.  No pass is shorter, so the floor is at most
@@ -399,9 +364,10 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     spatial_opts = [(1, 1, (False,) * n)]
     if any(eligible):
         spatial_opts.append((WINOGRAD_M, WINOGRAD_M, eligible))
-    combos = [_parallelism_combos(block, grids, *spatial, platform.dsp_total,
-                                  grid_depth)
-              for spatial in spatial_opts]
+    terms = [[layer_terms(layer, p_h, p_w, w, WINOGRAD_M)
+              for layer, w in zip(layers, wino)] for p_h, p_w, wino in spatial_opts]
+    combos = [_parallelism_combos(block, grids, t, platform.dsp_total, grid_depth)
+              for t in terms]
 
     for t_h, t_w in zip(_tile_options(input_shape.height),
                         _tile_options(input_shape.width)):
@@ -411,14 +377,14 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             continue
         tiles = layer_tiles(layers, t_h, t_w)
         passes = math.ceil(input_shape.height / t_h) * math.ceil(input_shape.width / t_w)
-        for (p_h, p_w, wino), spatial_combos in zip(spatial_opts, combos):
+        for (p_h, p_w, wino), spatial_terms, spatial_combos in zip(spatial_opts, terms, combos):
             if any(th % p_h or tw % p_w for th, tw in tiles):
                 continue
             for ps in spatial_combos:
                 busy = max(cycle_counts(layer, (*tile, chans[i], chans[i + 1]),
-                                        (p_h, p_w, ps[i], ps[i + 1]), wino[i], WINOGRAD_M)[0]
+                                        (p_h, p_w, ps[i], ps[i + 1]))[0]
                            for i, (layer, tile) in enumerate(zip(layers, tiles)))
-                lag = fill_cycles(layers[-1], tiles[-1][1], p_h, p_w, ps[-2], wino[-1], WINOGRAD_M)
+                lag = fill_cycles(spatial_terms[-1], tiles[-1][1], ps[-2])
                 yield ((-rl.attainable_gops, passes * (busy + lag)), (rl, (
                     t_h, t_w, t_c, chans[-1], p_h, p_w, ps[:-1], ps[-1], seqs, options, wino)))
 
@@ -527,15 +493,6 @@ class ModelDesign:
     def gops(self, model_ops: int, platform: PlatformSpec) -> float:
         seconds = self.total_cycles / (platform.clock_mhz * 1e6)
         return model_ops / seconds / 1e9 if seconds > 0 else 0.0
-
-
-def has_pipeline(op: BlockSpec | LayerSpec) -> bool:
-    """Whether a stage runs on the template: a block, or a convolution or
-    fully-connected layer as its own one-layer block.  Other stages
-    (pooling, activation, ...) cost nothing."""
-    return isinstance(op, BlockSpec) or op.kind in (
-        LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV,
-        LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED)
 
 
 def evaluate_model(model: ModelSpec, platform: PlatformSpec,

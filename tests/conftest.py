@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from turf.hw import instantiate_layer, layer_dsp, layer_terms
 from turf.ir import (BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec,
                      Replacement, Stage, TensorShape)
+from turf.kernels import transform_mult_counts, winograd_config
 
 
 def std_conv(out_ch, k=3, stride=1, padding=None, bias=False):
@@ -21,6 +23,34 @@ def dw_conv(k=3, stride=1, padding=None):
         padding = k // 2
     return LayerSpec(LayerKind.DEPTHWISE_CONV, kernel_size=k, stride=stride,
                      padding=padding)
+
+
+def pipeline_dsp(layer, hw):
+    """Multipliers of the instantiated pipeline: the dot-product array plus,
+    on the Winograd path, two per non-2^n transform constant and lane from
+    ``transform_mult_counts`` (each transform is two constant-matrix
+    multiplies)."""
+    dsp = sum(m.cfg.get("multipliers", 0)
+              for m in instantiate_layer(layer, hw).modules)
+    if hw.use_winograd:
+        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
+        counts = transform_mult_counts(winograd_config(hw.winograd_m, layer.kernel_size))
+        dsp += 2 * counts["input"] * hw.p_c
+        dsp += 2 * counts["weight"] * hw.p_c * lanes_f
+        dsp += 2 * counts["output"] * lanes_f
+    return dsp
+
+
+def terms_of(layer, hw):
+    """``layer_terms`` of ``layer`` under the layer config ``hw``."""
+    return layer_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
+
+
+def closed_form_dsp(layer, hw):
+    """The multipliers ``estimate_resources`` counts for ``layer`` under the
+    layer config ``hw``: ``layer_dsp`` on the chain's ``layer_terms``."""
+    lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
+    return layer_dsp(terms_of(layer, hw), hw.p_c, lanes_f)
 
 
 def stacked_block(mid, out):

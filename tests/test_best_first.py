@@ -23,11 +23,12 @@ from turf import resources
 from turf.errors import Infeasible
 from turf.fusion import FusedDesignConfig, assignment_bounds, plan_block
 from turf.hw import Seq
+from turf.ir import has_pipeline
 from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
                             PlatformSpec, ResourceEstimate, RooflinePoint,
-                            design_candidates, design_gen, has_pipeline,
-                            load_calibration, pick_best_design)
+                            design_candidates, design_gen, load_calibration,
+                            pick_best_design)
 
 PLATFORMS = {
     "default": STRATIX_V_5SGSD8,

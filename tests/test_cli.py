@@ -702,6 +702,26 @@ class TestBadCalibration:
         assert named in err and "Traceback" not in err
 
 
+class TestUnwritableOutputs:
+    """An output path in a missing directory exits 1 naming the OSError,
+    with no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dse", "{model}", "--out", "{absent}"],
+        ["dse", "{model}", "--block", "1", "--csv", "{absent}"],
+        ["simulate", "{model}", "--block", "1", "--config", "{cfg}", "--trace", "{absent}"],
+    ], ids=["dse-out", "dse-csv", "simulate-trace"])
+    def test_missing_directory(self, workdir, capsys, argv):
+        absent = workdir / "absent" / "out.json"
+        argv = [a.format(model=workdir / "model.json", cfg=workdir / "cfg.json",
+                         absent=absent) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FileNotFoundError: ")
+        assert str(absent) in err
+        assert "Traceback" not in err
+
+
 class TestBadDocuments:
     """Unreadable or malformed input documents exit 1 naming InvalidDocument,
     and documents whose values are out of range the error that rejects them."""

@@ -210,7 +210,7 @@ class TestRunFramework:
         18 times, and a second call searches them all again."""
         import turf.resources
         from turf.models import build_reference_model
-        from turf.resources import has_pipeline
+        from turf.ir import has_pipeline
 
         searched = []
         design_gen = turf.resources.design_gen

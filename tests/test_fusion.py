@@ -202,8 +202,7 @@ class TestProperties:
             chans = [s.channels for s in layer_shapes(blk, shape)]
             hw_cfgs = derive_layer_configs(blk, shape, cfg, chans)
             for layer, hw, row in zip(blk.layers, hw_cfgs, report.layers):
-                cycles, fm_units, cm_units = cycle_counts(
-                    layer, hw.tile, hw.parallelism, hw.use_winograd, hw.winograd_m)
+                cycles, fm_units, cm_units = cycle_counts(layer, hw.tile, hw.parallelism)
                 assert row.busy_cycles == cycles
                 assert row.work_units == (fm_units if row.seq is Seq.FM else cm_units)
                 assert row.stall_cycles + row.busy_cycles \

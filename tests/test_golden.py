@@ -31,7 +31,7 @@ CASES = {
     "dse_vgg16.json": ("vgg16", ("dse", "{model}")),
     "dse_mobilenetv1.json": ("mobilenetv1", ("dse", "{model}")),
     "dse_mobilenetv2.json": ("mobilenetv2", ("dse", "{model}")),
-    "dse_resnet50.json": ("resnet50", ("dse", "{model}")),
+    "dse_resnet50.json": ("resnet50", ("dse", "{model}", "--csv", "{trace}")),
     "dse_resnet50_res2_1.json": ("resnet50", ("dse", "{model}", "--block", "2")),
     "dse_resnet50_res3_1.json": ("resnet50", ("dse", "{model}", "--block", "5")),
     # a single-layer stage: its own one-layer block
@@ -50,9 +50,12 @@ CASES = {
         None, ("winograd-check", "--m", "4", "--r", "3", "--trials", "20", "--seed", "7")),
     "winograd_check_m2.json": (
         None, ("winograd-check", "--m", "2", "--r", "3", "--trials", "20", "--seed", "7")),
+    # a CSV report has no manifest and is compared as written
+    "model_show_vgg16.csv": ("vgg16", ("model", "show", "{model}", "--format", "csv")),
 }
-# companion files a case writes besides its report
-TRACES = {"simulate_resnet50_res2_1.json": "simulate_resnet50_res2_1_trace.json"}
+# companion files a case writes besides its report, to "{trace}"
+TRACES = {"simulate_resnet50_res2_1.json": "simulate_resnet50_res2_1_trace.json",
+          "dse_resnet50.json": "dse_resnet50.csv"}
 
 
 def _without_manifest(text: str) -> str:
@@ -70,7 +73,8 @@ def run_case(name: str, workdir: Path) -> dict[str, str]:
     out, trace = workdir / name, workdir / f"trace-{name}"
     argv = [a.format(model=model_path, trace=trace) for a in command]
     assert main(argv + ["--out", str(out)]) == 0
-    texts = {name: _without_manifest(out.read_text())}
+    text = out.read_text()
+    texts = {name: _without_manifest(text) if name.endswith(".json") else text}
     if name in TRACES:
         texts[TRACES[name]] = trace.read_text()
     return texts

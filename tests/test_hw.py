@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dw_conv, pw_conv, std_conv
+from conftest import closed_form_dsp, dw_conv, pipeline_dsp, pw_conv, std_conv, terms_of
 from turf.errors import InefficientConfig, ShapeMismatch, UnsupportedConfig
 from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq, cycle_counts,
                      fill_cycles, input_buffer, instantiate_layer,
@@ -146,11 +146,10 @@ def layer_configs(draw, kind, wino):
                                 winograd_m=m)
 
 
-@pytest.mark.parametrize("wino", [False, True])
-@pytest.mark.parametrize("kind", ["std", "dw", "pw", "fc"])
-def test_closed_form_fill_is_the_pipeline_fill(kind, wino):
-    """``fill_cycles`` equals the instantiated pipeline's fill latency, or raises
-    the same error, on every pipelined layer kind, Winograd or not."""
+def _check_against_chain(kind, wino, closed, chain):
+    """``closed(layer, hw)`` equals ``chain(layer, hw)``, or raises the same
+    error, on ``layer_configs(kind, wino)``; returns whether each draw was
+    accepted."""
     accepted = []
 
     def outcome(count, layer, hw):
@@ -163,42 +162,75 @@ def test_closed_form_fill_is_the_pipeline_fill(kind, wino):
     @given(layer_configs(kind, wino))
     def check(case):
         layer, hw = case
-        want = outcome(lambda l, h: instantiate_layer(l, h).fill_latency, layer, hw)
-        assert outcome(lambda l, h: fill_cycles(l, h.t_w, h.p_h, h.p_w, h.p_c,
-                                                h.use_winograd, h.winograd_m),
-                       layer, hw) == want
-        accepted.append(isinstance(want, int))
+        want = outcome(chain, layer, hw)
+        assert outcome(closed, layer, hw) == want
+        accepted.append(not isinstance(want, str))
 
     check()
+    return accepted
+
+
+@pytest.mark.parametrize("wino", [False, True])
+@pytest.mark.parametrize("kind", ["std", "dw", "pw", "fc"])
+def test_closed_form_fill_is_the_pipeline_fill(kind, wino):
+    """``fill_cycles`` equals the instantiated pipeline's fill latency, or raises
+    the same error, on every pipelined layer kind, Winograd or not."""
+    accepted = _check_against_chain(
+        kind, wino, lambda l, h: fill_cycles(terms_of(l, h), h.t_w, h.p_c),
+        lambda l, h: instantiate_layer(l, h).fill_latency)
     # only a standard or depthwise conv takes the Winograd path
+    assert any(accepted) == (not wino or kind in ("std", "dw"))
+    assert all(accepted) == (not wino)
+
+
+TRANSFORMS = (ModuleKind.WINOGRAD_INPUT_TRANSFORM, ModuleKind.WINOGRAD_OUTPUT_TRANSFORM)
+
+
+def _chain_terms(layer, hw):
+    """(rows, window, transform fill, multipliers) read off the instantiated
+    chain: the line buffer's K' (0 with none), the dot-product array's inputs
+    per channel lane, the data transforms' summed latency, and
+    ``pipeline_dsp``."""
+    modules = instantiate_layer(layer, hw).modules
+    rows = [m.cfg["K'"] for m in modules if m.kind is ModuleKind.LINE_BUFFER]
+    array, = [m for m in modules if m.kind is ModuleKind.DOT_PRODUCT_ARRAY]
+    return (rows[0] if rows else 0, array.in_width / hw.p_c,
+            sum(m.latency for m in modules if m.kind in TRANSFORMS), pipeline_dsp(layer, hw))
+
+
+@pytest.mark.parametrize("wino", [False, True])
+@pytest.mark.parametrize("kind", ["std", "dw", "pw", "fc"])
+def test_closed_form_terms_are_the_chain_constants(kind, wino):
+    """``layer_terms``' rows, window and transform fill, and the multipliers
+    its (a, b, c) give, equal the instantiated chain's, field by field, or
+    raise the same error, on every pipelined layer kind, Winograd or not."""
+    accepted = _check_against_chain(
+        kind, wino, lambda l, h: (*terms_of(l, h)[:3], closed_form_dsp(l, h)), _chain_terms)
     assert any(accepted) == (not wino or kind in ("std", "dw"))
     assert all(accepted) == (not wino)
 
 
 class TestCycleCounts:
     def test_trip_count_product(self):
-        assert cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 4), False, 4)[0] \
+        assert cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 4))[0] \
             == 4 * 8 * 8 * 8  # 2048
 
     def test_work_units_by_major_index(self):
-        _, fm_units, cm_units = cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 4),
-                                             False, 4)
+        _, fm_units, cm_units = cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 4))
         assert fm_units == 8   # 32/4 filter chunks
         assert cm_units == 4   # 16/4 channel chunks
 
     def test_winograd_spatial_trip_count(self):
-        # 4 tiles instead of 64 pixels
-        assert cycle_counts(std_conv(4), (8, 8, 4, 4), (4, 4, 1, 1), True, 4)[0] == 4 * 4 * 4
+        # 4 tiles instead of 64 pixels: the Winograd path runs at P_h = P_w = m
+        assert cycle_counts(std_conv(4), (8, 8, 4, 4), (4, 4, 1, 1))[0] == 4 * 4 * 4
 
     def test_depthwise_drops_filter_trips(self):
-        cycles, fm_units, cm_units = cycle_counts(dw_conv(), (8, 8, 16, 16), (1, 1, 4, 4),
-                                                  False, 4)
+        cycles, fm_units, cm_units = cycle_counts(dw_conv(), (8, 8, 16, 16), (1, 1, 4, 4))
         assert cycles == 4 * 8 * 8
         assert fm_units == cm_units == 4
 
     def test_cycles_divide_evenly_into_units(self):
-        cycles, *units_by_seq = cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 8),
-                                             False, 4)
+        cycles, *units_by_seq = cycle_counts(std_conv(32), (8, 8, 16, 32), (1, 1, 4, 8))
         for units in units_by_seq:
             assert cycles % units == 0
 

@@ -1,11 +1,10 @@
 """The DSP prefilter against the pipeline-derived count and the per-combo
 loop it replaced.
 
-``pipeline_dsp`` counts one layer's multipliers the way the prefilter first
-did: the multipliers of the module chain ``instantiate_layer`` emits plus,
-on the Winograd path, two per non-2^n transform constant and lane from
-``transform_mult_counts``.  ``resources._layer_dsp`` (closed form) must give
-the same count or raise the same error.  ``reference_grid`` is the earlier
+``conftest.pipeline_dsp`` counts one layer's multipliers the way the
+prefilter first did, from the module chain ``instantiate_layer`` emits, and
+``conftest.closed_form_dsp`` (``hw.layer_dsp`` on ``hw.layer_terms``) must
+give the same count or raise the same error.  ``reference_grid`` is the earlier
 prefilter of ``design_candidates``: for every (tile, spatial option) it
 derives each parallelism combo's layer configs and sums their multipliers.
 The configs ``resources._planned_points`` yields must keep the same combos,
@@ -23,33 +22,17 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import closed_form_dsp, pipeline_dsp
 from turf.errors import PortMismatch, ShapeMismatch, UnsupportedConfig
 from turf.fusion import FusedDesignConfig, derive_layer_configs
-from turf.hw import BufferOption, LayerHwConfig, Seq, instantiate_layer
+from turf.hw import BufferOption, LayerHwConfig, Seq, instantiate_layer, layer_terms
 from turf.ir import LayerKind, LayerSpec, TensorShape
-from turf.kernels import transform_mult_counts, winograd_config
 from turf.models import build_reference_model
-from turf.resources import (STRATIX_V_5SGSD8, _dsp_terms, _layer_dsp,
-                            _parallelism_combos, _planned_points,
+from turf.resources import (STRATIX_V_5SGSD8, _parallelism_combos, _planned_points,
                             _pow2_divisors, _tile_options)
 
 # a grid depth above every stage's combo count: the cut keeps every combo
 ALL = 10 ** 6
-
-
-def pipeline_dsp(layer, hw):
-    """Multipliers of the instantiated pipeline: the dot-product array plus,
-    on the Winograd path, the non-2^n transform constants (each transform is
-    two constant-matrix multiplies)."""
-    dsp = sum(m.cfg.get("multipliers", 0)
-              for m in instantiate_layer(layer, hw).modules)
-    if hw.use_winograd:
-        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
-        counts = transform_mult_counts(winograd_config(hw.winograd_m, layer.kernel_size))
-        dsp += 2 * counts["input"] * hw.p_c
-        dsp += 2 * counts["weight"] * hw.p_c * lanes_f
-        dsp += 2 * counts["output"] * lanes_f
-    return dsp
 
 
 def _quick_dsp(block, input_shape, cfg):
@@ -177,7 +160,7 @@ def test_closed_form_equals_pipeline_count(kind):
             hw = LayerHwConfig((8, 8, 8, 8), (p_h, p_w, p_c, p_f),
                                use_winograd=wino, winograd_m=m)
             want = _outcome(pipeline_dsp, layer, hw)
-            assert _outcome(_layer_dsp, layer, hw) == want, (layer, hw)
+            assert _outcome(closed_form_dsp, layer, hw) == want, (layer, hw)
             checked += want is not UnsupportedConfig
     # only convolution and fully-connected layers have a pipeline
     assert (checked == 0) == (kind in NO_PIPELINE)
@@ -193,7 +176,7 @@ def test_kinds_without_pipeline_raise(kind):
     # one is zero-cost, so neither the DSP count nor the pipeline has them
     layer = LayerSpec(kind)
     with pytest.raises(UnsupportedConfig):
-        _dsp_terms(layer, 1, 1, False, 4)
+        layer_terms(layer, 1, 1, False, 4)
     with pytest.raises(UnsupportedConfig):
         instantiate_layer(layer, LayerHwConfig((8, 8, 8, 8), (1, 1, 2, 2)))
 
@@ -225,10 +208,11 @@ def _product_rows(model_name, stage_name):
 def test_pruned_walk_keeps_the_filtered_product(model_name, stage_name):
     block, grids, by_spatial = _product_rows(model_name, stage_name)
     for spatial, rows in by_spatial:
+        p_h, p_w, wino = spatial
+        terms = [layer_terms(layer, p_h, p_w, w, 4) for layer, w in zip(block.layers, wino)]
         for dsp_total in (1, 256, STRATIX_V_5SGSD8.dsp_total, 10 ** 9):
             for grid_depth in (1, 2, 4, ALL):
-                got = _parallelism_combos(block, grids, *spatial,
-                                          dsp_total, grid_depth)
+                got = _parallelism_combos(block, grids, terms, dsp_total, grid_depth)
                 assert got == _reference_combos(rows, dsp_total, grid_depth), \
                     (spatial, dsp_total, grid_depth)
     # some combos exceed 256 DSPs, so the walk drops prefixes there

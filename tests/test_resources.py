@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import canonical_blocks, dwsep_block, pw_conv, stacked_block, std_conv
+from conftest import (canonical_blocks, closed_form_dsp, dwsep_block, pw_conv,
+                      stacked_block, std_conv)
 from turf.errors import CalibrationError, Infeasible, InvalidTiling, UnsupportedConfig
 from turf.fusion import FusedDesignConfig, _buffer_caps, plan_block
 from turf.hw import BufferOption, ModuleKind, Seq
@@ -55,11 +56,10 @@ class TestPlatform:
 
 class TestResourceEstimate:
     def test_degenerate_pointwise_uses_one_multiplier(self):
-        from turf.resources import _layer_dsp
         from turf.hw import LayerHwConfig
         hw = LayerHwConfig((1, 1, 1, 1), (1, 1, 1, 1))
         layer = pw_conv(1)
-        assert _layer_dsp(layer, hw) == 1
+        assert closed_form_dsp(layer, hw) == 1
 
     def test_bram_packing(self):
         from turf.resources import _bram_blocks
@@ -90,24 +90,22 @@ class TestResourceEstimate:
             estimate(block, shape, simple_cfg(block, shape), broken)
 
     def test_winograd_transform_multipliers_counted(self):
-        from turf.resources import _layer_dsp
         from turf.hw import LayerHwConfig
         layer = std_conv(8)
         direct = LayerHwConfig((16, 16, 8, 8), (1, 1, 2, 2))
         wino = LayerHwConfig((16, 16, 8, 8), (4, 4, 2, 2), use_winograd=True)
-        assert _layer_dsp(layer, direct) == 2 * 2 * 9
+        assert closed_form_dsp(layer, direct) == 2 * 2 * 9
         # F(4^2,3^2) at P_c = P_f = 2: 144 Hadamard lanes (2 * 2 * 36), the
         # input transform's two -5 entries (8), the weight transform's 12
         # non-2^n entries (96) and none in the output transform
-        assert _layer_dsp(layer, wino) == 144 + 8 + 96 + 0 == 248
+        assert closed_form_dsp(layer, wino) == 144 + 8 + 96 + 0 == 248
 
     def test_winograd_f2_has_no_transform_multipliers(self):
-        from turf.resources import _layer_dsp
         from turf.hw import LayerHwConfig
         # every F(2^2,3^2) constant is 0 or +-2^n, so only the Hadamard lanes
         wino = LayerHwConfig((16, 16, 8, 8), (2, 2, 2, 2), use_winograd=True,
                              winograd_m=2)
-        assert _layer_dsp(std_conv(8), wino) == 2 * 2 * 16
+        assert closed_form_dsp(std_conv(8), wino) == 2 * 2 * 16
 
 
 def untiled_roofline(block, shape, platform):
@@ -362,7 +360,7 @@ def test_floor_is_below_every_assignment_bound(stage):
     spatial option) is dropped exactly when ``plan_block`` rejects its
     configs."""
     from turf.fusion import assignment_bounds
-    from turf.hw import WINOGRAD_M, winograd_eligible
+    from turf.hw import WINOGRAD_M, layer_terms, winograd_eligible
     from turf.ir import layer_shapes
     from turf.resources import (_parallelism_combos, _planned_points,
                                 _pow2_divisors, _tile_options)
@@ -394,8 +392,8 @@ def test_floor_is_below_every_assignment_bound(stage):
         except InvalidTiling:
             continue
         for p, wino in spatial:
-            for ps in _parallelism_combos(op, grids, p, p, wino, platform.dsp_total,
-                                          grid_depth):
+            terms = [layer_terms(layer, p, p, w, WINOGRAD_M) for layer, w in zip(layers, wino)]
+            for ps in _parallelism_combos(op, grids, terms, platform.dsp_total, grid_depth):
                 cfg = FusedDesignConfig(
                     t_h, t_w, tuple(chans[:-1]), chans[-1], p, p, ps[:-1], ps[-1],
                     (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1), wino)
@@ -464,7 +462,8 @@ def test_model_design_aggregates_its_stages(model_name):
     """A whole-model design holds one candidate per stage with a pipeline;
     its cycles are their sum and its resources their per-field maximum."""
     from turf.models import build_reference_model
-    from turf.resources import ResourceEstimate, evaluate_model, has_pipeline
+    from turf.ir import has_pipeline
+    from turf.resources import ResourceEstimate, evaluate_model
 
     model = build_reference_model(model_name)
     design = evaluate_model(model, STRATIX_V_5SGSD8, load_calibration(), {})
