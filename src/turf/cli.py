@@ -16,8 +16,7 @@ standard library.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
+import contextlib
 import enum
 import hashlib
 import io
@@ -27,20 +26,29 @@ import sys
 
 from . import __version__
 from .errors import NoSolution, TurfError, UnsupportedConfig, reading, typed
-from .explore import (ExternalOracle, Requirements, SyntheticOracle,
+from .explore import (CandidateRecord, ExternalOracle, Requirements, SyntheticOracle,
                       TableOracle, replacement_key, run_framework)
-from .fusion import (config_from_json, config_to_json, enumerate_sequences,
-                     plan_block, simulate_fused)
-from .ir import count_ops_params, has_pipeline, load_model, model_to_json
+from .fusion import (BufferActivity, LayerActivity, SimReport, config_from_json,
+                     config_to_json, enumerate_sequences, plan_block, simulate_fused)
+from .hw import ModuleDesc
+from .ir import StageCount, count_ops_params, has_pipeline, load_model, model_to_json
 from .kernels import winograd_config
-from .resources import (DesignCandidate, design_candidates, evaluate_model,
-                        load_calibration, load_platform, pick_best_design,
-                        roofline)
+from .resources import (DesignCandidate, RooflinePoint, design_candidates, evaluate_model,
+                        load_calibration, load_platform, pick_best_design, roofline)
+
+
+# the records a report holds as JSON objects; any other tuple is a list
+_RECORDS = (SimReport, LayerActivity, BufferActivity, ModuleDesc, RooflinePoint,
+            CandidateRecord)
 
 
 def _jsonify(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonify(v) for k, v in dataclasses.asdict(obj).items()}
+    """``obj`` as JSON values.  Records are ``typing.NamedTuple``s: tuples
+    that compare equal to a plain tuple of their values, whose ``_replace``
+    skips any constructor checks.  So the serialised ones become objects
+    through ``_asdict()`` before the tuple branch turns the rest into lists."""
+    if isinstance(obj, _RECORDS):
+        return {k: _jsonify(v) for k, v in obj._asdict().items()}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -66,23 +74,36 @@ def make_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     }
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
+def _write(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) output, to stdout where the path is None.
+    Every file is opened, without truncation, before any is written, so a
+    path that cannot be opened leaves existing files as they were and
+    removes the files this call created."""
+    with contextlib.ExitStack() as files, contextlib.ExitStack() as created:
+        handles = []
+        for _, path in outputs:
+            new = path and not os.path.exists(path)
+            handles.append(files.enter_context(open(path, "a", newline="")) if path
+                           else sys.stdout)
+            if new:
+                created.callback(os.remove, path)
+        created.pop_all()  # every file is open: keep them
+        for (text, path), fh in zip(outputs, handles):
+            if path:
+                fh.truncate(0)
             fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    """Write ``doc`` as JSON.  JSON has no infinity or NaN, so a report that
+def _emit(doc: dict, out: str | None, *others: tuple[str, str]) -> None:
+    """Write ``doc`` as JSON to ``out``, with the ``others`` (text, path)
+    outputs (``_write``).  JSON has no infinity or NaN, so a report that
     holds one (from an extreme platform value) is an ``UnsupportedConfig``
     and nothing is written."""
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise UnsupportedConfig(f"the report has a non-finite number: {exc}") from None
-    _write(text + "\n", out)
+    _write((text + "\n", out), *others)
 
 
 def _pipeline_stage(model, index: int, option: str):
@@ -111,17 +132,16 @@ def _load_config(path: str):
 def cmd_model_show(args) -> int:
     model = load_model(args.file)
     report = count_ops_params(model)
-    rows = [{"index": r.index, "name": r.name, "category": r.category,
-             "ops": r.ops, "params": r.params} for r in report.per_stage]
+    rows = [r._asdict() for r in report.per_stage]
     if args.format == "csv":
+        import csv
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["index", "name", "category",
-                                                 "ops", "params"])
+        writer = csv.DictWriter(buf, fieldnames=StageCount._fields)
         writer.writeheader()
         writer.writerows(rows)
         writer.writerow({"index": "", "name": "total", "category": "",
                          "ops": report.total_ops, "params": report.total_params})
-        _write(buf.getvalue(), args.out)
+        _write((buf.getvalue(), args.out))
         return 0
     doc = {
         "manifest": make_manifest(args, [args.file]),
@@ -178,7 +198,7 @@ def cmd_simulate(args) -> int:
     doc = {
         "manifest": make_manifest(args, [args.model, args.config]),
         "stage": {"index": args.block, "name": stage.name,
-                  "input_shape": list(stage.input_shape.as_tuple())},
+                  "input_shape": list(stage.input_shape)},
         "config": config_to_json(cfg),
     }
     plan = plan_block(stage.op, stage.input_shape, cfg)
@@ -191,14 +211,12 @@ def cmd_simulate(args) -> int:
             "total_buffer_words": e.total_buffer_words,
         } for e in entries]
     report = simulate_fused(plan, collect_events=bool(args.trace))
-    doc["report"] = _jsonify(dataclasses.replace(report, events=()))
+    doc["report"] = _jsonify(report._replace(events=()))
+    trace = ()
     if args.trace:
-        trace = [{"time": e.time, "layer": e.layer, "unit": e.unit,
-                  "event": e.event} for e in report.events]
-        with open(args.trace, "w") as fh:
-            json.dump(trace, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _emit(doc, args.out)
+        events = [e._asdict() for e in report.events]
+        trace = ((json.dumps(events, indent=2, sort_keys=True) + "\n", args.trace),)
+    _emit(doc, args.out, *trace)
     return 0
 
 
@@ -270,14 +288,16 @@ def cmd_dse(args) -> int:
             "dsp": design.resources.dsp_used, "bram": design.resources.bram_used,
             "alm": design.resources.alm_used,
         }
-    _emit(doc, args.out)
+    table = ()
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["stage", "intensity",
-                                                    "attainable_gops",
-                                                    "latency_cycles", "dsp"])
-            writer.writeheader()
-            writer.writerows(csv_rows)
+        import csv
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=["stage", "intensity", "attainable_gops",
+                                                 "latency_cycles", "dsp"])
+        writer.writeheader()
+        writer.writerows(csv_rows)
+        table = ((buf.getvalue(), args.csv),)
+    _emit(doc, args.out, *table)
     return 0
 
 
@@ -307,9 +327,7 @@ def cmd_explore(args) -> int:
     if args.oracle.startswith("table:"):
         inputs.append(args.oracle.split(":", 1)[1])
     doc = {"manifest": make_manifest(args, inputs),
-           "requirements": {"min_accuracy": req.min_accuracy,
-                            "min_gops": req.min_gops,
-                            "max_latency_ms": req.max_latency_ms},
+           "requirements": req._asdict(),
            "oracle": args.oracle,
            "oracle_is_synthetic": args.oracle == "synthetic"}
     try:

@@ -12,9 +12,8 @@ a TableOracle replay or an ExternalOracle command.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoSolution, OracleError, TurfError, UnknownModel, reading
 from .ir import ModelSpec, Replacement, count_ops_params, replace_layer
@@ -22,19 +21,19 @@ from .resources import (CalibrationTable, ModelDesign, PlatformSpec,
                         evaluate_model)
 
 
-@dataclass(frozen=True)
-class Requirements:
+class Requirements(NamedTuple("Requirements", [
+        ("min_accuracy", float), ("min_gops", float | None), ("max_latency_ms", float | None)])):
     """Search requirements: accuracy floor plus one performance target."""
 
-    min_accuracy: float
-    min_gops: float | None = None
-    max_latency_ms: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.min_accuracy <= 1.0:
+    def __new__(cls, min_accuracy: float, min_gops: float | None = None,
+                max_latency_ms: float | None = None):
+        if not 0.0 <= min_accuracy <= 1.0:
             raise TurfError("min_accuracy must lie in [0, 1]")
-        if (self.min_gops is None) == (self.max_latency_ms is None):
+        if (min_gops is None) == (max_latency_ms is None):
             raise TurfError("declare exactly one of min_gops / max_latency_ms")
+        return super().__new__(cls, min_accuracy, min_gops, max_latency_ms)
 
     @property
     def metric(self) -> str:
@@ -97,6 +96,7 @@ class TableOracle:
 
     @classmethod
     def from_csv(cls, path: str) -> "TableOracle":
+        import csv
         table = {}
         with reading(path), open(path) as fh:
             for row in csv.DictReader(fh):
@@ -153,8 +153,7 @@ def model_gen(pretrained: ModelSpec,
     return replace_layer(current, n - 1 - replaced)
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     """One visited candidate model.  The performance fields and resources
     are set only when its accuracy passed and its design was evaluated."""
 
@@ -172,8 +171,7 @@ class CandidateRecord:
     alm_used: int | None = None
 
 
-@dataclass(frozen=True)
-class ExplorationResult:
+class ExplorationResult(NamedTuple):
     """The search's outcome: ``candidates`` logs every visited model in
     visit order, and ``best`` is the record among them that passed both
     requirements with the highest performance (the first such on a tie),

@@ -60,7 +60,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
@@ -79,8 +78,7 @@ CYCLE_MODEL = (
 )
 
 
-@dataclass(frozen=True)
-class FusedDesignConfig:
+class FusedDesignConfig(NamedTuple):
     """<T_h, T_w, {T_c^i}, T_f, P_h, P_w, {P_c^i}, P_f, {Seq^i}, buffer options>.
 
     The flattened channel lists encode the port-matching constraint
@@ -186,8 +184,7 @@ def config_from_json(doc: dict) -> FusedDesignConfig:
 # ---------------------------------------------------------------------------
 # Report types
 
-@dataclass(frozen=True)
-class LayerActivity:
+class LayerActivity(NamedTuple):
     index: int
     seq: Seq
     work_units: int
@@ -199,8 +196,7 @@ class LayerActivity:
     fill_cycles: int
 
 
-@dataclass(frozen=True)
-class BufferActivity:
+class BufferActivity(NamedTuple):
     index: int              # buffer i sits between layer i and layer i+1
     option: BufferOption
     words: int
@@ -209,16 +205,14 @@ class BufferActivity:
     peak_tokens: int
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: int
     layer: int
     unit: int
     event: str  # "start" | "finish" | "release"
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     total_cycles: int
     per_pass_cycles: int
     n_passes: int
@@ -292,20 +286,22 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     return out
 
 
-@dataclass(frozen=True)
-class BlockPlan:
-    """One fused design of a stage, scheduled once by ``plan_block``.
-    ``by_seq[s][i]`` is layer i's schedule under sequence s, and ``hws[i]``
-    its hardware config under ``cfg`` with ``terms[i]`` its chain's
-    constants (the sequence changes neither the config's other fields nor
-    the module pipeline)."""
-
+class _BlockPlan(NamedTuple):
     cfg: FusedDesignConfig
     layers: tuple[LayerSpec, ...]
     hws: tuple[LayerHwConfig, ...]
     terms: tuple[LayerTerms, ...]
     by_seq: dict[Seq, tuple[LayerSchedule, ...]]
     n_passes: int   # sequential tile passes: spatial tiles x output-channel slices
+
+
+class BlockPlan(_BlockPlan):
+    """One fused design of a stage, scheduled once by ``plan_block``.
+    ``by_seq[s][i]`` is layer i's schedule under sequence s, and ``hws[i]``
+    its hardware config under ``cfg`` with ``terms[i]`` its chain's
+    constants (the sequence changes neither the config's other fields nor
+    the module pipeline).  It has no ``__slots__``: its instance dict holds
+    ``pipelines`` once built."""
 
     def schedule(self, seqs: tuple[Seq, ...]) -> list[LayerSchedule]:
         return [self.by_seq[s][i] for i, s in enumerate(seqs)]
@@ -357,14 +353,15 @@ def _buffer_caps(plan: BlockPlan, seqs: tuple[Seq, ...],
     return caps
 
 
-@dataclass
 class _BufferState:
-    tokens: int
-    cap: int
-    ready: list
-    freed: list
-    reserved: list
-    all_ready: int | None = None   # time the last token became ready
+    """One intermediate buffer's token times during a simulated pass."""
+
+    __slots__ = ("tokens", "cap", "ready", "freed", "reserved", "all_ready")
+
+    def __init__(self, tokens: int, cap: int):
+        self.tokens, self.cap = tokens, cap
+        self.ready, self.freed, self.reserved = [None] * tokens, [None] * tokens, [None] * tokens
+        self.all_ready: int | None = None   # time the last token became ready
 
     def peak(self) -> int:
         """Most tokens held at once.  Reserve and free times are each
@@ -394,8 +391,7 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
     became ready, which is what a filter-major consumer waits for.
     """
     n = len(plans)
-    bufs = [_BufferState(t, c, [None] * t, [None] * t, [None] * t)
-            for (t, c, _) in caps]
+    bufs = [_BufferState(t, c) for (t, c, _) in caps]
     next_unit = [0] * n
     engine_free = [0] * n
     starts = [[None] * p.units for p in plans]
@@ -555,8 +551,7 @@ def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
 _OPTION_ORDER = (BufferOption.MATCH_PREV, BufferOption.MATCH_NEXT, BufferOption.DOUBLE)
 
 
-@dataclass(frozen=True)
-class SeqCandidate:
+class SeqCandidate(NamedTuple):
     seqs: tuple[Seq, ...]
     buffer_options: tuple[BufferOption, ...]
     total_cycles: int

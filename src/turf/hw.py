@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InefficientConfig, UnsupportedConfig
 from .ir import LayerKind, LayerSpec
-from .kernels import winograd_config
+from .kernels import general_constants, winograd_config
 
 WINOGRAD_M = 4     # the default Winograd path, F(4x4, 3x3), which the DSE explores
 
@@ -64,8 +63,7 @@ class Seq(enum.Enum):
     CM = "CM"
 
 
-@dataclass(frozen=True)
-class ModuleDesc:
+class ModuleDesc(NamedTuple):
     kind: ModuleKind
     cfg: dict
     in_width: int
@@ -134,31 +132,32 @@ def dot_product_array(in_width: int, out_width: int, multipliers: int,
                       out_width=out_width, latency=_array_latency(in_width))
 
 
-@dataclass(frozen=True)
-class LayerHwConfig:
+class LayerHwConfig(NamedTuple("LayerHwConfig", [
+        ("tile", tuple[int, int, int, int]),          # (T_h, T_w, T_c, T_f)
+        ("parallelism", tuple[int, int, int, int]),   # (P_h, P_w, P_c, P_f)
+        ("use_winograd", bool), ("winograd_m", int)])):
     """One layer's hardware knobs: tiles, parallelism and Winograd."""
 
-    tile: tuple[int, int, int, int]          # (T_h, T_w, T_c, T_f)
-    parallelism: tuple[int, int, int, int]   # (P_h, P_w, P_c, P_f)
-    use_winograd: bool = False
-    winograd_m: int = WINOGRAD_M
+    __slots__ = ()
 
-    def __post_init__(self):
-        t_h, t_w, t_c, t_f = self.tile
-        p_h, p_w, p_c, p_f = self.parallelism
+    def __new__(cls, tile: tuple, parallelism: tuple, use_winograd: bool = False,
+                winograd_m: int = WINOGRAD_M):
+        self = super().__new__(cls, tile, parallelism, use_winograd, winograd_m)
+        t_h, t_w, t_c, t_f = tile
+        p_h, p_w, p_c, p_f = parallelism
         for t, p, name in ((t_h, p_h, "h"), (t_w, p_w, "w"), (t_c, p_c, "c"), (t_f, p_f, "f")):
             if t < 1 or p < 1:
                 raise UnsupportedConfig(f"tile/parallelism must be >= 1 (axis {name})")
             if t % p != 0:
                 raise UnsupportedConfig(f"P_{name}={p} must divide T_{name}={t}")
+        return self
 
     # each tile and parallelism entry by name
     t_h, t_w, t_c, t_f = (property(lambda self, i=i: self.tile[i]) for i in range(4))
     p_h, p_w, p_c, p_f = (property(lambda self, i=i: self.parallelism[i]) for i in range(4))
 
 
-@dataclass(frozen=True)
-class LayerPipeline:
+class LayerPipeline(NamedTuple):
     """Instantiated module chain for one layer."""
 
     layer: LayerSpec
@@ -286,9 +285,8 @@ def layer_terms(layer: LayerSpec, p_h: int, p_w: int, use_winograd: bool,
     kind, k = layer.kind, layer.kernel_size
     if use_winograd:
         validate_winograd(layer, p_h, p_w, m)
-        config = winograd_config(m, k)
-        tk = config.tile
-        g_in, g_w, g_out = config.general_constants
+        tk = winograd_config(m, k).tile
+        g_in, g_w, g_out = general_constants(m, k)
         return LayerTerms(tk, tk * tk, 4 * tk, tk * tk + 2 * g_w, 2 * g_in, 2 * g_out)
     if kind in (LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
         return LayerTerms(0, p_h * p_w, 0, p_h * p_w, 0, 0)

@@ -5,6 +5,12 @@ convolution block (stacked / depthwise-separable / bottleneck / separable
 bottleneck).  The IR carries shapes and hyperparameters only -- no weights.
 All values are immutable; operations return new ModelSpec instances.
 
+Records throughout turf are ``typing.NamedTuple``s, cheap to define at
+import, and each compares equal to a plain tuple of the same values.  One
+with checks (``TensorShape``, ``LayerSpec``, ``BlockSpec``, ``ModelSpec``)
+runs them in the ``__new__`` of a ``__slots__ = ()`` subclass of its
+fields; ``_replace`` skips that ``__new__``, so only unchecked records use it.
+
 Counting conventions (documented in every report):
   * one multiply-accumulate = 2 operations,
   * parameter counts include bias terms for layers that carry them
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InvalidReplacement, ShapeMismatch, reading, typed
 
@@ -55,33 +61,28 @@ class Replacement(enum.Enum):
 _CONV_KINDS = (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV, LayerKind.POINTWISE_CONV)
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    height: int
-    width: int
-    channels: int
+class TensorShape(NamedTuple("TensorShape", [("height", int), ("width", int),
+                                             ("channels", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.channels < 1:
+    def __new__(cls, height: int, width: int, channels: int):
+        self = super().__new__(cls, height, width, channels)
+        if height < 1 or width < 1 or channels < 1:
             raise ShapeMismatch(f"all dimensions must be >= 1, got {self}")
+        return self
 
     def volume(self) -> int:
         return self.height * self.width * self.channels
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.height, self.width, self.channels)
 
+class LayerSpec(NamedTuple("LayerSpec", [
+        ("kind", LayerKind), ("kernel_size", int), ("stride", int),
+        ("out_channels", int | None), ("padding", int), ("has_bias", bool)])):
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: LayerKind
-    kernel_size: int = 1
-    stride: int = 1
-    out_channels: int | None = None
-    padding: int = 0
-    has_bias: bool = False
-
-    def __post_init__(self):
+    def __new__(cls, kind: LayerKind, kernel_size: int = 1, stride: int = 1,
+                out_channels: int | None = None, padding: int = 0, has_bias: bool = False):
+        self = super().__new__(cls, kind, kernel_size, stride, out_channels, padding, has_bias)
         if self.kernel_size < 1 or self.stride < 1:
             raise ShapeMismatch(f"kernel_size and stride must be >= 1: {self}")
         if self.kind is LayerKind.POINTWISE_CONV and self.kernel_size != 1:
@@ -91,6 +92,7 @@ class LayerSpec:
         needs_f = (LayerKind.STANDARD_CONV, LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED)
         if self.kind in needs_f and self.out_channels is None:
             raise ShapeMismatch(f"{self.kind.value} requires out_channels")
+        return self
 
     @property
     def layers(self) -> tuple[LayerSpec, ...]:
@@ -138,16 +140,15 @@ class LayerSpec:
         return 0
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    kind: BlockKind
-    layers: tuple[LayerSpec, ...]
-    has_shortcut: bool = False
-    # 1x1 projection on the shortcut path (ResNet downsampling blocks).
-    shortcut_projection: LayerSpec | None = None
+class BlockSpec(NamedTuple("BlockSpec", [
+        ("kind", BlockKind), ("layers", tuple[LayerSpec, ...]), ("has_shortcut", bool),
+        # 1x1 projection on the shortcut path (ResNet downsampling blocks).
+        ("shortcut_projection", LayerSpec | None)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+    def __new__(cls, kind: BlockKind, layers, has_shortcut: bool = False,
+                shortcut_projection: LayerSpec | None = None):
+        self = super().__new__(cls, kind, tuple(layers), has_shortcut, shortcut_projection)
         kinds = [l.kind for l in self.layers]
         k = self.kind
         if k is BlockKind.DEPTHWISE_SEPARABLE:
@@ -164,11 +165,10 @@ class BlockSpec:
         elif k is BlockKind.STACKED:
             if kinds != [LayerKind.STANDARD_CONV, LayerKind.STANDARD_CONV] or not self.has_shortcut:
                 raise ShapeMismatch("stacked block is two StandardConv layers with a shortcut")
+        return self
 
     def output_shape(self, shape: TensorShape) -> TensorShape:
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-        return shape
+        return layer_shapes(self, shape)[-1]
 
     def ops(self, shape: TensorShape) -> int:
         total = sum(map(LayerSpec.ops, self.layers, layer_shapes(self, shape)))
@@ -191,8 +191,7 @@ def layer_shapes(op: LayerSpec | BlockSpec, shape: TensorShape) -> list[TensorSh
     return shapes
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     input_shape: TensorShape
     op: LayerSpec | BlockSpec
     name: str = ""
@@ -201,8 +200,10 @@ class Stage:
         return self.op.output_shape(self.input_shape)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple("ModelSpec", [
+        ("base", str), ("stages", tuple[Stage, ...]),
+        ("replacement_groups", tuple[tuple[int, ...], ...]),
+        ("replacement_vector", tuple[Replacement, ...])])):
     """A CNN as an ordered stage list plus its replacement state.
 
     ``replacement_groups[p]`` lists the stage indices forming replaceable
@@ -211,16 +212,12 @@ class ModelSpec:
     ``p`` is still the original convolution or already separable.
     """
 
-    base: str
-    stages: tuple[Stage, ...]
-    replacement_groups: tuple[tuple[int, ...], ...] = ()
-    replacement_vector: tuple[Replacement, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "replacement_groups",
-                           tuple(tuple(g) for g in self.replacement_groups))
-        object.__setattr__(self, "replacement_vector", tuple(self.replacement_vector))
+    def __new__(cls, base: str, stages, replacement_groups=(), replacement_vector=()):
+        self = super().__new__(cls, base, tuple(stages),
+                               tuple(tuple(g) for g in replacement_groups),
+                               tuple(replacement_vector))
         if len(self.replacement_groups) != len(self.replacement_vector):
             raise ShapeMismatch("replacement vector length != number of replaceable positions")
         for i in range(len(self.stages) - 1):
@@ -230,14 +227,14 @@ class ModelSpec:
                 raise ShapeMismatch(
                     f"stage {i} ({self.stages[i].name}) produces {out} but stage "
                     f"{i + 1} ({self.stages[i + 1].name}) expects {nxt}")
+        return self
 
     @property
     def num_replaceable(self) -> int:
         return len(self.replacement_groups)
 
 
-@dataclass(frozen=True)
-class StageCount:
+class StageCount(NamedTuple):
     index: int
     name: str
     category: str  # "block" | "conv" | "fc" | "other"
@@ -245,8 +242,7 @@ class StageCount:
     params: int
 
 
-@dataclass(frozen=True)
-class OpParamReport:
+class OpParamReport(NamedTuple):
     total_ops: int
     total_params: int
     per_stage: tuple[StageCount, ...]
@@ -335,7 +331,7 @@ def replace_layer(model: ModelSpec, position: int) -> ModelSpec:
                 f"stage {idx} ({stage.name}) is not a replaceable convolution")
         if new_op.output_shape(stage.input_shape) != stage.output_shape():
             raise ShapeMismatch(f"replacement at stage {idx} would change the output shape")
-        stages[idx] = replace(stage, op=new_op)
+        stages[idx] = stage._replace(op=new_op)
 
     vector = list(model.replacement_vector)
     vector[position] = Replacement.SEPARABLE
@@ -373,7 +369,7 @@ def _layer_from_json(d: dict) -> LayerSpec:
 def model_to_json(model: ModelSpec) -> dict:
     stages = []
     for stage in model.stages:
-        entry: dict = {"input": list(stage.input_shape.as_tuple())}
+        entry: dict = {"input": list(stage.input_shape)}
         if stage.name:
             entry["name"] = stage.name
         if isinstance(stage.op, BlockSpec):

@@ -15,8 +15,8 @@ matrices live in ``turf.conv``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import UnsupportedConfig
 
@@ -25,8 +25,7 @@ def _frac_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class WinogradConfig:
+class WinogradConfig(NamedTuple):
     """F(m^2, r^2) instance with exact rational transform matrices.
 
     ``a_t`` is m x (m+r-1), ``b_t`` is (m+r-1) x (m+r-1), ``g`` is
@@ -55,13 +54,6 @@ class WinogradConfig:
     @property
     def speedup(self) -> float:
         return self.direct_multiplies_per_tile / self.multiplies_per_tile
-
-    @functools.cached_property
-    def general_constants(self) -> tuple[int, int, int]:
-        """(input, weight, output) transform entries that need a real
-        multiplier, counted once per instance by ``transform_mult_counts``."""
-        counts = transform_mult_counts(self)
-        return counts["input"], counts["weight"], counts["output"]
 
 
 WINOGRAD_F2_3 = WinogradConfig(
@@ -124,3 +116,11 @@ def transform_mult_counts(config: WinogradConfig) -> dict[str, int]:
     return {name: sum(x != 0 and not is_power_of_two(x) for row in mat for x in row)
             for name, mat in (("input", config.b_t), ("weight", config.g),
                               ("output", config.a_t))}
+
+
+@functools.cache
+def general_constants(m: int, r: int) -> tuple[int, int, int]:
+    """(input, weight, output) transform entries of F(m^2, r^2) that need a
+    real multiplier, counted once per instance by ``transform_mult_counts``."""
+    counts = transform_mult_counts(winograd_config(m, r))
+    return counts["input"], counts["weight"], counts["output"]

@@ -29,8 +29,8 @@ import heapq
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
 from importlib import resources as importlib_resources
+from typing import NamedTuple, get_type_hints
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      UnsupportedConfig, reading, typed)
@@ -47,8 +47,7 @@ M20K_BYTES = 2560  # one M20K block = 20 kbit
 MIN_TILE = 14      # the DSE halves spatial tiles down to this size
 
 
-@dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(NamedTuple):
     bandwidth_gbps: float
     dsp_total: int
     bram_blocks: int
@@ -61,15 +60,15 @@ class PlatformSpec:
         return self.dsp_total * 2 * self.clock_mhz / 1e3
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     @classmethod
     def from_json(cls, doc: dict) -> "PlatformSpec":
         """The platform in ``doc``, each constant checked with ``errors.typed``:
         the three counts are JSON integers and the two rates JSON numbers.  A
         constant <= 0 is an UnsupportedConfig."""
-        spec = {f.name: typed(doc[f.name], int if f.type == "int" else float, f.name)
-                for f in fields(cls)}
+        spec = {name: typed(doc[name], kind, name)
+                for name, kind in get_type_hints(cls).items()}
         for name, value in spec.items():
             if value <= 0:
                 raise UnsupportedConfig(f"platform constant {name} must be positive, got {value!r}")
@@ -90,8 +89,7 @@ def load_platform(path: str | None) -> PlatformSpec:
         return PlatformSpec.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class CalibrationTable:
+class CalibrationTable(NamedTuple):
     """ALM linear-model coefficients per module kind: base + per_width * width."""
 
     alm: dict
@@ -127,8 +125,7 @@ def load_calibration(path: str | None = None) -> CalibrationTable:
     return CalibrationTable(alm)
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+class ResourceEstimate(NamedTuple):
     dsp_used: int
     bram_used: int
     alm_used: int
@@ -188,8 +185,7 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
 # ---------------------------------------------------------------------------
 # Roofline
 
-@dataclass(frozen=True)
-class RooflinePoint:
+class RooflinePoint(NamedTuple):
     arithmetic_intensity: float  # ops per off-chip byte
     compute_roof_gops: float
     bandwidth_gbps: float
@@ -200,8 +196,7 @@ class RooflinePoint:
                    self.arithmetic_intensity * self.bandwidth_gbps)
 
 
-@dataclass(frozen=True)
-class RooflineComparison:
+class RooflineComparison(NamedTuple):
     ops: int
     fused_bytes: int
     baseline_bytes: int
@@ -241,8 +236,7 @@ def roofline(block: BlockSpec, input_shape: TensorShape, platform: PlatformSpec,
 # ---------------------------------------------------------------------------
 # Candidate evaluation and selection
 
-@dataclass(frozen=True)
-class DesignCandidate:
+class DesignCandidate(NamedTuple):
     cfg: FusedDesignConfig
     total_cycles: int
     resources: ResourceEstimate
@@ -393,7 +387,7 @@ def _candidate(plan: BlockPlan, sc: SeqCandidate, rl: RooflinePoint,
                coeffs: CalibrationTable) -> DesignCandidate:
     """The design candidate of one sequence/buffer choice of a grid point."""
     return DesignCandidate(
-        replace(plan.cfg, seqs=sc.seqs, buffer_options=sc.buffer_options),
+        plan.cfg._replace(seqs=sc.seqs, buffer_options=sc.buffer_options),
         sc.total_cycles, estimate_resources(plan, sc.seqs, sc.buffer_words, coeffs),
         rl)
 
@@ -469,15 +463,13 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
 # ---------------------------------------------------------------------------
 # Whole-model evaluation (shared-template DSE)
 
-@dataclass(frozen=True)
-class StageDesign:
+class StageDesign(NamedTuple):
     stage_index: int
     stage_name: str
     candidate: DesignCandidate | None  # None for zero-cost stages
 
 
-@dataclass(frozen=True)
-class ModelDesign:
+class ModelDesign(NamedTuple):
     """A model's design on one reused template, as ``evaluate_model`` builds
     it: each stage's selected candidate, the latency summed over stages,
     and the resources as the per-field maximum over stages (the template
@@ -520,6 +512,5 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
                                                  coeffs, grid_depth, max_parallel)
         rows.append(StageDesign(i, stage.name, best))
     chosen = [row.candidate for row in rows if row.candidate is not None]
-    peak = ResourceEstimate(*(max((getattr(c.resources, f.name) for c in chosen), default=0)
-                              for f in fields(ResourceEstimate)))
+    peak = ResourceEstimate(*map(max, zip((0, 0, 0), *(c.resources for c in chosen))))
     return ModelDesign(tuple(rows), sum(c.total_cycles for c in chosen), peak)

@@ -12,7 +12,6 @@ also on fake grids where ties and winners behind a loose bound are common.
 from __future__ import annotations
 
 import functools
-from dataclasses import astuple, replace
 
 import pytest
 
@@ -32,12 +31,12 @@ from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
 
 PLATFORMS = {
     "default": STRATIX_V_5SGSD8,
-    "256-dsp": replace(STRATIX_V_5SGSD8, dsp_total=256),
+    "256-dsp": STRATIX_V_5SGSD8._replace(dsp_total=256),
     # tiles stop tying at the compute roof, and with 400 BRAM blocks some
     # of the highest-GOPS points do not fit, so the GOPS order decides
-    "1-gbps": replace(STRATIX_V_5SGSD8, bandwidth_gbps=1.0, bram_blocks=400),
+    "1-gbps": STRATIX_V_5SGSD8._replace(bandwidth_gbps=1.0, bram_blocks=400),
     # no design fits: both sides raise Infeasible
-    "1-bram": replace(STRATIX_V_5SGSD8, bram_blocks=1),
+    "1-bram": STRATIX_V_5SGSD8._replace(bram_blocks=1),
 }
 COEFFS = load_calibration()
 
@@ -73,7 +72,7 @@ def test_design_gen_equals_full_enumeration(model_name, platform_name):
     platform = PLATFORMS[platform_name]
     # the candidate list reads the platform's DSPs and roofline, not its
     # BRAM, so the 1-bram platform selects from the default platform's list
-    listed = replace(platform, bram_blocks=STRATIX_V_5SGSD8.bram_blocks)
+    listed = platform._replace(bram_blocks=STRATIX_V_5SGSD8.bram_blocks)
     gops_per_stage = []
     for name, block, shape, cands in stage_candidates(model_name, listed):
         want = _selection(lambda: pick_best_design(cands, platform))
@@ -112,8 +111,8 @@ def _fake_point(i, gops, floor, units):
     point, config fields))``, with its units: each a sequence assignment's
     (cycles bound, candidate)."""
     rl = RooflinePoint(gops, 10.0, 1.0)
-    units = [(bound, replace(cand, roofline=rl)) for bound, cand in units]
-    return ((-rl.attainable_gops, floor), (rl, astuple(_fake_cfg(i, 0)))), units
+    units = [(bound, cand._replace(roofline=rl)) for bound, cand in units]
+    return ((-rl.attainable_gops, floor), (rl, tuple(_fake_cfg(i, 0)))), units
 
 
 @st.composite

@@ -582,7 +582,10 @@ def reference_models(tmp_path_factory):
 class TestImportFootprint:
     """Every command but winograd-check loads only turf and the standard
     library: no numpy on the DSE path, and no ``subprocess`` on a ``dse``
-    or ``explore`` run (only an ``external:`` oracle needs it)."""
+    or ``explore`` run (only an ``external:`` oracle needs it).  turf's
+    records are NamedTuples, so no command loads ``dataclasses`` or the
+    ``inspect`` it imports, and only a command that writes CSV loads
+    ``csv``."""
 
     @pytest.mark.parametrize("command", [
         ("model", "show", "{vgg16}"),
@@ -602,6 +605,7 @@ class TestImportFootprint:
         foreign = [m for m in added if m != "turf" and not m.startswith("turf.")
                    and m.partition(".")[0] not in sys.stdlib_module_names]
         assert foreign == []
+        assert {"dataclasses", "inspect", "csv"}.isdisjoint(added)
         if command[0] in ("dse", "explore"):
             assert "subprocess" not in added
 
@@ -720,6 +724,29 @@ class TestUnwritableOutputs:
         assert err.startswith("FileNotFoundError: ")
         assert str(absent) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dse", "{model}", "--block", "1", "--out", "{written}", "--csv", "{absent}"],
+        ["simulate", "{model}", "--block", "1", "--config", "{cfg}",
+         "--trace", "{written}", "--out", "{absent}"],
+    ], ids=["dse-out-then-csv", "simulate-trace-then-out"])
+    @pytest.mark.parametrize("existing", [None, "earlier run\n"], ids=["new", "existing"])
+    def test_second_output_leaves_the_first_as_it_was(self, workdir, capsys, argv,
+                                                      existing):
+        """A command with two outputs writes neither when one cannot be
+        opened: the other is not created, or keeps what it held."""
+        written = workdir / "written.json"
+        if existing is not None:
+            written.write_text(existing)
+        argv = [a.format(model=workdir / "model.json", cfg=workdir / "cfg.json",
+                         written=written, absent=workdir / "absent" / "out")
+                for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("FileNotFoundError: ")
+        if existing is None:
+            assert not written.exists()
+        else:
+            assert written.read_text() == existing
 
 
 class TestBadDocuments:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import small_custom_model
-from turf.errors import NoSolution, OracleError, UnknownModel
+from turf.errors import NoSolution, OracleError, TurfError, UnknownModel
 from turf.explore import (CandidateRecord, ExternalOracle, Requirements,
                           SyntheticOracle, TableOracle, model_gen,
                           replacement_key, run_framework)
@@ -49,6 +49,13 @@ class TestRequirements:
     def test_accuracy_range(self):
         with pytest.raises(Exception):
             Requirements(min_accuracy=1.5, min_gops=1.0)
+
+    def test_bad_call_raises(self):
+        with pytest.raises(TurfError, match=r"^min_accuracy must lie in \[0, 1\]$"):
+            Requirements(-0.1, 1.0)
+        with pytest.raises(TurfError, match="^declare exactly one of min_gops / max_latency_ms$"):
+            Requirements(0.5, None, None)
+        assert Requirements(0.5, max_latency_ms=2.0).metric == "latency"
 
 
 class TestModelGen:

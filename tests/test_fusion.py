@@ -1,7 +1,6 @@
 """Fused-block simulation: hand-traced oracles, ordering claims, bounds,
 and tiling overhead against a brute-force pixel counter."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -31,7 +30,7 @@ def simulate(block, shape, cfg, include_fill=True, **kwargs):
     hand-traced oracles assume."""
     plan = plan_block(block, shape, cfg)
     if not include_fill:
-        plan = dataclasses.replace(plan, by_seq={
+        plan = plan._replace(by_seq={
             seq: tuple(p._replace(fill=0) for p in plans)
             for seq, plans in plan.by_seq.items()})
     return simulate_fused(plan, **kwargs)
@@ -184,7 +183,7 @@ class TestProperties:
             # all-double never slower
             try:
                 doubled = simulate(blk, shape, cfg.__class__(
-                    **{**cfg.__dict__,
+                    **{**cfg._asdict(),
                        "buffer_options": tuple(BufferOption.DOUBLE
                                                for _ in cfg.buffer_options)}),
                     include_fill=False)
@@ -293,9 +292,8 @@ def test_enumerated_numbers_are_what_the_simulator_reports(plan):
     """Each ``enumerate_sequences`` entry carries the cycles and buffer
     words that ``simulate_fused`` reports for its sequences and options."""
     for e in enumerate_sequences(plan):
-        cfg = dataclasses.replace(plan.cfg, seqs=e.seqs,
-                                  buffer_options=e.buffer_options)
-        report = simulate_fused(dataclasses.replace(plan, cfg=cfg))
+        cfg = plan.cfg._replace(seqs=e.seqs, buffer_options=e.buffer_options)
+        report = simulate_fused(plan._replace(cfg=cfg))
         assert e.total_cycles == report.total_cycles
         assert e.buffer_words == tuple(b.words for b in report.buffers)
         assert e.total_buffer_words == sum(b.words for b in report.buffers)
@@ -421,7 +419,7 @@ def test_config_documents_round_trip(cfg):
     del doc["winograd"]
     for entry in per_layer["layers"]:
         del entry["winograd"]
-    direct = dataclasses.replace(cfg, use_winograd=(False,) * cfg.num_layers)
+    direct = cfg._replace(use_winograd=(False,) * cfg.num_layers)
     assert config_from_json(doc) == config_from_json(per_layer) == direct
 
 

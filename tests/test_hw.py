@@ -123,6 +123,31 @@ class TestPipelines:
             LayerHwConfig((16, 16, 8, 16), (1, 1, 3, 4))
 
 
+class TestLayerHwConfig:
+    """``LayerHwConfig``'s constructor checks each (tile, parallelism) axis,
+    however it is called."""
+
+    @pytest.mark.parametrize("axis", range(4), ids=lambda a: "hwcf"[a])
+    @pytest.mark.parametrize("field", ["tile", "parallelism"])
+    def test_entry_below_one_names_its_axis(self, field, axis):
+        knobs = {"tile": [8, 8, 8, 8], "parallelism": [1, 1, 2, 2]}
+        knobs[field][axis] = 0
+        with pytest.raises(UnsupportedConfig) as exc:
+            LayerHwConfig(tuple(knobs["tile"]), tuple(knobs["parallelism"]))
+        assert str(exc.value) == f"tile/parallelism must be >= 1 (axis {'hwcf'[axis]})"
+
+    def test_p_f_must_divide_t_f(self):
+        with pytest.raises(UnsupportedConfig) as exc:
+            LayerHwConfig((8, 8, 8, 8), (1, 1, 2, 3), use_winograd=False)
+        assert str(exc.value) == "P_f=3 must divide T_f=8"
+
+    def test_keyword_call_is_checked(self):
+        with pytest.raises(UnsupportedConfig, match=r"^P_h=3 must divide T_h=8$"):
+            LayerHwConfig(parallelism=(3, 1, 1, 1), tile=(8, 8, 8, 8))
+        hw = LayerHwConfig(tile=(8, 4, 8, 8), parallelism=(4, 4, 2, 2), use_winograd=True)
+        assert (hw.t_w, hw.p_c, hw.winograd_m) == (4, 2, 4)
+
+
 @st.composite
 def layer_configs(draw, kind, wino):
     """A ``kind`` layer with a config of any P_c, P_h/P_w and T_w, on the

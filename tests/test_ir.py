@@ -44,6 +44,43 @@ class TestTypes:
             ModelSpec("Custom", stages)
 
 
+class TestRecordChecks:
+    """Each checked record still raises on a bad constructor call, however
+    it is called, with the message naming the record as its repr prints it;
+    list fields are held as tuples."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TensorShape(4, 0, 4),
+         "all dimensions must be >= 1, got TensorShape(height=4, width=0, channels=4)"),
+        (lambda: TensorShape(height=4, width=4, channels=-1),
+         "all dimensions must be >= 1, got TensorShape(height=4, width=4, channels=-1)"),
+        (lambda: LayerSpec(LayerKind.STANDARD_CONV, 3, 0, 8),
+         "kernel_size and stride must be >= 1: LayerSpec(kind=<LayerKind.STANDARD_CONV: "
+         "'StandardConv'>, kernel_size=3, stride=0, out_channels=8, padding=0, "
+         "has_bias=False)"),
+        (lambda: LayerSpec(kind=LayerKind.FULLY_CONNECTED),
+         "FullyConnected requires out_channels"),
+        (lambda: BlockSpec(BlockKind.BOTTLENECK, [pw_conv(4), std_conv(4, k=1), pw_conv(8)]),
+         "bottleneck block is [Pointwise, StandardConv(K=3), Pointwise]"),
+        (lambda: ModelSpec("Custom", [Stage(TensorShape(8, 8, 4), std_conv(8))], [[0]]),
+         "replacement vector length != number of replaceable positions"),
+    ], ids=["shape", "shape-keywords", "layer", "layer-keywords", "block", "model"])
+    def test_bad_call_raises(self, build, message):
+        with pytest.raises(ShapeMismatch) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_list_fields_are_tuples(self):
+        block = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE, [dw_conv(), pw_conv(8)])
+        model = ModelSpec("Custom", [Stage(TensorShape(8, 8, 4), block)], [[0]],
+                          [Replacement.ORIGIN])
+        assert block.layers == (dw_conv(), pw_conv(8))
+        assert type(block.layers) is type(model.stages) is type(model.replacement_groups[0]) \
+            is type(model.replacement_vector) is tuple
+        again = ModelSpec("Custom", (model.stages[0],), ((0,),), (Replacement.ORIGIN,))
+        assert model == again and hash(model) == hash(again)
+
+
 def _block_docs():
     """One valid model document per block kind (a single block stage)."""
     blocks = {

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -96,7 +95,7 @@ def _reference_combos(rows, dsp_total, grid_depth):
 
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
-    platform = replace(STRATIX_V_5SGSD8, dsp_total=dsp_total)
+    platform = STRATIX_V_5SGSD8._replace(dsp_total=dsp_total)
     chans = _channels(block, input_shape)
     for _, (_, fields) in _planned_points(block, input_shape, chans, platform, 64,
                                           grid_depth):
