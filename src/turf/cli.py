@@ -273,7 +273,6 @@ def cmd_dse(args) -> int:
         design = evaluate_model(model, platform, coeffs, {},
                                 max_parallel=args.max_parallel,
                                 grid_depth=args.grid_depth)
-        ops = count_ops_params(model).total_ops
         doc["stages"] = []
         for row in design.stages:
             entry = {"index": row.stage_index, "name": row.stage_name}
@@ -284,7 +283,7 @@ def cmd_dse(args) -> int:
         doc["selected"] = {
             "total_cycles": design.total_cycles,
             "latency_ms": design.latency_ms(platform),
-            "gops": design.gops(ops, platform),
+            "gops": design.gops(platform),
             "dsp": design.resources.dsp_used, "bram": design.resources.bram_used,
             "alm": design.resources.alm_used,
         }
@@ -410,7 +409,12 @@ def _fraction(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("model", "hw", "simulate", "dse", "explore", "winograd-check")  # in help order
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``turf`` parser, or with ``command``'s subparser alone, which
+    prints the same help, usage and errors for that command."""
     parser = argparse.ArgumentParser(
         prog="turf",
         description="CNN accelerator design-space exploration toolkit")
@@ -418,76 +422,84 @@ def build_parser() -> argparse.ArgumentParser:
     # numpy takes no negative seed
     common.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="RNG seed (TURF_SEED env var overrides)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full usage line; a metavar would rename the argument in errors
+    usage = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
 
-    p_model = add_parser("model", help="model definition utilities")
-    model_sub = p_model.add_subparsers(dest="model_command", required=True)
-    p_show = model_sub.add_parser("show", parents=[common], help="per-stage op/param table")
-    p_show.add_argument("file")
-    p_show.add_argument("--format", choices=("json", "csv"), default="json")
-    p_show.add_argument("--out")
-    p_show.set_defaults(func=cmd_model_show)
+    if command in (None, "model"):
+        p_model = add_parser("model", help="model definition utilities")
+        model_sub = p_model.add_subparsers(dest="model_command", required=True)
+        p_show = model_sub.add_parser("show", parents=[common], help="per-stage op/param table")
+        p_show.add_argument("file")
+        p_show.add_argument("--format", choices=("json", "csv"), default="json")
+        p_show.add_argument("--out")
+        p_show.set_defaults(func=cmd_model_show)
 
-    p_hw = add_parser("hw", help="hardware template utilities")
-    hw_sub = p_hw.add_subparsers(dest="hw_command", required=True)
-    p_desc = hw_sub.add_parser("describe", parents=[common], help="module chain with widths")
-    p_desc.add_argument("model")
-    p_desc.add_argument("--layer", type=int, required=True)
-    p_desc.add_argument("--config", required=True)
-    p_desc.add_argument("--out")
-    p_desc.set_defaults(func=cmd_hw_describe)
+    if command in (None, "hw"):
+        p_hw = add_parser("hw", help="hardware template utilities")
+        hw_sub = p_hw.add_subparsers(dest="hw_command", required=True)
+        p_desc = hw_sub.add_parser("describe", parents=[common], help="module chain with widths")
+        p_desc.add_argument("model")
+        p_desc.add_argument("--layer", type=int, required=True)
+        p_desc.add_argument("--config", required=True)
+        p_desc.add_argument("--out")
+        p_desc.set_defaults(func=cmd_hw_describe)
 
-    p_sim = add_parser("simulate", help="cycle-accurate fused-block simulation")
-    p_sim.add_argument("model")
-    p_sim.add_argument("--block", type=int, required=True)
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--trace")
-    p_sim.add_argument("--enumerate-seqs", action="store_true")
-    p_sim.add_argument("--out")
-    p_sim.set_defaults(func=cmd_simulate)
+    if command in (None, "simulate"):
+        p_sim = add_parser("simulate", help="cycle-accurate fused-block simulation")
+        p_sim.add_argument("model")
+        p_sim.add_argument("--block", type=int, required=True)
+        p_sim.add_argument("--config", required=True)
+        p_sim.add_argument("--trace")
+        p_sim.add_argument("--enumerate-seqs", action="store_true")
+        p_sim.add_argument("--out")
+        p_sim.set_defaults(func=cmd_simulate)
 
-    p_dse = add_parser("dse", help="hardware design-space exploration")
-    p_dse.add_argument("model")
-    p_dse.add_argument("--platform")
-    p_dse.add_argument("--calibration")
-    p_dse.add_argument("--block", type=int)
-    p_dse.add_argument("--max-parallel", type=_int_at_least(1), default=64)
-    p_dse.add_argument("--grid-depth", type=_int_at_least(1), default=4)
-    p_dse.add_argument("--csv")
-    p_dse.add_argument("--out")
-    p_dse.set_defaults(func=cmd_dse)
+    if command in (None, "dse"):
+        p_dse = add_parser("dse", help="hardware design-space exploration")
+        p_dse.add_argument("model")
+        p_dse.add_argument("--platform")
+        p_dse.add_argument("--calibration")
+        p_dse.add_argument("--block", type=int)
+        p_dse.add_argument("--max-parallel", type=_int_at_least(1), default=64)
+        p_dse.add_argument("--grid-depth", type=_int_at_least(1), default=4)
+        p_dse.add_argument("--csv")
+        p_dse.add_argument("--out")
+        p_dse.set_defaults(func=cmd_dse)
 
-    p_exp = add_parser("explore", help="joint model/hardware search")
-    p_exp.add_argument("--model", required=True)
-    p_exp.add_argument("--platform")
-    p_exp.add_argument("--calibration")
-    p_exp.add_argument("--min-acc", type=_fraction, required=True)
-    target = p_exp.add_mutually_exclusive_group(required=True)
-    target.add_argument("--min-gops", type=_finite)
-    target.add_argument("--max-latency-ms", type=_finite)
-    p_exp.add_argument("--oracle", default="synthetic")
-    p_exp.add_argument("--exhaustive", action="store_true")
-    p_exp.add_argument("--finetune-budget", type=_int_at_least(0), default=1)
-    p_exp.add_argument("--max-parallel", type=_int_at_least(1), default=64)
-    p_exp.add_argument("--out")
-    p_exp.set_defaults(func=cmd_explore)
+    if command in (None, "explore"):
+        p_exp = add_parser("explore", help="joint model/hardware search")
+        p_exp.add_argument("--model", required=True)
+        p_exp.add_argument("--platform")
+        p_exp.add_argument("--calibration")
+        p_exp.add_argument("--min-acc", type=_fraction, required=True)
+        target = p_exp.add_mutually_exclusive_group(required=True)
+        target.add_argument("--min-gops", type=_finite)
+        target.add_argument("--max-latency-ms", type=_finite)
+        p_exp.add_argument("--oracle", default="synthetic")
+        p_exp.add_argument("--exhaustive", action="store_true")
+        p_exp.add_argument("--finetune-budget", type=_int_at_least(0), default=1)
+        p_exp.add_argument("--max-parallel", type=_int_at_least(1), default=64)
+        p_exp.add_argument("--out")
+        p_exp.set_defaults(func=cmd_explore)
 
-    p_win = add_parser("winograd-check", help="randomized equivalence trials")
-    p_win.add_argument("--m", type=int, default=4)
-    p_win.add_argument("--r", type=int, default=3)
-    p_win.add_argument("--trials", type=_int_at_least(1), default=100)
-    p_win.add_argument("--out")
-    p_win.set_defaults(func=cmd_winograd_check)
+    if command in (None, "winograd-check"):
+        p_win = add_parser("winograd-check", help="randomized equivalence trials")
+        p_win.add_argument("--m", type=int, default=4)
+        p_win.add_argument("--r", type=int, default=3)
+        p_win.add_argument("--trials", type=_int_at_least(1), default=100)
+        p_win.add_argument("--out")
+        p_win.set_defaults(func=cmd_winograd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     args._argv = argv
     if seed := os.environ.get("TURF_SEED"):

@@ -16,7 +16,7 @@ import json
 from typing import NamedTuple
 
 from .errors import NoSolution, OracleError, TurfError, UnknownModel, reading
-from .ir import ModelSpec, Replacement, count_ops_params, replace_layer
+from .ir import ModelSpec, Replacement, replace_layer
 from .resources import (CalibrationTable, ModelDesign, PlatformSpec,
                         evaluate_model)
 
@@ -197,7 +197,7 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
     ``exhaustive`` the accuracy requirement no longer terminates the walk;
     every candidate is visited and accuracy only gates record updates.
     The candidates share one stage-design table, so each distinct stage is
-    searched once per call.
+    searched and counted once per call.
 
     Raises NoSolution (with the full candidate log) when nothing meets
     both requirements.
@@ -222,8 +222,7 @@ def run_framework(requirements: Requirements, platform: PlatformSpec,
         else:
             design = evaluate_model(m, platform, coeffs, designs,
                                     max_parallel=max_parallel)
-            ops = count_ops_params(m).total_ops
-            gops = design.gops(ops, platform)
+            gops = design.gops(platform)
             latency = design.latency_ms(platform)
             perf = requirements.performance(gops, latency)
             perf_ok = requirements.meets(gops, latency)

@@ -9,7 +9,10 @@ Records throughout turf are ``typing.NamedTuple``s, cheap to define at
 import, and each compares equal to a plain tuple of the same values.  One
 with checks (``TensorShape``, ``LayerSpec``, ``BlockSpec``, ``ModelSpec``)
 runs them in the ``__new__`` of a ``__slots__ = ()`` subclass of its
-fields; ``_replace`` skips that ``__new__``, so only unchecked records use it.
+fields; ``_replace`` skips that ``__new__``, so only unchecked records use
+it, and ``replace_layer``: it checks each replaced stage's output shape, the
+one link of the shape chain a replacement can break, and skips re-deriving
+the rest.
 
 Counting conventions (documented in every report):
   * one multiply-accumulate = 2 operations,
@@ -335,7 +338,7 @@ def replace_layer(model: ModelSpec, position: int) -> ModelSpec:
 
     vector = list(model.replacement_vector)
     vector[position] = Replacement.SEPARABLE
-    return ModelSpec(model.base, tuple(stages), model.replacement_groups, tuple(vector))
+    return model._replace(stages=tuple(stages), replacement_vector=tuple(vector))
 
 
 # ---------------------------------------------------------------------------

@@ -472,45 +472,49 @@ class StageDesign(NamedTuple):
 class ModelDesign(NamedTuple):
     """A model's design on one reused template, as ``evaluate_model`` builds
     it: each stage's selected candidate, the latency summed over stages,
-    and the resources as the per-field maximum over stages (the template
-    runs one stage at a time, so it must fit the largest)."""
+    the resources as the per-field maximum over stages (the template runs
+    one stage at a time, so it must fit the largest) and the operations
+    summed over stages (MAC = 2 ops), which ``gops`` divides by the latency."""
 
     stages: tuple[StageDesign, ...]
     total_cycles: int
     resources: ResourceEstimate
+    ops: int
 
     def latency_ms(self, platform: PlatformSpec) -> float:
         return self.total_cycles / (platform.clock_mhz * 1e3)
 
-    def gops(self, model_ops: int, platform: PlatformSpec) -> float:
+    def gops(self, platform: PlatformSpec) -> float:
         seconds = self.total_cycles / (platform.clock_mhz * 1e6)
-        return model_ops / seconds / 1e9 if seconds > 0 else 0.0
+        return self.ops / seconds / 1e9 if seconds > 0 else 0.0
 
 
 def evaluate_model(model: ModelSpec, platform: PlatformSpec,
                    coeffs: CalibrationTable, designs: dict,
                    max_parallel: int = 64, grid_depth: int = 4) -> ModelDesign:
     """Per-stage hardware DSE (``design_gen``) of every stage with a
-    pipeline; a zero-cost stage gets no candidate.  The template is reused
-    stage by stage, so the model's ``total_cycles`` is the sum of the
-    candidates' cycles and its ``resources`` the per-field maximum of
-    theirs (all zero when no stage has a pipeline).
+    pipeline; a zero-cost stage gets no candidate and no operations.  The
+    template is reused stage by stage, so the model's ``total_cycles`` is
+    the sum of the candidates' cycles and its ``resources`` the per-field
+    maximum of theirs (all zero when no stage has a pipeline).
 
-    ``designs`` is one command's stage-design table, keyed by
-    ``(op, input_shape)``: identical stages recur within a model and across
-    replacement candidates, and each is searched once per table.  Share a
-    table only between calls with the same platform, calibration and
-    search bounds."""
-    rows = []
+    ``designs`` is one command's stage-design table: its entry for a stage
+    ``(op, input_shape)`` is the stage's candidate and operation count.
+    Identical stages recur within a model and across replacement candidates,
+    and each is searched and counted once per table.  Share a table only
+    between calls with the same platform, calibration and search bounds."""
+    rows, ops = [], 0
     for i, stage in enumerate(model.stages):
         best = None
         if has_pipeline(stage.op):
             key = (stage.op, stage.input_shape)
-            best = designs.get(key)
-            if best is None:
-                best = designs[key] = design_gen(stage.op, stage.input_shape, platform,
-                                                 coeffs, grid_depth, max_parallel)
+            if (entry := designs.get(key)) is None:
+                entry = designs[key] = (design_gen(stage.op, stage.input_shape, platform,
+                                                   coeffs, grid_depth, max_parallel),
+                                        stage.op.ops(stage.input_shape))
+            best, stage_ops = entry
+            ops += stage_ops
         rows.append(StageDesign(i, stage.name, best))
     chosen = [row.candidate for row in rows if row.candidate is not None]
     peak = ResourceEstimate(*map(max, zip((0, 0, 0), *(c.resources for c in chosen))))
-    return ModelDesign(tuple(rows), sum(c.total_cycles for c in chosen), peak)
+    return ModelDesign(tuple(rows), sum(c.total_cycles for c in chosen), peak, ops)

@@ -403,16 +403,21 @@ def _not_json(constant):
 
 
 def _fuzz_run(data, form, workdir, argv_of, values=FUZZ_VALUES):
-    """Replace one to three fields of ``FUZZ_DOCS[form]`` by ``values``,
-    write it to ``workdir`` and run ``main(argv_of(path))`` with an
-    ``--out`` report: exit 0 needs a report that validates against the
-    command's schema, parsed strictly as JSON (no ``NaN`` or ``Infinity``),
-    exit 1 a ``TurfError`` class name first on stderr, no traceback and no
-    report.  Any other exception escapes ``main``."""
+    """Replace one to three fields of ``FUZZ_DOCS[form]`` by ``values`` and
+    run it as ``_run_document`` does."""
     doc = FUZZ_DOCS[form]
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         path = data.draw(st.sampled_from(list(_paths(doc))[1:]), label="path")
         doc = _put(doc, path, data.draw(values, label="value"))
+    _run_document(doc, workdir, argv_of)
+
+
+def _run_document(doc, workdir, argv_of):
+    """Write ``doc`` to ``workdir`` and run ``main(argv_of(path))`` with an
+    ``--out`` report: exit 0 needs a report that validates against the
+    command's schema, parsed strictly as JSON (no ``NaN`` or ``Infinity``),
+    exit 1 a ``TurfError`` class name first on stderr, no traceback and no
+    report.  Any other exception escapes ``main``."""
     fuzzed, out = os.path.join(workdir, "fuzzed.json"), os.path.join(workdir, "out.json")
     with open(fuzzed, "w") as fh:
         json.dump(doc, fh)
@@ -454,6 +459,23 @@ def test_fuzzed_model_documents_keep_the_contract(res2_1_model, command, data):
     explore = ["--min-acc", "0", "--max-latency-ms", "1e9"] if command[0] == "explore" else []
     _fuzz_run(data, "model", os.path.dirname(res2_1_model),
               lambda model: [*command, model, *explore])
+
+
+# ``groups`` entries around the stage count n of ``RES2_1_MODEL``: -1, 0,
+# n - 1, n and n + 1
+GROUP_ENTRIES = st.sampled_from([-1, 0, 2, 3, 4])
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups=st.lists(st.lists(GROUP_ENTRIES, max_size=3), max_size=3))
+def test_fuzzed_groups_keep_the_contract(res2_1_model, groups):
+    """``RES2_1_MODEL`` with ``groups`` drawn around its stage count keeps
+    the contract of ``_run_document`` under an ``explore`` that every
+    candidate passes: each replaces a group, or the groups are rejected."""
+    assert len(RES2_1_MODEL["stages"]) == 3
+    _run_document({**RES2_1_MODEL, "groups": groups}, os.path.dirname(res2_1_model),
+                  lambda model: ["explore", "--model", model, "--min-acc", "0",
+                                 "--max-latency-ms", "1e9"])
 
 
 @pytest.mark.parametrize("form", ["platform", "calibration"])
@@ -1060,3 +1082,45 @@ class TestUsageErrors:
             usage, _, rest = proc.stdout.partition("\n\n")
             assert usage.startswith("usage: turf ")
             assert "design-space exploration" in rest.partition("\n\n")[0]
+
+
+class TestOneCommandParser:
+    """``main`` builds only the parser of the command it runs.  That parser
+    prints the same help and usage errors as the full one, with the same
+    exit codes."""
+
+    @staticmethod
+    def _parse(parser, argv):
+        """(exit code, stdout, stderr) of parsing ``argv``; the code is None
+        when the arguments parse (``winograd-check`` requires none)."""
+        out, err, code = io.StringIO(), io.StringIO(), None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["model"], ["model", "show"], ["hw"], ["hw", "describe"], ["simulate"],
+        ["dse"], ["explore"], ["winograd-check"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("tail", [
+        ["--help"], [], ["m.json", "--bogus"], ["--seed", "-1"],
+    ], ids=["help", "missing", "unrecognized", "bad-seed"])
+    def test_same_output_and_exit_code_as_the_full_parser(self, argv, tail):
+        from turf.cli import build_parser
+        full = self._parse(build_parser(), argv + tail)
+        assert self._parse(build_parser(argv[0]), argv + tail) == full
+        assert full[0] in (0, 2) and (full[1] or full[2]) or full == (None, "", "")
+
+    def test_dse_builds_one_subparser(self, workdir, monkeypatch):
+        import argparse
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: built.append(name)
+                            or add_parser(self, name, **kw))
+        assert main(["dse", str(workdir / "model.json"), "--block", "1",
+                     "--out", str(workdir / "dse.json")]) == 0
+        assert built == ["dse"]

@@ -5,13 +5,15 @@ import sys
 
 import pytest
 
-from conftest import small_custom_model
+from conftest import small_custom_model, std_conv
 from turf.errors import NoSolution, OracleError, TurfError, UnknownModel
 from turf.explore import (CandidateRecord, ExternalOracle, Requirements,
                           SyntheticOracle, TableOracle, model_gen,
                           replacement_key, run_framework)
-from turf.ir import Replacement, count_ops_params, replace_layer
-from turf.resources import STRATIX_V_5SGSD8, load_calibration
+from turf.ir import (LayerKind, LayerSpec, ModelSpec, Replacement, Stage, TensorShape,
+                     count_ops_params, replace_layer)
+from turf.models import build_reference_model
+from turf.resources import STRATIX_V_5SGSD8, evaluate_model, load_calibration
 
 COEFFS = load_calibration()
 
@@ -247,3 +249,35 @@ class TestRunFramework:
         res = run_framework(self.REQ, STRATIX_V_5SGSD8, base, SyntheticOracle(),
                             COEFFS, max_parallel=16)
         assert res.best_design.resources.feasible(STRATIX_V_5SGSD8)
+
+
+def _free_stages_model():
+    """Two replaceable convolutions around batch-norm, activation and
+    pooling stages, which have no pipeline, and a fully-connected head."""
+    return ModelSpec("Custom", (
+        Stage(TensorShape(16, 16, 8), std_conv(16, bias=True), "c1"),
+        Stage(TensorShape(16, 16, 16), LayerSpec(LayerKind.BATCH_NORM), "bn"),
+        Stage(TensorShape(16, 16, 16), LayerSpec(LayerKind.ACTIVATION), "relu"),
+        Stage(TensorShape(16, 16, 16), LayerSpec(LayerKind.POOLING, kernel_size=2,
+                                                 stride=2), "pool"),
+        Stage(TensorShape(8, 8, 16), std_conv(32), "c2"),
+        Stage(TensorShape(8, 8, 32), LayerSpec(LayerKind.FULLY_CONNECTED, out_channels=10,
+                                               has_bias=True), "fc"),
+    ), ((0,), (4,)), (Replacement.ORIGIN,) * 2)
+
+
+@pytest.mark.parametrize("name", ["vgg16", "resnet50", "mobilenetv1", "mobilenetv2",
+                                  "custom"])
+def test_each_candidate_counts_its_ops_from_the_stage_table(name):
+    """For every candidate ``model_gen`` yields, with the candidates sharing
+    one stage-design table as in ``run_framework``, the design's ops (summed
+    over the table's entries) are ``count_ops_params``'s total, and the
+    candidate passes the ``ModelSpec`` checks that ``replace_layer`` skips."""
+    pretrained = _free_stages_model() if name == "custom" else build_reference_model(name)
+    designs, m, visited = {}, model_gen(pretrained), 0
+    while m is not None:
+        assert ModelSpec(*m) == m
+        design = evaluate_model(m, STRATIX_V_5SGSD8, COEFFS, designs, max_parallel=16)
+        assert design.ops == count_ops_params(m).total_ops > 0
+        m, visited = model_gen(pretrained, m), visited + 1
+    assert visited == pretrained.num_replaceable + 1

@@ -195,6 +195,21 @@ class TestReplacement:
         assert new_block.layers[1].kind is LayerKind.DEPTHWISE_CONV
         assert out.stages[-1].output_shape() == model.stages[-1].output_shape()
 
+    def test_replacement_that_changes_an_output_shape_rejected(self, monkeypatch):
+        """The result skips ``ModelSpec``'s shape-chain check, so the check of
+        each replaced stage's output shape is what keeps the chain whole."""
+        import turf.ir
+        monkeypatch.setattr(turf.ir, "_separable_of_conv",
+                            lambda conv: dwsep_block(conv.out_channels + 1))
+        with pytest.raises(ShapeMismatch, match="stage 0"):
+            replace_layer(small_custom_model(), 0)
+
+    def test_non_convolution_in_a_group_rejected(self):
+        model = small_custom_model(n_convs=1)
+        model = model._replace(replacement_groups=((len(model.stages) - 1,),))
+        with pytest.raises(InvalidReplacement, match="not a replaceable convolution"):
+            replace_layer(model, 0)
+
     def test_double_replacement_rejected(self):
         model = replace_layer(small_custom_model(), 0)
         with pytest.raises(InvalidReplacement):

@@ -3,7 +3,8 @@
 import pytest
 
 from turf.errors import UnknownModel
-from turf.ir import Replacement, TensorShape, count_ops_params, replace_layer
+from turf.ir import (BlockKind, LayerKind, ModelSpec, Replacement, TensorShape,
+                     count_ops_params, replace_layer)
 from turf.models import build_reference_model
 
 # published statistics: (GOP, M params)
@@ -72,6 +73,30 @@ def test_vgg_group_replacement_sequence():
     # vs 30.95 for the single-replacement variant)
     one = replace_layer(build_reference_model("vgg16"), 4)
     assert count_ops_params(one).total_ops < ops[0]
+
+
+def test_vgg_group_replacement_replaces_every_stage_of_the_group():
+    """Each VGG-16 position is a group of two or three convolutions: replacing
+    it turns each into a depthwise-separable block with the same input and
+    output shapes and name, and leaves every other stage as it was."""
+    model = build_reference_model("vgg16")
+    for position in reversed(range(model.num_replaceable)):
+        replaced = replace_layer(model, position)
+        group = model.replacement_groups[position]
+        assert len(group) >= 2
+        for i, (old, new) in enumerate(zip(model.stages, replaced.stages)):
+            if i not in group:
+                assert new == old
+                continue
+            assert old.op.kind is LayerKind.STANDARD_CONV
+            assert new.op.kind is BlockKind.DEPTHWISE_SEPARABLE
+            assert (new.input_shape, new.output_shape(), new.name) \
+                == (old.input_shape, old.output_shape(), old.name)
+        assert replaced.replacement_vector == tuple(
+            Replacement.SEPARABLE if p == position else r
+            for p, r in enumerate(model.replacement_vector))
+        assert ModelSpec(*replaced) == replaced
+        model = replaced
 
 
 def test_resnet_block_replacement_preserves_shapes():

@@ -475,3 +475,22 @@ def test_model_design_aggregates_its_stages(model_name):
         max(c.resources.dsp_used for c in chosen),
         max(c.resources.bram_used for c in chosen),
         max(c.resources.alm_used for c in chosen))
+
+
+def test_dse_stage_cycles_are_what_simulate_reports():
+    """Simulating the ``dse``-selected config of each of the 69 pipelined
+    stages of the four reference models gives the candidate's cycles."""
+    from turf.fusion import simulate_fused
+    from turf.models import build_reference_model
+    from turf.resources import evaluate_model
+
+    checked = 0
+    for name in ("vgg16", "resnet50", "mobilenetv1", "mobilenetv2"):
+        model = build_reference_model(name)
+        design = evaluate_model(model, STRATIX_V_5SGSD8, load_calibration(), {})
+        for stage, row in zip(model.stages, design.stages):
+            if (cand := row.candidate) is not None:
+                plan = plan_block(stage.op, stage.input_shape, cand.cfg)
+                assert simulate_fused(plan).total_cycles == cand.total_cycles, stage.name
+                checked += 1
+    assert checked == 69
