@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 from .ir import (BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec,
                  OpParamReport, Replacement, Stage, TensorShape,
                  count_ops_params, replace_layer)
-from .models import build_reference_model
 
 __all__ = [
     "BlockKind", "BlockSpec", "LayerKind", "LayerSpec", "ModelSpec",
     "OpParamReport", "Replacement", "Stage", "TensorShape",
-    "count_ops_params", "replace_layer", "build_reference_model",
-    "__version__",
+    "count_ops_params", "replace_layer", "__version__",
 ]

@@ -10,7 +10,8 @@ across runs with the same inputs and seed; the TURF_SEED environment variable ov
 
 ``winograd-check`` is the only command that imports numpy (through
 ``turf.conv``, inside the command); the others load only turf and the
-standard library.
+standard library.  None loads OpenSSL: the manifest hashes its inputs with
+CPython's builtin SHA-256, as ``random`` does, since ``hashlib`` loads it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import enum
-import hashlib
 import io
 import json
 import os
 import sys
+from pathlib import Path
+
+try:  # _sha256 up to Python 3.11, _sha2 from 3.12; hashlib when neither is built
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .errors import NoSolution, TurfError, UnsupportedConfig, reading, typed
@@ -58,17 +67,12 @@ def _jsonify(obj):
     return obj
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def make_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     return {
         "tool": "turf",
         "version": __version__,
         "command": list(getattr(args, "_argv", [])),
-        "inputs": {p: _sha256(p) for p in inputs if p},
+        "inputs": {p: sha256(Path(p).read_bytes()).hexdigest() for p in inputs if p},
         "seed": args.seed,
         "timestamp": os.environ.get("SOURCE_DATE_EPOCH"),
     }
@@ -249,8 +253,7 @@ def cmd_dse(args) -> int:
     platform = load_platform(args.platform)
     coeffs = load_calibration(args.calibration)
 
-    doc = {"manifest": make_manifest(args, [p for p in (args.model, args.platform,
-                                                        args.calibration) if p]),
+    doc = {"manifest": make_manifest(args, [args.model, args.platform, args.calibration]),
            "platform": platform.to_json()}
     csv_rows = []
     if args.block is not None:
@@ -322,7 +325,7 @@ def cmd_explore(args) -> int:
                        max_latency_ms=args.max_latency_ms)
     oracle = _make_oracle(args.oracle)
 
-    inputs = [p for p in (args.model, args.platform, args.calibration) if p]
+    inputs = [args.model, args.platform, args.calibration]
     if args.oracle.startswith("table:"):
         inputs.append(args.oracle.split(":", 1)[1])
     doc = {"manifest": make_manifest(args, inputs),

@@ -197,7 +197,6 @@ class RooflinePoint(NamedTuple):
 
 
 class RooflineComparison(NamedTuple):
-    ops: int
     fused_bytes: int
     baseline_bytes: int
     fused: RooflinePoint
@@ -206,15 +205,16 @@ class RooflineComparison(NamedTuple):
 
 
 def roofline(block: BlockSpec, input_shape: TensorShape, platform: PlatformSpec,
-             tile: tuple[int, int, int]) -> RooflineComparison:
+             tile: tuple[int, int, int], ops_weights: tuple[int, int] | None = None
+             ) -> RooflineComparison:
     """Fused vs layer-by-layer roofline points for one block run in
     (T_h, T_w, T_f) tiles: the one place a tile's off-chip bytes are
     summed, as the module docstring lists them.  The full-map tile adds no
-    halo (``fusion.tiling_overhead``) and no re-read.
+    halo (``fusion.tiling_overhead``) and no re-read.  ``ops_weights`` is the
+    block's (ops, params) on ``input_shape``, found once by a many-tile caller.
     """
     shapes = layer_shapes(block, input_shape)
-    ops = block.ops(input_shape)
-    weights = block.params(input_shape)
+    ops, weights = ops_weights or (block.ops(input_shape), block.params(input_shape))
     t_h, t_w, t_f = tile
     halo = 0
     if t_h < input_shape.height or t_w < input_shape.width:
@@ -227,7 +227,7 @@ def roofline(block: BlockSpec, input_shape: TensorShape, platform: PlatformSpec,
     roof = platform.compute_roof_gops
     bw = platform.bandwidth_gbps
     return RooflineComparison(
-        ops=ops, fused_bytes=fused_bytes, baseline_bytes=baseline_bytes,
+        fused_bytes=fused_bytes, baseline_bytes=baseline_bytes,
         fused=RooflinePoint(ops / fused_bytes, roof, bw),
         baseline=RooflinePoint(ops / baseline_bytes, roof, bw),
     )
@@ -362,11 +362,12 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
               for layer, w in zip(layers, wino)] for p_h, p_w, wino in spatial_opts]
     combos = [_parallelism_combos(block, grids, t, platform.dsp_total, grid_depth)
               for t in terms]
+    ops_weights = block.ops(input_shape), block.params(input_shape)
 
     for t_h, t_w in zip(_tile_options(input_shape.height),
                         _tile_options(input_shape.width)):
         try:
-            rl = roofline(block, input_shape, platform, (t_h, t_w, chans[-1])).fused
+            rl = roofline(block, input_shape, platform, (t_h, t_w, chans[-1]), ops_weights).fused
         except InvalidTiling:
             continue
         tiles = layer_tiles(layers, t_h, t_w)

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -581,12 +582,13 @@ sys.exit(rc)
 """
 
 
-def _fresh_run(argv: list[str]) -> list[str]:
-    """Modules a cold ``turf`` run imports; the run must exit 0."""
+def _fresh_run(argv: list[str], prelude: str = "") -> list[str]:
+    """Modules a cold ``turf`` run imports after running the ``prelude``
+    statements; the run must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", prelude + _IMPORT_PROBE, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
@@ -607,7 +609,9 @@ class TestImportFootprint:
     or ``explore`` run (only an ``external:`` oracle needs it).  turf's
     records are NamedTuples, so no command loads ``dataclasses`` or the
     ``inspect`` it imports, and only a command that writes CSV loads
-    ``csv``."""
+    ``csv``.  The manifest hashes with CPython's builtin SHA-256, so no
+    command loads OpenSSL (``_hashlib``), and a stage-list document needs
+    no reference model, so none loads ``turf.models``."""
 
     @pytest.mark.parametrize("command", [
         ("model", "show", "{vgg16}"),
@@ -628,6 +632,8 @@ class TestImportFootprint:
                    and m.partition(".")[0] not in sys.stdlib_module_names]
         assert foreign == []
         assert {"dataclasses", "inspect", "csv"}.isdisjoint(added)
+        assert "_hashlib" not in added
+        assert "turf.models" not in added
         if command[0] in ("dse", "explore"):
             assert "subprocess" not in added
 
@@ -636,6 +642,38 @@ class TestImportFootprint:
         added = _fresh_run(["winograd-check", "--trials", "3", "--out", str(out)])
         assert "numpy" in added and "turf.conv" in added
         assert json.loads(out.read_text())["max_abs_deviation"] < 1e-9
+
+
+# Makes the builtin SHA-256 modules unimportable, as on a CPython built
+# without them, so that ``turf.cli`` falls back to ``hashlib``.
+_NO_BUILTIN_SHA256 = """\
+import sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+"""
+
+
+class TestManifestDigests:
+    """Each ``manifest.inputs`` value is the SHA-256 of the file's bytes,
+    whether ``cli`` hashes with CPython's builtin module or falls back to
+    ``hashlib``, which loads OpenSSL."""
+
+    @pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib"])
+    @pytest.mark.parametrize("command", ["dse", "explore"])
+    def test_inputs_are_their_sha256(self, workdir, command, builtin):
+        data = ROOT / "src" / "turf" / "data"
+        inputs = [str(workdir / "model.json"), str(data / "stratixv_5sgsd8.json"),
+                  str(data / "alm_coefficients.json")]
+        model, platform, calibration = inputs
+        argv = {"dse": ["dse", model, "--block", "1"],
+                "explore": ["explore", "--model", model, "--min-acc", "0.9",
+                            "--max-latency-ms", "100", "--max-parallel", "16"]}[command]
+        out = workdir / "report.json"
+        added = _fresh_run(argv + ["--platform", platform, "--calibration", calibration,
+                                   "--out", str(out)],
+                           "" if builtin else _NO_BUILTIN_SHA256)
+        assert ("_hashlib" in added) is not builtin
+        assert json.loads(out.read_text())["manifest"]["inputs"] == {
+            p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
 
 
 class TestDeterminism:
