@@ -44,11 +44,12 @@ tiling multiply the number of sequential passes.
 A fused design is scheduled once, by ``plan_block``, into a ``BlockPlan``:
 each layer's hardware config and chain terms (``hw.layer_terms``), its work
 units, cycles per unit, fill and stream flags under either computation
-sequence as plain numbers, and the pass count.  The cycle bound of each
-sequence assignment, the buffer-option search and the simulator read only
-that schedule; each layer's module pipeline is built when first read (the
-resource model, ``hw describe``).  A bare convolution or fully-connected
-layer is its own one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
+sequence as plain numbers (``block_schedule``, which the DSE runs before it
+plans), and the pass count.  The cycle bound of each sequence assignment,
+the buffer-option search and the simulator read only that schedule; each
+layer's module pipeline is built when first read (the resource model,
+``hw describe``).  A bare convolution or fully-connected layer is its own
+one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
 
 The buffer-option search (``best_options``) is first fit: full-tile buffers
 reach the floor ``_pass_lower_bound`` under every sequence assignment, so it
@@ -311,30 +312,39 @@ class BlockPlan(_BlockPlan):
         return tuple(map(instantiate_layer, self.layers, self.hws))
 
 
+def block_schedule(layers, terms, hws, counts) -> dict[Seq, tuple[LayerSchedule, ...]]:
+    """A ``BlockPlan``'s ``by_seq`` when layer i has chain ``terms[i]`` and
+    runs the (tile, parallelism) ``hws[i][:2]``, whose ``hw.cycle_counts``
+    are ``counts[i]``."""
+    fm, cm = [], []
+    for layer, t, (tile, par, *_), (cycles, f_units, c_units) in zip(layers, terms, hws, counts):
+        lag = fill_cycles(t, tile[1], par[2])
+        depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
+        fm.append(LayerSchedule(f_units, cycles // f_units, lag, True, depthwise))
+        cm.append(LayerSchedule(c_units, cycles // c_units, lag, depthwise, True))
+    return {Seq.FM: tuple(fm), Seq.CM: tuple(cm)}
+
+
 def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
-               cfg: FusedDesignConfig, chans: list[int] | None = None) -> BlockPlan:
+               cfg: FusedDesignConfig, chans: list[int] | None = None,
+               schedule: tuple | None = None) -> BlockPlan:
     """Schedule ``cfg`` on ``op`` (a block, or a layer as its own one-layer
     block): ``derive_layer_configs`` once, then per layer its chain's terms
-    (``hw.layer_terms``), its cycles and units (``hw.cycle_counts``) and its
-    closed-form fill (``hw.fill_cycles``).  Raises what those raise for
-    ``cfg``, which is all that ``instantiate_layer`` would."""
+    (``hw.layer_terms``) and ``block_schedule``, unless the caller found
+    them (``schedule``: terms, by_seq, n_passes).  Raises what those raise
+    for ``cfg``, which is all that ``instantiate_layer`` would."""
     if chans is None:
         chans = [s.channels for s in layer_shapes(op, input_shape)]
     layers = op.layers
     hws = derive_layer_configs(op, input_shape, cfg, chans)
-    terms = tuple(layer_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
-                  for layer, hw in zip(layers, hws))
-    fm, cm = [], []
-    for layer, hw, t in zip(layers, hws, terms):
-        cycles, f_units, c_units = cycle_counts(layer, hw.tile, hw.parallelism)
-        lag = fill_cycles(t, hw.t_w, hw.p_c)
-        depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
-        fm.append(LayerSchedule(f_units, cycles // f_units, lag, True, depthwise))
-        cm.append(LayerSchedule(c_units, cycles // c_units, lag, depthwise, True))
-    n_passes = math.ceil(input_shape.height / cfg.t_h) * \
-        math.ceil(input_shape.width / cfg.t_w) * math.ceil(chans[-1] / cfg.t_f)
-    return BlockPlan(cfg, layers, tuple(hws), terms,
-                     {Seq.FM: tuple(fm), Seq.CM: tuple(cm)}, n_passes)
+    if schedule is None:
+        terms = tuple(layer_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
+                      for layer, hw in zip(layers, hws))
+        counts = [cycle_counts(layer, hw.tile, hw.parallelism) for layer, hw in zip(layers, hws)]
+        schedule = (terms, block_schedule(layers, terms, hws, counts),
+                    math.ceil(input_shape.height / cfg.t_h) *
+                    math.ceil(input_shape.width / cfg.t_w) * math.ceil(chans[-1] / cfg.t_f))
+    return BlockPlan(cfg, layers, tuple(hws), *schedule)
 
 
 def _buffer_caps(plan: BlockPlan, seqs: tuple[Seq, ...],
@@ -598,12 +608,13 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate:
     raise AssertionError(f"no buffer option set reaches the floor under {seqs}")
 
 
-def assignment_bounds(plan: BlockPlan) -> list[tuple[int, tuple[Seq, ...]]]:
-    """(bound, seqs) for each of the 2^N sequence assignments, in product
-    order, where the bound (the passes times ``_pass_lower_bound``) is the
-    ``total_cycles`` of ``best_options(plan, seqs)``."""
-    return [(plan.n_passes * _pass_lower_bound(plan.schedule(seqs)), seqs)
-            for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)]
+def assignment_bounds(by_seq: dict[Seq, tuple[LayerSchedule, ...]],
+                      n_passes: int) -> list[tuple[int, tuple[Seq, ...]]]:
+    """(bound, seqs) for each of the 2^N sequence assignments of a plan's
+    ``by_seq`` and ``n_passes``, in product order, where the bound (the
+    passes times ``_pass_lower_bound``) is ``best_options``' total_cycles."""
+    return [(n_passes * _pass_lower_bound([by_seq[s][i] for i, s in enumerate(seqs)]), seqs)
+            for seqs in itertools.product(_SEQ_ORDER, repeat=len(by_seq[Seq.FM]))]
 
 
 def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
@@ -620,11 +631,11 @@ def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
 # ---------------------------------------------------------------------------
 # Tiling overhead
 
-def tiling_overhead(block: BlockSpec | LayerSpec, input_shape: TensorShape,
+def tiling_overhead(block: BlockSpec | LayerSpec, shapes: list[TensorShape],
                     tile: tuple[int, int]) -> int:
     """Extra input words that halo re-reads cost when ``block``'s output is
-    tiled spatially by ``tile`` (T_h, T_w on the block input); a bare layer
-    is a one-layer block.
+    tiled spatially by ``tile`` (T_h, T_w on the block input), with
+    ``shapes`` its ``ir.layer_shapes``; a bare layer is a one-layer block.
 
     Output rows [a, b) of a layer (k, s, p) read its input rows
     [max(0, a·s - p), min(size, (b-1)·s + k - p)).  Walked back through
@@ -639,8 +650,7 @@ def tiling_overhead(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     read are (rows read) x (columns read); the overhead is that less one
     full-map read, and zero when the tile covers the whole map.
     """
-    shapes = layer_shapes(block, input_shape)
-    out = shapes[-1]
+    input_shape, out = shapes[0], shapes[-1]
     scale, lo, hi, caps = 1, 0, 0, (out.height, out.width)
     for layer, shape in zip(reversed(block.layers), reversed(shapes[:-1])):
         k, s, p = layer.kernel_size, layer.stride, layer.padding

@@ -15,12 +15,14 @@ Roofline accounting (16-bit words, 2 bytes), summed only in ``roofline``:
     back, plus weights.
 The compute roof is DSPs x 2 ops x clock.
 
-The search ranks each grid point by a closed-form floor and schedules
-(``fusion.plan_block``) only the points that can still win; module
-pipelines are built only for the points whose candidates it evaluates.
-Candidates carry plain cycle and buffer-word counts.  A stage is searched
-when it has a hardware pipeline: a block, or a convolution or
-fully-connected layer as its own one-layer block.
+The search ranks each grid point by a closed-form floor taken from its
+layers' cycle counts, and the sequence assignments of the points that can
+still win by bounds on their schedules; it plans a point
+(``fusion.plan_block``) only when it evaluates one of its candidates, and
+runs each distinct parallelism walk once per command.  Candidates carry
+plain cycle and buffer-word counts.  A stage is searched when it has a
+hardware pipeline: a block, or a convolution or fully-connected layer as
+its own one-layer block.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from typing import NamedTuple, get_type_hints
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      UnsupportedConfig, reading, typed)
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
-                     assignment_bounds, best_options, enumerate_sequences,
-                     layer_tiles, plan_block, tiling_overhead)
-from .hw import (WINOGRAD_M, BufferOption, LayerTerms, ModuleKind, Seq, cycle_counts,
-                 fill_cycles, layer_dsp, layer_terms, winograd_eligible)
+                     assignment_bounds, best_options, block_schedule,
+                     enumerate_sequences, layer_tiles, plan_block, tiling_overhead)
+from .hw import (WINOGRAD_M, BufferOption, ModuleKind, Seq, cycle_counts, fill_cycles,
+                 layer_dsp, layer_terms, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
                  has_pipeline, layer_shapes)
 
@@ -218,7 +220,7 @@ def roofline(block: BlockSpec, input_shape: TensorShape, platform: PlatformSpec,
     t_h, t_w, t_f = tile
     halo = 0
     if t_h < input_shape.height or t_w < input_shape.width:
-        halo = tiling_overhead(block, input_shape, (t_h, t_w))
+        halo = tiling_overhead(block, shapes, (t_h, t_w))
     f_passes = math.ceil(shapes[-1].channels / t_f)
     fused_bytes = (f_passes * input_shape.volume() + shapes[-1].volume()
                    + weights + halo) * WORD_BYTES
@@ -279,20 +281,20 @@ def _tile_options(size: int) -> list[int]:
     return out
 
 
-def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
-                        terms: list[LayerTerms], dsp_total: int,
+def _parallelism_combos(mults: tuple[tuple[int, int, int, bool], ...],
+                        grids: tuple[tuple[int, ...], ...], dsp_total: int,
                         grid_depth: int) -> list[tuple[int, ...]]:
-    """(P_c^1, ..., P_c^N, P_f) combos whose multipliers fit ``dsp_total``,
-    largest product first (then smallest tuple), cut to ``grid_depth`` plus
-    the all-ones combo as a floor.
-
-    Layer i's multipliers are a·P_c^i·L_f + b·P_c^i + c·L_f (``hw.layer_dsp``
-    on ``terms[i]``, its chain's constants at the spatial option), with L_f
-    the next entry of the combo, or 1 for a depthwise layer, which
-    keeps its channels and so only takes P_c^{i+1} == P_c^i.  Every count
-    is >= 0 and non-decreasing in each P, so a prefix over ``dsp_total`` has
-    no extension that fits.  The walk extends prefixes depth first, each
-    grid largest first, carrying the product, with a min-heap of the
+    """(P_c^1, ..., P_c^N, P_f) combos, one entry from each of ``grids``,
+    whose multipliers fit ``dsp_total``, largest product first (then
+    smallest tuple), cut to ``grid_depth`` plus the all-ones combo as a
+    floor: a function of its arguments alone (``_planned_points`` keeps it).
+    With (a, b, c, depthwise) = ``mults[i]``, layer i's multipliers are
+    a·P_c^i·L_f + b·P_c^i + c·L_f (``hw.layer_dsp``), with L_f the next
+    entry of the combo, or 1 for a depthwise layer, which keeps its
+    channels and so only takes P_c^{i+1} == P_c^i.  Every count is >= 0
+    and non-decreasing in each P, so a prefix over ``dsp_total`` has no
+    extension that fits.  The walk extends prefixes depth first, each grid
+    largest first, carrying the product, with a min-heap of the
     ``grid_depth`` largest products found.  Once it is full, a prefix is
     dropped when its product times the largest entry of each remaining grid
     is strictly below the heap's minimum, as ``grid_depth`` combos then beat
@@ -302,8 +304,7 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
     """
     # per entry: the multiplier terms of the layer whose L_f it is (none
     # for P_c^1) and whether that layer is depthwise
-    mults = [(0, 0, 0, False)] + [(t.a, t.b, t.c, layer.kind is LayerKind.DEPTHWISE_CONV)
-                                  for layer, t in zip(block.layers, terms)]
+    mults = ((0, 0, 0, False), *mults)
     desc = [sorted(grid, reverse=True) for grid in grids]
     # reach[i]: the largest product of entries i.. (1 past the last)
     reach = [math.prod(grid[0] for grid in desc[i:]) for i in range(len(desc) + 1)]
@@ -336,33 +337,42 @@ def _parallelism_combos(block: BlockSpec, grids: list[list[int]],
 
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                     chans: list[int], platform: PlatformSpec, max_parallel: int,
-                    grid_depth: int) -> Iterator[tuple[tuple, tuple]]:
+                    grid_depth: int, walks: dict, ops_weights: tuple[int, int] | None = None
+                    ) -> Iterator[tuple[tuple, tuple]]:
     """The prefiltered grid of ``design_candidates`` in grid order, as
-    (floor, (its tile's fused roofline point, an all-FM config's fields)),
-    for a stage with ``chans`` channels into each layer and out of the last.
-    Each layer's chain terms (``hw.layer_terms``) and the combos are found
-    once per spatial option: neither depends on the tile.  A tile whose
-    roofline raises is dropped, as is a (tile, spatial option) where a
-    layer's tile (``fusion.layer_tiles``) does not divide by (P_h, P_w),
-    which ``plan_block`` rejects.  The floor is
-    (-attainable GOPS, passes · (max_i busy_i + the last layer's fill)),
-    busy_i being layer i's trip product (``hw.cycle_counts``), its time per
-    pass under either sequence.  No pass is shorter, so the floor is at most
-    each assignment's pair (``fusion.assignment_bounds``), equal on one layer."""
+    (floor, (its tile's fused roofline point, an all-FM config's fields,
+    (chain terms, (tile, parallelism) and ``hw.cycle_counts`` per layer,
+    passes))), for a stage with ``chans`` channels into each layer and out
+    of the last.  Each layer's chain terms (``hw.layer_terms``) and the
+    combos are found once per spatial option, as neither depends on the
+    tile, and a walk once per ``walks`` table.  A tile whose roofline
+    raises is dropped, as is a (tile, spatial option) where a layer's tile
+    (``fusion.layer_tiles``) does not divide by (P_h, P_w), which
+    ``plan_block`` rejects.  The floor is (-attainable GOPS, passes ·
+    (max_i busy_i + the last layer's fill)), busy_i being layer i's trip
+    product, its time per pass under either sequence.  No pass is shorter,
+    so the floor is at most each assignment's pair
+    (``fusion.assignment_bounds``), equal on one layer."""
     layers = block.layers
     n = len(layers)
-    grids = [_pow2_divisors(max_parallel, c) for c in chans]
+    grids = tuple(tuple(_pow2_divisors(max_parallel, c)) for c in chans)
     t_c, seqs, options = tuple(chans[:-1]), (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1)
 
     eligible = tuple(winograd_eligible(l) for l in layers)
     spatial_opts = [(1, 1, (False,) * n)]
     if any(eligible):
         spatial_opts.append((WINOGRAD_M, WINOGRAD_M, eligible))
-    terms = [[layer_terms(layer, p_h, p_w, w, WINOGRAD_M)
-              for layer, w in zip(layers, wino)] for p_h, p_w, wino in spatial_opts]
-    combos = [_parallelism_combos(block, grids, t, platform.dsp_total, grid_depth)
-              for t in terms]
-    ops_weights = block.ops(input_shape), block.params(input_shape)
+    terms = [tuple(layer_terms(layer, p_h, p_w, w, WINOGRAD_M)
+                   for layer, w in zip(layers, wino)) for p_h, p_w, wino in spatial_opts]
+    combos = []
+    for spatial_terms in terms:
+        key = (tuple((t.a, t.b, t.c, layer.kind is LayerKind.DEPTHWISE_CONV)
+                     for layer, t in zip(layers, spatial_terms)),
+               grids, platform.dsp_total, grid_depth)
+        if key not in walks:
+            walks[key] = _parallelism_combos(*key)
+        combos.append(walks[key])
+    ops_weights = ops_weights or (block.ops(input_shape), block.params(input_shape))
 
     for t_h, t_w in zip(_tile_options(input_shape.height),
                         _tile_options(input_shape.width)):
@@ -370,18 +380,19 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             rl = roofline(block, input_shape, platform, (t_h, t_w, chans[-1]), ops_weights).fused
         except InvalidTiling:
             continue
-        tiles = layer_tiles(layers, t_h, t_w)
+        tiles = [(*tile, c, f) for tile, c, f in
+                 zip(layer_tiles(layers, t_h, t_w), chans, chans[1:])]
         passes = math.ceil(input_shape.height / t_h) * math.ceil(input_shape.width / t_w)
         for (p_h, p_w, wino), spatial_terms, spatial_combos in zip(spatial_opts, terms, combos):
-            if any(th % p_h or tw % p_w for th, tw in tiles):
+            if any(th % p_h or tw % p_w for th, tw, *_ in tiles):
                 continue
             for ps in spatial_combos:
-                busy = max(cycle_counts(layer, (*tile, chans[i], chans[i + 1]),
-                                        (p_h, p_w, ps[i], ps[i + 1]))[0]
-                           for i, (layer, tile) in enumerate(zip(layers, tiles)))
+                hws = [(tile, (p_h, p_w, c, f)) for tile, c, f in zip(tiles, ps, ps[1:])]
+                counts = [cycle_counts(layer, *hw) for layer, hw in zip(layers, hws)]
                 lag = fill_cycles(spatial_terms[-1], tiles[-1][1], ps[-2])
-                yield ((-rl.attainable_gops, passes * (busy + lag)), (rl, (
-                    t_h, t_w, t_c, chans[-1], p_h, p_w, ps[:-1], ps[-1], seqs, options, wino)))
+                yield ((-rl.attainable_gops, passes * (max(c[0] for c in counts) + lag)), (rl, (
+                    t_h, t_w, t_c, chans[-1], p_h, p_w, ps[:-1], ps[-1], seqs, options, wino),
+                    (spatial_terms, hws, counts, passes)))
 
 
 def _candidate(plan: BlockPlan, sc: SeqCandidate, rl: RooflinePoint,
@@ -416,48 +427,60 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     """
     chans = [s.channels for s in layer_shapes(block, input_shape)]
     return [_candidate(plan, sc, rl, coeffs)
-            for _, (rl, fields) in _planned_points(block, input_shape, chans, platform,
-                                                   max_parallel, grid_depth)
+            for _, (rl, fields, _) in _planned_points(block, input_shape, chans, platform,
+                                                      max_parallel, grid_depth, {})
             for plan in [plan_block(block, input_shape, FusedDesignConfig(*fields), chans)]
             for sc in enumerate_sequences(plan)]
 
 
 def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                platform: PlatformSpec, coeffs: CalibrationTable,
-               grid_depth: int, max_parallel: int = 64) -> DesignCandidate:
+               grid_depth: int, max_parallel: int = 64, walks: dict | None = None,
+               ops_weights: tuple[int, int] | None = None) -> DesignCandidate:
     """Hardware DSE for one block: the candidate that
     ``pick_best_design(design_candidates(...))`` selects, found best-first.
 
     The unit of the search is a (grid point, sequence assignment) pair,
     which gives one candidate (``fusion.best_options``) with the point's
     roofline and the assignment's bound in cycles
-    (``fusion.assignment_bounds``).  So the unit's pair ``(-attainable_gops,
-    bound)`` equals its candidate's first two key fields, and is at least
-    its point's floor (``_planned_points``).  Points are planned in floor
-    order, each once its floor is at most the smallest pair in the heap of
-    planned units, so units leave the heap in pair order; the search stops
-    at the first pair or floor above the best feasible key so far.  A pair
-    equal to the best is still evaluated, as DSPs and the config break
+    (``fusion.assignment_bounds`` on ``fusion.block_schedule`` of the
+    point's cycle counts).  So the unit's pair ``(-attainable_gops, bound)``
+    equals its candidate's first two key fields, and is at least its
+    point's floor (``_planned_points``).  A point's units are ranked in
+    floor order, each once its floor is at most the smallest pair in the
+    heap of ranked units, so units leave the heap in pair order; the search
+    stops at the first pair or floor above the best feasible key so far.  A
+    pair equal to the best is still evaluated, as DSPs and the config break
     ties.  So the units evaluated are those whose pair is at most the
     selected key, as if every point were planned; when no candidate is
-    feasible every unit is evaluated, so ``Infeasible`` reports the same count.
+    feasible every unit is evaluated, so ``Infeasible`` reports the same
+    count.  A point is planned (``fusion.plan_block`` on that schedule)
+    when its first unit is evaluated.  ``walks`` and ``ops_weights``
+    (``_planned_points``) may come from the caller.
     """
     chans = [s.channels for s in layer_shapes(block, input_shape)]
-    points = sorted(_planned_points(block, input_shape, chans, platform,
-                                    max_parallel, grid_depth), key=lambda p: p[0])
-    units, candidates = [], []  # units: a min-heap of (pair, j, k, plan, seqs, rl)
+    points = sorted(_planned_points(block, input_shape, chans, platform, max_parallel,
+                                    grid_depth, {} if walks is None else walks, ops_weights),
+                    key=lambda p: p[0])
+    # units: a min-heap of (pair, j, k, seqs, schedule), and plans by point
+    units, candidates, plans = [], [], {}
     best = (math.inf,)  # the first two key fields of the best feasible candidate
-    for j, (floor, (rl, fields)) in enumerate(points + [((math.inf,), (None, None))]):
+    for j, (floor, point) in enumerate(points + [((math.inf,), None)]):
         while units and units[0][0] < floor and units[0][0] <= best:
-            *_, plan, seqs, unit_rl = heapq.heappop(units)
-            candidates.append(c := _candidate(plan, best_options(plan, seqs), unit_rl, coeffs))
+            _, i, _, seqs, schedule = heapq.heappop(units)
+            rl, fields, _ = points[i][1]
+            if (plan := plans.get(i)) is None:
+                plan = plans[i] = plan_block(block, input_shape, FusedDesignConfig(*fields),
+                                             chans, schedule)
+            candidates.append(c := _candidate(plan, best_options(plan, seqs), rl, coeffs))
             if c.resources.feasible(platform):
                 best = min(best, c.key()[:2])
-        if fields is None or floor > best:
+        if point is None or floor > best:
             break
-        plan = plan_block(block, input_shape, FusedDesignConfig(*fields), chans)
-        for k, (bound, seqs) in enumerate(assignment_bounds(plan)):
-            heapq.heappush(units, ((floor[0], bound), j, k, plan, seqs, rl))
+        terms, hws, counts, passes = point[2]
+        schedule = terms, block_schedule(block.layers, terms, hws, counts), passes
+        for k, (bound, seqs) in enumerate(assignment_bounds(*schedule[1:])):
+            heapq.heappush(units, ((floor[0], bound), j, k, seqs, schedule))
     return pick_best_design(candidates, platform)
 
 
@@ -500,7 +523,8 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
     maximum of theirs (all zero when no stage has a pipeline).
 
     ``designs`` is one command's stage-design table: its entry for a stage
-    ``(op, input_shape)`` is the stage's candidate and operation count.
+    ``(op, input_shape)`` is the stage's candidate and operation count, and
+    it holds the parallelism walks its searches share (``design_gen``).
     Identical stages recur within a model and across replacement candidates,
     and each is searched and counted once per table.  Share a table only
     between calls with the same platform, calibration and search bounds."""
@@ -510,9 +534,10 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
         if has_pipeline(stage.op):
             key = (stage.op, stage.input_shape)
             if (entry := designs.get(key)) is None:
+                counts = stage.op.ops(stage.input_shape), stage.op.params(stage.input_shape)
                 entry = designs[key] = (design_gen(stage.op, stage.input_shape, platform,
-                                                   coeffs, grid_depth, max_parallel),
-                                        stage.op.ops(stage.input_shape))
+                                                   coeffs, grid_depth, max_parallel,
+                                                   designs, counts), counts[0])
             best, stage_ops = entry
             ops += stage_ops
         rows.append(StageDesign(i, stage.name, best))

@@ -12,6 +12,7 @@ also on fake grids where ties and winners behind a loose bound are common.
 from __future__ import annotations
 
 import functools
+import types
 
 import pytest
 
@@ -95,8 +96,9 @@ def test_cycles_bound_below_every_candidate(model_name):
     of that assignment's candidate."""
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         for c in cands:
+            plan = plan_block(block, shape, c.cfg)
             bounds = {seqs: bound for bound, seqs
-                      in assignment_bounds(plan_block(block, shape, c.cfg))}
+                      in assignment_bounds(plan.by_seq, plan.n_passes)}
             assert bounds[c.cfg.seqs] == c.total_cycles, (name, c.cfg)
 
 
@@ -108,11 +110,13 @@ def _fake_cfg(point: int, unit: int) -> FusedDesignConfig:
 
 def _fake_point(i, gops, floor, units):
     """A grid point as ``_planned_points`` yields it, ``(floor, (roofline
-    point, config fields))``, with its units: each a sequence assignment's
-    (cycles bound, candidate)."""
+    point, config fields, (terms, hws, counts, passes)))``, with its units:
+    each a sequence assignment's (cycles bound, candidate).  The config
+    stands in for the point's layer configs and their schedule."""
     rl = RooflinePoint(gops, 10.0, 1.0)
     units = [(bound, cand._replace(roofline=rl)) for bound, cand in units]
-    return ((-rl.attainable_gops, floor), (rl, tuple(_fake_cfg(i, 0)))), units
+    cfg = _fake_cfg(i, 0)
+    return ((-rl.attainable_gops, floor), (rl, tuple(cfg), ((), cfg, (), 1))), units
 
 
 @st.composite
@@ -143,21 +147,37 @@ def fake_grids(draw):
 def _search_and_enumeration(points):
     """What ``design_gen`` and full enumeration pick from fake points; the
     DSE helpers are replaced by the units, each point's config standing in
-    for its plan and each unit's index for its sequences."""
+    for its schedule and plan and each unit's index for its sequences.
+    Each point is planned once, when its first unit is evaluated, and only
+    then."""
     platform = STRATIX_V_5SGSD8
-    by_cfg = {FusedDesignConfig(*fields): units for (_, (_, fields)), units in points}
+    by_cfg = {FusedDesignConfig(*fields): units for (_, (_, fields, _)), units in points}
     every = [c for _, units in points for _, c in units]
+    planned, evaluated = [], []
+
+    def plan_block(block, shape, cfg, chans, schedule):
+        assert schedule == ((), cfg, 1)
+        planned.append(cfg)
+        return cfg
+
+    def best_options(cfg, j):
+        assert cfg in planned
+        evaluated.append(cfg)
+        return by_cfg[cfg][j][1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resources, "layer_shapes", lambda *args: [])
         mp.setattr(resources, "_planned_points",
                    lambda *args: [point for point, _ in points])
-        mp.setattr(resources, "plan_block", lambda block, shape, cfg, chans: cfg)
+        mp.setattr(resources, "block_schedule", lambda layers, terms, cfg, counts: cfg)
+        mp.setattr(resources, "plan_block", plan_block)
         mp.setattr(resources, "assignment_bounds",
-                   lambda cfg: [(bound, j) for j, (bound, _) in enumerate(by_cfg[cfg])])
-        mp.setattr(resources, "best_options", lambda cfg, j: by_cfg[cfg][j][1])
+                   lambda cfg, passes: [(bound, j) for j, (bound, _) in enumerate(by_cfg[cfg])])
+        mp.setattr(resources, "best_options", best_options)
         mp.setattr(resources, "_candidate", lambda cfg, cand, rl, coeffs: cand)
-        got = _selection(lambda: design_gen(None, None, platform,
-                                            CalibrationTable(alm={}), 4))
+        got = _selection(lambda: design_gen(types.SimpleNamespace(layers=()), None,
+                                            platform, CalibrationTable(alm={}), 4))
+    assert len(set(planned)) == len(planned) and set(planned) == set(evaluated)
     return got, _selection(lambda: pick_best_design(every, platform))
 
 

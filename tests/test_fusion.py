@@ -503,6 +503,11 @@ def brute_force_tiling(block, input_shape, tile):
     return sum(v - 1 for v in fetches.values()) * input_shape.channels * 2
 
 
+def halo(block, input_shape, tile):
+    """``tiling_overhead`` of ``block`` on ``input_shape``."""
+    return tiling_overhead(block, layer_shapes(block, input_shape), tile)
+
+
 def _receptive_field(block):
     rf = 1
     for layer in reversed(block.layers):
@@ -538,7 +543,7 @@ def tiled_blocks(draw):
 @given(tiled_blocks())
 def test_halo_words_match_pixel_marking(case):
     block, shape, tile = case
-    assert tiling_overhead(block, shape, tile) * WORD_BYTES \
+    assert halo(block, shape, tile) * WORD_BYTES \
         == brute_force_tiling(block, shape, tile)
 
 
@@ -596,20 +601,20 @@ def test_halo_words_match_the_tile_walk(case):
         expected = walked_tiling(block, shape, tile)
     except InvalidTiling:
         with pytest.raises(InvalidTiling):
-            tiling_overhead(block, shape, tile)
+            halo(block, shape, tile)
     else:
-        assert tiling_overhead(block, shape, tile) == expected
+        assert halo(block, shape, tile) == expected
 
 
 class TestTilingOverhead:
     def test_full_map_is_free(self):
         block = stacked_block(4, 4)
-        assert tiling_overhead(block, TensorShape(16, 16, 4), (16, 16)) == 0
+        assert halo(block, TensorShape(16, 16, 4), (16, 16)) == 0
 
     def test_matches_brute_force_oracle(self):
         block = stacked_block(4, 4)
         shape = TensorShape(16, 16, 4)
-        assert tiling_overhead(block, shape, (8, 8)) * WORD_BYTES \
+        assert halo(block, shape, (8, 8)) * WORD_BYTES \
             == brute_force_tiling(block, shape, (8, 8))
 
     @pytest.mark.parametrize("tile", [(8, 8), (4, 4), (8, 4)])
@@ -618,13 +623,13 @@ class TestTilingOverhead:
                           (pw_conv(4), std_conv(4), pw_conv(8)),
                           has_shortcut=True)
         shape = TensorShape(16, 16, 8)
-        assert tiling_overhead(block, shape, tile) * WORD_BYTES \
+        assert halo(block, shape, tile) * WORD_BYTES \
             == brute_force_tiling(block, shape, tile)
 
     def test_pointwise_layers_add_no_halo(self):
         block = BlockSpec(BlockKind.DEPTHWISE_SEPARABLE,
                           (dw_conv(k=1, padding=0), pw_conv(8)))
-        assert tiling_overhead(block, TensorShape(16, 16, 4), (8, 8)) == 0
+        assert halo(block, TensorShape(16, 16, 4), (8, 8)) == 0
 
     def test_strided_pointwise_counts_against_one_full_map_read(self):
         """A stride-2 1x1 first layer (ResNet's downsampling bottleneck)
@@ -634,21 +639,21 @@ class TestTilingOverhead:
                           (LayerSpec(LayerKind.POINTWISE_CONV, out_channels=4, stride=2),
                            std_conv(4), pw_conv(8)), has_shortcut=True)
         # two 4-row output tiles read input rows [0, 9) and [6, 15)
-        assert tiling_overhead(block, TensorShape(16, 16, 2), (8, 8)) \
+        assert halo(block, TensorShape(16, 16, 2), (8, 8)) \
             == (18 * 18 - 16 * 16) * 2
         # tiles of a lone stride-2 1x1 read fewer pixels than one full map
         layer = LayerSpec(LayerKind.POINTWISE_CONV, out_channels=4, stride=2)
-        assert tiling_overhead(layer, TensorShape(8, 8, 1), (4, 4)) == 0
+        assert halo(layer, TensorShape(8, 8, 1), (4, 4)) == 0
 
     def test_huge_map_in_closed_form(self):
         """A padded 3x3 over a 2**52-wide map: each of the M - 1 inner tile
         boundaries re-reads one row on either side."""
         h = 2 ** 52
         m = h // 16
-        assert tiling_overhead(std_conv(4), TensorShape(h, h, 4), (16, 16)) \
+        assert halo(std_conv(4), TensorShape(h, h, 4), (16, 16)) \
             == ((h + 2 * (m - 1)) ** 2 - h ** 2) * 4
 
     def test_tile_below_receptive_field_rejected(self):
         block = stacked_block(4, 4)  # receptive field 5
         with pytest.raises(InvalidTiling):
-            tiling_overhead(block, TensorShape(16, 16, 4), (4, 4))
+            halo(block, TensorShape(16, 16, 4), (4, 4))

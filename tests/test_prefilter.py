@@ -97,8 +97,8 @@ def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
     platform = STRATIX_V_5SGSD8._replace(dsp_total=dsp_total)
     chans = _channels(block, input_shape)
-    for _, (_, fields) in _planned_points(block, input_shape, chans, platform, 64,
-                                          grid_depth):
+    for _, (_, fields, _) in _planned_points(block, input_shape, chans, platform, 64,
+                                             grid_depth, {}):
         cfg = FusedDesignConfig(*fields)
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(
             (*cfg.p_c, cfg.p_f))
@@ -209,9 +209,11 @@ def test_pruned_walk_keeps_the_filtered_product(model_name, stage_name):
     for spatial, rows in by_spatial:
         p_h, p_w, wino = spatial
         terms = [layer_terms(layer, p_h, p_w, w, 4) for layer, w in zip(block.layers, wino)]
+        mults = tuple((t.a, t.b, t.c, layer.kind is LayerKind.DEPTHWISE_CONV)
+                      for layer, t in zip(block.layers, terms))
         for dsp_total in (1, 256, STRATIX_V_5SGSD8.dsp_total, 10 ** 9):
             for grid_depth in (1, 2, 4, ALL):
-                got = _parallelism_combos(block, grids, terms, dsp_total, grid_depth)
+                got = _parallelism_combos(mults, grids, dsp_total, grid_depth)
                 assert got == _reference_combos(rows, dsp_total, grid_depth), \
                     (spatial, dsp_total, grid_depth)
     # some combos exceed 256 DSPs, so the walk drops prefixes there

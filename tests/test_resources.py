@@ -3,14 +3,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (canonical_blocks, closed_form_dsp, dwsep_block, pw_conv,
                       stacked_block, std_conv)
-from turf.errors import CalibrationError, Infeasible, InvalidTiling, UnsupportedConfig
+from turf.errors import (CalibrationError, Infeasible, InvalidTiling, ShapeMismatch,
+                         UnsupportedConfig)
 from turf.fusion import FusedDesignConfig, _buffer_caps, plan_block
 from turf.hw import BufferOption, ModuleKind, Seq
-from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape
+from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable,
                             DesignCandidate, PlatformSpec, RooflinePoint,
                             design_candidates, design_gen, estimate_resources,
@@ -213,10 +214,10 @@ class TestDesignGen:
 
 
 def test_each_grid_point_is_derived_once(monkeypatch):
-    """The search plans 3 of the 25 grid points (every one was planned
-    before the ranking read each point's closed-form floor): the one it
-    evaluates and 2 whose floors tie with or fall below that point's units.
-    The ranking builds no module pipeline: ``instantiate_layer`` runs
+    """The search plans 1 of the 25 grid points, the one it evaluates (every
+    one was planned before the ranking read each point's closed-form floor,
+    and 3 while each point whose units were ranked was planned).  The
+    ranking builds no module pipeline: ``instantiate_layer`` runs
     once per layer of each distinct grid point that has a unit evaluated
     (3, one point; every point planned, 75 layers, before pipelines were
     built lazily).  The search builds no ``SimReport`` and sizes the
@@ -276,7 +277,7 @@ def test_each_grid_point_is_derived_once(monkeypatch):
                  if s.name == "res2_1")
     design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
                grid_depth=4)
-    assert calls["plan_block"] == 3
+    assert calls["plan_block"] == 1
     assert calls["instantiate_layer"] == sum(len(p.layers) for p in evaluated.values()) == 3
     assert reports == []
     assert simulated == []
@@ -284,20 +285,24 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     assert calls["estimate_resources"] == 2
 
 
-@pytest.mark.parametrize("model_name, planned, evaluated", [
+@pytest.mark.parametrize("model_name, ranked, evaluated", [
     ("vgg16", 12, 12), ("resnet50", 57, 12), ("mobilenetv1", 69, 11),
     ("mobilenetv2", 45, 15)])
-def test_plans_only_points_that_can_win(monkeypatch, model_name, planned, evaluated):
-    """One ``evaluate_model`` plans few grid points, and on VGG-16, whose
-    one-layer stages have exact floors, only those it evaluates a unit of
-    (260, 150, 165 and 185 points were planned when each was planned to be
-    ranked)."""
+def test_plans_only_points_that_can_win(monkeypatch, model_name, ranked, evaluated):
+    """One ``evaluate_model`` ranks the units of few grid points (on VGG-16,
+    whose one-layer stages have exact floors, only of the points it
+    evaluates), and plans only the points it evaluates a unit of.  260,
+    150, 165 and 185 points were planned when each was planned to be
+    ranked, and 12, 57, 69 and 45 when each ranked point was planned."""
     import turf.resources
     from turf.models import build_reference_model
     from turf.resources import evaluate_model
 
-    plans, used = [], {}
+    bounded, plans, used = [], [], {}
+    orig_bounds = turf.resources.assignment_bounds
     orig_plan, orig_best = turf.resources.plan_block, turf.resources.best_options
+    monkeypatch.setattr(turf.resources, "assignment_bounds",
+                        lambda *args: bounded.append(1) or orig_bounds(*args))
     monkeypatch.setattr(turf.resources, "plan_block",
                         lambda *args: plans.append(orig_plan(*args)) or plans[-1])
     monkeypatch.setattr(turf.resources, "best_options",
@@ -305,7 +310,7 @@ def test_plans_only_points_that_can_win(monkeypatch, model_name, planned, evalua
                         orig_best(plan, seqs))
     evaluate_model(build_reference_model(model_name), STRATIX_V_5SGSD8,
                    load_calibration(), {})
-    assert (len(plans), len(used)) == (planned, evaluated)
+    assert (len(bounded), len(plans), len(used)) == (ranked, evaluated, evaluated)
 
 
 @st.composite
@@ -354,12 +359,12 @@ def dse_stages(draw):
 @settings(max_examples=200, deadline=None)
 @given(dse_stages())
 def test_floor_is_below_every_assignment_bound(stage):
-    """Each grid point's floor is its plan's passes times its busiest
-    layer's cycles plus the last layer's fill, at most the pair of every
-    sequence assignment, and equal to it on a one-layer stage; a (tile,
-    spatial option) is dropped exactly when ``plan_block`` rejects its
-    configs."""
-    from turf.fusion import assignment_bounds
+    """Each grid point's schedule is what ``plan_block`` derives for its
+    config, and its floor is its passes times its busiest layer's cycles
+    plus the last layer's fill, at most the pair of every sequence
+    assignment, and equal to it on a one-layer stage; a (tile, spatial
+    option) is dropped exactly when ``plan_block`` rejects its configs."""
+    from turf.fusion import assignment_bounds, block_schedule
     from turf.hw import WINOGRAD_M, layer_terms, winograd_eligible
     from turf.ir import layer_shapes
     from turf.resources import (_parallelism_combos, _planned_points,
@@ -370,15 +375,18 @@ def test_floor_is_below_every_assignment_bound(stage):
     n = len(layers)
     chans = [s.channels for s in layer_shapes(op, shape)]
     kept = set()
-    for floor, (rl, fields) in _planned_points(op, shape, chans, platform,
-                                               max_parallel, grid_depth):
+    for floor, (rl, fields, (terms, hws, counts, passes)) in _planned_points(
+            op, shape, chans, platform, max_parallel, grid_depth, {}):
         cfg = FusedDesignConfig(*fields)
         kept.add((cfg.t_h, cfg.t_w, cfg.p_h))
         plan = plan_block(op, shape, cfg, chans)
+        assert (plan.terms, plan.by_seq, plan.n_passes) == \
+            (terms, block_schedule(layers, terms, hws, counts), passes)
         fm = plan.by_seq[Seq.FM]
         assert floor == (-rl.attainable_gops, plan.n_passes * (
             max(p.units * p.cycles_per_unit for p in fm) + fm[-1].fill))
-        pairs = [(-rl.attainable_gops, bound) for bound, _ in assignment_bounds(plan)]
+        pairs = [(-rl.attainable_gops, bound)
+                 for bound, _ in assignment_bounds(plan.by_seq, plan.n_passes)]
         assert all(floor <= pair for pair in pairs), (cfg, floor, pairs)
         if n == 1:
             assert all(floor == pair for pair in pairs), (cfg, floor, pairs)
@@ -393,7 +401,9 @@ def test_floor_is_below_every_assignment_bound(stage):
             continue
         for p, wino in spatial:
             terms = [layer_terms(layer, p, p, w, WINOGRAD_M) for layer, w in zip(layers, wino)]
-            for ps in _parallelism_combos(op, grids, terms, platform.dsp_total, grid_depth):
+            mults = tuple((t.a, t.b, t.c, layer.kind is LayerKind.DEPTHWISE_CONV)
+                          for layer, t in zip(layers, terms))
+            for ps in _parallelism_combos(mults, grids, platform.dsp_total, grid_depth):
                 cfg = FusedDesignConfig(
                     t_h, t_w, tuple(chans[:-1]), chans[-1], p, p, ps[:-1], ps[-1],
                     (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1), wino)
@@ -403,6 +413,77 @@ def test_floor_is_below_every_assignment_bound(stage):
                 except UnsupportedConfig:
                     rejected = True
                 assert rejected == ((t_h, t_w, p) not in kept), cfg
+
+
+@st.composite
+def stage_pairs(draw):
+    """Two ``dse_stages``: drawn apart, or a stage and a copy of it whose
+    parallelism walk differs only in a depthwise flag (a standard and a
+    depthwise convolution of one kernel have the same multiplier terms), in
+    a kernel, in the channel grids (the largest parallelism), in the DSP
+    budget or in the grid depth."""
+    first = draw(dse_stages())
+    op, shape, platform, grid_depth, max_parallel = first
+    how = draw(st.sampled_from(["apart", "depthwise", "kernel", "grid", "dsp", "depth"]))
+    if how == "apart":
+        return first, draw(dse_stages())
+    if how == "grid":
+        return first, (op, shape, platform, grid_depth, {8: 64, 64: 8}[max_parallel])
+    if how == "dsp":
+        dsp = draw(st.sampled_from([d for d in (64, 256, 1963) if d != platform.dsp_total]))
+        return first, (op, shape, platform._replace(dsp_total=dsp), grid_depth, max_parallel)
+    if how == "depth":
+        depth = draw(st.sampled_from([d for d in (1, 2, 4) if d != grid_depth]))
+        return first, (op, shape, platform, depth, max_parallel)
+    layers = list(op.layers)
+    i = draw(st.sampled_from(range(len(layers))))
+    layer = layers[i]
+    assume(layer.kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV))
+    if how == "depthwise":
+        kind = {LayerKind.STANDARD_CONV: LayerKind.DEPTHWISE_CONV,
+                LayerKind.DEPTHWISE_CONV: LayerKind.STANDARD_CONV}[layer.kind]
+        channels = layer_shapes(op, shape)[i].channels
+        assume(kind is LayerKind.STANDARD_CONV or layer.out_channels == channels)
+        layers[i] = layer._replace(kind=kind, out_channels=None if kind is
+                                   LayerKind.DEPTHWISE_CONV else channels)
+        block_kind = {BlockKind.BOTTLENECK: BlockKind.SEPARABLE_BOTTLENECK,
+                      BlockKind.SEPARABLE_BOTTLENECK: BlockKind.BOTTLENECK}
+    else:
+        k = draw(st.sampled_from([k for k in (1, 3, 5) if k != layer.kernel_size]))
+        layers[i] = layer._replace(kernel_size=k, padding=k // 2)
+        block_kind = {}
+    if len(layers) == 1:
+        return first, (LayerSpec(*layers[0]), shape, platform, grid_depth, max_parallel)
+    try:
+        other = BlockSpec(block_kind.get(op.kind, op.kind), [LayerSpec(*l) for l in layers],
+                          op.has_shortcut)
+    except ShapeMismatch:
+        assume(False)  # no block kind has these layers
+    return first, (other, shape, platform, grid_depth, max_parallel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage_pairs())
+def test_a_shared_walk_table_picks_what_fresh_ones_pick(pair):
+    """``design_gen`` on two stages with one table of parallelism walks
+    picks what it picks with a fresh table for each, and the grid
+    (``_planned_points``) is the same: a walk is kept under every input it
+    reads."""
+    from turf.resources import _planned_points
+
+    def search(stage, walks):
+        op, shape, platform, grid_depth, max_parallel = stage
+        chans = [s.channels for s in layer_shapes(op, shape)]
+        grid = [fields for _, (_, fields, _) in _planned_points(
+            op, shape, chans, platform, max_parallel, grid_depth, walks)]
+        try:
+            return grid, design_gen(op, shape, platform, load_calibration(), grid_depth,
+                                    max_parallel, walks)
+        except Infeasible as exc:
+            return grid, f"Infeasible: {exc}"
+
+    shared = {}
+    assert [search(stage, shared) for stage in pair] == [search(stage, {}) for stage in pair]
 
 
 def test_dse_simulates_few_passes(tmp_path, monkeypatch):
@@ -424,6 +505,33 @@ def test_dse_simulates_few_passes(tmp_path, monkeypatch):
                         lambda *args: simulated.append(1) or orig(*args))
     assert main(["dse", str(model_path), "--out", str(tmp_path / "dse.json")]) == 0
     assert len(simulated) == 4
+
+
+@pytest.mark.parametrize("argv, model_name, walks", [
+    (["dse"], "resnet50", 4), (["dse"], "vgg16", 6),
+    (["explore", "--exhaustive", "--min-acc", "0", "--min-gops", "1", "--model"],
+     "resnet50", 6)])
+def test_each_distinct_walk_runs_once_per_command(tmp_path, monkeypatch, argv,
+                                                  model_name, walks):
+    """A command runs each distinct parallelism walk once: 4, 6 and 6 walks
+    on these three commands, which ran 18, 21 and 34 when each stage search
+    walked its own grids.  A second command walks them again, as the table
+    is the command's."""
+    import json
+    import turf.resources
+    from turf.cli import main
+    from turf.ir import model_to_json
+    from turf.models import build_reference_model
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_to_json(build_reference_model(model_name))))
+    walked = []
+    orig = turf.resources._parallelism_combos
+    monkeypatch.setattr(turf.resources, "_parallelism_combos",
+                        lambda *args: walked.append(1) or orig(*args))
+    for runs in (1, 2):
+        assert main(argv + [str(model_path), "--out", str(tmp_path / "out.json")]) == 0
+        assert len(walked) == runs * walks
 
 
 class TestStageCache:
