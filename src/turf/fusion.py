@@ -576,7 +576,7 @@ class SeqCandidate(NamedTuple):
         return "".join("F" if s is Seq.FM else "C" for s in self.seqs)
 
 
-def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate:
+def best_options(plan: BlockPlan, seqs: tuple[Seq, ...], fits=None) -> SeqCandidate:
     """The buffer options that run ``plan``'s design fastest under the
     sequences ``seqs``: the passes times the floor ``_pass_lower_bound`` in
     cycles, with the fewest buffer words, then the first in
@@ -588,6 +588,8 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate:
     set under every ``seqs``.  A smaller buffer sits only between a streaming
     filter-major producer and channel-major consumer; a set with one is
     taken when ``_pass_bound`` and then ``_simulate_pass`` reach the floor.
+    Before simulating, ``fits`` (if given) checks the first set, the fewest
+    words at each boundary: if it does not fit, none does; it is returned.
     """
     plans = plan.schedule(seqs)
     floor = _pass_lower_bound(plans)
@@ -600,12 +602,22 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...]) -> SeqCandidate:
         sized.append((sum(w for _, _, w in caps), options, caps))
     sized.sort(key=lambda s: s[0])  # stable: product order among equal words
     for _, options, caps in sized:
-        if all(cap >= tokens for tokens, cap, _ in caps) or (
-                _pass_bound(plans, caps) == floor
-                and _simulate_pass(plans, caps, False)[0] == floor):
-            return SeqCandidate(seqs, options, floor * plan.n_passes,
-                                tuple(w for _, _, w in caps))
+        if not all(cap >= tokens for tokens, cap, _ in caps):
+            if _pass_bound(plans, caps) != floor:
+                continue
+            if fits is not None and not fits(tuple(w for _, _, w in sized[0][2])):
+                _, options, caps = sized[0]
+            elif _simulate_pass(plans, caps, False)[0] != floor:
+                continue
+        return SeqCandidate(seqs, options, floor * plan.n_passes,
+                            tuple(w for _, _, w in caps))
     raise AssertionError(f"no buffer option set reaches the floor under {seqs}")
+
+
+def seq_assignments(n: int) -> list[tuple[Seq, ...]]:
+    """The 2^n computation-sequence assignments of n layers in product
+    order: FM before CM, lexicographic in the sequence string."""
+    return list(itertools.product(_SEQ_ORDER, repeat=n))
 
 
 def assignment_bounds(by_seq: dict[Seq, tuple[LayerSchedule, ...]],
@@ -614,16 +626,14 @@ def assignment_bounds(by_seq: dict[Seq, tuple[LayerSchedule, ...]],
     ``by_seq`` and ``n_passes``, in product order, where the bound (the
     passes times ``_pass_lower_bound``) is ``best_options``' total_cycles."""
     return [(n_passes * _pass_lower_bound([by_seq[s][i] for i, s in enumerate(seqs)]), seqs)
-            for seqs in itertools.product(_SEQ_ORDER, repeat=len(by_seq[Seq.FM]))]
+            for seqs in seq_assignments(len(by_seq[Seq.FM]))]
 
 
 def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:
     """``best_options`` for every computation-sequence assignment of a
-    planned design, sorted (stably) by total cycles, then total buffer
-    words, then the product order it is built in: FM before CM,
-    lexicographic in the sequence string."""
-    results = [best_options(plan, seqs)
-               for seqs in itertools.product(_SEQ_ORDER, repeat=plan.cfg.num_layers)]
+    planned design (``seq_assignments``), sorted (stably) by total cycles,
+    then total buffer words, then that product order."""
+    results = [best_options(plan, seqs) for seqs in seq_assignments(plan.cfg.num_layers)]
     results.sort(key=lambda c: (c.total_cycles, c.total_buffer_words))
     return results
 

@@ -117,9 +117,10 @@ class LayerSpec(NamedTuple("LayerSpec", [
         c = shape.channels if self.out_channels is None else self.out_channels
         return TensorShape(ho, wo, c)
 
-    def ops(self, shape: TensorShape) -> int:
-        """Operation count on the given input shape (MAC = 2 ops)."""
-        out = self.output_shape(shape)
+    def ops(self, shape: TensorShape, shapes: list[TensorShape] | None = None) -> int:
+        """Operation count on the given input shape (MAC = 2 ops); ``shapes``,
+        if given, is its ``layer_shapes``."""
+        out = shapes[-1] if shapes else self.output_shape(shape)
         k2 = self.kernel_size ** 2
         if self.kind in (LayerKind.STANDARD_CONV, LayerKind.POINTWISE_CONV):
             return 2 * out.height * out.width * shape.channels * self.out_channels * k2
@@ -129,7 +130,8 @@ class LayerSpec(NamedTuple("LayerSpec", [
             return 2 * shape.volume() * self.out_channels
         return 0
 
-    def params(self, shape: TensorShape) -> int:
+    def params(self, shape: TensorShape, shapes: list[TensorShape] | None = None) -> int:
+        """Weights and biases on the given input shape (``shapes`` is unused)."""
         c = shape.channels
         k2 = self.kernel_size ** 2
         if self.kind in (LayerKind.STANDARD_CONV, LayerKind.POINTWISE_CONV):
@@ -173,14 +175,15 @@ class BlockSpec(NamedTuple("BlockSpec", [
     def output_shape(self, shape: TensorShape) -> TensorShape:
         return layer_shapes(self, shape)[-1]
 
-    def ops(self, shape: TensorShape) -> int:
-        total = sum(map(LayerSpec.ops, self.layers, layer_shapes(self, shape)))
+    def ops(self, shape: TensorShape, shapes: list[TensorShape] | None = None) -> int:
+        shapes = shapes or layer_shapes(self, shape)
+        total = sum(map(LayerSpec.ops, self.layers, shapes, zip(shapes, shapes[1:])))
         if self.shortcut_projection is not None:
             total += self.shortcut_projection.ops(shape)
         return total
 
-    def params(self, shape: TensorShape) -> int:
-        total = sum(map(LayerSpec.params, self.layers, layer_shapes(self, shape)))
+    def params(self, shape: TensorShape, shapes: list[TensorShape] | None = None) -> int:
+        total = sum(map(LayerSpec.params, self.layers, shapes or layer_shapes(self, shape)))
         if self.shortcut_projection is not None:
             total += self.shortcut_projection.params(shape)
         return total

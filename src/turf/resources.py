@@ -17,9 +17,9 @@ The compute roof is DSPs x 2 ops x clock.
 
 The search ranks each grid point by a closed-form floor taken from its
 layers' cycle counts, and the sequence assignments of the points that can
-still win by bounds on their schedules; it plans a point
-(``fusion.plan_block``) only when it evaluates one of its candidates, and
-runs each distinct parallelism walk once per command.  Candidates carry
+still win by their candidates' whole selection key up to the buffer
+options; it evaluates one candidate per stage when that one fits, and runs
+each distinct parallelism walk once per command.  Candidates carry
 plain cycle and buffer-word counts.  A stage is searched when it has a
 hardware pipeline: a block, or a convolution or fully-connected layer as
 its own one-layer block.
@@ -37,8 +37,8 @@ from typing import NamedTuple, get_type_hints
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      UnsupportedConfig, reading, typed)
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
-                     assignment_bounds, best_options, block_schedule,
-                     enumerate_sequences, layer_tiles, plan_block, tiling_overhead)
+                     assignment_bounds, best_options, block_schedule, enumerate_sequences,
+                     layer_tiles, plan_block, seq_assignments, tiling_overhead)
 from .hw import (WINOGRAD_M, BufferOption, ModuleKind, Seq, cycle_counts, fill_cycles,
                  layer_dsp, layer_terms, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
@@ -142,46 +142,45 @@ def _bram_blocks(words: int) -> int:
     return math.ceil(words * WORD_BYTES / M20K_BYTES)
 
 
+def _dsp_used(layers, terms, hws) -> int:
+    """DSPs of a design whose layer i has chain ``terms[i]`` and parallelism
+    ``hws[i][1]`` (``hw.layer_dsp``): no sequence or buffer changes them."""
+    return sum(layer_dsp(t, par[2], 1 if layer.kind is LayerKind.DEPTHWISE_CONV else par[3])
+               for layer, t, (_, par, *_) in zip(layers, terms, hws))
+
+
+def _bram_used(plan: BlockPlan, seqs: tuple[Seq, ...], buffer_words: tuple[int, ...]) -> int:
+    """M20K blocks of ``plan``'s design under ``seqs`` with intermediate
+    ``buffer_words``: per layer its line-buffer rows and a double-buffered
+    weight chunk, then the first input buffer (filter-major reuses the whole
+    input tile) and the last output buffer (channel-major accumulates it)."""
+    words = list(buffer_words)
+    for layer, hw, terms in zip(plan.layers, plan.hws, plan.terms):
+        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
+        words += terms.rows * hw.t_w * hw.p_c, 2 * hw.p_c * lanes_f * layer.kernel_size ** 2
+    first, last = plan.hws[0], plan.hws[-1]
+    words.append((first.t_c if seqs[0] is Seq.FM else first.p_c) * first.t_h * first.t_w)
+    out_shape = plan.layers[-1].output_shape(TensorShape(last.t_h, last.t_w, last.t_c))
+    out_ch = last.t_f if seqs[-1] is Seq.CM else last.p_f
+    words.append(out_ch * out_shape.height * out_shape.width)
+    return sum(map(_bram_blocks, words))
+
+
 def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
                        buffer_words: tuple[int, ...],
                        coeffs: CalibrationTable) -> ResourceEstimate:
     """Linear resource prediction for ``plan``'s design run with the
     computation sequences ``seqs`` and intermediate ``buffer_words`` (as
     ``fusion.best_options`` sized them)."""
-    dsp = 0
     alm = 0.0
-    buffers_words: list[int] = []
-
-    for layer, hw, terms, pipeline in zip(plan.layers, plan.hws, plan.terms,
-                                          plan.pipelines):
-        lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
-        dsp += layer_dsp(terms, hw.p_c, lanes_f)
+    for pipeline in plan.pipelines:
         for mod in (*pipeline.modules, *pipeline.weight_path):
             base, per_width = coeffs.coeff(mod.kind)
             alm += (base + per_width * (mod.in_width + mod.out_width)) * mod.replication
-
-        # line-buffer rows (none without a line buffer) and a double-buffered
-        # weight staging chunk
-        buffers_words.append(terms.rows * hw.t_w * hw.p_c)
-        buffers_words.append(2 * hw.p_c * lanes_f * layer.kernel_size ** 2)
-
-    # first input buffer: filter-major layers reuse the whole input tile,
-    # channel-major ones stream chunk by chunk
-    first = plan.hws[0]
-    in_words = (first.t_c if seqs[0] is Seq.FM else first.p_c) * first.t_h * first.t_w
-    buffers_words.append(in_words)
-    # last output buffer: channel-major accumulates the full output tile
-    last = plan.hws[-1]
-    out_shape = plan.layers[-1].output_shape(TensorShape(last.t_h, last.t_w, last.t_c))
-    out_ch = last.t_f if seqs[-1] is Seq.CM else last.p_f
-    buffers_words.append(out_ch * out_shape.height * out_shape.width)
-    # intermediate buffers, as the sequence enumeration sized them
-    buffers_words += buffer_words
-
-    bram = sum(_bram_blocks(w) for w in buffers_words)
     if not math.isfinite(alm):
         raise CalibrationError(f"the ALM coefficients give a non-finite ALM total ({alm})")
-    return ResourceEstimate(dsp_used=dsp, bram_used=bram, alm_used=round(alm))
+    return ResourceEstimate(_dsp_used(plan.layers, plan.terms, plan.hws),
+                            _bram_used(plan, seqs, buffer_words), round(alm))
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +206,17 @@ class RooflineComparison(NamedTuple):
 
 
 def roofline(block: BlockSpec, input_shape: TensorShape, platform: PlatformSpec,
-             tile: tuple[int, int, int], ops_weights: tuple[int, int] | None = None
-             ) -> RooflineComparison:
+             tile: tuple[int, int, int], shapes: list[TensorShape] | None = None,
+             ops_weights: tuple[int, int] | None = None) -> RooflineComparison:
     """Fused vs layer-by-layer roofline points for one block run in
     (T_h, T_w, T_f) tiles: the one place a tile's off-chip bytes are
     summed, as the module docstring lists them.  The full-map tile adds no
-    halo (``fusion.tiling_overhead``) and no re-read.  ``ops_weights`` is the
-    block's (ops, params) on ``input_shape``, found once by a many-tile caller.
+    halo (``fusion.tiling_overhead``) and no re-read.  A many-tile caller
+    may pass the block's ``layer_shapes`` and (ops, params) on ``input_shape``.
     """
-    shapes = layer_shapes(block, input_shape)
-    ops, weights = ops_weights or (block.ops(input_shape), block.params(input_shape))
+    shapes = shapes or layer_shapes(block, input_shape)
+    ops, weights = ops_weights or (block.ops(input_shape, shapes),
+                                   block.params(input_shape, shapes))
     t_h, t_w, t_f = tile
     halo = 0
     if t_h < input_shape.height or t_w < input_shape.width:
@@ -245,15 +245,20 @@ class DesignCandidate(NamedTuple):
     roofline: RooflinePoint
 
     def key(self) -> tuple:
-        """Deterministic total order: best first."""
-        return (-self.roofline.attainable_gops, self.total_cycles,
-                self.resources.dsp_used, _cfg_sort_key(self.cfg))
+        """Deterministic total order: best first.  It is flat, so that a
+        ``design_gen`` unit key, which stops at the sequences, is a prefix."""
+        cfg = self.cfg
+        return (-self.roofline.attainable_gops, self.total_cycles, self.resources.dsp_used,
+                _cfg_sort_key(cfg), _values(cfg.seqs), _values(cfg.buffer_options))
 
 
-def _cfg_sort_key(cfg: FusedDesignConfig) -> tuple:
-    return (cfg.t_h, cfg.t_w, cfg.t_c, cfg.t_f, cfg.p_h, cfg.p_w, cfg.p_c,
-            cfg.p_f, tuple(s.value for s in cfg.seqs),
-            tuple(b.value for b in cfg.buffer_options))
+def _cfg_sort_key(cfg: tuple) -> tuple:
+    """A config's (or its fields') T_h .. P_f, the key's part before the sequences."""
+    return cfg[:8]
+
+
+def _values(members) -> tuple:
+    return tuple(m.value for m in members)
 
 
 def pick_best_design(candidates: list[DesignCandidate],
@@ -336,14 +341,14 @@ def _parallelism_combos(mults: tuple[tuple[int, int, int, bool], ...],
 
 
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
-                    chans: list[int], platform: PlatformSpec, max_parallel: int,
+                    shapes: list[TensorShape], platform: PlatformSpec, max_parallel: int,
                     grid_depth: int, walks: dict, ops_weights: tuple[int, int] | None = None
                     ) -> Iterator[tuple[tuple, tuple]]:
     """The prefiltered grid of ``design_candidates`` in grid order, as
     (floor, (its tile's fused roofline point, an all-FM config's fields,
     (chain terms, (tile, parallelism) and ``hw.cycle_counts`` per layer,
-    passes))), for a stage with ``chans`` channels into each layer and out
-    of the last.  Each layer's chain terms (``hw.layer_terms``) and the
+    passes))), for a stage with ``shapes`` (``layer_shapes``) and
+    ``ops_weights``.  Each layer's chain terms (``hw.layer_terms``) and the
     combos are found once per spatial option, as neither depends on the
     tile, and a walk once per ``walks`` table.  A tile whose roofline
     raises is dropped, as is a (tile, spatial option) where a layer's tile
@@ -355,6 +360,7 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     (``fusion.assignment_bounds``), equal on one layer."""
     layers = block.layers
     n = len(layers)
+    chans = [s.channels for s in shapes]
     grids = tuple(tuple(_pow2_divisors(max_parallel, c)) for c in chans)
     t_c, seqs, options = tuple(chans[:-1]), (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1)
 
@@ -372,14 +378,16 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
         if key not in walks:
             walks[key] = _parallelism_combos(*key)
         combos.append(walks[key])
-    ops_weights = ops_weights or (block.ops(input_shape), block.params(input_shape))
+    ops_weights = ops_weights or (block.ops(input_shape, shapes), block.params(input_shape, shapes))
 
     for t_h, t_w in zip(_tile_options(input_shape.height),
                         _tile_options(input_shape.width)):
         try:
-            rl = roofline(block, input_shape, platform, (t_h, t_w, chans[-1]), ops_weights).fused
+            rl = roofline(block, input_shape, platform, (t_h, t_w, chans[-1]), shapes,
+                          ops_weights).fused
         except InvalidTiling:
             continue
+        gops = -rl.attainable_gops
         tiles = [(*tile, c, f) for tile, c, f in
                  zip(layer_tiles(layers, t_h, t_w), chans, chans[1:])]
         passes = math.ceil(input_shape.height / t_h) * math.ceil(input_shape.width / t_w)
@@ -390,7 +398,7 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                 hws = [(tile, (p_h, p_w, c, f)) for tile, c, f in zip(tiles, ps, ps[1:])]
                 counts = [cycle_counts(layer, *hw) for layer, hw in zip(layers, hws)]
                 lag = fill_cycles(spatial_terms[-1], tiles[-1][1], ps[-2])
-                yield ((-rl.attainable_gops, passes * (max(c[0] for c in counts) + lag)), (rl, (
+                yield ((gops, passes * (max(c[0] for c in counts) + lag)), (rl, (
                     t_h, t_w, t_c, chans[-1], p_h, p_w, ps[:-1], ps[-1], seqs, options, wino),
                     (spatial_terms, hws, counts, passes)))
 
@@ -425,62 +433,79 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     ``design_gen`` searches the same grid best-first and returns what
     ``pick_best_design`` picks from this list.
     """
-    chans = [s.channels for s in layer_shapes(block, input_shape)]
+    shapes = layer_shapes(block, input_shape)
+    chans = [s.channels for s in shapes]
     return [_candidate(plan, sc, rl, coeffs)
-            for _, (rl, fields, _) in _planned_points(block, input_shape, chans, platform,
+            for _, (rl, fields, _) in _planned_points(block, input_shape, shapes, platform,
                                                       max_parallel, grid_depth, {})
             for plan in [plan_block(block, input_shape, FusedDesignConfig(*fields), chans)]
             for sc in enumerate_sequences(plan)]
 
 
+def _units(layers, j: int, floor: tuple, point: tuple, values: list) -> list[tuple]:
+    """``design_gen``'s heap entries of grid point ``j``, one per sequence
+    assignment: its key (-attainable GOPS, the ``fusion.assignment_bounds``
+    bound, ``_dsp_used``, ``_cfg_sort_key``, the sequences' ``values``), then
+    j, its sequences and the point's schedule (``fusion.block_schedule``)."""
+    _, fields, (terms, hws, counts, passes) = point
+    schedule = terms, block_schedule(layers, terms, hws, counts), passes
+    dsp, cfg_key = _dsp_used(layers, terms, hws), _cfg_sort_key(fields)
+    return [(floor[0], bound, dsp, cfg_key, seq_values, j, seqs, schedule)
+            for (bound, seqs), seq_values in zip(assignment_bounds(*schedule[1:]), values)]
+
+
 def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                platform: PlatformSpec, coeffs: CalibrationTable,
                grid_depth: int, max_parallel: int = 64, walks: dict | None = None,
+               shapes: list[TensorShape] | None = None,
                ops_weights: tuple[int, int] | None = None) -> DesignCandidate:
     """Hardware DSE for one block: the candidate that
     ``pick_best_design(design_candidates(...))`` selects, found best-first.
 
     The unit of the search is a (grid point, sequence assignment) pair,
-    which gives one candidate (``fusion.best_options``) with the point's
-    roofline and the assignment's bound in cycles
-    (``fusion.assignment_bounds`` on ``fusion.block_schedule`` of the
-    point's cycle counts).  So the unit's pair ``(-attainable_gops, bound)``
-    equals its candidate's first two key fields, and is at least its
-    point's floor (``_planned_points``).  A point's units are ranked in
-    floor order, each once its floor is at most the smallest pair in the
-    heap of ranked units, so units leave the heap in pair order; the search
-    stops at the first pair or floor above the best feasible key so far.  A
-    pair equal to the best is still evaluated, as DSPs and the config break
-    ties.  So the units evaluated are those whose pair is at most the
-    selected key, as if every point were planned; when no candidate is
-    feasible every unit is evaluated, so ``Infeasible`` reports the same
-    count.  A point is planned (``fusion.plan_block`` on that schedule)
-    when its first unit is evaluated.  ``walks`` and ``ops_weights``
-    (``_planned_points``) may come from the caller.
+    which gives one candidate (``fusion.best_options``).  Its key
+    (``_units``) is that candidate's ``DesignCandidate.key`` up to the
+    buffer options: the assignment's bound is the candidate's cycles, and
+    no buffer option changes the DSPs or the config fields before them.
+    Points are ranked (their units pushed on a heap) in floor order
+    (``_planned_points``) while the floor is at most the best feasible key's
+    first two fields, and a unit leaves the heap only below the next floor
+    in those fields, so units leave in key order; the search stops at the
+    first key above the best.  That is exact under any lower bound.  These
+    keys are exact, and no two units agree up to the buffer options, so the
+    first feasible unit to leave is the selection and the next one lies
+    above it: one unit per search is evaluated (planned, sized, estimated),
+    plus any infeasible one before it, and when none is feasible every unit
+    is, so ``Infeasible`` reports the same count.  ``best_options`` checks
+    the BRAM (``_bram_used``) of the smallest buffers before simulating.
+    ``walks``, ``shapes`` and ``ops_weights`` may come from the caller.
     """
-    chans = [s.channels for s in layer_shapes(block, input_shape)]
-    points = sorted(_planned_points(block, input_shape, chans, platform, max_parallel,
+    shapes = shapes or layer_shapes(block, input_shape)
+    chans = [s.channels for s in shapes]
+    points = sorted(_planned_points(block, input_shape, shapes, platform, max_parallel,
                                     grid_depth, {} if walks is None else walks, ops_weights),
                     key=lambda p: p[0])
-    # units: a min-heap of (pair, j, k, seqs, schedule), and plans by point
+    values = [_values(seqs) for seqs in seq_assignments(len(block.layers))]
     units, candidates, plans = [], [], {}
-    best = (math.inf,)  # the first two key fields of the best feasible candidate
+    # the best feasible key up to the buffer options, closed by inf so that a
+    # unit key equal that far (then j) sorts below it
+    best = (math.inf,)
     for j, (floor, point) in enumerate(points + [((math.inf,), None)]):
-        while units and units[0][0] < floor and units[0][0] <= best:
-            _, i, _, seqs, schedule = heapq.heappop(units)
+        while units and units[0] < floor and units[0] <= best:
+            *_, i, seqs, schedule = heapq.heappop(units)
             rl, fields, _ = points[i][1]
             if (plan := plans.get(i)) is None:
                 plan = plans[i] = plan_block(block, input_shape, FusedDesignConfig(*fields),
                                              chans, schedule)
-            candidates.append(c := _candidate(plan, best_options(plan, seqs), rl, coeffs))
+            sc = best_options(plan, seqs, lambda words: _bram_used(plan, seqs, words)
+                              <= platform.bram_blocks)
+            candidates.append(c := _candidate(plan, sc, rl, coeffs))
             if c.resources.feasible(platform):
-                best = min(best, c.key()[:2])
+                best = min(best, (*c.key()[:5], math.inf))
         if point is None or floor > best:
             break
-        terms, hws, counts, passes = point[2]
-        schedule = terms, block_schedule(block.layers, terms, hws, counts), passes
-        for k, (bound, seqs) in enumerate(assignment_bounds(*schedule[1:])):
-            heapq.heappush(units, ((floor[0], bound), j, k, seqs, schedule))
+        for unit in _units(block.layers, j, floor, point, values):
+            heapq.heappush(units, unit)
     return pick_best_design(candidates, platform)
 
 
@@ -534,10 +559,12 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
         if has_pipeline(stage.op):
             key = (stage.op, stage.input_shape)
             if (entry := designs.get(key)) is None:
-                counts = stage.op.ops(stage.input_shape), stage.op.params(stage.input_shape)
+                shapes = layer_shapes(stage.op, stage.input_shape)
+                counts = (stage.op.ops(stage.input_shape, shapes),
+                          stage.op.params(stage.input_shape, shapes))
                 entry = designs[key] = (design_gen(stage.op, stage.input_shape, platform,
                                                    coeffs, grid_depth, max_parallel,
-                                                   designs, counts), counts[0])
+                                                   designs, shapes, counts), counts[0])
             best, stage_ops = entry
             ops += stage_ops
         rows.append(StageDesign(i, stage.name, best))

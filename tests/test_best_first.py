@@ -1,17 +1,19 @@
 """Best-first stage DSE: ``design_gen`` selects what full enumeration selects.
 
 ``design_gen`` evaluates (grid point, sequence assignment) units in
-ascending order of ``(-attainable_gops, bound)``, with the bound from
-``fusion.assignment_bounds``, and stops once that pair exceeds the best
-feasible key.  It is exact when an assignment's bound never exceeds the
-``total_cycles`` of its candidate, and the bound equals them.  Both are
-checked on the reference models' stages, and the search order and cutoff
-also on fake grids where ties and winners behind a loose bound are common.
+ascending order of their keys, ``DesignCandidate.key`` up to the buffer
+options with the cycles bounded by ``fusion.assignment_bounds``, and stops
+once the next key exceeds the best feasible key.  It is exact when a unit's
+key never exceeds the key of its candidate, and it evaluates one unit per
+search when the keys agree through the sequences.  Both are checked on the
+reference models' stages, and the search order and cutoff also on fake
+grids where ties and winners behind a loose bound are common.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import types
 
 import pytest
@@ -21,9 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from turf import resources
 from turf.errors import Infeasible
-from turf.fusion import FusedDesignConfig, assignment_bounds, plan_block
-from turf.hw import Seq
-from turf.ir import has_pipeline
+from turf.fusion import FusedDesignConfig, assignment_bounds, plan_block, seq_assignments
+from turf.ir import has_pipeline, layer_shapes
 from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
                             PlatformSpec, ResourceEstimate, RooflinePoint,
@@ -102,21 +103,50 @@ def test_cycles_bound_below_every_candidate(model_name):
             assert bounds[c.cfg.seqs] == c.total_cycles, (name, c.cfg)
 
 
+@pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
+                                        "mobilenetv2"])
+def test_unit_keys_bound_every_candidate_key(model_name):
+    """The key that ``design_gen``'s code (``resources._units``) gives each
+    unit is at most its candidate's ``DesignCandidate.key``, and equal to it
+    through the sequences: GOPS, cycles, DSPs, tiles and parallelism, and
+    the sequences.  So the first feasible unit the search evaluates is the
+    one it selects."""
+    for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
+        values = [resources._values(seqs) for seqs in seq_assignments(len(block.layers))]
+        keys = {}
+        for j, (floor, point) in enumerate(resources._planned_points(
+                block, shape, layer_shapes(block, shape), STRATIX_V_5SGSD8, 64, 4, {})):
+            for unit in resources._units(block.layers, j, floor, point, values):
+                keys[unit[3:5]] = unit[:5]
+        assert len(keys) == len(cands), name
+        for c in cands:
+            key = c.key()
+            assert keys[key[3:5]] <= key and keys[key[3:5]] == key[:5], (name, c.cfg)
+
+
+# the sequences of a fake point's units, as ``design_gen`` assigns them to
+# a two-layer block
+FAKE_SEQS = seq_assignments(2)
+
+
 def _fake_cfg(point: int, unit: int) -> FusedDesignConfig:
     return FusedDesignConfig(t_h=point, t_w=1, t_c=(1,), t_f=1, p_h=1, p_w=unit,
-                             p_c=(1,), p_f=1, seqs=(Seq.FM,), buffer_options=(),
+                             p_c=(1,), p_f=1, seqs=FAKE_SEQS[unit], buffer_options=(),
                              use_winograd=(False,))
 
 
-def _fake_point(i, gops, floor, units):
+def _fake_point(i, gops, floor, units, dsp=0):
     """A grid point as ``_planned_points`` yields it, ``(floor, (roofline
     point, config fields, (terms, hws, counts, passes)))``, with its units:
     each a sequence assignment's (cycles bound, candidate).  The config
-    stands in for the point's layer configs and their schedule."""
+    stands in for the point's layer configs and their schedule, and the
+    terms for its DSP count ``dsp``.  The point's config has P_w = 0 and its
+    candidates P_w = their unit's index, so the config part of a unit's key
+    is a loose bound too."""
     rl = RooflinePoint(gops, 10.0, 1.0)
     units = [(bound, cand._replace(roofline=rl)) for bound, cand in units]
     cfg = _fake_cfg(i, 0)
-    return ((-rl.attainable_gops, floor), (rl, tuple(cfg), ((), cfg, (), 1))), units
+    return ((-rl.attainable_gops, floor), (rl, tuple(cfg), (dsp, cfg, (), 1))), units
 
 
 @st.composite
@@ -125,9 +155,9 @@ def fake_grids(draw):
     cycles and DSP values, so that equal bounds, equal keys up to the config
     and winners behind a lower bound are common, within a point as across
     points.  A candidate's cycles are anywhere from its unit's bound to 3
-    above, and a point's floor anywhere from 0 to its smallest unit bound,
-    so both exact and loose bounds and floors occur: the search is exact
-    under either."""
+    above, a point's floor anywhere from 0 to its smallest unit bound, and
+    its DSP count anywhere from 0 to its candidates' fewest, so both exact
+    and loose bounds and floors occur: the search is exact under either."""
     points = []
     for i in range(draw(st.integers(0, 5))):
         units = []
@@ -140,44 +170,58 @@ def fake_grids(draw):
                 None)
             units.append((bound, cand))
         floor = draw(st.integers(0, min(bound for bound, _ in units)))
-        points.append(_fake_point(i, draw(st.sampled_from([1.0, 2.0, 3.0])), floor, units))
+        dsp = draw(st.integers(0, min(c.resources.dsp_used for _, c in units)))
+        points.append(_fake_point(i, draw(st.sampled_from([1.0, 2.0, 3.0])), floor, units,
+                                  dsp))
     return points
 
 
 def _search_and_enumeration(points):
     """What ``design_gen`` and full enumeration pick from fake points; the
     DSE helpers are replaced by the units, each point's config standing in
-    for its schedule and plan and each unit's index for its sequences.
-    Each point is planned once, when its first unit is evaluated, and only
-    then."""
+    for its schedule and plan, its terms for its DSP count and each unit's
+    index in ``FAKE_SEQS`` for its sequences.  Each point is planned once,
+    when its first unit is evaluated, and only then.  The units evaluated
+    are exactly those whose key is at most the selection's key (all of them
+    when none is feasible): a unit that only ties the next floor's GOPS and
+    cycles is not evaluated before that point's units are ranked."""
     platform = STRATIX_V_5SGSD8
     by_cfg = {FusedDesignConfig(*fields): units for (_, (_, fields, _)), units in points}
     every = [c for _, units in points for _, c in units]
     planned, evaluated = [], []
 
     def plan_block(block, shape, cfg, chans, schedule):
-        assert schedule == ((), cfg, 1)
+        assert schedule[1:] == (cfg, 1)
         planned.append(cfg)
         return cfg
 
-    def best_options(cfg, j):
+    def best_options(cfg, seqs, fits):
         assert cfg in planned
-        evaluated.append(cfg)
-        return by_cfg[cfg][j][1]
+        evaluated.append((cfg, seqs))
+        return by_cfg[cfg][FAKE_SEQS.index(seqs)][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resources, "layer_shapes", lambda *args: [])
         mp.setattr(resources, "_planned_points",
                    lambda *args: [point for point, _ in points])
         mp.setattr(resources, "block_schedule", lambda layers, terms, cfg, counts: cfg)
+        mp.setattr(resources, "_dsp_used", lambda layers, dsp, cfg: dsp)
         mp.setattr(resources, "plan_block", plan_block)
         mp.setattr(resources, "assignment_bounds",
-                   lambda cfg, passes: [(bound, j) for j, (bound, _) in enumerate(by_cfg[cfg])])
+                   lambda cfg, passes: [(bound, FAKE_SEQS[j])
+                                        for j, (bound, _) in enumerate(by_cfg[cfg])])
         mp.setattr(resources, "best_options", best_options)
         mp.setattr(resources, "_candidate", lambda cfg, cand, rl, coeffs: cand)
-        got = _selection(lambda: design_gen(types.SimpleNamespace(layers=()), None,
+        got = _selection(lambda: design_gen(types.SimpleNamespace(layers=(None, None)), None,
                                             platform, CalibrationTable(alm={}), 4))
-    assert len(set(planned)) == len(planned) and set(planned) == set(evaluated)
+    assert len(set(planned)) == len(planned) and set(planned) == {cfg for cfg, _ in evaluated}
+    keys = {(cfg, FAKE_SEQS[j]): (floor[0], bound, dsp, fields[:8],
+                                  resources._values(FAKE_SEQS[j]))
+            for (floor, (_, fields, (dsp, cfg, _, _))), units in points
+            for j, (bound, _) in enumerate(units)}
+    best = (math.inf,) if isinstance(got, str) else (*got.key()[:5], math.inf)
+    assert len(set(evaluated)) == len(evaluated)
+    assert set(evaluated) == {unit for unit, key in keys.items() if key <= best}
     return got, _selection(lambda: pick_best_design(every, platform))
 
 
@@ -199,6 +243,19 @@ def test_floor_equal_to_the_best_is_still_planned(tie):
         return DesignCandidate(_fake_cfg(i, 0), 5, ResourceEstimate(dsp, 0, 0), None)
     points = [_fake_point(0, 1.0, 5, [(5, cand(0, 1 if tie == "dsp" else 2))]),
               _fake_point(1, 1.0, 4, [(4, cand(1, 2))])]
+    got, want = _search_and_enumeration(points)
+    assert got == want
+    assert got.cfg == _fake_cfg(0, 0)
+
+
+def test_unit_tying_the_next_floor_waits_for_that_point():
+    """Point 1's unit ties point 0's floor (-1, 5) but has more DSPs than
+    point 0's unit.  The search ranks point 0 before it evaluates either,
+    so it evaluates point 0's unit only, which wins on DSPs."""
+    def cand(i, dsp):
+        return DesignCandidate(_fake_cfg(i, 0), 5, ResourceEstimate(dsp, 0, 0), None)
+    points = [_fake_point(0, 1.0, 5, [(5, cand(0, 1))], dsp=1),
+              _fake_point(1, 1.0, 4, [(5, cand(1, 2))], dsp=2)]
     got, want = _search_and_enumeration(points)
     assert got == want
     assert got.cfg == _fake_cfg(0, 0)

@@ -25,7 +25,7 @@ from conftest import closed_form_dsp, pipeline_dsp
 from turf.errors import PortMismatch, ShapeMismatch, UnsupportedConfig
 from turf.fusion import FusedDesignConfig, derive_layer_configs
 from turf.hw import BufferOption, LayerHwConfig, Seq, instantiate_layer, layer_terms
-from turf.ir import LayerKind, LayerSpec, TensorShape
+from turf.ir import LayerKind, LayerSpec, TensorShape, layer_shapes
 from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, _parallelism_combos, _planned_points,
                             _pow2_divisors, _tile_options)
@@ -96,8 +96,8 @@ def _reference_combos(rows, dsp_total, grid_depth):
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
     platform = STRATIX_V_5SGSD8._replace(dsp_total=dsp_total)
-    chans = _channels(block, input_shape)
-    for _, (_, fields, _) in _planned_points(block, input_shape, chans, platform, 64,
+    for _, (_, fields, _) in _planned_points(block, input_shape,
+                                             layer_shapes(block, input_shape), platform, 64,
                                              grid_depth, {}):
         cfg = FusedDesignConfig(*fields)
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(

@@ -226,9 +226,11 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     make a streaming producer wait, so ``_pass_bound`` is their makespan,
     and the capacity-aware bound puts the other 6 above the floor, behind
     an option that reaches it (all 8 were simulated before the bound had
-    a capacity term).  It estimates the resources of 2 candidates: the two
-    best-ranked sequence assignments (full enumeration of the 2 points it
-    used to evaluate takes 41 and 8)."""
+    a capacity term).  It estimates the resources of 1 candidate, the
+    best-ranked unit, whose key is its candidate's through the sequences (2,
+    the two assignments whose (GOPS, cycles) pair tied the best, while DSPs
+    and the config were read only after evaluation; full enumeration of
+    the 2 points it used to evaluate takes 41 and 8)."""
     import turf.cli, turf.fusion, turf.hw, turf.resources
     from turf.models import build_reference_model
 
@@ -253,9 +255,9 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     # sequences, options) set uniquely
     evaluated, sized, caps_of, simulated = {}, {}, {}, []
 
-    def best_options(plan, seqs):
+    def best_options(plan, seqs, fits):
         evaluated[id(plan)] = plan
-        return orig_best(plan, seqs)
+        return orig_best(plan, seqs, fits)
 
     def buffer_caps(plan, seqs, options):
         key = (id(plan), seqs, options)
@@ -282,18 +284,20 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     assert reports == []
     assert simulated == []
     assert set(sized.values()) == {1}, sized
-    assert calls["estimate_resources"] == 2
+    assert calls["estimate_resources"] == 1
 
 
 @pytest.mark.parametrize("model_name, ranked, evaluated", [
-    ("vgg16", 12, 12), ("resnet50", 57, 12), ("mobilenetv1", 69, 11),
+    ("vgg16", 12, 12), ("resnet50", 57, 10), ("mobilenetv1", 69, 11),
     ("mobilenetv2", 45, 15)])
 def test_plans_only_points_that_can_win(monkeypatch, model_name, ranked, evaluated):
     """One ``evaluate_model`` ranks the units of few grid points (on VGG-16,
     whose one-layer stages have exact floors, only of the points it
-    evaluates), and plans only the points it evaluates a unit of.  260,
-    150, 165 and 185 points were planned when each was planned to be
-    ranked, and 12, 57, 69 and 45 when each ranked point was planned."""
+    evaluates), and plans only the points it evaluates a unit of: one per
+    stage search, as many as the stage-table misses.  260, 150, 165 and 185
+    points were planned when each was planned to be ranked, 12, 57, 69 and
+    45 when each ranked point was planned, and 12, 12, 11 and 15 while each
+    unit that tied the best (GOPS, cycles) pair was evaluated."""
     import turf.resources
     from turf.models import build_reference_model
     from turf.resources import evaluate_model
@@ -306,8 +310,8 @@ def test_plans_only_points_that_can_win(monkeypatch, model_name, ranked, evaluat
     monkeypatch.setattr(turf.resources, "plan_block",
                         lambda *args: plans.append(orig_plan(*args)) or plans[-1])
     monkeypatch.setattr(turf.resources, "best_options",
-                        lambda plan, seqs: used.setdefault(id(plan), plan) and
-                        orig_best(plan, seqs))
+                        lambda plan, *args: used.setdefault(id(plan), plan) and
+                        orig_best(plan, *args))
     evaluate_model(build_reference_model(model_name), STRATIX_V_5SGSD8,
                    load_calibration(), {})
     assert (len(bounded), len(plans), len(used)) == (ranked, evaluated, evaluated)
@@ -376,7 +380,7 @@ def test_floor_is_below_every_assignment_bound(stage):
     chans = [s.channels for s in layer_shapes(op, shape)]
     kept = set()
     for floor, (rl, fields, (terms, hws, counts, passes)) in _planned_points(
-            op, shape, chans, platform, max_parallel, grid_depth, {}):
+            op, shape, layer_shapes(op, shape), platform, max_parallel, grid_depth, {}):
         cfg = FusedDesignConfig(*fields)
         kept.add((cfg.t_h, cfg.t_w, cfg.p_h))
         plan = plan_block(op, shape, cfg, chans)
@@ -473,9 +477,8 @@ def test_a_shared_walk_table_picks_what_fresh_ones_pick(pair):
 
     def search(stage, walks):
         op, shape, platform, grid_depth, max_parallel = stage
-        chans = [s.channels for s in layer_shapes(op, shape)]
         grid = [fields for _, (_, fields, _) in _planned_points(
-            op, shape, chans, platform, max_parallel, grid_depth, walks)]
+            op, shape, layer_shapes(op, shape), platform, max_parallel, grid_depth, walks)]
         try:
             return grid, design_gen(op, shape, platform, load_calibration(), grid_depth,
                                     max_parallel, walks)
@@ -487,8 +490,9 @@ def test_a_shared_walk_table_picks_what_fresh_ones_pick(pair):
 
 
 def test_dse_simulates_few_passes(tmp_path, monkeypatch):
-    """``dse`` on ResNet-50 simulates 4 passes (78 when every option set
-    was simulated up to the floor): the others either cannot make a
+    """``dse`` on ResNet-50 simulates 2 passes (78 when every option set
+    was simulated up to the floor, 4 while each unit that tied the best
+    (GOPS, cycles) pair was evaluated): the others either cannot make a
     streaming producer wait, so the bound is their makespan, or are
     bounded above the floor behind an option that reaches it."""
     import json
@@ -504,7 +508,35 @@ def test_dse_simulates_few_passes(tmp_path, monkeypatch):
     monkeypatch.setattr(turf.fusion, "_simulate_pass",
                         lambda *args: simulated.append(1) or orig(*args))
     assert main(["dse", str(model_path), "--out", str(tmp_path / "dse.json")]) == 0
-    assert len(simulated) == 4
+    assert len(simulated) == 2
+
+
+def test_wide_model_is_rejected_without_simulating(tmp_path, monkeypatch, capsys):
+    """A one-stage ResNet-50 ``res2_1`` model whose first two layers have
+    2**16 output channels fits no design: ``dse`` exits 1 with the same
+    ``Infeasible`` count of 200 candidates, and simulates no pass, as each
+    candidate that would simulate one is over the BRAM with its smallest
+    buffers already (100 passes, each walking units that grow with the
+    channels, before that check)."""
+    import json
+    import turf.fusion
+    from turf.cli import main
+    from turf.ir import model_to_json
+    from turf.models import build_reference_model
+
+    stage = model_to_json(build_reference_model("resnet50"))["stages"][2]
+    assert stage["name"] == "res2_1"
+    for layer in stage["block"]["layers"][:2]:
+        layer["out_channels"] = 2 ** 16
+    model_path = tmp_path / "wide.json"
+    model_path.write_text(json.dumps({"base": "Custom", "stages": [stage]}))
+    simulated = []
+    orig = turf.fusion._simulate_pass
+    monkeypatch.setattr(turf.fusion, "_simulate_pass",
+                        lambda *args: simulated.append(1) or orig(*args))
+    assert main(["dse", str(model_path), "--out", str(tmp_path / "dse.json")]) == 1
+    assert capsys.readouterr().err == "Infeasible: no feasible candidate among 200\n"
+    assert simulated == []
 
 
 @pytest.mark.parametrize("argv, model_name, walks", [
