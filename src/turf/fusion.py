@@ -228,6 +228,7 @@ class SimReport(NamedTuple):
 # Per-layer derivation
 
 _SEQ_ORDER = (Seq.FM, Seq.CM)
+_ALL_TOKENS = (1, 1, 0)  # a buffer's (tokens, capacity, words) when it holds every token
 
 
 class LayerSchedule(NamedTuple):
@@ -292,27 +293,27 @@ class _BlockPlan(NamedTuple):
     layers: tuple[LayerSpec, ...]
     hws: tuple[LayerHwConfig, ...]
     terms: tuple[LayerTerms, ...]
-    by_seq: dict[Seq, tuple[LayerSchedule, ...]]
+    by_seq: tuple[tuple[LayerSchedule, ...], tuple[LayerSchedule, ...]]
     n_passes: int   # sequential tile passes: spatial tiles x output-channel slices
 
 
 class BlockPlan(_BlockPlan):
     """One fused design of a stage, scheduled once by ``plan_block``.
-    ``by_seq[s][i]`` is layer i's schedule under sequence s, and ``hws[i]``
-    its hardware config under ``cfg`` with ``terms[i]`` its chain's
-    constants (the sequence changes neither the config's other fields nor
-    the module pipeline).  It has no ``__slots__``: its instance dict holds
-    ``pipelines`` once built."""
+    ``by_seq[k][i]`` is layer i's schedule under ``_SEQ_ORDER[k]`` (no lookup
+    hashes a ``Seq``), and ``hws[i]`` its hardware config under ``cfg`` with
+    ``terms[i]`` its chain's constants (the sequence changes neither the
+    config's other fields nor the module pipeline).  It has no ``__slots__``:
+    its instance dict holds ``pipelines`` once built."""
 
     def schedule(self, seqs: tuple[Seq, ...]) -> list[LayerSchedule]:
-        return [self.by_seq[s][i] for i, s in enumerate(seqs)]
+        return [self.by_seq[s is Seq.CM][i] for i, s in enumerate(seqs)]
 
     @functools.cached_property
     def pipelines(self) -> tuple[LayerPipeline, ...]:
         return tuple(map(instantiate_layer, self.layers, self.hws))
 
 
-def block_schedule(layers, terms, hws, counts) -> dict[Seq, tuple[LayerSchedule, ...]]:
+def block_schedule(layers, terms, hws, counts) -> tuple[tuple[LayerSchedule, ...], ...]:
     """A ``BlockPlan``'s ``by_seq`` when layer i has chain ``terms[i]`` and
     runs the (tile, parallelism) ``hws[i][:2]``, whose ``hw.cycle_counts``
     are ``counts[i]``."""
@@ -322,7 +323,7 @@ def block_schedule(layers, terms, hws, counts) -> dict[Seq, tuple[LayerSchedule,
         depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
         fm.append(LayerSchedule(f_units, cycles // f_units, lag, True, depthwise))
         cm.append(LayerSchedule(c_units, cycles // c_units, lag, depthwise, True))
-    return {Seq.FM: tuple(fm), Seq.CM: tuple(cm)}
+    return tuple(fm), tuple(cm)
 
 
 def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
@@ -478,9 +479,10 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
     return makespan, starts, finishes, (bufs, events)
 
 
-def _pass_bound(plans: list[LayerSchedule], caps) -> int:
-    """A lower bound on ``_simulate_pass``'s makespan with buffers ``caps``,
-    exact when none of them can make a streaming producer wait.
+def _pass_bounds(choices, caps) -> list[int]:
+    """A lower bound on ``_simulate_pass``'s makespan with buffers ``caps``
+    for each schedule in ``itertools.product(*choices)``, in that order,
+    exact when none of the buffers can make a streaming producer wait.
 
     Every layer's units run back to back from the earliest start its input
     allows.  When layer i streams out and layer i+1 streams in, unit u of
@@ -491,27 +493,30 @@ def _pass_bound(plans: list[LayerSchedule], caps) -> int:
     ``_buffer_caps`` sizes them.)  If i's buffer holds ``cap`` < tokens,
     i's unit u also waits for i+1 to finish unit u - cap, so each ``cap``
     units of i cost at least one round trip through i+1.  The last layer's
-    fill ends the pass.
+    fill ends the pass.  Each prefix's (start, finish) is found once.
     """
-    start, finish = 0, plans[0].units * plans[0].cycles_per_unit
-    for prev, plan, (tokens, cap, _) in zip(plans, plans[1:], caps):
-        busy = plan.units * plan.cycles_per_unit
-        if prev.producer_stream and plan.consumer_stream:
-            if cap < tokens:
-                laps, rest = divmod(prev.units - 1, cap)
-                finish = max(finish, start + (rest + 1) * prev.cycles_per_unit + laps * (
-                    prev.cycles_per_unit + prev.fill + plan.cycles_per_unit))
-            start += prev.cycles_per_unit + prev.fill
-            finish = max(start + busy, finish + prev.fill + plan.cycles_per_unit)
-        else:
-            start = finish + prev.fill
-            finish = start + busy
-    return finish + plans[-1].fill
+    states = [(0, p.units * p.cycles_per_unit, p) for p in choices[0]]
+    for options, (tokens, cap, _) in zip(choices[1:], caps):
+        grown = []
+        for start, finish, prev in states:
+            for plan in options:
+                # i+1 starts once i's last token is ready (``end``), or streaming its first
+                first = end = finish + prev.fill
+                if prev.producer_stream and plan.consumer_stream:
+                    if cap < tokens:
+                        laps, rest = divmod(prev.units - 1, cap)
+                        end = max(end, start + (rest + 1) * prev.cycles_per_unit + prev.fill
+                            + laps * (prev.cycles_per_unit + prev.fill + plan.cycles_per_unit))
+                    first = start + prev.cycles_per_unit + prev.fill
+                grown.append((first, max(first + plan.units * plan.cycles_per_unit,
+                                         end + plan.cycles_per_unit), plan))
+        states = grown
+    return [finish + plan.fill for _, finish, plan in states]
 
 
 def _pass_lower_bound(plans: list[LayerSchedule]) -> int:
-    """``_pass_bound`` with every buffer holding all its tokens: a floor under any sizing."""
-    return _pass_bound(plans, itertools.repeat((1, 1, 0)))
+    """``_pass_bounds`` with every buffer holding all its tokens: a floor under any sizing."""
+    return _pass_bounds(list(zip(plans)), itertools.repeat(_ALL_TOKENS))[0]
 
 
 def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
@@ -587,7 +592,7 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...], fits=None) -> SeqCandid
     a producer wait, and ``intermediate_buffer_words`` accepts a full-tile
     set under every ``seqs``.  A smaller buffer sits only between a streaming
     filter-major producer and channel-major consumer; a set with one is
-    taken when ``_pass_bound`` and then ``_simulate_pass`` reach the floor.
+    taken when ``_pass_bounds`` and then ``_simulate_pass`` reach the floor.
     Before simulating, ``fits`` (if given) checks the first set, the fewest
     words at each boundary: if it does not fit, none does; it is returned.
     """
@@ -603,7 +608,7 @@ def best_options(plan: BlockPlan, seqs: tuple[Seq, ...], fits=None) -> SeqCandid
     sized.sort(key=lambda s: s[0])  # stable: product order among equal words
     for _, options, caps in sized:
         if not all(cap >= tokens for tokens, cap, _ in caps):
-            if _pass_bound(plans, caps) != floor:
+            if _pass_bounds(list(zip(plans)), caps) != [floor]:
                 continue
             if fits is not None and not fits(tuple(w for _, _, w in sized[0][2])):
                 _, options, caps = sized[0]
@@ -620,13 +625,12 @@ def seq_assignments(n: int) -> list[tuple[Seq, ...]]:
     return list(itertools.product(_SEQ_ORDER, repeat=n))
 
 
-def assignment_bounds(by_seq: dict[Seq, tuple[LayerSchedule, ...]],
-                      n_passes: int) -> list[tuple[int, tuple[Seq, ...]]]:
-    """(bound, seqs) for each of the 2^N sequence assignments of a plan's
-    ``by_seq`` and ``n_passes``, in product order, where the bound (the
-    passes times ``_pass_lower_bound``) is ``best_options``' total_cycles."""
-    return [(n_passes * _pass_lower_bound([by_seq[s][i] for i, s in enumerate(seqs)]), seqs)
-            for seqs in seq_assignments(len(by_seq[Seq.FM]))]
+def assignment_bounds(by_seq: tuple[tuple[LayerSchedule, ...], ...], n_passes: int) -> list[int]:
+    """The bound of each of the 2^N sequence assignments of a plan's
+    ``by_seq`` and ``n_passes`` in ``seq_assignments`` order: the passes
+    times ``_pass_lower_bound``, which is ``best_options``' total_cycles."""
+    return [n_passes * bound
+            for bound in _pass_bounds(list(zip(*by_seq)), itertools.repeat(_ALL_TOKENS))]
 
 
 def enumerate_sequences(plan: BlockPlan) -> list[SeqCandidate]:

@@ -16,13 +16,14 @@ Roofline accounting (16-bit words, 2 bytes), summed only in ``roofline``:
 The compute roof is DSPs x 2 ops x clock.
 
 The search ranks each grid point by a closed-form floor taken from its
-layers' cycle counts, and the sequence assignments of the points that can
-still win by their candidates' whole selection key up to the buffer
-options; it evaluates one candidate per stage when that one fits, and runs
-each distinct parallelism walk once per command.  Candidates carry
-plain cycle and buffer-word counts.  A stage is searched when it has a
-hardware pipeline: a block, or a convolution or fully-connected layer as
-its own one-layer block.
+layers' cycle counts, then by its best sequence assignment's cycles, and
+the sequence assignments of the points that can still win by their
+candidates' whole selection key up to the buffer options; it evaluates one
+candidate per stage when that one fits, and runs each distinct
+parallelism walk once per command.  Candidates carry plain cycle and
+buffer-word counts.  A stage is searched when it has a hardware pipeline:
+a block, or a convolution or fully-connected layer as its own one-layer
+block.
 """
 
 from __future__ import annotations
@@ -356,8 +357,8 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     ``plan_block`` rejects.  The floor is (-attainable GOPS, passes ·
     (max_i busy_i + the last layer's fill)), busy_i being layer i's trip
     product, its time per pass under either sequence.  No pass is shorter,
-    so the floor is at most each assignment's pair
-    (``fusion.assignment_bounds``), equal on one layer."""
+    so it is at most each assignment's pair (``fusion.assignment_bounds``),
+    equal on one layer; ``design_gen`` refines it to their least one."""
     layers = block.layers
     n = len(layers)
     chans = [s.channels for s in shapes]
@@ -442,16 +443,15 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             for sc in enumerate_sequences(plan)]
 
 
-def _units(layers, j: int, floor: tuple, point: tuple, values: list) -> list[tuple]:
-    """``design_gen``'s heap entries of grid point ``j``, one per sequence
-    assignment: its key (-attainable GOPS, the ``fusion.assignment_bounds``
-    bound, ``_dsp_used``, ``_cfg_sort_key``, the sequences' ``values``), then
-    j, its sequences and the point's schedule (``fusion.block_schedule``)."""
-    _, fields, (terms, hws, counts, passes) = point
-    schedule = terms, block_schedule(layers, terms, hws, counts), passes
+def _units(layers, j: int, point: tuple, found: tuple, seq_keys: list) -> list[tuple]:
+    """``design_gen``'s heap entries of grid point ``j``, one per (sequences,
+    values) of ``seq_keys``: its key (-attainable GOPS, its bound in the
+    point's ``found`` (schedule, ``fusion.assignment_bounds``), ``_dsp_used``,
+    ``_cfg_sort_key``, the values), then j, the sequences and the schedule."""
+    rl, fields, (terms, hws, *_) = point
     dsp, cfg_key = _dsp_used(layers, terms, hws), _cfg_sort_key(fields)
-    return [(floor[0], bound, dsp, cfg_key, seq_values, j, seqs, schedule)
-            for (bound, seqs), seq_values in zip(assignment_bounds(*schedule[1:]), values)]
+    return [(-rl.attainable_gops, bound, dsp, cfg_key, seq_values, j, seqs, found[0])
+            for bound, (seqs, seq_values) in zip(found[1], seq_keys)]
 
 
 def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
@@ -467,11 +467,12 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     (``_units``) is that candidate's ``DesignCandidate.key`` up to the
     buffer options: the assignment's bound is the candidate's cycles, and
     no buffer option changes the DSPs or the config fields before them.
-    Points are ranked (their units pushed on a heap) in floor order
-    (``_planned_points``) while the floor is at most the best feasible key's
-    first two fields, and a unit leaves the heap only below the next floor
-    in those fields, so units leave in key order; the search stops at the
-    first key above the best.  That is exact under any lower bound.  These
+    Points wait on a heap under their floor (``_planned_points``).  A point
+    of a multi-layer block that first tops it goes back under (-GOPS, its
+    least assignment bound), its best unit's first two fields; one that tops
+    it again, or first on one layer, has its units ranked (pushed on a unit
+    heap).  Units leave only below the top floor, so in key order, and the
+    search stops at a key above the best: exact under any lower bound.  These
     keys are exact, and no two units agree up to the buffer options, so the
     first feasible unit to leave is the selection and the next one lies
     above it: one unit per search is evaluated (planned, sized, estimated),
@@ -485,12 +486,15 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     points = sorted(_planned_points(block, input_shape, shapes, platform, max_parallel,
                                     grid_depth, {} if walks is None else walks, ops_weights),
                     key=lambda p: p[0])
-    values = [_values(seqs) for seqs in seq_assignments(len(block.layers))]
+    seq_keys = [(seqs, _values(seqs)) for seqs in seq_assignments(len(block.layers))]
+    # (floor, j, once found the point's schedule and bounds): sorted, so a heap
+    frontier = [(floor, j, None) for j, (floor, _) in enumerate(points)]
     units, candidates, plans = [], [], {}
     # the best feasible key up to the buffer options, closed by inf so that a
     # unit key equal that far (then j) sorts below it
     best = (math.inf,)
-    for j, (floor, point) in enumerate(points + [((math.inf,), None)]):
+    while True:
+        floor, j, found = heapq.heappop(frontier) if frontier else ((math.inf,), None, None)
         while units and units[0] < floor and units[0] <= best:
             *_, i, seqs, schedule = heapq.heappop(units)
             rl, fields, _ = points[i][1]
@@ -502,9 +506,16 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
             candidates.append(c := _candidate(plan, sc, rl, coeffs))
             if c.resources.feasible(platform):
                 best = min(best, (*c.key()[:5], math.inf))
-        if point is None or floor > best:
+        if j is None or floor > best:
             break
-        for unit in _units(block.layers, j, floor, point, values):
+        if found is None:
+            terms, hws, counts, passes = points[j][1][2]
+            schedule = terms, block_schedule(block.layers, terms, hws, counts), passes
+            found = schedule, assignment_bounds(*schedule[1:])
+            if len(block.layers) > 1:
+                heapq.heappush(frontier, ((floor[0], min(found[1])), j, found))
+                continue
+        for unit in _units(block.layers, j, points[j][1], found, seq_keys):
             heapq.heappush(units, unit)
     return pick_best_design(candidates, platform)
 

@@ -3,11 +3,14 @@
 ``design_gen`` evaluates (grid point, sequence assignment) units in
 ascending order of their keys, ``DesignCandidate.key`` up to the buffer
 options with the cycles bounded by ``fusion.assignment_bounds``, and stops
-once the next key exceeds the best feasible key.  It is exact when a unit's
-key never exceeds the key of its candidate, and it evaluates one unit per
-search when the keys agree through the sequences.  Both are checked on the
-reference models' stages, and the search order and cutoff also on fake
-grids where ties and winners behind a loose bound are common.
+once the next key exceeds the best feasible key.  A grid point waits under
+its closed-form floor until it is refined to its least unit bound, and its
+units are built only if that refined floor can still win.  The search is
+exact when a unit's key never exceeds the key of its candidate, and it
+evaluates one unit per search when the keys agree through the sequences.
+Both are checked on the reference models' stages, and the search order,
+refinement and cutoff also on fake grids where ties and winners behind a
+loose bound are common.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from turf import resources
 from turf.errors import Infeasible
-from turf.fusion import FusedDesignConfig, assignment_bounds, plan_block, seq_assignments
+from turf.fusion import (FusedDesignConfig, assignment_bounds, block_schedule, plan_block,
+                         seq_assignments)
 from turf.ir import has_pipeline, layer_shapes
 from turf.models import build_reference_model
 from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, DesignCandidate,
@@ -98,9 +102,37 @@ def test_cycles_bound_below_every_candidate(model_name):
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         for c in cands:
             plan = plan_block(block, shape, c.cfg)
-            bounds = {seqs: bound for bound, seqs
-                      in assignment_bounds(plan.by_seq, plan.n_passes)}
+            bounds = dict(zip(seq_assignments(len(block.layers)),
+                              assignment_bounds(plan.by_seq, plan.n_passes)))
             assert bounds[c.cfg.seqs] == c.total_cycles, (name, c.cfg)
+
+
+def _found(block, point) -> tuple:
+    """A grid point's schedule and assignment bounds, as ``design_gen``
+    finds them when it refines the point."""
+    terms, hws, counts, passes = point[2]
+    by_seq = block_schedule(block.layers, terms, hws, counts)
+    return (terms, by_seq, passes), assignment_bounds(by_seq, passes)
+
+
+@pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
+                                        "mobilenetv2"])
+def test_refined_floor_is_each_points_best_pair(model_name):
+    """On every grid point, the floor ``design_gen`` refines a point to,
+    (-GOPS, its least assignment bound), is exactly the least (-GOPS,
+    cycles) pair of the point's candidates, and at least the point's
+    closed-form floor."""
+    for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
+        pairs = {}
+        for c in cands:
+            key = c.key()
+            pairs[key[3]] = min(pairs.get(key[3], key[:2]), key[:2])
+        points = list(resources._planned_points(block, shape, layer_shapes(block, shape),
+                                                STRATIX_V_5SGSD8, 64, 4, {}))
+        assert len(points) == len(pairs), name
+        for floor, point in points:
+            refined = (floor[0], min(_found(block, point)[1]))
+            assert floor <= refined == pairs[resources._cfg_sort_key(point[1])], (name, point[1])
 
 
 @pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
@@ -112,11 +144,13 @@ def test_unit_keys_bound_every_candidate_key(model_name):
     the sequences.  So the first feasible unit the search evaluates is the
     one it selects."""
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
-        values = [resources._values(seqs) for seqs in seq_assignments(len(block.layers))]
+        seq_keys = [(seqs, resources._values(seqs))
+                    for seqs in seq_assignments(len(block.layers))]
         keys = {}
         for j, (floor, point) in enumerate(resources._planned_points(
                 block, shape, layer_shapes(block, shape), STRATIX_V_5SGSD8, 64, 4, {})):
-            for unit in resources._units(block.layers, j, floor, point, values):
+            for unit in resources._units(block.layers, j, point, _found(block, point),
+                                         seq_keys):
                 keys[unit[3:5]] = unit[:5]
         assert len(keys) == len(cands), name
         for c in cands:
@@ -180,18 +214,35 @@ def _search_and_enumeration(points):
     """What ``design_gen`` and full enumeration pick from fake points; the
     DSE helpers are replaced by the units, each point's config standing in
     for its schedule and plan, its terms for its DSP count and each unit's
-    index in ``FAKE_SEQS`` for its sequences.  Each point is planned once,
-    when its first unit is evaluated, and only then.  The units evaluated
-    are exactly those whose key is at most the selection's key (all of them
-    when none is feasible): a unit that only ties the next floor's GOPS and
-    cycles is not evaluated before that point's units are ranked."""
+    index in ``FAKE_SEQS`` for its sequences.  The fake block has two
+    layers, so a point is refined before its units are built: each point
+    is refined once, exactly when its floor is at most the selection's key
+    (every point when none is feasible), and its units are built once,
+    exactly when its refined floor, (-GOPS, its least unit bound), is.  The
+    unit bounds may lie below their candidates' cycles, so a refined floor
+    may be loose too.  Each point is planned once, when its first unit is
+    evaluated, and only then.  The units evaluated are exactly those whose
+    key is at most the selection's key (all of them when none is feasible):
+    a unit that only ties the next floor's GOPS and cycles is not evaluated
+    before that point's units are ranked."""
     platform = STRATIX_V_5SGSD8
     by_cfg = {FusedDesignConfig(*fields): units for (_, (_, fields, _)), units in points}
     every = [c for _, units in points for _, c in units]
-    planned, evaluated = [], []
+    refined, expanded, planned, evaluated = [], [], [], []
+
+    def assignment_bounds(cfg, passes):
+        assert passes == 1
+        refined.append(cfg)
+        return [bound for bound, _ in by_cfg[cfg]]
+
+    def units(layers, j, point, found, seq_keys):
+        cfg = FusedDesignConfig(*point[1])
+        assert found[0][1] == cfg and cfg in refined
+        expanded.append(cfg)
+        return orig_units(layers, j, point, found, seq_keys)
 
     def plan_block(block, shape, cfg, chans, schedule):
-        assert schedule[1:] == (cfg, 1)
+        assert schedule[1:] == (cfg, 1) and cfg in expanded
         planned.append(cfg)
         return cfg
 
@@ -200,26 +251,31 @@ def _search_and_enumeration(points):
         evaluated.append((cfg, seqs))
         return by_cfg[cfg][FAKE_SEQS.index(seqs)][1]
 
+    orig_units = resources._units
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resources, "layer_shapes", lambda *args: [])
         mp.setattr(resources, "_planned_points",
                    lambda *args: [point for point, _ in points])
         mp.setattr(resources, "block_schedule", lambda layers, terms, cfg, counts: cfg)
         mp.setattr(resources, "_dsp_used", lambda layers, dsp, cfg: dsp)
+        mp.setattr(resources, "assignment_bounds", assignment_bounds)
+        mp.setattr(resources, "_units", units)
         mp.setattr(resources, "plan_block", plan_block)
-        mp.setattr(resources, "assignment_bounds",
-                   lambda cfg, passes: [(bound, FAKE_SEQS[j])
-                                        for j, (bound, _) in enumerate(by_cfg[cfg])])
         mp.setattr(resources, "best_options", best_options)
         mp.setattr(resources, "_candidate", lambda cfg, cand, rl, coeffs: cand)
         got = _selection(lambda: design_gen(types.SimpleNamespace(layers=(None, None)), None,
                                             platform, CalibrationTable(alm={}), 4))
+    best = (math.inf,) if isinstance(got, str) else (*got.key()[:5], math.inf)
+    floors = {FusedDesignConfig(*fields): (floor, (floor[0], min(b for b, _ in units)))
+              for (floor, (_, fields, _)), units in points}
+    for seen, stage in ((refined, 0), (expanded, 1)):
+        assert len(set(seen)) == len(seen)
+        assert set(seen) == {cfg for cfg, pair in floors.items() if pair[stage] <= best}
     assert len(set(planned)) == len(planned) and set(planned) == {cfg for cfg, _ in evaluated}
     keys = {(cfg, FAKE_SEQS[j]): (floor[0], bound, dsp, fields[:8],
                                   resources._values(FAKE_SEQS[j]))
             for (floor, (_, fields, (dsp, cfg, _, _))), units in points
             for j, (bound, _) in enumerate(units)}
-    best = (math.inf,) if isinstance(got, str) else (*got.key()[:5], math.inf)
     assert len(set(evaluated)) == len(evaluated)
     assert set(evaluated) == {unit for unit, key in keys.items() if key <= best}
     return got, _selection(lambda: pick_best_design(every, platform))

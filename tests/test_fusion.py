@@ -30,9 +30,8 @@ def simulate(block, shape, cfg, include_fill=True, **kwargs):
     hand-traced oracles assume."""
     plan = plan_block(block, shape, cfg)
     if not include_fill:
-        plan = plan._replace(by_seq={
-            seq: tuple(p._replace(fill=0) for p in plans)
-            for seq, plans in plan.by_seq.items()})
+        plan = plan._replace(by_seq=tuple(tuple(p._replace(fill=0) for p in plans)
+                                          for plans in plan.by_seq))
     return simulate_fused(plan, **kwargs)
 
 
@@ -279,7 +278,7 @@ def test_schedule_follows_the_sequence(plan):
     or the fill."""
     for i, layer in enumerate(plan.layers):
         depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
-        fm, cm = plan.by_seq[Seq.FM][i], plan.by_seq[Seq.CM][i]
+        fm, cm = (plan.schedule((seq,) * len(plan.layers))[i] for seq in (Seq.FM, Seq.CM))
         assert (fm.producer_stream, fm.consumer_stream) == (True, depthwise)
         assert (cm.producer_stream, cm.consumer_stream) == (depthwise, True)
         assert fm.units * fm.cycles_per_unit == cm.units * cm.cycles_per_unit
@@ -337,7 +336,7 @@ def test_a_set_that_might_deadlock_is_simulated(monkeypatch):
     confirms its bound, so a set whose bound is the floor but which would
     deadlock raises ``SimDeadlock`` rather than being picked.  A one-token
     buffer before a filter-major consumer, which needs every token
-    resident, adds nothing to ``_pass_bound``; sizing never builds one, so
+    resident, adds nothing to ``_pass_bounds``; sizing never builds one, so
     it is patched in as the first set."""
     cfg = FusedDesignConfig(t_h=4, t_w=4, t_c=(8, 8), t_f=8, p_h=1, p_w=1,
                             p_c=(2, 2), p_f=2, seqs=(Seq.FM,) * 2,
@@ -347,7 +346,7 @@ def test_a_set_that_might_deadlock_is_simulated(monkeypatch):
     seqs, sized = (Seq.FM,) * 2, fusion._buffer_caps
     one_token = [(4, 1, 0)]
     floor = fusion._pass_lower_bound(plan.schedule(seqs))
-    assert fusion._pass_bound(plan.schedule(seqs), one_token) == floor
+    assert fusion._pass_bounds(list(zip(plan.schedule(seqs))), one_token) == [floor]
     assert best_options(plan, seqs).total_cycles == plan.n_passes * floor
     monkeypatch.setattr(fusion, "_buffer_caps", lambda plan, seqs, options:
                         one_token if options == (BufferOption.MATCH_PREV,)

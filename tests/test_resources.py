@@ -223,7 +223,7 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     built lazily).  The search builds no ``SimReport`` and sizes the
     buffers of each (sequences, options) set once.  It simulates none of
     the 8 option sets it takes before stopping at each floor: 2 cannot
-    make a streaming producer wait, so ``_pass_bound`` is their makespan,
+    make a streaming producer wait, so ``_pass_bounds`` is their makespan,
     and the capacity-aware bound puts the other 6 above the floor, behind
     an option that reaches it (all 8 were simulated before the bound had
     a capacity term).  It estimates the resources of 1 candidate, the
@@ -291,22 +291,28 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     ("vgg16", 12, 12), ("resnet50", 57, 10), ("mobilenetv1", 69, 11),
     ("mobilenetv2", 45, 15)])
 def test_plans_only_points_that_can_win(monkeypatch, model_name, ranked, evaluated):
-    """One ``evaluate_model`` ranks the units of few grid points (on VGG-16,
-    whose one-layer stages have exact floors, only of the points it
-    evaluates), and plans only the points it evaluates a unit of: one per
-    stage search, as many as the stage-table misses.  260, 150, 165 and 185
-    points were planned when each was planned to be ranked, 12, 57, 69 and
-    45 when each ranked point was planned, and 12, 12, 11 and 15 while each
-    unit that tied the best (GOPS, cycles) pair was evaluated."""
+    """One ``evaluate_model`` finds the assignment bounds of few grid points
+    (``ranked``; on VGG-16, whose one-layer stages have exact floors, only
+    of the points it evaluates), builds the units of fewer (12, 12, 11 and
+    15: those whose refined floor, their least bound, can still win), and
+    plans only the points it evaluates a unit of: one per stage search, as
+    many as the stage-table misses.  260, 150, 165 and 185 points were
+    planned when each was planned to be ranked, 12, 57, 69 and 45 when each
+    ranked point was planned, and 12, 12, 11 and 15 while each unit that
+    tied the best (GOPS, cycles) pair was evaluated; the units of 12, 57,
+    69 and 45 points were built while every point whose closed-form floor
+    could win was ranked."""
     import turf.resources
     from turf.models import build_reference_model
     from turf.resources import evaluate_model
 
-    bounded, plans, used = [], [], {}
-    orig_bounds = turf.resources.assignment_bounds
+    bounded, expanded, plans, used = [], [], [], {}
+    orig_bounds, orig_units = turf.resources.assignment_bounds, turf.resources._units
     orig_plan, orig_best = turf.resources.plan_block, turf.resources.best_options
     monkeypatch.setattr(turf.resources, "assignment_bounds",
                         lambda *args: bounded.append(1) or orig_bounds(*args))
+    monkeypatch.setattr(turf.resources, "_units",
+                        lambda *args: expanded.append(1) or orig_units(*args))
     monkeypatch.setattr(turf.resources, "plan_block",
                         lambda *args: plans.append(orig_plan(*args)) or plans[-1])
     monkeypatch.setattr(turf.resources, "best_options",
@@ -314,7 +320,9 @@ def test_plans_only_points_that_can_win(monkeypatch, model_name, ranked, evaluat
                         orig_best(plan, *args))
     evaluate_model(build_reference_model(model_name), STRATIX_V_5SGSD8,
                    load_calibration(), {})
-    assert (len(bounded), len(plans), len(used)) == (ranked, evaluated, evaluated)
+    built = {"vgg16": 12, "resnet50": 12, "mobilenetv1": 11, "mobilenetv2": 15}[model_name]
+    assert (len(bounded), len(expanded), len(plans), len(used)) == \
+        (ranked, built, evaluated, evaluated)
 
 
 @st.composite
@@ -366,9 +374,12 @@ def test_floor_is_below_every_assignment_bound(stage):
     """Each grid point's schedule is what ``plan_block`` derives for its
     config, and its floor is its passes times its busiest layer's cycles
     plus the last layer's fill, at most the pair of every sequence
-    assignment, and equal to it on a one-layer stage; a (tile, spatial
-    option) is dropped exactly when ``plan_block`` rejects its configs."""
-    from turf.fusion import assignment_bounds, block_schedule
+    assignment, and equal to it on a one-layer stage.  Each assignment's
+    bound, in ``seq_assignments`` order, is the cycles ``best_options``
+    gives it, so the refined floor, their least pair, is the point's best
+    candidate's (GOPS, cycles).  A (tile, spatial option) is dropped
+    exactly when ``plan_block`` rejects its configs."""
+    from turf.fusion import assignment_bounds, best_options, block_schedule, seq_assignments
     from turf.hw import WINOGRAD_M, layer_terms, winograd_eligible
     from turf.ir import layer_shapes
     from turf.resources import (_parallelism_combos, _planned_points,
@@ -386,11 +397,13 @@ def test_floor_is_below_every_assignment_bound(stage):
         plan = plan_block(op, shape, cfg, chans)
         assert (plan.terms, plan.by_seq, plan.n_passes) == \
             (terms, block_schedule(layers, terms, hws, counts), passes)
-        fm = plan.by_seq[Seq.FM]
+        fm = plan.schedule((Seq.FM,) * n)
         assert floor == (-rl.attainable_gops, plan.n_passes * (
             max(p.units * p.cycles_per_unit for p in fm) + fm[-1].fill))
-        pairs = [(-rl.attainable_gops, bound)
-                 for bound, _ in assignment_bounds(plan.by_seq, plan.n_passes)]
+        bounds = assignment_bounds(plan.by_seq, plan.n_passes)
+        assert bounds == [best_options(plan, seqs).total_cycles
+                          for seqs in seq_assignments(n)], cfg
+        pairs = [(-rl.attainable_gops, bound) for bound in bounds]
         assert all(floor <= pair for pair in pairs), (cfg, floor, pairs)
         if n == 1:
             assert all(floor == pair for pair in pairs), (cfg, floor, pairs)

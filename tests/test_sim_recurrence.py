@@ -4,10 +4,13 @@
 step rescans every layer for its next unit and starts the earliest one.
 The recurrence in ``fusion`` must give the same schedule, buffer history
 and peak occupancy on any plan list, and deadlock exactly when it does.
+``reference_pass_bound`` is the earlier one-schedule bound walk, which
+``fusion._pass_bounds`` must give for each schedule of a product.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -16,8 +19,31 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from turf.errors import SimDeadlock
-from turf.fusion import (LayerSchedule, SimEvent, _pass_bound, _pass_lower_bound,
+from turf.fusion import (LayerSchedule, SimEvent, _pass_bounds, _pass_lower_bound,
                          _simulate_pass)
+
+
+def _pass_bound(plans, caps):
+    """``_pass_bounds`` of the one schedule ``plans``."""
+    return _pass_bounds(list(zip(plans)), caps)[0]
+
+
+def reference_pass_bound(plans, caps):
+    """The earlier ``fusion._pass_bound``: the bound walked once per schedule."""
+    start, finish = 0, plans[0].units * plans[0].cycles_per_unit
+    for prev, plan, (tokens, cap, _) in zip(plans, plans[1:], caps):
+        busy = plan.units * plan.cycles_per_unit
+        if prev.producer_stream and plan.consumer_stream:
+            if cap < tokens:
+                laps, rest = divmod(prev.units - 1, cap)
+                finish = max(finish, start + (rest + 1) * prev.cycles_per_unit + laps * (
+                    prev.cycles_per_unit + prev.fill + plan.cycles_per_unit))
+            start += prev.cycles_per_unit + prev.fill
+            finish = max(start + busy, finish + prev.fill + plan.cycles_per_unit)
+        else:
+            start = finish + prev.fill
+            finish = start + busy
+    return finish + plans[-1].fill
 
 
 @dataclass
@@ -228,6 +254,19 @@ def test_bound_is_the_makespan_when_no_buffer_limits(case):
     hypothesis.assume(not _limited(plans, caps))
     assert _pass_bound(plans, caps) == _simulate_pass(plans, caps, False)[0] \
         == _pass_lower_bound(plans)
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_lists(), plan_lists(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_bounds_of_a_product_are_each_schedules_bound(case, other, two):
+    """``_pass_bounds`` over one or two choices per layer, walking each
+    prefix once, gives the walk of every schedule in their product, in
+    product order, with or without the buffers' capacities."""
+    (plans, caps), (others, _) = case, other
+    choices = [(p, q) if both else (p,) for p, q, both in zip(plans, others, two)]
+    for bufs in (caps, [(1, 1, 0)] * len(caps)):
+        assert _pass_bounds(choices, bufs) == [reference_pass_bound(schedule, bufs)
+                                               for schedule in itertools.product(*choices)]
 
 
 def test_one_slot_buffer_stalls_the_producer():
