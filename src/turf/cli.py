@@ -8,10 +8,12 @@ where tables map naturally), embed a run manifest, and are byte-identical
 across runs with the same inputs and seed; the TURF_SEED environment variable overrides
 --seed, and SOURCE_DATE_EPOCH (when set) supplies the manifest timestamp.
 
-``winograd-check`` is the only command that imports numpy (through
-``turf.conv``, inside the command); the others load only turf and the
-standard library.  None loads OpenSSL: the manifest hashes its inputs with
-CPython's builtin SHA-256, as ``random`` does, since ``hashlib`` loads it.
+The inspection commands live in ``turf.inspection``, imported only to
+build or run one of them or for the full ``--help``.  ``winograd-check``
+alone imports numpy (``turf.conv``) and ``turf.kernels`` with ``fractions``,
+inside the command; the others load only turf and the standard library.
+None loads OpenSSL: the manifest hashes its inputs with CPython's builtin
+SHA-256, as ``random`` does, since ``hashlib`` loads it.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .errors import NoSolution, TurfError, UnsupportedConfig, reading, typed
+from .errors import NoSolution, TurfError, UnsupportedConfig, typed
 from .explore import (CandidateRecord, ExternalOracle, Requirements, SyntheticOracle,
-                      TableOracle, replacement_key, run_framework)
-from .fusion import (BufferActivity, LayerActivity, SimReport, config_from_json,
-                     config_to_json, enumerate_sequences, plan_block, simulate_fused)
+                      TableOracle, run_framework)
+from .fusion import BufferActivity, LayerActivity, SimReport, config_to_json
 from .hw import ModuleDesc
-from .ir import StageCount, count_ops_params, has_pipeline, load_model, model_to_json
-from .kernels import winograd_config
+from .ir import has_pipeline, load_model, model_to_json
 from .resources import (DesignCandidate, RooflinePoint, design_candidates, evaluate_model,
                         load_calibration, load_platform, pick_best_design, roofline)
 
@@ -123,105 +123,6 @@ def _pipeline_stage(model, index: int, option: str):
         raise UnsupportedConfig(
             f"stage {index} ({stage.name}) has no hardware pipeline")
     return stage
-
-
-def _load_config(path: str):
-    with reading(path), open(path) as fh:
-        return config_from_json(json.load(fh))
-
-
-# ---------------------------------------------------------------------------
-# model
-
-def cmd_model_show(args) -> int:
-    model = load_model(args.file)
-    report = count_ops_params(model)
-    rows = [r._asdict() for r in report.per_stage]
-    if args.format == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=StageCount._fields)
-        writer.writeheader()
-        writer.writerows(rows)
-        writer.writerow({"index": "", "name": "total", "category": "",
-                         "ops": report.total_ops, "params": report.total_params})
-        _write((buf.getvalue(), args.out))
-        return 0
-    doc = {
-        "manifest": make_manifest(args, [args.file]),
-        "model": {"base": model.base, "stages": len(model.stages),
-                  "replaceable_positions": model.num_replaceable,
-                  "replacement_vector": replacement_key(model)},
-        "op_convention": "1 multiply-accumulate = 2 operations",
-        "per_stage": rows,
-        "total_ops": report.total_ops,
-        "total_params": report.total_params,
-        "total_gops": report.total_ops / 1e9,
-        "total_params_m": report.total_params / 1e6,
-    }
-    _emit(doc, args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# hw describe
-
-def cmd_hw_describe(args) -> int:
-    model = load_model(args.model)
-    stage = _pipeline_stage(model, args.layer, "--layer")
-    cfg = _load_config(args.config)
-    chains = []
-    for i, pipeline in enumerate(plan_block(stage.op, stage.input_shape, cfg).pipelines):
-        pipeline.check_chain()
-        chains.append({
-            "layer_kind": pipeline.layer.kind.value,
-            "seq": cfg.seqs[i].value,
-            "winograd": pipeline.hw.use_winograd,
-            "modules": [_jsonify(m) for m in pipeline.modules],
-            "weight_path": [_jsonify(m) for m in pipeline.weight_path],
-            "fill_latency": pipeline.fill_latency,
-        })
-    doc = {
-        "manifest": make_manifest(args, [args.model, args.config]),
-        "stage": {"index": args.layer, "name": stage.name},
-        "config": config_to_json(cfg),
-        "pipelines": chains,
-    }
-    _emit(doc, args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# simulate
-
-def cmd_simulate(args) -> int:
-    model = load_model(args.model)
-    stage = _pipeline_stage(model, args.block, "--block")
-    cfg = _load_config(args.config)
-
-    doc = {
-        "manifest": make_manifest(args, [args.model, args.config]),
-        "stage": {"index": args.block, "name": stage.name,
-                  "input_shape": list(stage.input_shape)},
-        "config": config_to_json(cfg),
-    }
-    plan = plan_block(stage.op, stage.input_shape, cfg)
-    if args.enumerate_seqs:
-        entries = enumerate_sequences(plan)
-        doc["sequences"] = [{
-            "seqs": e.label,
-            "buffer_options": [o.value for o in e.buffer_options],
-            "total_cycles": e.total_cycles,
-            "total_buffer_words": e.total_buffer_words,
-        } for e in entries]
-    report = simulate_fused(plan, collect_events=bool(args.trace))
-    doc["report"] = _jsonify(report._replace(events=()))
-    trace = ()
-    if args.trace:
-        events = [e._asdict() for e in report.events]
-        trace = ((json.dumps(events, indent=2, sort_keys=True) + "\n", args.trace),)
-    _emit(doc, args.out, *trace)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +260,6 @@ def cmd_explore(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# winograd-check
-
-def cmd_winograd_check(args) -> int:
-    # the numpy reference kernels load here, so no other command pays for numpy
-    from .conv import max_winograd_deviation
-
-    cfg = winograd_config(args.m, args.r)
-    max_dev = max_winograd_deviation(cfg, args.trials,
-                                     args.seed if args.seed is not None else 0)
-    doc = {
-        "manifest": make_manifest(args, []),
-        "config": {"m": args.m, "r": args.r},
-        "trials": args.trials,
-        "max_abs_deviation": max_dev,
-        "multiplies_per_tile": cfg.multiplies_per_tile,
-        "direct_multiplies_per_tile": cfg.direct_multiplies_per_tile,
-        "speedup": cfg.speedup,
-    }
-    _emit(doc, args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 def _int_at_least(low: int):
     """argparse type for an integer >= ``low``."""
@@ -432,6 +310,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
 
+    if command not in ("dse", "explore"):
+        from . import inspection
+
     if command in (None, "model"):
         p_model = add_parser("model", help="model definition utilities")
         model_sub = p_model.add_subparsers(dest="model_command", required=True)
@@ -439,7 +320,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_show.add_argument("file")
         p_show.add_argument("--format", choices=("json", "csv"), default="json")
         p_show.add_argument("--out")
-        p_show.set_defaults(func=cmd_model_show)
+        p_show.set_defaults(func=inspection.cmd_model_show)
 
     if command in (None, "hw"):
         p_hw = add_parser("hw", help="hardware template utilities")
@@ -449,7 +330,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_desc.add_argument("--layer", type=int, required=True)
         p_desc.add_argument("--config", required=True)
         p_desc.add_argument("--out")
-        p_desc.set_defaults(func=cmd_hw_describe)
+        p_desc.set_defaults(func=inspection.cmd_hw_describe)
 
     if command in (None, "simulate"):
         p_sim = add_parser("simulate", help="cycle-accurate fused-block simulation")
@@ -459,7 +340,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_sim.add_argument("--trace")
         p_sim.add_argument("--enumerate-seqs", action="store_true")
         p_sim.add_argument("--out")
-        p_sim.set_defaults(func=cmd_simulate)
+        p_sim.set_defaults(func=inspection.cmd_simulate)
 
     if command in (None, "dse"):
         p_dse = add_parser("dse", help="hardware design-space exploration")
@@ -495,7 +376,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p_win.add_argument("--r", type=int, default=3)
         p_win.add_argument("--trials", type=_int_at_least(1), default=100)
         p_win.add_argument("--out")
-        p_win.set_defaults(func=cmd_winograd_check)
+        p_win.set_defaults(func=inspection.cmd_winograd_check)
 
     return parser
 

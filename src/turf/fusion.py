@@ -64,7 +64,7 @@ import math
 from typing import NamedTuple
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
-                     SimDeadlock, UnsupportedConfig, typed)
+                     SimDeadlock, UnsupportedConfig)
 from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, LayerTerms,
                  Seq, cycle_counts, fill_cycles, instantiate_layer,
                  intermediate_buffer_words, layer_terms)
@@ -85,8 +85,9 @@ class FusedDesignConfig(NamedTuple):
     The flattened channel lists encode the port-matching constraint
     structurally: layer i's output channel tile/parallelism is layer i+1's
     input one (``t_c[i+1]``/``p_c[i+1]``), closed by ``t_f``/``p_f``.  A plain
-    record: ``config_from_json`` checks a document's, and the search builds
-    its own valid by construction.
+    record: a config document is parsed and checked by
+    ``inspection.config_from_json``, only for ``hw describe`` and
+    ``simulate``; the search builds its own valid by construction.
     """
 
     t_h: int
@@ -122,64 +123,6 @@ def config_to_json(cfg: FusedDesignConfig) -> dict:
         "winograd_m": cfg.winograd_m,
         "winograd": list(cfg.use_winograd),
     }
-
-
-def _typed_list(values, kind: type, name: str, n: int) -> tuple:
-    """``values``, a JSON list of ``n`` entries of type ``kind``, as a tuple."""
-    if len(typed(values, list, name)) != n:
-        raise PortMismatch(f"need {n} {name} entries, got {len(values)}")
-    return tuple(typed(v, kind, f"{name}[{i}]") for i, v in enumerate(values))
-
-
-def config_from_json(doc: dict) -> FusedDesignConfig:
-    """Parse a fused-design config document, the one place a config is
-    checked and normalised.
-
-    Accepts the flattened form (``tiles``/``parallelism`` with per-layer
-    channel lists) or a per-layer list (``layers``), which is checked for
-    port matching and flattened.  ``errors.typed`` then checks both: JSON
-    integers for tiles, parallelism and ``winograd_m``, booleans for Winograd
-    flags, one entry per layer in each list, n - 1 buffers and valid names.
-    In both forms a layer with no Winograd flag runs the direct path.
-    A wrong type raises ``TypeError``, a huge integer ``ValueError``
-    (``InvalidDocument`` under ``errors.reading``).
-    """
-    if "layers" in doc:
-        layers = doc["layers"]
-        if not layers:
-            raise PortMismatch("empty layer list")
-        tile_of = [tuple(entry["tile"]) for entry in layers]
-        par_of = [tuple(entry["parallelism"]) for entry in layers]
-        # unpacking checks that each tile and parallelism has 4 entries
-        for i, ((_, _, t_c, _), (p_h, p_w, p_c, _)) in enumerate(zip(tile_of, par_of)):
-            if (p_h, p_w) != par_of[0][:2]:
-                raise PortMismatch(f"layer {i}: spatial parallelism {(p_h, p_w)} "
-                                   f"!= layer 0 {par_of[0][:2]}")
-            if i and p_c != par_of[i - 1][3]:
-                raise PortMismatch(f"layer {i}: P_c={p_c} != previous P_f={par_of[i - 1][3]}")
-            if i and t_c != tile_of[i - 1][3]:
-                raise PortMismatch(f"layer {i}: T_c={t_c} != previous T_f={tile_of[i - 1][3]}")
-        doc = {**doc,
-               "tiles": {"h": tile_of[0][0], "w": tile_of[0][1],
-                         "c": [t[2] for t in tile_of], "f": tile_of[-1][3]},
-               "parallelism": {"h": par_of[0][0], "w": par_of[0][1],
-                               "c": [p[2] for p in par_of], "f": par_of[-1][3]},
-               "seqs": [entry.get("seq", "FM") for entry in layers],
-               "winograd": [entry.get("winograd", False) for entry in layers]}
-    tiles, par = doc["tiles"], doc["parallelism"]
-    n = len(typed(doc["seqs"], list, "seqs"))
-    return FusedDesignConfig(
-        t_h=typed(tiles["h"], int, "tiles.h"), t_w=typed(tiles["w"], int, "tiles.w"),
-        t_c=_typed_list(tiles["c"], int, "tiles.c", n), t_f=typed(tiles["f"], int, "tiles.f"),
-        p_h=typed(par["h"], int, "parallelism.h"), p_w=typed(par["w"], int, "parallelism.w"),
-        p_c=_typed_list(par["c"], int, "parallelism.c", n),
-        p_f=typed(par["f"], int, "parallelism.f"),
-        seqs=tuple(map(Seq, doc["seqs"])),
-        buffer_options=tuple(map(BufferOption, _typed_list(
-            doc.get("buffers", []), str, "buffers", max(0, n - 1)))),
-        use_winograd=_typed_list(doc.get("winograd", [False] * n), bool, "winograd", n),
-        winograd_m=typed(doc.get("winograd_m", WINOGRAD_M), int, "winograd_m"),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ per design and read by ``fill_cycles`` and ``layer_dsp``: through
 (line-buffer rows, multipliers), and per spatial option by the DSE's
 prefilter and point floor (``resources._planned_points``).
 
+The Winograd path reads T_k and the transforms' general constants as
+integers (``WINOGRAD_TERMS``), not from the exact algebra of
+``turf.kernels``, which stays their reference (``tests/test_hw.py``).
+
 Module latencies model pipeline fill only (the papers' width tuples say
 nothing about latency); they are additive constants reported separately
 by the simulator.
@@ -41,9 +45,20 @@ from typing import NamedTuple
 
 from .errors import InefficientConfig, UnsupportedConfig
 from .ir import LayerKind, LayerSpec
-from .kernels import general_constants, winograd_config
 
 WINOGRAD_M = 4     # the default Winograd path, F(4x4, 3x3), which the DSE explores
+
+# (m, r) -> (T_k, (g_in, g_w, g_out)) of each supported F(m^2, r^2) instance
+WINOGRAD_TERMS = {(2, 3): (4, (0, 0, 0)), (4, 3): (6, (2, 12, 0))}
+
+
+def winograd_terms(m: int, r: int) -> tuple[int, tuple[int, int, int]]:
+    """(T_k, (g_in, g_w, g_out)) of F(m^2, r^2), if turf supports it."""
+    try:
+        return WINOGRAD_TERMS[(m, r)]
+    except KeyError:
+        raise UnsupportedConfig(f"no Winograd instance F({m}^2, {r}^2); "
+                                f"supported: F(2^2,3^2), F(4^2,3^2)") from None
 
 
 class ModuleKind(enum.Enum):
@@ -213,8 +228,8 @@ def instantiate_layer(layer: LayerSpec, hw: LayerHwConfig) -> LayerPipeline:
 
     if hw.use_winograd:
         validate_winograd(layer, hw.p_h, hw.p_w, hw.winograd_m)
-        cfg = winograd_config(hw.winograd_m, k)
-        m, tk = cfg.m, cfg.tile
+        m = hw.winograd_m
+        tk = winograd_terms(m, k)[0]
         depthwise = kind is LayerKind.DEPTHWISE_CONV
         lanes_f = 1 if depthwise else p_f
         modules = [
@@ -285,8 +300,7 @@ def layer_terms(layer: LayerSpec, p_h: int, p_w: int, use_winograd: bool,
     kind, k = layer.kind, layer.kernel_size
     if use_winograd:
         validate_winograd(layer, p_h, p_w, m)
-        tk = winograd_config(m, k).tile
-        g_in, g_w, g_out = general_constants(m, k)
+        tk, (g_in, g_w, g_out) = winograd_terms(m, k)
         return LayerTerms(tk, tk * tk, 4 * tk, tk * tk + 2 * g_w, 2 * g_in, 2 * g_out)
     if kind in (LayerKind.POINTWISE_CONV, LayerKind.FULLY_CONNECTED):
         return LayerTerms(0, p_h * p_w, 0, p_h * p_w, 0, 0)

@@ -1,24 +1,24 @@
-"""Exact Winograd minimal-filtering algebra, as the DSE uses it.
+"""Exact Winograd minimal-filtering algebra, the reference for the DSE's
+Winograd integers.
 
 The F(m^2, r^2) transform matrices are exact rationals built from the
 Cook-Toom construction with interpolation points {0, +-1, +-2, inf} for
 the 4x4-tile instance and {0, 1, -1} for the 2x2-tile instance.  Entries
 that are (signed) powers of two can be realised as shifts in hardware;
-``transform_mult_counts`` reports which are not, and the resource model
-sizes the transform multipliers from it.
-
-This module needs no numpy, so every command but ``winograd-check`` runs
-without importing it; the numpy reference convolutions that check these
-matrices live in ``turf.conv``.
+``transform_mult_counts`` reports which are not.  ``hw.WINOGRAD_TERMS``
+holds those counts and each tile T_k as integers, from which the resource
+model sizes the transform multipliers, and tests/test_hw.py derives them
+from here.  So only ``winograd-check`` (and through it ``turf.conv``, whose
+numpy reference convolutions check these matrices) and the tests import
+this module and ``fractions``.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import UnsupportedConfig
+from .hw import winograd_terms
 
 
 def _frac_matrix(rows):
@@ -94,11 +94,8 @@ WINOGRAD_CONFIGS = {(2, 3): WINOGRAD_F2_3, (4, 3): WINOGRAD_F4_3}
 
 
 def winograd_config(m: int, r: int = 3) -> WinogradConfig:
-    try:
-        return WINOGRAD_CONFIGS[(m, r)]
-    except KeyError:
-        raise UnsupportedConfig(f"no Winograd instance F({m}^2, {r}^2); "
-                                f"supported: F(2^2,3^2), F(4^2,3^2)") from None
+    winograd_terms(m, r)  # the one check of an instance, raising UnsupportedConfig
+    return WINOGRAD_CONFIGS[(m, r)]
 
 
 def is_power_of_two(value: Fraction) -> bool:
@@ -117,10 +114,3 @@ def transform_mult_counts(config: WinogradConfig) -> dict[str, int]:
             for name, mat in (("input", config.b_t), ("weight", config.g),
                               ("output", config.a_t))}
 
-
-@functools.cache
-def general_constants(m: int, r: int) -> tuple[int, int, int]:
-    """(input, weight, output) transform entries of F(m^2, r^2) that need a
-    real multiplier, counted once per instance by ``transform_mult_counts``."""
-    counts = transform_mult_counts(winograd_config(m, r))
-    return counts["input"], counts["weight"], counts["output"]

@@ -175,8 +175,9 @@ class TestSimulate:
                                    key=lambda e: (e["time"], e["layer"], e["unit"]))
 
     def test_plans_the_config_once(self, workdir, monkeypatch):
-        """The enumeration and the simulation read one ``BlockPlan``."""
-        import turf.cli
+        """The enumeration and the simulation read one ``BlockPlan``.  The
+        command calls ``plan_block`` through ``turf.fusion``, so patching it
+        there counts every call."""
         import turf.fusion
 
         plans = []
@@ -186,8 +187,7 @@ class TestSimulate:
             plans.append(args)
             return plan_block(*args)
 
-        for module in (turf.cli, turf.fusion):
-            monkeypatch.setattr(module, "plan_block", counted)
+        monkeypatch.setattr(turf.fusion, "plan_block", counted)
         rc = main(["simulate", str(workdir / "model.json"), "--block", "1",
                    "--config", str(workdir / "cfg.json"),
                    "--enumerate-seqs", "--out", str(workdir / "sim.json")])
@@ -266,6 +266,28 @@ class TestRejectedConfigs:
         assert err.startswith("UnsupportedConfig: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "hw", "winograd-check"])
+def test_an_unsupported_winograd_instance_exits_one_naming_the_supported(
+        tmp_path, capsys, command):
+    """F(3^2, 3^2) is rejected with one message, whether a config document
+    asks for it or ``winograd-check`` does."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_edit(json.loads(GOLDEN_CONFIG.read_text()),
+                                    tiles={"h": 15, "w": 15},
+                                    parallelism={"h": 3, "w": 3},
+                                    winograd=[False, True, False], winograd_m=3)))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_json(build_reference_model("resnet50"))))
+    argv = {"simulate": ["simulate", str(model), "--block", "2", "--config", str(cfg)],
+            "hw": ["hw", "describe", str(model), "--layer", "2", "--config", str(cfg)],
+            "winograd-check": ["winograd-check", "--m", "3"]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == (
+        "UnsupportedConfig: no Winograd instance F(3^2, 3^2); "
+        "supported: F(2^2,3^2), F(4^2,3^2)\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 # ResNet-50's first three stages, up to ``res2_1``
@@ -636,11 +658,16 @@ class TestImportFootprint:
         assert "turf.models" not in added
         if command[0] in ("dse", "explore"):
             assert "subprocess" not in added
+            # neither the exact Winograd algebra nor the inspection commands
+            assert {"fractions", "decimal", "turf.kernels",
+                    "turf.inspection"}.isdisjoint(added)
+        else:
+            assert "turf.inspection" in added
 
     def test_winograd_check_loads_numpy_and_runs(self, tmp_path):
         out = tmp_path / "report.json"
         added = _fresh_run(["winograd-check", "--trials", "3", "--out", str(out)])
-        assert "numpy" in added and "turf.conv" in added
+        assert {"numpy", "turf.conv", "turf.kernels", "turf.inspection"} <= set(added)
         assert json.loads(out.read_text())["max_abs_deviation"] < 1e-9
 
 

@@ -16,10 +16,11 @@ from turf import fusion
 from turf.errors import (InefficientConfig, InvalidTiling, PortMismatch,
                          ShapeMismatch, SimDeadlock, UnsupportedConfig)
 from turf.fusion import (FusedDesignConfig, SeqCandidate, _buffer_caps,
-                         _simulate_pass, best_options, config_from_json,
-                         config_to_json, derive_layer_configs, enumerate_sequences,
-                         plan_block, simulate_fused, tiling_overhead)
+                         _simulate_pass, best_options, config_to_json,
+                         derive_layer_configs, enumerate_sequences, plan_block,
+                         simulate_fused, tiling_overhead)
 from turf.hw import BufferOption, Seq, cycle_counts
+from turf.inspection import config_from_json
 from turf.ir import BlockKind, BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 from turf.resources import WORD_BYTES
 

@@ -2,18 +2,20 @@
 counts, and the intermediate-buffer sizing table."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import closed_form_dsp, dw_conv, pipeline_dsp, pw_conv, std_conv, terms_of
 from turf.errors import InefficientConfig, ShapeMismatch, UnsupportedConfig
-from turf.hw import (BufferOption, LayerHwConfig, ModuleKind, Seq, cycle_counts,
-                     fill_cycles, input_buffer, instantiate_layer,
-                     intermediate_buffer_words, line_buffer, output_buffer, validate_winograd,
-                     winograd_eligible, winograd_input_transform,
-                     winograd_output_transform, winograd_weight_transform)
+from turf.hw import (WINOGRAD_TERMS, BufferOption, LayerHwConfig, ModuleKind, Seq,
+                     cycle_counts, fill_cycles, input_buffer, instantiate_layer,
+                     intermediate_buffer_words, layer_terms, line_buffer, output_buffer,
+                     validate_winograd, winograd_eligible, winograd_input_transform,
+                     winograd_output_transform, winograd_terms, winograd_weight_transform)
 from turf.ir import LayerKind, LayerSpec
+from turf.kernels import WINOGRAD_CONFIGS, transform_mult_counts, winograd_config
 
 
 class TestWidthFormulas:
@@ -121,6 +123,43 @@ class TestPipelines:
     def test_parallelism_must_divide_tile(self):
         with pytest.raises(UnsupportedConfig):
             LayerHwConfig((16, 16, 8, 16), (1, 1, 3, 4))
+
+
+class TestWinogradTerms:
+    """``hw`` reads each Winograd instance's tile and transform constants as
+    integers; the exact algebra of ``turf.kernels`` stays their reference."""
+
+    @pytest.mark.parametrize("key", sorted(WINOGRAD_CONFIGS))
+    def test_terms_are_the_algebras(self, key):
+        cfg = WINOGRAD_CONFIGS[key]
+        counts = transform_mult_counts(cfg)
+        assert winograd_terms(*key) == (
+            cfg.tile, (counts["input"], counts["weight"], counts["output"]))
+        assert cfg.tile == cfg.m + cfg.r - 1
+
+    def test_hw_and_kernels_accept_the_same_instances(self):
+        assert set(WINOGRAD_TERMS) == set(WINOGRAD_CONFIGS)
+        for m, r in itertools.product(range(1, 7), range(1, 6)):
+            supported = (m, r) in WINOGRAD_CONFIGS
+            for lookup in (winograd_terms, winograd_config):
+                try:
+                    lookup(m, r)
+                except UnsupportedConfig:
+                    assert not supported, (lookup.__name__, m, r)
+                else:
+                    assert supported, (lookup.__name__, m, r)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_an_unsupported_instance_names_the_supported_ones(self, m):
+        message = "^" + re.escape(f"no Winograd instance F({m}^2, 3^2); "
+                                  "supported: F(2^2,3^2), F(4^2,3^2)") + "$"
+        hw = LayerHwConfig((2 * m, 2 * m, 4, 4), (m, m, 2, 2), True, m)
+        with pytest.raises(UnsupportedConfig, match=message):
+            instantiate_layer(std_conv(4), hw)
+        with pytest.raises(UnsupportedConfig, match=message):
+            layer_terms(std_conv(4), m, m, True, m)
+        with pytest.raises(UnsupportedConfig, match=message):
+            winograd_config(m)
 
 
 class TestLayerHwConfig:

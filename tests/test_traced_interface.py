@@ -90,3 +90,28 @@ def test_traced_commands_record_no_error_and_every_note(model_path, tmp_path):
     # c1, dws and fc per whole-model design: one dse, two explore models
     assert metrics["resources.stage_lookups"] == 9
     assert metrics["explore.models"] == 2
+
+
+def test_a_command_run_before_the_tracer_is_installed_is_still_traced(model_path, tmp_path):
+    """``simulate`` runs once untraced, which imports its command module, and
+    then under the tracer: the ``fusion.simulate_fused`` and
+    ``fusion.enumerate_sequences`` spans are recorded with their notes, so
+    the command does not call a name bound before the tracer wrapped it."""
+    block = tmp_path / "block.json"
+    cfg = tmp_path / "cfg.json"
+    model = str(model_path)
+    assert main(["dse", model, "--block", "1", "--out", str(block)]) == 0
+    cfg.write_text(json.dumps(json.loads(block.read_text())["selected"]["config"]))
+    simulate = ["simulate", model, "--block", "1", "--config", str(cfg),
+                "--enumerate-seqs", "--out", str(tmp_path / "sim.json")]
+    assert main(simulate) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(simulate) == 0
+    finally:
+        tracer.uninstall()
+    names = ("fusion.simulate_fused", "fusion.enumerate_sequences")
+    noted = [s for s in tracer.spans if s[0] in names]
+    assert sorted(s[0] for s in noted) == sorted(names)
+    assert all(s[4] is None and s[5] is not None for s in noted)
