@@ -15,15 +15,8 @@ Roofline accounting (16-bit words, 2 bytes), summed only in ``roofline``:
     back, plus weights.
 The compute roof is DSPs x 2 ops x clock.
 
-The search ranks each grid point by a closed-form floor taken from its
-layers' cycle counts, then by its best sequence assignment's cycles, and
-the sequence assignments of the points that can still win by their
-candidates' whole selection key up to the buffer options; it evaluates one
-candidate per stage when that one fits, and runs each distinct
-parallelism walk once per command.  Candidates carry plain cycle and
-buffer-word counts.  A stage is searched when it has a hardware pipeline:
-a block, or a convolution or fully-connected layer as its own one-layer
-block.
+A stage with a hardware pipeline (a block, or a convolution or fully-connected
+layer as a one-layer block) is searched by ``design_gen`` with ``best_first``.
 """
 
 from __future__ import annotations
@@ -31,6 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections import Counter
 from collections.abc import Iterator
 from importlib import resources as importlib_resources
 from typing import NamedTuple, get_type_hints
@@ -247,15 +241,10 @@ class DesignCandidate(NamedTuple):
 
     def key(self) -> tuple:
         """Deterministic total order: best first.  It is flat, so that a
-        ``design_gen`` unit key, which stops at the sequences, is a prefix."""
+        unit key (``_unit_keys``), which stops at the sequences, is a prefix."""
         cfg = self.cfg
         return (-self.roofline.attainable_gops, self.total_cycles, self.resources.dsp_used,
-                _cfg_sort_key(cfg), _values(cfg.seqs), _values(cfg.buffer_options))
-
-
-def _cfg_sort_key(cfg: tuple) -> tuple:
-    """A config's (or its fields') T_h .. P_f, the key's part before the sequences."""
-    return cfg[:8]
+                cfg[:8], _values(cfg.seqs), _values(cfg.buffer_options))
 
 
 def _values(members) -> tuple:
@@ -341,24 +330,36 @@ def _parallelism_combos(mults: tuple[tuple[int, int, int, bool], ...],
     return combos + [floor] if kept and floor not in combos else combos
 
 
+class GridPoint(NamedTuple):
+    """A point of ``_planned_points``: floor, its tile's fused roofline point, an
+    all-FM config's fields, per layer chain terms, (tile, parallelism) and
+    ``hw.cycle_counts``, and passes."""
+
+    floor: tuple
+    rl: RooflinePoint
+    fields: tuple
+    terms: tuple
+    hws: list
+    counts: list
+    passes: int
+
+
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                     shapes: list[TensorShape], platform: PlatformSpec, max_parallel: int,
                     grid_depth: int, walks: dict, ops_weights: tuple[int, int] | None = None
-                    ) -> Iterator[tuple[tuple, tuple]]:
-    """The prefiltered grid of ``design_candidates`` in grid order, as
-    (floor, (its tile's fused roofline point, an all-FM config's fields,
-    (chain terms, (tile, parallelism) and ``hw.cycle_counts`` per layer,
-    passes))), for a stage with ``shapes`` (``layer_shapes``) and
-    ``ops_weights``.  Each layer's chain terms (``hw.layer_terms``) and the
-    combos are found once per spatial option, as neither depends on the
-    tile, and a walk once per ``walks`` table.  A tile whose roofline
-    raises is dropped, as is a (tile, spatial option) where a layer's tile
-    (``fusion.layer_tiles``) does not divide by (P_h, P_w), which
-    ``plan_block`` rejects.  The floor is (-attainable GOPS, passes ·
-    (max_i busy_i + the last layer's fill)), busy_i being layer i's trip
-    product, its time per pass under either sequence.  No pass is shorter,
-    so it is at most each assignment's pair (``fusion.assignment_bounds``),
-    equal on one layer; ``design_gen`` refines it to their least one."""
+                    ) -> Iterator[GridPoint]:
+    """The prefiltered grid of ``design_candidates`` in grid order, for a
+    stage with ``shapes`` (``layer_shapes``) and ``ops_weights``.  Each
+    layer's chain terms (``hw.layer_terms``) and the combos are found once
+    per spatial option, as neither depends on the tile, and a walk once per
+    ``walks`` table.  A tile whose roofline raises is dropped, as is a (tile,
+    spatial option) where a layer's tile (``fusion.layer_tiles``) does not
+    divide by (P_h, P_w), which ``plan_block`` rejects.  The floor is
+    (-attainable GOPS, passes · (max_i busy_i + the last layer's fill)),
+    busy_i being layer i's trip product, its time per pass under either
+    sequence.  No pass is shorter, so it is at most each assignment's pair
+    (``fusion.assignment_bounds``), equal on one layer; ``design_gen``
+    refines it to their least one."""
     layers = block.layers
     n = len(layers)
     chans = [s.channels for s in shapes]
@@ -399,9 +400,9 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                 hws = [(tile, (p_h, p_w, c, f)) for tile, c, f in zip(tiles, ps, ps[1:])]
                 counts = [cycle_counts(layer, *hw) for layer, hw in zip(layers, hws)]
                 lag = fill_cycles(spatial_terms[-1], tiles[-1][1], ps[-2])
-                yield ((gops, passes * (max(c[0] for c in counts) + lag)), (rl, (
+                yield GridPoint((gops, passes * (max(c[0] for c in counts) + lag)), rl, (
                     t_h, t_w, t_c, chans[-1], p_h, p_w, ps[:-1], ps[-1], seqs, options, wino),
-                    (spatial_terms, hws, counts, passes)))
+                    spatial_terms, hws, counts, passes)
 
 
 def _candidate(plan: BlockPlan, sc: SeqCandidate, rl: RooflinePoint,
@@ -431,93 +432,102 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     argument: a dropped combo can be faster.  An uncut grid picks a
     different design for 7 of ResNet-50's stages under the default depth 4,
     and its total cycles fall from 4,367,268 to 4,078,951.
-    ``design_gen`` searches the same grid best-first and returns what
-    ``pick_best_design`` picks from this list.
     """
     shapes = layer_shapes(block, input_shape)
     chans = [s.channels for s in shapes]
-    return [_candidate(plan, sc, rl, coeffs)
-            for _, (rl, fields, _) in _planned_points(block, input_shape, shapes, platform,
-                                                      max_parallel, grid_depth, {})
-            for plan in [plan_block(block, input_shape, FusedDesignConfig(*fields), chans)]
+    return [_candidate(plan, sc, point.rl, coeffs)
+            for point in _planned_points(block, input_shape, shapes, platform, max_parallel,
+                                         grid_depth, {})
+            for plan in [plan_block(block, input_shape, FusedDesignConfig(*point.fields), chans)]
             for sc in enumerate_sequences(plan)]
 
 
-def _units(layers, j: int, point: tuple, found: tuple, seq_keys: list) -> list[tuple]:
-    """``design_gen``'s heap entries of grid point ``j``, one per (sequences,
-    values) of ``seq_keys``: its key (-attainable GOPS, its bound in the
-    point's ``found`` (schedule, ``fusion.assignment_bounds``), ``_dsp_used``,
-    ``_cfg_sort_key``, the values), then j, the sequences and the schedule."""
-    rl, fields, (terms, hws, *_) = point
-    dsp, cfg_key = _dsp_used(layers, terms, hws), _cfg_sort_key(fields)
-    return [(-rl.attainable_gops, bound, dsp, cfg_key, seq_values, j, seqs, found[0])
-            for bound, (seqs, seq_values) in zip(found[1], seq_keys)]
+def _unit_keys(layers, point: GridPoint, bounds: list[int]) -> list[tuple]:
+    """Per ``fusion.assignment_bounds``' bound, its candidate's key up to the
+    buffer options, which change neither the DSPs nor the config."""
+    gops, dsp = -point.rl.attainable_gops, _dsp_used(layers, point.terms, point.hws)
+    return [(gops, bound, dsp, point.fields[:8], _values(seqs))
+            for bound, seqs in zip(bounds, seq_assignments(len(layers)))]
+
+
+def best_first(floors: list, refine, expand, evaluate, funnel: Counter) -> list:
+    """The candidates an exact best-first search (A* with partial expansion)
+    evaluates.  Item j waits on a heap under ``floors[j]``; first at the top,
+    ``refine(j)`` gives a tighter floor or None, and then ``expand(j)`` its
+    (key, unit) pairs.  Units below the top floor and at most the best
+    feasible key are evaluated in key order (``evaluate(unit)``: candidate,
+    key, feasible) until a floor exceeds that key: exact when floors and
+    unit keys are at most their candidates' keys (a prefix lies below).  At
+    exact unit keys it evaluates the best and the infeasible units before
+    it.  ``funnel`` counts items, refined and expanded items, and evaluated
+    and infeasible units."""
+    frontier = [(floor, j, False) for j, floor in enumerate(floors)]
+    heapq.heapify(frontier)
+    units, evaluated, best = [], [], (math.inf,)  # above every key: none feasible yet
+    funnel["items"] += len(frontier)
+    while True:
+        floor, j, refined = heapq.heappop(frontier) if frontier else ((math.inf,), None, True)
+        while units and units[0][0] < floor and units[0][0] <= best:
+            candidate, key, feasible = evaluate(heapq.heappop(units)[-1])
+            evaluated.append(candidate)
+            funnel["evaluated"] += 1
+            if feasible:
+                best = min(best, key)
+            else:
+                funnel["infeasible"] += 1
+        if j is None or floor > best:
+            return evaluated
+        if not refined:
+            funnel["refined"] += 1
+            if (tighter := refine(j)) is not None:
+                heapq.heappush(frontier, (tighter, j, True))
+                continue
+        funnel["expanded"] += 1
+        for k, (key, unit) in enumerate(expand(j)):
+            heapq.heappush(units, (key, j, k, unit))
 
 
 def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                platform: PlatformSpec, coeffs: CalibrationTable,
-               grid_depth: int, max_parallel: int = 64, walks: dict | None = None,
+               grid_depth: int, max_parallel: int = 64, designs: dict | None = None,
                shapes: list[TensorShape] | None = None,
                ops_weights: tuple[int, int] | None = None) -> DesignCandidate:
-    """Hardware DSE for one block: the candidate that
-    ``pick_best_design(design_candidates(...))`` selects, found best-first.
-
-    The unit of the search is a (grid point, sequence assignment) pair,
-    which gives one candidate (``fusion.best_options``).  Its key
-    (``_units``) is that candidate's ``DesignCandidate.key`` up to the
-    buffer options: the assignment's bound is the candidate's cycles, and
-    no buffer option changes the DSPs or the config fields before them.
-    Points wait on a heap under their floor (``_planned_points``).  A point
-    of a multi-layer block that first tops it goes back under (-GOPS, its
-    least assignment bound), its best unit's first two fields; one that tops
-    it again, or first on one layer, has its units ranked (pushed on a unit
-    heap).  Units leave only below the top floor, so in key order, and the
-    search stops at a key above the best: exact under any lower bound.  These
-    keys are exact, and no two units agree up to the buffer options, so the
-    first feasible unit to leave is the selection and the next one lies
-    above it: one unit per search is evaluated (planned, sized, estimated),
-    plus any infeasible one before it, and when none is feasible every unit
-    is, so ``Infeasible`` reports the same count.  ``best_options`` checks
-    the BRAM (``_bram_used``) of the smallest buffers before simulating.
-    ``walks``, ``shapes`` and ``ops_weights`` may come from the caller.
-    """
+    """What ``pick_best_design(design_candidates(...))`` selects, found by
+    ``best_first`` over ``_planned_points``.  A multi-layer point is refined
+    to (-GOPS, its least assignment bound).  A unit is a sequence assignment,
+    keyed (``_unit_keys``) as its candidate (``fusion.best_options``) up to
+    the buffer options, so one unit is evaluated (planned, sized, estimated)
+    when it fits.  ``designs`` (``evaluate_model``'s table, funnel included),
+    ``shapes`` and ``ops_weights`` may come from the caller."""
     shapes = shapes or layer_shapes(block, input_shape)
     chans = [s.channels for s in shapes]
-    points = sorted(_planned_points(block, input_shape, shapes, platform, max_parallel,
-                                    grid_depth, {} if walks is None else walks, ops_weights),
-                    key=lambda p: p[0])
-    seq_keys = [(seqs, _values(seqs)) for seqs in seq_assignments(len(block.layers))]
-    # (floor, j, once found the point's schedule and bounds): sorted, so a heap
-    frontier = [(floor, j, None) for j, (floor, _) in enumerate(points)]
-    units, candidates, plans = [], [], {}
-    # the best feasible key up to the buffer options, closed by inf so that a
-    # unit key equal that far (then j) sorts below it
-    best = (math.inf,)
-    while True:
-        floor, j, found = heapq.heappop(frontier) if frontier else ((math.inf,), None, None)
-        while units and units[0] < floor and units[0] <= best:
-            *_, i, seqs, schedule = heapq.heappop(units)
-            rl, fields, _ = points[i][1]
-            if (plan := plans.get(i)) is None:
-                plan = plans[i] = plan_block(block, input_shape, FusedDesignConfig(*fields),
-                                             chans, schedule)
-            sc = best_options(plan, seqs, lambda words: _bram_used(plan, seqs, words)
-                              <= platform.bram_blocks)
-            candidates.append(c := _candidate(plan, sc, rl, coeffs))
-            if c.resources.feasible(platform):
-                best = min(best, (*c.key()[:5], math.inf))
-        if j is None or floor > best:
-            break
-        if found is None:
-            terms, hws, counts, passes = points[j][1][2]
-            schedule = terms, block_schedule(block.layers, terms, hws, counts), passes
-            found = schedule, assignment_bounds(*schedule[1:])
-            if len(block.layers) > 1:
-                heapq.heappush(frontier, ((floor[0], min(found[1])), j, found))
-                continue
-        for unit in _units(block.layers, j, points[j][1], found, seq_keys):
-            heapq.heappush(units, unit)
-    return pick_best_design(candidates, platform)
+    designs = {} if designs is None else designs
+    points = list(_planned_points(block, input_shape, shapes, platform, max_parallel,
+                                  grid_depth, designs, ops_weights))
+    found, plans = {}, {}  # per refined point: (its schedule, its bounds); its plan
+
+    def refine(j):
+        p = points[j]
+        schedule = p.terms, block_schedule(block.layers, p.terms, p.hws, p.counts), p.passes
+        found[j] = schedule, assignment_bounds(*schedule[1:])
+        return (p.floor[0], min(found[j][1])) if len(block.layers) > 1 else None
+
+    def expand(j):
+        return zip(_unit_keys(block.layers, points[j], found[j][1]),
+                   [(j, seqs) for seqs in seq_assignments(len(block.layers))])
+
+    def evaluate(unit):
+        j, seqs = unit
+        if (plan := plans.get(j)) is None:
+            plan = plans[j] = plan_block(block, input_shape, FusedDesignConfig(*points[j].fields),
+                                         chans, found[j][0])
+        sc = best_options(plan, seqs, lambda words: _bram_used(plan, seqs, words)
+                          <= platform.bram_blocks)
+        c = _candidate(plan, sc, points[j].rl, coeffs)
+        return c, c.key(), c.resources.feasible(platform)
+
+    return pick_best_design(best_first([p.floor for p in points], refine, expand, evaluate,
+                                       designs.setdefault("funnel", Counter())), platform)
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +568,12 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
     the sum of the candidates' cycles and its ``resources`` the per-field
     maximum of theirs (all zero when no stage has a pipeline).
 
-    ``designs`` is one command's stage-design table: its entry for a stage
-    ``(op, input_shape)`` is the stage's candidate and operation count, and
-    it holds the parallelism walks its searches share (``design_gen``).
-    Identical stages recur within a model and across replacement candidates,
-    and each is searched and counted once per table.  Share a table only
-    between calls with the same platform, calibration and search bounds."""
+    ``designs`` is one command's stage-design table: a stage's candidate and
+    operation count under ``(op, input_shape)``, the walks its searches share
+    and their summed funnel under ``"funnel"`` (``design_gen``).  Identical
+    stages recur within a model and across replacement candidates, and each
+    is searched and counted once per table.  Share a table only between
+    calls with the same platform, calibration and search bounds."""
     rows, ops = [], 0
     for i, stage in enumerate(model.stages):
         best = None

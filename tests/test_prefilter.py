@@ -96,10 +96,9 @@ def _reference_combos(rows, dsp_total, grid_depth):
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
     platform = STRATIX_V_5SGSD8._replace(dsp_total=dsp_total)
-    for _, (_, fields, _) in _planned_points(block, input_shape,
-                                             layer_shapes(block, input_shape), platform, 64,
-                                             grid_depth, {}):
-        cfg = FusedDesignConfig(*fields)
+    for point in _planned_points(block, input_shape, layer_shapes(block, input_shape),
+                                 platform, 64, grid_depth, {}):
+        cfg = FusedDesignConfig(*point.fields)
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(
             (*cfg.p_c, cfg.p_f))
     return out

@@ -214,27 +214,22 @@ class TestDesignGen:
 
 
 def test_each_grid_point_is_derived_once(monkeypatch):
-    """The search plans 1 of the 25 grid points, the one it evaluates (every
-    one was planned before the ranking read each point's closed-form floor,
-    and 3 while each point whose units were ranked was planned).  The
-    ranking builds no module pipeline: ``instantiate_layer`` runs
-    once per layer of each distinct grid point that has a unit evaluated
-    (3, one point; every point planned, 75 layers, before pipelines were
-    built lazily).  The search builds no ``SimReport`` and sizes the
-    buffers of each (sequences, options) set once.  It simulates none of
-    the 8 option sets it takes before stopping at each floor: 2 cannot
-    make a streaming producer wait, so ``_pass_bounds`` is their makespan,
-    and the capacity-aware bound puts the other 6 above the floor, behind
-    an option that reaches it (all 8 were simulated before the bound had
-    a capacity term).  It estimates the resources of 1 candidate, the
-    best-ranked unit, whose key is its candidate's through the sequences (2,
-    the two assignments whose (GOPS, cycles) pair tied the best, while DSPs
-    and the config were read only after evaluation; full enumeration of
-    the 2 points it used to evaluate takes 41 and 8)."""
+    """The search on ResNet-50's ``res2_1`` evaluates 1 of its grid points'
+    units (its funnel): it plans that one point and estimates that one
+    candidate, the best-ranked unit, whose key is its candidate's through
+    the sequences.  It builds a module pipeline (``instantiate_layer``) only
+    for the layers of that planned point, 3, and no ``SimReport``, and it
+    sizes the buffers of each (sequences, options) set once.  It simulates
+    none of the 8 option sets it takes before stopping at each floor: 2
+    cannot make a streaming producer wait, so ``_pass_bounds`` is their
+    makespan, and the capacity-aware bound puts the other 6 above the
+    floor, behind an option that reaches it.  Where no design fits, every
+    unit of each expanded point is evaluated, and each such point is still
+    planned once."""
     import turf.cli, turf.fusion, turf.hw, turf.resources
     from turf.models import build_reference_model
 
-    calls = {"instantiate_layer": 0, "plan_block": 0, "estimate_resources": 0}
+    calls = {"instantiate_layer": 0}
 
     def count(name, fn):
         def counted(*args, **kwargs):
@@ -242,24 +237,20 @@ def test_each_grid_point_is_derived_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    for name, home in (("instantiate_layer", turf.hw), ("plan_block", turf.fusion),
-                       ("estimate_resources", turf.resources)):
-        orig, wrapped = getattr(home, name), count(name, getattr(home, name))
-        for module in (turf.hw, turf.fusion, turf.resources, turf.cli):
-            if module.__dict__.get(name) is orig:
-                monkeypatch.setattr(module, name, wrapped)
+    orig, wrapped = turf.hw.instantiate_layer, count("instantiate_layer",
+                                                     turf.hw.instantiate_layer)
+    for module in (turf.hw, turf.fusion, turf.resources, turf.cli):
+        if module.__dict__.get("instantiate_layer") is orig:
+            monkeypatch.setattr(module, "instantiate_layer", wrapped)
     reports = []
     monkeypatch.setattr(turf.fusion, "SimReport",
                         lambda *a, **k: reports.append(1))
-    # every evaluated plan is kept alive here, so ids name each (plan,
-    # sequences, options) set uniquely
-    evaluated, sized, caps_of, simulated = {}, {}, {}, []
-
-    def best_options(plan, seqs, fits):
-        evaluated[id(plan)] = plan
-        return orig_best(plan, seqs, fits)
+    # every sized plan is kept alive here, so ids name each (plan, sequences,
+    # options) set uniquely
+    planned, sized, caps_of, simulated = {}, {}, {}, []
 
     def buffer_caps(plan, seqs, options):
+        planned[id(plan)] = plan
         key = (id(plan), seqs, options)
         sized[key] = sized.get(key, 0) + 1
         caps = orig_caps(plan, seqs, options)
@@ -270,59 +261,52 @@ def test_each_grid_point_is_derived_once(monkeypatch):
         simulated.append(caps_of[id(caps)])
         return orig_pass(plans, caps, collect_events)
 
-    orig_best = turf.resources.best_options
     orig_caps, orig_pass = turf.fusion._buffer_caps, turf.fusion._simulate_pass
-    monkeypatch.setattr(turf.resources, "best_options", best_options)
     monkeypatch.setattr(turf.fusion, "_buffer_caps", buffer_caps)
     monkeypatch.setattr(turf.fusion, "_simulate_pass", simulate_pass)
     stage = next(s for s in build_reference_model("resnet50").stages
                  if s.name == "res2_1")
+    table = {}
     design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
-               grid_depth=4)
-    assert calls["plan_block"] == 1
-    assert calls["instantiate_layer"] == sum(len(p.layers) for p in evaluated.values()) == 3
+               grid_depth=4, designs=table)
+    assert table["funnel"]["evaluated"] == len(planned) == 1
+    assert calls["instantiate_layer"] == sum(len(p.layers) for p in planned.values()) == 3
     assert reports == []
     assert simulated == []
     assert set(sized.values()) == {1}, sized
-    assert calls["estimate_resources"] == 1
+    planned.clear()
+    table = {}
+    with pytest.raises(Infeasible):
+        design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8._replace(bram_blocks=1),
+                   load_calibration(), grid_depth=4, designs=table)
+    funnel = table["funnel"]
+    assert funnel["evaluated"] == funnel["infeasible"] == 8 * funnel["expanded"] == 8 * len(planned)
 
 
-@pytest.mark.parametrize("model_name, ranked, evaluated", [
+@pytest.mark.parametrize("model_name, refined, evaluated", [
     ("vgg16", 12, 12), ("resnet50", 57, 10), ("mobilenetv1", 69, 11),
     ("mobilenetv2", 45, 15)])
-def test_plans_only_points_that_can_win(monkeypatch, model_name, ranked, evaluated):
-    """One ``evaluate_model`` finds the assignment bounds of few grid points
-    (``ranked``; on VGG-16, whose one-layer stages have exact floors, only
-    of the points it evaluates), builds the units of fewer (12, 12, 11 and
-    15: those whose refined floor, their least bound, can still win), and
-    plans only the points it evaluates a unit of: one per stage search, as
-    many as the stage-table misses.  260, 150, 165 and 185 points were
-    planned when each was planned to be ranked, 12, 57, 69 and 45 when each
-    ranked point was planned, and 12, 12, 11 and 15 while each unit that
-    tied the best (GOPS, cycles) pair was evaluated; the units of 12, 57,
-    69 and 45 points were built while every point whose closed-form floor
-    could win was ranked."""
-    import turf.resources
+def test_plans_only_points_that_can_win(model_name, refined, evaluated):
+    """One ``evaluate_model``'s funnel: of the grid points of its searches
+    (260, 140, 165 and 185), it refines those whose closed-form floor can
+    still win (``refined``: on VGG-16, whose one-layer stages have exact
+    floors, only those it expands), expands fewer (12, 12, 11 and 15: those
+    whose refined floor, their least assignment bound, can still win), and
+    evaluates one unit per stage search, as many as the stage-table misses,
+    as a unit's key is its candidate's through the sequences and each
+    selected unit fits."""
+    from collections import Counter
+    from turf.ir import has_pipeline
     from turf.models import build_reference_model
     from turf.resources import evaluate_model
 
-    bounded, expanded, plans, used = [], [], [], {}
-    orig_bounds, orig_units = turf.resources.assignment_bounds, turf.resources._units
-    orig_plan, orig_best = turf.resources.plan_block, turf.resources.best_options
-    monkeypatch.setattr(turf.resources, "assignment_bounds",
-                        lambda *args: bounded.append(1) or orig_bounds(*args))
-    monkeypatch.setattr(turf.resources, "_units",
-                        lambda *args: expanded.append(1) or orig_units(*args))
-    monkeypatch.setattr(turf.resources, "plan_block",
-                        lambda *args: plans.append(orig_plan(*args)) or plans[-1])
-    monkeypatch.setattr(turf.resources, "best_options",
-                        lambda plan, *args: used.setdefault(id(plan), plan) and
-                        orig_best(plan, *args))
-    evaluate_model(build_reference_model(model_name), STRATIX_V_5SGSD8,
-                   load_calibration(), {})
-    built = {"vgg16": 12, "resnet50": 12, "mobilenetv1": 11, "mobilenetv2": 15}[model_name]
-    assert (len(bounded), len(expanded), len(plans), len(used)) == \
-        (ranked, built, evaluated, evaluated)
+    model, table = build_reference_model(model_name), {}
+    evaluate_model(model, STRATIX_V_5SGSD8, load_calibration(), table)
+    items, expanded = {"vgg16": (260, 12), "resnet50": (140, 12), "mobilenetv1": (165, 11),
+                       "mobilenetv2": (185, 15)}[model_name]
+    assert table["funnel"] == Counter(items=items, refined=refined, expanded=expanded,
+                                      evaluated=evaluated)
+    assert evaluated == len({(s.op, s.input_shape) for s in model.stages if has_pipeline(s.op)})
 
 
 @st.composite
@@ -390,7 +374,7 @@ def test_floor_is_below_every_assignment_bound(stage):
     n = len(layers)
     chans = [s.channels for s in layer_shapes(op, shape)]
     kept = set()
-    for floor, (rl, fields, (terms, hws, counts, passes)) in _planned_points(
+    for floor, rl, fields, terms, hws, counts, passes in _planned_points(
             op, shape, layer_shapes(op, shape), platform, max_parallel, grid_depth, {}):
         cfg = FusedDesignConfig(*fields)
         kept.add((cfg.t_h, cfg.t_w, cfg.p_h))
@@ -490,7 +474,7 @@ def test_a_shared_walk_table_picks_what_fresh_ones_pick(pair):
 
     def search(stage, walks):
         op, shape, platform, grid_depth, max_parallel = stage
-        grid = [fields for _, (_, fields, _) in _planned_points(
+        grid = [point.fields for point in _planned_points(
             op, shape, layer_shapes(op, shape), platform, max_parallel, grid_depth, walks)]
         try:
             return grid, design_gen(op, shape, platform, load_calibration(), grid_depth,

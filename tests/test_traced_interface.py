@@ -115,3 +115,24 @@ def test_a_command_run_before_the_tracer_is_installed_is_still_traced(model_path
     noted = [s for s in tracer.spans if s[0] in names]
     assert sorted(s[0] for s in noted) == sorted(names)
     assert all(s[4] is None and s[5] is not None for s in noted)
+
+
+def test_the_funnel_counts_the_candidates_the_tracer_notes(model_path):
+    """The evaluated units of an ``evaluate_model``'s funnel are the
+    candidates that the tracer's ``resources.pick_best_design`` notes count
+    (``_feasible``'s second entry) over the calls ``design_gen`` makes."""
+    import turf.resources
+    from turf.ir import load_model
+
+    model, table = load_model(str(model_path)), {}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        turf.resources.evaluate_model(model, turf.resources.STRATIX_V_5SGSD8,
+                                      turf.resources.load_calibration(), table)
+    finally:
+        tracer.uninstall()
+    recorded = tracer.spans
+    noted = [s[5][1] for s in recorded if s[0] == "resources.pick_best_design"
+             and recorded[s[1]][0] == "resources.design_gen"]
+    assert len(noted) == 3 and table["funnel"]["evaluated"] == sum(noted)
