@@ -46,10 +46,10 @@ each layer's hardware config and chain terms (``hw.layer_terms``), its work
 units, cycles per unit, fill and stream flags under either computation
 sequence as plain numbers (``block_schedule``, which the DSE runs before it
 plans), and the pass count.  The cycle bound of each sequence assignment,
-the buffer-option search and the simulator read only that schedule; each
-layer's module pipeline is built when first read (the resource model,
-``hw describe``).  A bare convolution or fully-connected layer is its own
-one-layer block.  Only ``simulate_fused`` builds a ``SimReport``.
+the buffer-option search and the simulator read only that schedule; only
+``hw describe`` builds a layer's module pipeline.  A bare convolution or
+fully-connected layer is its own one-layer block.  Only ``simulate_fused``
+builds a ``SimReport``.
 
 The buffer-option search (``best_options``) is first fit: full-tile buffers
 reach the floor ``_pass_lower_bound`` under every sequence assignment, so it
@@ -58,16 +58,14 @@ takes the smallest option set that does (Stuijk, Geilen & Basten, DAC 2006).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import NamedTuple
 
 from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
                      SimDeadlock, UnsupportedConfig)
-from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerPipeline, LayerTerms,
-                 Seq, cycle_counts, fill_cycles, instantiate_layer,
-                 intermediate_buffer_words, layer_terms)
+from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerTerms, Seq, cycle_counts,
+                 fill_cycles, intermediate_buffer_words, layer_terms)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
 
 CYCLE_MODEL = (
@@ -231,7 +229,13 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     return out
 
 
-class _BlockPlan(NamedTuple):
+class BlockPlan(NamedTuple):
+    """One fused design of a stage, scheduled once by ``plan_block``.
+    ``by_seq[k][i]`` is layer i's schedule under ``_SEQ_ORDER[k]`` (no lookup
+    hashes a ``Seq``), and ``hws[i]`` its hardware config under ``cfg`` with
+    ``terms[i]`` its chain's constants (the sequence changes neither the
+    config's other fields nor the module pipeline)."""
+
     cfg: FusedDesignConfig
     layers: tuple[LayerSpec, ...]
     hws: tuple[LayerHwConfig, ...]
@@ -239,30 +243,15 @@ class _BlockPlan(NamedTuple):
     by_seq: tuple[tuple[LayerSchedule, ...], tuple[LayerSchedule, ...]]
     n_passes: int   # sequential tile passes: spatial tiles x output-channel slices
 
-
-class BlockPlan(_BlockPlan):
-    """One fused design of a stage, scheduled once by ``plan_block``.
-    ``by_seq[k][i]`` is layer i's schedule under ``_SEQ_ORDER[k]`` (no lookup
-    hashes a ``Seq``), and ``hws[i]`` its hardware config under ``cfg`` with
-    ``terms[i]`` its chain's constants (the sequence changes neither the
-    config's other fields nor the module pipeline).  It has no ``__slots__``:
-    its instance dict holds ``pipelines`` once built."""
-
     def schedule(self, seqs: tuple[Seq, ...]) -> list[LayerSchedule]:
         return [self.by_seq[s is Seq.CM][i] for i, s in enumerate(seqs)]
 
-    @functools.cached_property
-    def pipelines(self) -> tuple[LayerPipeline, ...]:
-        return tuple(map(instantiate_layer, self.layers, self.hws))
 
-
-def block_schedule(layers, terms, hws, counts) -> tuple[tuple[LayerSchedule, ...], ...]:
-    """A ``BlockPlan``'s ``by_seq`` when layer i has chain ``terms[i]`` and
-    runs the (tile, parallelism) ``hws[i][:2]``, whose ``hw.cycle_counts``
-    are ``counts[i]``."""
+def block_schedule(layers, counts, fills) -> tuple[tuple[LayerSchedule, ...], ...]:
+    """A ``BlockPlan``'s ``by_seq`` when layer i's ``hw.cycle_counts`` are
+    ``counts[i]`` and its ``hw.fill_cycles`` is ``fills[i]``."""
     fm, cm = [], []
-    for layer, t, (tile, par, *_), (cycles, f_units, c_units) in zip(layers, terms, hws, counts):
-        lag = fill_cycles(t, tile[1], par[2])
+    for layer, (cycles, f_units, c_units), lag in zip(layers, counts, fills):
         depthwise = layer.kind is LayerKind.DEPTHWISE_CONV
         fm.append(LayerSchedule(f_units, cycles // f_units, lag, True, depthwise))
         cm.append(LayerSchedule(c_units, cycles // c_units, lag, depthwise, True))
@@ -285,7 +274,8 @@ def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
         terms = tuple(layer_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
                       for layer, hw in zip(layers, hws))
         counts = [cycle_counts(layer, hw.tile, hw.parallelism) for layer, hw in zip(layers, hws)]
-        schedule = (terms, block_schedule(layers, terms, hws, counts),
+        fills = [fill_cycles(t, hw.t_w, hw.p_c) for t, hw in zip(terms, hws)]
+        schedule = (terms, block_schedule(layers, counts, fills),
                     math.ceil(input_shape.height / cfg.t_h) *
                     math.ceil(input_shape.width / cfg.t_w) * math.ceil(chans[-1] / cfg.t_f))
     return BlockPlan(cfg, layers, tuple(hws), *schedule)

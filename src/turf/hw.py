@@ -20,13 +20,13 @@ buffers per channel lane and chain on effective widths
 path, when Winograd transforms weights, is attached separately) with
 parameters chosen so neighbouring effective widths agree.  Channel
 accumulation happens inside the dot-product array's adder tree, so
-post-array modules see channel-folded streams.  It is the reference chain;
-``layer_terms`` is its closed form, the one dispatch on a layer's path
-(Winograd, pointwise/FC, standard/depthwise).  The terms are derived once
-per design and read by ``fill_cycles`` and ``layer_dsp``: through
+post-array modules see channel-folded streams.  It is the reference chain,
+built only by ``hw describe``; ``layer_terms`` is its closed form, the one
+dispatch on a layer's path (Winograd, pointwise/FC, standard/depthwise),
+read by ``fill_cycles``, ``layer_dsp`` and ``module_widths``: through
 ``fusion.plan_block`` by the simulator and ``resources.estimate_resources``
-(line-buffer rows, multipliers), and per spatial option by the DSE's
-prefilter and point floor (``resources._planned_points``).
+(fills, line-buffer rows, multipliers, ALM widths), and per spatial option
+by the DSE's prefilter and point floor (``resources._planned_points``).
 
 The Winograd path reads T_k and the transforms' general constants as
 integers (``WINOGRAD_TERMS``), not from the exact algebra of
@@ -307,6 +307,26 @@ def layer_terms(layer: LayerSpec, p_h: int, p_w: int, use_winograd: bool,
     if kind in (LayerKind.STANDARD_CONV, LayerKind.DEPTHWISE_CONV):
         return LayerTerms(k, (k + p_h - 1) * (k + p_w - 1), 0, k * k * p_h * p_w, 0, 0)
     raise UnsupportedConfig(f"no hardware pipeline for layer kind {kind.value}")
+
+
+def module_widths(layer: LayerSpec, hw: LayerHwConfig) -> tuple:
+    """(kind, in_width + out_width, replication) per module of
+    ``instantiate_layer``'s chain, then its weight path: closed forms in
+    S = P_h·P_w and ``layer_terms``' window W, raising what that raises."""
+    p_h, p_w, p_c, p_f = hw.parallelism
+    rows, w = layer_terms(layer, p_h, p_w, hw.use_winograd, hw.winograd_m)[:2]
+    s, lanes = p_h * p_w, 1 if layer.kind is LayerKind.DEPTHWISE_CONV else p_f
+    if not hw.use_winograd:
+        line = ((ModuleKind.LINE_BUFFER, s + w, p_c),) if rows else ()
+        return ((ModuleKind.INPUT_BUFFER, 2 * p_c * s, 1), *line,
+                (ModuleKind.DOT_PRODUCT_ARRAY, p_c * w + lanes * s, 1),
+                (ModuleKind.OUTPUT_BUFFER, 2 * lanes * s, 1))
+    return ((ModuleKind.INPUT_BUFFER, 2 * p_c, 1), (ModuleKind.LINE_BUFFER, 1 + w, p_c),
+            (ModuleKind.WINOGRAD_INPUT_TRANSFORM, 2 * p_c * w, 1),
+            (ModuleKind.DOT_PRODUCT_ARRAY, (p_c + lanes) * w, 1),
+            (ModuleKind.WINOGRAD_OUTPUT_TRANSFORM, lanes * (w + s), 1),
+            (ModuleKind.OUTPUT_BUFFER, 2 * lanes * s, 1),
+            (ModuleKind.WINOGRAD_WEIGHT_TRANSFORM, p_c * lanes * (layer.kernel_size ** 2 + w), 1))
 
 
 def fill_cycles(terms: LayerTerms, t_w: int, p_c: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import json
 
-from . import fusion, ir
+from . import fusion, hw, ir
 from .cli import _emit, _jsonify, _pipeline_stage, _write, make_manifest
 from .errors import PortMismatch, reading, typed
 from .explore import replacement_key
@@ -116,7 +116,8 @@ def cmd_hw_describe(args) -> int:
     stage = _pipeline_stage(model, args.layer, "--layer")
     cfg = _load_config(args.config)
     chains = []
-    for i, pipeline in enumerate(fusion.plan_block(stage.op, stage.input_shape, cfg).pipelines):
+    plan = fusion.plan_block(stage.op, stage.input_shape, cfg)
+    for i, pipeline in enumerate(map(hw.instantiate_layer, plan.layers, plan.hws)):
         pipeline.check_chain()
         chains.append({
             "layer_kind": pipeline.layer.kind.value,

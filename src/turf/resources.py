@@ -3,9 +3,10 @@
 Resource usage is predicted by a linear model over module stream widths
 (ALMs), multiplier counts (DSPs, one 16-bit multiplier per variable-
 precision DSP block), and buffer word counts packed into M20K blocks
-(BRAM).  The ALM coefficients ship as calibration data with documented
-placeholder values; they stand in for constants fitted to synthesised
-designs and are not ground truth.
+(BRAM), from closed forms (``hw.module_widths``, ``hw.layer_dsp``) and not
+from module chains.  The ALM coefficients ship as calibration data with
+documented placeholder values; they stand in for constants fitted to
+synthesised designs and are not ground truth.
 
 Roofline accounting (16-bit words, 2 bytes), summed only in ``roofline``:
   * fused designs move the first layer's input, the last layer's output,
@@ -16,7 +17,8 @@ Roofline accounting (16-bit words, 2 bytes), summed only in ``roofline``:
 The compute roof is DSPs x 2 ops x clock.
 
 A stage with a hardware pipeline (a block, or a convolution or fully-connected
-layer as a one-layer block) is searched by ``design_gen`` with ``best_first``.
+layer as a one-layer block) is searched by ``design_gen`` with ``best_first``;
+a grid point waits as its floor and is built only when the search pops it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from importlib import resources as importlib_resources
+from operator import mul
 from typing import NamedTuple, get_type_hints
 
 from .errors import (CalibrationError, Infeasible, InvalidTiling,
@@ -35,7 +38,7 @@ from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
                      assignment_bounds, best_options, block_schedule, enumerate_sequences,
                      layer_tiles, plan_block, seq_assignments, tiling_overhead)
 from .hw import (WINOGRAD_M, BufferOption, ModuleKind, Seq, cycle_counts, fill_cycles,
-                 layer_dsp, layer_terms, winograd_eligible)
+                 layer_dsp, layer_terms, module_widths, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
                  has_pipeline, layer_shapes)
 
@@ -166,12 +169,12 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
                        coeffs: CalibrationTable) -> ResourceEstimate:
     """Linear resource prediction for ``plan``'s design run with the
     computation sequences ``seqs`` and intermediate ``buffer_words`` (as
-    ``fusion.best_options`` sized them)."""
+    ``fusion.best_options`` sized them), with ALMs from ``hw.module_widths``."""
     alm = 0.0
-    for pipeline in plan.pipelines:
-        for mod in (*pipeline.modules, *pipeline.weight_path):
-            base, per_width = coeffs.coeff(mod.kind)
-            alm += (base + per_width * (mod.in_width + mod.out_width)) * mod.replication
+    for layer, hw in zip(plan.layers, plan.hws):
+        for kind, width, replication in module_widths(layer, hw):
+            base, per_width = coeffs.coeff(kind)
+            alm += (base + per_width * width) * replication
     if not math.isfinite(alm):
         raise CalibrationError(f"the ALM coefficients give a non-finite ALM total ({alm})")
     return ResourceEstimate(_dsp_used(plan.layers, plan.terms, plan.hws),
@@ -331,55 +334,60 @@ def _parallelism_combos(mults: tuple[tuple[int, int, int, bool], ...],
 
 
 class GridPoint(NamedTuple):
-    """A point of ``_planned_points``: floor, its tile's fused roofline point, an
-    all-FM config's fields, per layer chain terms, (tile, parallelism) and
-    ``hw.cycle_counts``, and passes."""
+    """A grid point as ``_grid_point`` builds it: floor, its tile's fused
+    roofline point, an all-FM config's fields, per layer chain terms and
+    (tile, parallelism), its ``fusion.block_schedule`` and passes."""
 
     floor: tuple
     rl: RooflinePoint
     fields: tuple
     terms: tuple
     hws: list
-    counts: list
+    by_seq: tuple
     passes: int
 
 
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                     shapes: list[TensorShape], platform: PlatformSpec, max_parallel: int,
                     grid_depth: int, walks: dict, ops_weights: tuple[int, int] | None = None
-                    ) -> Iterator[GridPoint]:
+                    ) -> Iterator[tuple]:
     """The prefiltered grid of ``design_candidates`` in grid order, for a
-    stage with ``shapes`` (``layer_shapes``) and ``ops_weights``.  Each
-    layer's chain terms (``hw.layer_terms``) and the combos are found once
-    per spatial option, as neither depends on the tile, and a walk once per
-    ``walks`` table.  A tile whose roofline raises is dropped, as is a (tile,
-    spatial option) where a layer's tile (``fusion.layer_tiles``) does not
-    divide by (P_h, P_w), which ``plan_block`` rejects.  The floor is
-    (-attainable GOPS, passes · (max_i busy_i + the last layer's fill)),
-    busy_i being layer i's trip product, its time per pass under either
-    sequence.  No pass is shorter, so it is at most each assignment's pair
-    (``fusion.assignment_bounds``), equal on one layer; ``design_gen``
-    refines it to their least one."""
+    stage with ``shapes`` (``layer_shapes``) and ``ops_weights``, each point
+    as (floor, group, combo) for ``_grid_point``.  Chain terms, combos and
+    channel trips are found once per spatial option, and a walk once per
+    ``walks`` table; a group holds what one (tile, spatial option)'s points
+    share, each layer's fill per P_c of the walk included.  A tile whose
+    roofline raises is dropped, as is a (tile, spatial option) where a
+    layer's tile (``fusion.layer_tiles``) does not divide by (P_h, P_w),
+    which ``plan_block`` rejects.  The floor is (-attainable GOPS, passes ·
+    (max_i busy_i + the last layer's fill)), busy_i being layer i's trip
+    product, its time per pass under either sequence.  No pass is shorter,
+    so it is at most each assignment's pair (``fusion.assignment_bounds``),
+    equal on one layer; ``design_gen`` refines it to their least one."""
     layers = block.layers
     n = len(layers)
     chans = [s.channels for s in shapes]
     grids = tuple(tuple(_pow2_divisors(max_parallel, c)) for c in chans)
-    t_c, seqs, options = tuple(chans[:-1]), (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1)
+    tail = (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1)
+    depthwise = [layer.kind is LayerKind.DEPTHWISE_CONV for layer in layers]
 
     eligible = tuple(winograd_eligible(l) for l in layers)
     spatial_opts = [(1, 1, (False,) * n)]
     if any(eligible):
         spatial_opts.append((WINOGRAD_M, WINOGRAD_M, eligible))
-    terms = [tuple(layer_terms(layer, p_h, p_w, w, WINOGRAD_M)
-                   for layer, w in zip(layers, wino)) for p_h, p_w, wino in spatial_opts]
-    combos = []
-    for spatial_terms in terms:
-        key = (tuple((t.a, t.b, t.c, layer.kind is LayerKind.DEPTHWISE_CONV)
-                     for layer, t in zip(layers, spatial_terms)),
+    # per spatial option: (P_h, P_w, flags), terms, [(combo, channel trips)], P_c's per layer
+    options = []
+    for p_h, p_w, wino in spatial_opts:
+        terms = tuple(layer_terms(layer, p_h, p_w, w, WINOGRAD_M)
+                      for layer, w in zip(layers, wino))
+        key = (tuple((t.a, t.b, t.c, dw) for t, dw in zip(terms, depthwise)),
                grids, platform.dsp_total, grid_depth)
         if key not in walks:
             walks[key] = _parallelism_combos(*key)
-        combos.append(walks[key])
+        options.append(((p_h, p_w, wino), terms, [(ps, [
+            -(-c // p) * (1 if dw else -(-f // q))
+            for c, f, p, q, dw in zip(chans, chans[1:], ps, ps[1:], depthwise)])
+            for ps in walks[key]], [{ps[i] for ps in walks[key]} for i in range(n)]))
     ops_weights = ops_weights or (block.ops(input_shape, shapes), block.params(input_shape, shapes))
 
     for t_h, t_w in zip(_tile_options(input_shape.height),
@@ -393,16 +401,25 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
         tiles = [(*tile, c, f) for tile, c, f in
                  zip(layer_tiles(layers, t_h, t_w), chans, chans[1:])]
         passes = math.ceil(input_shape.height / t_h) * math.ceil(input_shape.width / t_w)
-        for (p_h, p_w, wino), spatial_terms, spatial_combos in zip(spatial_opts, terms, combos):
+        for (p_h, p_w, wino), terms, trips, p_cs in options:
             if any(th % p_h or tw % p_w for th, tw, *_ in tiles):
                 continue
-            for ps in spatial_combos:
-                hws = [(tile, (p_h, p_w, c, f)) for tile, c, f in zip(tiles, ps, ps[1:])]
-                counts = [cycle_counts(layer, *hw) for layer, hw in zip(layers, hws)]
-                lag = fill_cycles(spatial_terms[-1], tiles[-1][1], ps[-2])
-                yield GridPoint((gops, passes * (max(c[0] for c in counts) + lag)), rl, (
-                    t_h, t_w, t_c, chans[-1], p_h, p_w, ps[:-1], ps[-1], seqs, options, wino),
-                    spatial_terms, hws, counts, passes)
+            spatial = [-(-th // p_h) * -(-tw // p_w) for th, tw, *_ in tiles]
+            fills = [{p: fill_cycles(t, tile[1], p) for p in ps_i}
+                     for t, tile, ps_i in zip(terms, tiles, p_cs)]
+            group = (rl, (t_h, t_w, tuple(chans[:-1]), chans[-1], p_h, p_w), (*tail, wino),
+                     terms, tiles, fills, passes)
+            for ps, trip in trips:
+                yield (gops, passes * (max(map(mul, spatial, trip)) + fills[-1][ps[-2]])), group, ps
+
+
+def _grid_point(layers, floor: tuple, group: tuple, ps: tuple) -> GridPoint:
+    """The ``GridPoint`` of a ``_planned_points`` item on ``layers``."""
+    rl, head, tail, terms, tiles, fills, passes = group
+    hws = [(tile, (*head[4:], c, f)) for tile, c, f in zip(tiles, ps, ps[1:])]
+    return GridPoint(floor, rl, (*head, ps[:-1], ps[-1], *tail), terms, hws, block_schedule(
+        layers, [cycle_counts(layer, *hw) for layer, hw in zip(layers, hws)],
+        [f[p] for f, p in zip(fills, ps)]), passes)
 
 
 def _candidate(plan: BlockPlan, sc: SeqCandidate, rl: RooflinePoint,
@@ -436,8 +453,9 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     shapes = layer_shapes(block, input_shape)
     chans = [s.channels for s in shapes]
     return [_candidate(plan, sc, point.rl, coeffs)
-            for point in _planned_points(block, input_shape, shapes, platform, max_parallel,
-                                         grid_depth, {})
+            for item in _planned_points(block, input_shape, shapes, platform, max_parallel,
+                                        grid_depth, {})
+            for point in [_grid_point(block.layers, *item)]
             for plan in [plan_block(block, input_shape, FusedDesignConfig(*point.fields), chans)]
             for sc in enumerate_sequences(plan)]
 
@@ -493,7 +511,8 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                shapes: list[TensorShape] | None = None,
                ops_weights: tuple[int, int] | None = None) -> DesignCandidate:
     """What ``pick_best_design(design_candidates(...))`` selects, found by
-    ``best_first`` over ``_planned_points``.  A multi-layer point is refined
+    ``best_first`` over ``_planned_points``' floors.  A point is built
+    (``_grid_point``) only when refined, and a multi-layer point is refined
     to (-GOPS, its least assignment bound).  A unit is a sequence assignment,
     keyed (``_unit_keys``) as its candidate (``fusion.best_options``) up to
     the buffer options, so one unit is evaluated (planned, sized, estimated)
@@ -502,31 +521,31 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     shapes = shapes or layer_shapes(block, input_shape)
     chans = [s.channels for s in shapes]
     designs = {} if designs is None else designs
-    points = list(_planned_points(block, input_shape, shapes, platform, max_parallel,
-                                  grid_depth, designs, ops_weights))
-    found, plans = {}, {}  # per refined point: (its schedule, its bounds); its plan
+    items = list(_planned_points(block, input_shape, shapes, platform, max_parallel,
+                                 grid_depth, designs, ops_weights))
+    found, plans = {}, {}  # per refined item: (its point, its bounds); its plan
 
     def refine(j):
-        p = points[j]
-        schedule = p.terms, block_schedule(block.layers, p.terms, p.hws, p.counts), p.passes
-        found[j] = schedule, assignment_bounds(*schedule[1:])
+        p = _grid_point(block.layers, *items[j])
+        found[j] = p, assignment_bounds(p.by_seq, p.passes)
         return (p.floor[0], min(found[j][1])) if len(block.layers) > 1 else None
 
     def expand(j):
-        return zip(_unit_keys(block.layers, points[j], found[j][1]),
+        return zip(_unit_keys(block.layers, *found[j]),
                    [(j, seqs) for seqs in seq_assignments(len(block.layers))])
 
     def evaluate(unit):
         j, seqs = unit
+        point = found[j][0]
         if (plan := plans.get(j)) is None:
-            plan = plans[j] = plan_block(block, input_shape, FusedDesignConfig(*points[j].fields),
-                                         chans, found[j][0])
+            plan = plans[j] = plan_block(block, input_shape, FusedDesignConfig(*point.fields),
+                                         chans, (point.terms, point.by_seq, point.passes))
         sc = best_options(plan, seqs, lambda words: _bram_used(plan, seqs, words)
                           <= platform.bram_blocks)
-        c = _candidate(plan, sc, points[j].rl, coeffs)
+        c = _candidate(plan, sc, point.rl, coeffs)
         return c, c.key(), c.resources.feasible(platform)
 
-    return pick_best_design(best_first([p.floor for p in points], refine, expand, evaluate,
+    return pick_best_design(best_first([item[0] for item in items], refine, expand, evaluate,
                                        designs.setdefault("funnel", Counter())), platform)
 
 

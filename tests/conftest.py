@@ -3,7 +3,7 @@ import pytest
 
 from turf.hw import instantiate_layer, layer_dsp, layer_terms
 from turf.ir import (BlockKind, BlockSpec, LayerKind, LayerSpec, ModelSpec,
-                     Replacement, Stage, TensorShape)
+                     Replacement, Stage, TensorShape, layer_shapes)
 from turf.kernels import transform_mult_counts, winograd_config
 
 
@@ -51,6 +51,16 @@ def closed_form_dsp(layer, hw):
     layer config ``hw``: ``layer_dsp`` on the chain's ``layer_terms``."""
     lanes_f = 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f
     return layer_dsp(terms_of(layer, hw), hw.p_c, lanes_f)
+
+
+def grid_points(block, shape, platform, max_parallel=64, grid_depth=4, walks=None):
+    """Every ``GridPoint`` of the stage's grid in grid order: the items of
+    ``resources._planned_points`` built by ``resources._grid_point``, as
+    ``design_gen`` builds a point when it refines it."""
+    from turf.resources import _grid_point, _planned_points
+    return [_grid_point(block.layers, *item) for item in _planned_points(
+        block, shape, layer_shapes(block, shape), platform, max_parallel, grid_depth,
+        {} if walks is None else walks)]
 
 
 def stacked_block(mid, out):

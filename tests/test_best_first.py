@@ -23,12 +23,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import grid_points
 from turf import resources
 from turf.errors import Infeasible
-from turf.fusion import assignment_bounds, block_schedule, plan_block, seq_assignments
-from turf.ir import has_pipeline, layer_shapes
+from turf.fusion import assignment_bounds, plan_block, seq_assignments
+from turf.hw import ModuleKind, instantiate_layer
+from turf.ir import has_pipeline
 from turf.models import build_reference_model
-from turf.resources import (STRATIX_V_5SGSD8, PlatformSpec, design_candidates, design_gen,
+from turf.resources import (STRATIX_V_5SGSD8, CalibrationTable, PlatformSpec,
+                            design_candidates, design_gen, estimate_resources,
                             load_calibration, pick_best_design)
 
 PLATFORMS = {
@@ -103,10 +106,39 @@ def test_cycles_bound_below_every_candidate(model_name):
             assert bounds[c.cfg.seqs] == c.total_cycles, (name, c.cfg)
 
 
-def _bounds(block, point) -> list[int]:
+# fractional coefficients, so that a sum in another order could round apart
+FRACTIONAL = CalibrationTable({kind.value: {"base": 10 / (i + 3), "per_width": (i + 1) / 7}
+                               for i, kind in enumerate(ModuleKind)})
+
+
+def _chain_alm(plan, coeffs) -> int:
+    """The ALMs of ``plan``'s instantiated module chains, summed module by
+    module in chain order, then each weight path."""
+    alm = 0.0
+    for pipeline in map(instantiate_layer, plan.layers, plan.hws):
+        for mod in (*pipeline.modules, *pipeline.weight_path):
+            base, per_width = coeffs.coeff(mod.kind)
+            alm += (base + per_width * (mod.in_width + mod.out_width)) * mod.replication
+    return round(alm)
+
+
+@pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
+                                        "mobilenetv2"])
+def test_alm_is_the_chain_sum_on_every_candidate(model_name):
+    """On every grid candidate, the ALMs ``estimate_resources`` takes from
+    closed forms are the sum over the instantiated module chains, under the
+    shipped and under fractional coefficients."""
+    for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
+        for c in cands:
+            plan = plan_block(block, shape, c.cfg)
+            assert c.resources.alm_used == _chain_alm(plan, COEFFS), (name, c.cfg)
+            fractional = estimate_resources(plan, c.cfg.seqs, (), FRACTIONAL).alm_used
+            assert fractional == _chain_alm(plan, FRACTIONAL), (name, c.cfg)
+
+
+def _bounds(point) -> list[int]:
     """A grid point's assignment bounds, as ``design_gen`` refines it."""
-    by_seq = block_schedule(block.layers, point.terms, point.hws, point.counts)
-    return assignment_bounds(by_seq, point.passes)
+    return assignment_bounds(point.by_seq, point.passes)
 
 
 @pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
@@ -121,11 +153,10 @@ def test_refined_floor_is_each_points_best_pair(model_name):
         for c in cands:
             key = c.key()
             pairs[key[3]] = min(pairs.get(key[3], key[:2]), key[:2])
-        points = list(resources._planned_points(block, shape, layer_shapes(block, shape),
-                                                STRATIX_V_5SGSD8, 64, 4, {}))
+        points = grid_points(block, shape, STRATIX_V_5SGSD8)
         assert len(points) == len(pairs), name
         for point in points:
-            refined = (point.floor[0], min(_bounds(block, point)))
+            refined = (point.floor[0], min(_bounds(point)))
             assert point.floor <= refined == pairs[point.fields[:8]], (name, point.fields)
 
 
@@ -139,9 +170,8 @@ def test_unit_keys_bound_every_candidate_key(model_name):
     the one it selects."""
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         keys = {}
-        for point in resources._planned_points(block, shape, layer_shapes(block, shape),
-                                               STRATIX_V_5SGSD8, 64, 4, {}):
-            for key in resources._unit_keys(block.layers, point, _bounds(block, point)):
+        for point in grid_points(block, shape, STRATIX_V_5SGSD8):
+            for key in resources._unit_keys(block.layers, point, _bounds(point)):
                 keys[key[3:5]] = key
         assert len(keys) == len(cands), name
         for c in cands:

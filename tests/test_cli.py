@@ -240,12 +240,12 @@ REJECTED = {
 class TestRejectedConfigs:
     """A config the stage cannot run exits 1 naming ``UnsupportedConfig``,
     from ``simulate`` (which never builds a module pipeline) and from
-    ``hw describe``."""
+    ``hw describe``, which builds them through ``turf.hw``."""
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
     @pytest.mark.parametrize("command", ["simulate", "hw"])
     def test_exits_one(self, tmp_path, capsys, monkeypatch, command, case):
-        import turf.fusion
+        import turf.hw
 
         model_name, stage, edits = REJECTED[case]
         cfg = tmp_path / "cfg.json"
@@ -256,7 +256,7 @@ class TestRejectedConfigs:
         if command == "simulate":
             def no_pipeline(*args):
                 raise AssertionError("simulate built a module pipeline")
-            monkeypatch.setattr(turf.fusion, "instantiate_layer", no_pipeline)
+            monkeypatch.setattr(turf.hw, "instantiate_layer", no_pipeline)
             argv = ["simulate", str(model), "--block", str(stage)]
         else:
             argv = ["hw", "describe", str(model), "--layer", str(stage)]

@@ -11,8 +11,8 @@ from conftest import closed_form_dsp, dw_conv, pipeline_dsp, pw_conv, std_conv, 
 from turf.errors import InefficientConfig, ShapeMismatch, UnsupportedConfig
 from turf.hw import (WINOGRAD_TERMS, BufferOption, LayerHwConfig, ModuleKind, Seq,
                      cycle_counts, fill_cycles, input_buffer, instantiate_layer,
-                     intermediate_buffer_words, layer_terms, line_buffer, output_buffer,
-                     validate_winograd, winograd_eligible, winograd_input_transform,
+                     intermediate_buffer_words, layer_terms, line_buffer, module_widths,
+                     output_buffer, validate_winograd, winograd_eligible, winograd_input_transform,
                      winograd_output_transform, winograd_terms, winograd_weight_transform)
 from turf.ir import LayerKind, LayerSpec
 from turf.kernels import WINOGRAD_CONFIGS, transform_mult_counts, winograd_config
@@ -270,6 +270,27 @@ def test_closed_form_terms_are_the_chain_constants(kind, wino):
     raise the same error, on every pipelined layer kind, Winograd or not."""
     accepted = _check_against_chain(
         kind, wino, lambda l, h: (*terms_of(l, h)[:3], closed_form_dsp(l, h)), _chain_terms)
+    assert any(accepted) == (not wino or kind in ("std", "dw"))
+    assert all(accepted) == (not wino)
+
+
+def _chain_widths(layer, hw):
+    """(kind, in_width + out_width, replication) of each module of the
+    instantiated chain, then of its weight path."""
+    pipe = instantiate_layer(layer, hw)
+    return tuple((m.kind, m.in_width + m.out_width, m.replication)
+                 for m in (*pipe.modules, *pipe.weight_path))
+
+
+@pytest.mark.parametrize("wino", [False, True])
+@pytest.mark.parametrize("kind", ["std", "dw", "pw", "fc"])
+def test_closed_form_widths_are_the_chain_widths(kind, wino):
+    """``module_widths`` lists the instantiated chain's modules, then its
+    weight path, with their kinds, summed stream widths and replications, in
+    that order, or raises the same error, on every pipelined layer kind,
+    Winograd or not.  So the ALMs ``estimate_resources`` sums from it are
+    the chain's, term by term in the chain's order."""
+    accepted = _check_against_chain(kind, wino, module_widths, _chain_widths)
     assert any(accepted) == (not wino or kind in ("std", "dw"))
     assert all(accepted) == (not wino)
 

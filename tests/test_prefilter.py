@@ -21,14 +21,14 @@ import math
 
 import pytest
 
-from conftest import closed_form_dsp, pipeline_dsp
+from conftest import closed_form_dsp, grid_points, pipeline_dsp
 from turf.errors import PortMismatch, ShapeMismatch, UnsupportedConfig
 from turf.fusion import FusedDesignConfig, derive_layer_configs
 from turf.hw import BufferOption, LayerHwConfig, Seq, instantiate_layer, layer_terms
-from turf.ir import LayerKind, LayerSpec, TensorShape, layer_shapes
+from turf.ir import LayerKind, LayerSpec, TensorShape
 from turf.models import build_reference_model
-from turf.resources import (STRATIX_V_5SGSD8, _parallelism_combos, _planned_points,
-                            _pow2_divisors, _tile_options)
+from turf.resources import (STRATIX_V_5SGSD8, _parallelism_combos, _pow2_divisors,
+                            _tile_options)
 
 # a grid depth above every stage's combo count: the cut keeps every combo
 ALL = 10 ** 6
@@ -96,8 +96,7 @@ def _reference_combos(rows, dsp_total, grid_depth):
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
     platform = STRATIX_V_5SGSD8._replace(dsp_total=dsp_total)
-    for point in _planned_points(block, input_shape, layer_shapes(block, input_shape),
-                                 platform, 64, grid_depth, {}):
+    for point in grid_points(block, input_shape, platform, 64, grid_depth):
         cfg = FusedDesignConfig(*point.fields)
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(
             (*cfg.p_c, cfg.p_f))

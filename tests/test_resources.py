@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (canonical_blocks, closed_form_dsp, dwsep_block, pw_conv,
+from conftest import (canonical_blocks, closed_form_dsp, dwsep_block, grid_points, pw_conv,
                       stacked_block, std_conv)
 from turf.errors import (CalibrationError, Infeasible, InvalidTiling, ShapeMismatch,
                          UnsupportedConfig)
@@ -217,9 +217,10 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     """The search on ResNet-50's ``res2_1`` evaluates 1 of its grid points'
     units (its funnel): it plans that one point and estimates that one
     candidate, the best-ranked unit, whose key is its candidate's through
-    the sequences.  It builds a module pipeline (``instantiate_layer``) only
-    for the layers of that planned point, 3, and no ``SimReport``, and it
-    sizes the buffers of each (sequences, options) set once.  It simulates
+    the sequences.  It builds a grid point (``_grid_point``) only for each
+    point it refines, no module pipeline (``instantiate_layer``), as the
+    resource model reads closed forms, and no ``SimReport``, and it sizes
+    the buffers of each (sequences, options) set once.  It simulates
     none of the 8 option sets it takes before stopping at each floor: 2
     cannot make a streaming producer wait, so ``_pass_bounds`` is their
     makespan, and the capacity-aware bound puts the other 6 above the
@@ -229,7 +230,7 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     import turf.cli, turf.fusion, turf.hw, turf.resources
     from turf.models import build_reference_model
 
-    calls = {"instantiate_layer": 0}
+    calls = {"instantiate_layer": 0, "_grid_point": 0}
 
     def count(name, fn):
         def counted(*args, **kwargs):
@@ -242,6 +243,8 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     for module in (turf.hw, turf.fusion, turf.resources, turf.cli):
         if module.__dict__.get("instantiate_layer") is orig:
             monkeypatch.setattr(module, "instantiate_layer", wrapped)
+    monkeypatch.setattr(turf.resources, "_grid_point",
+                        count("_grid_point", turf.resources._grid_point))
     reports = []
     monkeypatch.setattr(turf.fusion, "SimReport",
                         lambda *a, **k: reports.append(1))
@@ -270,17 +273,18 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
                grid_depth=4, designs=table)
     assert table["funnel"]["evaluated"] == len(planned) == 1
-    assert calls["instantiate_layer"] == sum(len(p.layers) for p in planned.values()) == 3
+    assert calls == {"instantiate_layer": 0, "_grid_point": table["funnel"]["refined"]}
     assert reports == []
     assert simulated == []
     assert set(sized.values()) == {1}, sized
     planned.clear()
-    table = {}
+    calls["_grid_point"], table = 0, {}
     with pytest.raises(Infeasible):
         design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8._replace(bram_blocks=1),
                    load_calibration(), grid_depth=4, designs=table)
     funnel = table["funnel"]
     assert funnel["evaluated"] == funnel["infeasible"] == 8 * funnel["expanded"] == 8 * len(planned)
+    assert calls["_grid_point"] == funnel["refined"]
 
 
 @pytest.mark.parametrize("model_name, refined, evaluated", [
@@ -363,24 +367,23 @@ def test_floor_is_below_every_assignment_bound(stage):
     gives it, so the refined floor, their least pair, is the point's best
     candidate's (GOPS, cycles).  A (tile, spatial option) is dropped
     exactly when ``plan_block`` rejects its configs."""
-    from turf.fusion import assignment_bounds, best_options, block_schedule, seq_assignments
+    from turf.fusion import assignment_bounds, best_options, seq_assignments
     from turf.hw import WINOGRAD_M, layer_terms, winograd_eligible
     from turf.ir import layer_shapes
-    from turf.resources import (_parallelism_combos, _planned_points,
-                                _pow2_divisors, _tile_options)
+    from turf.resources import _parallelism_combos, _pow2_divisors, _tile_options
 
     op, shape, platform, grid_depth, max_parallel = stage
     layers = op.layers
     n = len(layers)
     chans = [s.channels for s in layer_shapes(op, shape)]
     kept = set()
-    for floor, rl, fields, terms, hws, counts, passes in _planned_points(
-            op, shape, layer_shapes(op, shape), platform, max_parallel, grid_depth, {}):
+    for floor, rl, fields, terms, hws, by_seq, passes in grid_points(
+            op, shape, platform, max_parallel, grid_depth):
         cfg = FusedDesignConfig(*fields)
         kept.add((cfg.t_h, cfg.t_w, cfg.p_h))
         plan = plan_block(op, shape, cfg, chans)
         assert (plan.terms, plan.by_seq, plan.n_passes) == \
-            (terms, block_schedule(layers, terms, hws, counts), passes)
+            (terms, by_seq, passes)
         fm = plan.schedule((Seq.FM,) * n)
         assert floor == (-rl.attainable_gops, plan.n_passes * (
             max(p.units * p.cycles_per_unit for p in fm) + fm[-1].fill))
@@ -414,6 +417,87 @@ def test_floor_is_below_every_assignment_bound(stage):
                 except UnsupportedConfig:
                     rejected = True
                 assert rejected == ((t_h, t_w, p) not in kept), cfg
+
+
+def _eager_points(op, shape, platform, max_parallel, grid_depth) -> list:
+    """Every grid point of a stage in grid order, each built whole with its
+    floor as the search once built all of them before its first pop: per
+    tile, spatial option and combo, (floor, roofline point, fields, terms,
+    per layer (tile, parallelism), the schedule of each layer's cycle counts
+    and fill, passes)."""
+    from turf.fusion import block_schedule, layer_tiles
+    from turf.hw import WINOGRAD_M, cycle_counts, fill_cycles, layer_terms, winograd_eligible
+    from turf.resources import _parallelism_combos, _pow2_divisors, _tile_options
+
+    layers, n = op.layers, len(op.layers)
+    chans = [s.channels for s in layer_shapes(op, shape)]
+    grids = tuple(tuple(_pow2_divisors(max_parallel, c)) for c in chans)
+    eligible = tuple(winograd_eligible(l) for l in layers)
+    spatial = [(1, (False,) * n)] + ([(WINOGRAD_M, eligible)] if any(eligible) else [])
+    points = []
+    for t_h, t_w in zip(_tile_options(shape.height), _tile_options(shape.width)):
+        try:
+            rl = roofline(op, shape, platform, (t_h, t_w, chans[-1])).fused
+        except InvalidTiling:
+            continue
+        tiles = [(*tile, c, f) for tile, c, f in
+                 zip(layer_tiles(layers, t_h, t_w), chans, chans[1:])]
+        passes = -(-shape.height // t_h) * -(-shape.width // t_w)
+        for p, wino in spatial:
+            if any(th % p or tw % p for th, tw, *_ in tiles):
+                continue
+            terms = tuple(layer_terms(l, p, p, w, WINOGRAD_M) for l, w in zip(layers, wino))
+            mults = tuple((t.a, t.b, t.c, l.kind is LayerKind.DEPTHWISE_CONV)
+                          for l, t in zip(layers, terms))
+            for ps in _parallelism_combos(mults, grids, platform.dsp_total, grid_depth):
+                hws = [(tile, (p, p, c, f)) for tile, c, f in zip(tiles, ps, ps[1:])]
+                counts = [cycle_counts(l, *hw) for l, hw in zip(layers, hws)]
+                fills = [fill_cycles(t, tile[1], p_c) for t, tile, p_c in zip(terms, tiles, ps)]
+                points.append((
+                    (-rl.attainable_gops, passes * (max(c[0] for c in counts) + fills[-1])), rl,
+                    (t_h, t_w, tuple(chans[:-1]), chans[-1], p, p, ps[:-1], ps[-1],
+                     (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1), wino),
+                    terms, hws, block_schedule(layers, counts, fills), passes))
+    return points
+
+
+def _check_lazy_floors(op, shape, platform, max_parallel, grid_depth):
+    """The items ``_planned_points`` yields, built by ``_grid_point`` as
+    ``design_gen``'s refine builds them, are the eagerly built grid in grid
+    order.  Each is queued under the floor recomputed from the point:
+    passes · (max_i busy_i + ``hw.fill_cycles`` of the last layer's terms,
+    T_w and P_c), busy_i being layer i's units times cycles per unit under
+    filter-major, which is its ``hw.cycle_counts`` compute cycles."""
+    from turf.hw import cycle_counts, fill_cycles
+    from turf.resources import _grid_point, _planned_points
+
+    items = list(_planned_points(op, shape, layer_shapes(op, shape), platform, max_parallel,
+                                 grid_depth, {}))
+    points = [_grid_point(op.layers, *item) for item in items]
+    assert [tuple(p) for p in points] == \
+        _eager_points(op, shape, platform, max_parallel, grid_depth)
+    for (floor, *_), p in zip(items, points):
+        busy = [s.units * s.cycles_per_unit for s in p.by_seq[0]]
+        assert busy == [cycle_counts(l, *hw)[0] for l, hw in zip(op.layers, p.hws)]
+        (_, t_w, *_), (*_, p_c, _) = p.hws[-1]
+        assert floor == p.floor == (-p.rl.attainable_gops, p.passes * (
+            max(busy) + fill_cycles(p.terms[-1], t_w, p_c)))
+
+
+@pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1", "mobilenetv2"])
+def test_lazy_floors_are_the_eager_grid_on_reference_models(model_name):
+    from turf.ir import has_pipeline
+    from turf.models import build_reference_model
+
+    for stage in build_reference_model(model_name).stages:
+        if has_pipeline(stage.op):
+            _check_lazy_floors(stage.op, stage.input_shape, STRATIX_V_5SGSD8, 64, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dse_stages())
+def test_lazy_floors_are_the_eager_grid(stage):
+    _check_lazy_floors(*stage)
 
 
 @st.composite
@@ -470,12 +554,10 @@ def test_a_shared_walk_table_picks_what_fresh_ones_pick(pair):
     picks what it picks with a fresh table for each, and the grid
     (``_planned_points``) is the same: a walk is kept under every input it
     reads."""
-    from turf.resources import _planned_points
-
     def search(stage, walks):
         op, shape, platform, grid_depth, max_parallel = stage
-        grid = [point.fields for point in _planned_points(
-            op, shape, layer_shapes(op, shape), platform, max_parallel, grid_depth, walks)]
+        grid = [point.fields for point in grid_points(
+            op, shape, platform, max_parallel, grid_depth, walks)]
         try:
             return grid, design_gen(op, shape, platform, load_calibration(), grid_depth,
                                     max_parallel, walks)
