@@ -8,8 +8,10 @@ where tables map naturally), embed a run manifest, and are byte-identical
 across runs with the same inputs and seed; the TURF_SEED environment variable overrides
 --seed, and SOURCE_DATE_EPOCH (when set) supplies the manifest timestamp.
 
-The inspection commands live in ``turf.inspection``, imported only to
-build or run one of them or for the full ``--help``.  ``winograd-check``
+The inspection commands, their parsers and the simulator's report live in
+``turf.inspection``, imported only to build or run one of them or for the
+full ``--help``; ``hw describe`` also loads the module chain (``turf.chain``)
+and a ``table:`` or ``external:`` oracle ``turf.oracles``.  ``winograd-check``
 alone imports numpy (``turf.conv``) and ``turf.kernels`` with ``fractions``,
 inside the command; the others load only turf and the standard library.
 None loads OpenSSL: the manifest hashes its inputs with CPython's builtin
@@ -37,26 +39,19 @@ except ImportError:
 
 from . import __version__
 from .errors import NoSolution, TurfError, UnsupportedConfig, typed
-from .explore import (CandidateRecord, ExternalOracle, Requirements, SyntheticOracle,
-                      TableOracle, run_framework)
-from .fusion import BufferActivity, LayerActivity, SimReport, config_to_json
-from .hw import ModuleDesc
+from .explore import Requirements, SyntheticOracle, run_framework
+from .fusion import config_to_json
 from .ir import has_pipeline, load_model, model_to_json
-from .resources import (DesignCandidate, RooflinePoint, design_candidates, evaluate_model,
+from .resources import (DesignCandidate, design_candidates, evaluate_model,
                         load_calibration, load_platform, pick_best_design, roofline)
-
-
-# the records a report holds as JSON objects; any other tuple is a list
-_RECORDS = (SimReport, LayerActivity, BufferActivity, ModuleDesc, RooflinePoint,
-            CandidateRecord)
 
 
 def _jsonify(obj):
     """``obj`` as JSON values.  Records are ``typing.NamedTuple``s: tuples
     that compare equal to a plain tuple of their values, whose ``_replace``
-    skips any constructor checks.  So the serialised ones become objects
-    through ``_asdict()`` before the tuple branch turns the rest into lists."""
-    if isinstance(obj, _RECORDS):
+    skips any constructor checks.  So each record becomes an object through
+    ``_asdict()`` before the tuple branch turns the other tuples into lists."""
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
         return {k: _jsonify(v) for k, v in obj._asdict().items()}
     if isinstance(obj, enum.Enum):
         return obj.value
@@ -210,10 +205,10 @@ def cmd_dse(args) -> int:
 def _make_oracle(spec: str):
     if spec == "synthetic":
         return SyntheticOracle()
-    if spec.startswith("table:"):
-        return TableOracle.from_csv(spec.split(":", 1)[1])
-    if spec.startswith("external:"):
-        return ExternalOracle(spec.split(":", 1)[1])
+    if spec.startswith(("table:", "external:")):
+        from .oracles import ExternalOracle, TableOracle  # only these specs load them
+        kind, arg = spec.split(":", 1)
+        return TableOracle.from_csv(arg) if kind == "table" else ExternalOracle(arg)
     raise UnsupportedConfig(f"unknown oracle {spec!r}; use "
                             "synthetic | table:<csv> | external:<cmd>")
 
@@ -290,7 +285,38 @@ def _fraction(text: str) -> float:
     return value
 
 
-COMMANDS = ("model", "hw", "simulate", "dse", "explore", "winograd-check")  # in help order
+COMMANDS = {"model": "model definition utilities", "hw": "hardware template utilities",
+            "simulate": "cycle-accurate fused-block simulation",
+            "dse": "hardware design-space exploration",
+            "explore": "joint model/hardware search",
+            "winograd-check": "randomized equivalence trials"}  # with their help, in help order
+
+
+def _add_arguments(name: str, p: argparse.ArgumentParser, common) -> None:
+    """Give ``dse``'s or ``explore``'s subparser ``p`` its arguments."""
+    if name == "dse":
+        p.add_argument("model")
+        p.add_argument("--platform")
+        p.add_argument("--calibration")
+        p.add_argument("--block", type=int)
+        p.add_argument("--max-parallel", type=_int_at_least(1), default=64)
+        p.add_argument("--grid-depth", type=_int_at_least(1), default=4)
+        p.add_argument("--csv")
+        p.set_defaults(func=cmd_dse)
+    else:
+        p.add_argument("--model", required=True)
+        p.add_argument("--platform")
+        p.add_argument("--calibration")
+        p.add_argument("--min-acc", type=_fraction, required=True)
+        target = p.add_mutually_exclusive_group(required=True)
+        target.add_argument("--min-gops", type=_finite)
+        target.add_argument("--max-latency-ms", type=_finite)
+        p.add_argument("--oracle", default="synthetic")
+        p.add_argument("--exhaustive", action="store_true")
+        p.add_argument("--finetune-budget", type=_int_at_least(0), default=1)
+        p.add_argument("--max-parallel", type=_int_at_least(1), default=64)
+        p.set_defaults(func=cmd_explore)
+    p.add_argument("--out")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -307,77 +333,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     usage = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
     if command not in ("dse", "explore"):
         from . import inspection
-
-    if command in (None, "model"):
-        p_model = add_parser("model", help="model definition utilities")
-        model_sub = p_model.add_subparsers(dest="model_command", required=True)
-        p_show = model_sub.add_parser("show", parents=[common], help="per-stage op/param table")
-        p_show.add_argument("file")
-        p_show.add_argument("--format", choices=("json", "csv"), default="json")
-        p_show.add_argument("--out")
-        p_show.set_defaults(func=inspection.cmd_model_show)
-
-    if command in (None, "hw"):
-        p_hw = add_parser("hw", help="hardware template utilities")
-        hw_sub = p_hw.add_subparsers(dest="hw_command", required=True)
-        p_desc = hw_sub.add_parser("describe", parents=[common], help="module chain with widths")
-        p_desc.add_argument("model")
-        p_desc.add_argument("--layer", type=int, required=True)
-        p_desc.add_argument("--config", required=True)
-        p_desc.add_argument("--out")
-        p_desc.set_defaults(func=inspection.cmd_hw_describe)
-
-    if command in (None, "simulate"):
-        p_sim = add_parser("simulate", help="cycle-accurate fused-block simulation")
-        p_sim.add_argument("model")
-        p_sim.add_argument("--block", type=int, required=True)
-        p_sim.add_argument("--config", required=True)
-        p_sim.add_argument("--trace")
-        p_sim.add_argument("--enumerate-seqs", action="store_true")
-        p_sim.add_argument("--out")
-        p_sim.set_defaults(func=inspection.cmd_simulate)
-
-    if command in (None, "dse"):
-        p_dse = add_parser("dse", help="hardware design-space exploration")
-        p_dse.add_argument("model")
-        p_dse.add_argument("--platform")
-        p_dse.add_argument("--calibration")
-        p_dse.add_argument("--block", type=int)
-        p_dse.add_argument("--max-parallel", type=_int_at_least(1), default=64)
-        p_dse.add_argument("--grid-depth", type=_int_at_least(1), default=4)
-        p_dse.add_argument("--csv")
-        p_dse.add_argument("--out")
-        p_dse.set_defaults(func=cmd_dse)
-
-    if command in (None, "explore"):
-        p_exp = add_parser("explore", help="joint model/hardware search")
-        p_exp.add_argument("--model", required=True)
-        p_exp.add_argument("--platform")
-        p_exp.add_argument("--calibration")
-        p_exp.add_argument("--min-acc", type=_fraction, required=True)
-        target = p_exp.add_mutually_exclusive_group(required=True)
-        target.add_argument("--min-gops", type=_finite)
-        target.add_argument("--max-latency-ms", type=_finite)
-        p_exp.add_argument("--oracle", default="synthetic")
-        p_exp.add_argument("--exhaustive", action="store_true")
-        p_exp.add_argument("--finetune-budget", type=_int_at_least(0), default=1)
-        p_exp.add_argument("--max-parallel", type=_int_at_least(1), default=64)
-        p_exp.add_argument("--out")
-        p_exp.set_defaults(func=cmd_explore)
-
-    if command in (None, "winograd-check"):
-        p_win = add_parser("winograd-check", help="randomized equivalence trials")
-        p_win.add_argument("--m", type=int, default=4)
-        p_win.add_argument("--r", type=int, default=3)
-        p_win.add_argument("--trials", type=_int_at_least(1), default=100)
-        p_win.add_argument("--out")
-        p_win.set_defaults(func=inspection.cmd_winograd_check)
-
+    for name in COMMANDS if command is None else (command,):
+        add_arguments = _add_arguments if name in ("dse", "explore") else inspection.add_arguments
+        add_arguments(name, sub.add_parser(name, parents=[common], help=COMMANDS[name]), common)
     return parser
 
 

@@ -7,15 +7,15 @@ evaluation -- fine-tuning in the real flow -- sits behind an oracle
 interface; the shipped SyntheticOracle is explicitly synthetic and only
 reproduces the qualitative shape of measured accuracy curves (a peak at
 one top replacement, decay toward the bottom).  Real accuracies come from
-a TableOracle replay or an ExternalOracle command.
+a ``turf.oracles`` table replay or external command, which only
+``explore --oracle table:|external:`` loads.
 """
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
-from .errors import NoSolution, OracleError, TurfError, UnknownModel, reading
+from .errors import NoSolution, TurfError
 from .ir import ModelSpec, Replacement, replace_layer
 from .resources import (CalibrationTable, ModelDesign, PlatformSpec,
                         evaluate_model)
@@ -82,59 +82,6 @@ class SyntheticOracle:
                 if pos == n - 1:
                     acc += SYNTHETIC_TOP_BONUS
         return max(0.0, min(1.0, acc))
-
-
-class TableOracle:
-    """Replays measured accuracies keyed by the replacement vector (O/S string)."""
-
-    def __init__(self, table: dict[str, float]):
-        for key, accuracy in table.items():
-            if not 0.0 <= accuracy <= 1.0:
-                raise OracleError(f"table accuracy {accuracy} for replacement "
-                                  f"vector {key!r} is outside [0, 1]")
-        self.table = dict(table)
-
-    @classmethod
-    def from_csv(cls, path: str) -> "TableOracle":
-        import csv
-        table = {}
-        with reading(path), open(path) as fh:
-            for row in csv.DictReader(fh):
-                table[row["replacement_vector"].strip()] = float(row["accuracy"])
-        return cls(table)
-
-    def evaluate(self, model: ModelSpec, budget: int = 1) -> float:
-        key = replacement_key(model)
-        if key not in self.table:
-            raise UnknownModel(f"no table entry for replacement vector {key!r}")
-        return self.table[key]
-
-
-class ExternalOracle:
-    """Shells out: the command receives the model JSON on stdin and prints
-    an accuracy in [0, 1]."""
-
-    def __init__(self, command: str):
-        self.command = command
-
-    def evaluate(self, model: ModelSpec, budget: int = 1) -> float:
-        import shlex
-        import subprocess
-        from .ir import model_to_json
-        payload = json.dumps({"model": model_to_json(model), "budget": budget})
-        try:
-            proc = subprocess.run(shlex.split(self.command), input=payload,
-                                  capture_output=True, text=True, check=True)
-            accuracy = float(proc.stdout.strip())
-        except subprocess.CalledProcessError as exc:
-            raise OracleError(f"oracle command `{self.command}` exited with "
-                              f"status {exc.returncode}") from exc
-        except (OSError, ValueError) as exc:
-            raise OracleError(f"oracle command `{self.command}` failed: {exc}") from exc
-        if not 0.0 <= accuracy <= 1.0:
-            raise OracleError(f"oracle command `{self.command}` printed accuracy "
-                              f"{accuracy}, outside [0, 1]")
-        return accuracy
 
 
 def model_gen(pretrained: ModelSpec,

@@ -48,8 +48,9 @@ sequence as plain numbers (``block_schedule``, which the DSE runs before it
 plans), and the pass count.  The cycle bound of each sequence assignment,
 the buffer-option search and the simulator read only that schedule; only
 ``hw describe`` builds a layer's module pipeline.  A bare convolution or
-fully-connected layer is its own one-layer block.  Only ``simulate_fused``
-builds a ``SimReport``.
+fully-connected layer is its own one-layer block.  The search simulates bare
+passes (``_simulate_pass``); only ``simulate_fused`` builds a report, in
+``turf.inspection``, the home of the report records.
 
 The buffer-option search (``best_options``) is first fit: full-tile buffers
 reach the floor ``_pass_lower_bound`` under every sequence assignment, so it
@@ -67,15 +68,6 @@ from .errors import (InefficientConfig, InvalidTiling, PortMismatch,
 from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, LayerTerms, Seq, cycle_counts,
                  fill_cycles, intermediate_buffer_words, layer_terms)
 from .ir import BlockSpec, LayerKind, LayerSpec, TensorShape, layer_shapes
-
-CYCLE_MODEL = (
-    "one cycle = one parallel step of the nested loops; per-tile compute "
-    "cycles = ceil(T_c/P_c) * ceil(T_f/P_f) * ceil(T_h/P_h) * ceil(T_w/P_w), "
-    "depthwise drops the T_f factor, Winograd layers process one m x m "
-    "output tile per step (P_h = P_w = m); pipeline fill is a per-layer "
-    "additive constant"
-)
-
 
 class FusedDesignConfig(NamedTuple):
     """<T_h, T_w, {T_c^i}, T_f, P_h, P_w, {P_c^i}, P_f, {Seq^i}, buffer options>.
@@ -121,48 +113,6 @@ def config_to_json(cfg: FusedDesignConfig) -> dict:
         "winograd_m": cfg.winograd_m,
         "winograd": list(cfg.use_winograd),
     }
-
-
-# ---------------------------------------------------------------------------
-# Report types
-
-class LayerActivity(NamedTuple):
-    index: int
-    seq: Seq
-    work_units: int
-    cycles_per_unit: int
-    busy_cycles: int
-    stall_cycles: int
-    first_start: int
-    last_finish: int
-    fill_cycles: int
-
-
-class BufferActivity(NamedTuple):
-    index: int              # buffer i sits between layer i and layer i+1
-    option: BufferOption
-    words: int
-    tokens: int
-    capacity_tokens: int
-    peak_tokens: int
-
-
-class SimEvent(NamedTuple):
-    time: int
-    layer: int
-    unit: int
-    event: str  # "start" | "finish" | "release"
-
-
-class SimReport(NamedTuple):
-    total_cycles: int
-    per_pass_cycles: int
-    n_passes: int
-    fill_cycles: int
-    layers: tuple[LayerActivity, ...]
-    buffers: tuple[BufferActivity, ...]
-    events: tuple[SimEvent, ...] = ()
-    cycle_model: str = CYCLE_MODEL
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +257,11 @@ class _BufferState:
         self.ready, self.freed, self.reserved = [None] * tokens, [None] * tokens, [None] * tokens
         self.all_ready: int | None = None   # time the last token became ready
 
-    def peak(self) -> int:
-        """Most tokens held at once.  Reserve and free times are each
-        non-decreasing, so one merge counts them; a reservation at time t
-        counts before a free at t."""
-        held = [(r, f) for r, f in zip(self.reserved, self.freed) if r is not None]
-        frees = [math.inf if f is None else f for _, f in held]
-        cur = peak = j = 0
-        for r, _ in held:
-            while frees[j] < r:
-                cur -= 1
-                j += 1
-            cur += 1
-            peak = max(peak, cur)
-        return peak
-
 
 def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
                    collect_events: bool) -> tuple[int, list, list, list]:
-    """One tile pass.  Returns (makespan, starts, finishes, (buffer states, events)).
+    """One tile pass.  Returns (makespan, starts, finishes, (buffer states,
+    events)), each event a (time, layer, unit, kind) tuple.
 
     A unit starts at the latest of engine-free, input-ready and slot-freed
     (see the module docstring), so start times do not depend on the order
@@ -340,7 +276,7 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
     engine_free = [0] * n
     starts = [[None] * p.units for p in plans]
     finishes = [[None] * p.units for p in plans]
-    events: list[SimEvent] = []
+    events = []
     remaining = sum(p.units for p in plans)
 
     while remaining:
@@ -373,8 +309,8 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
                 finishes[i][u] = finish
                 engine_free[i] = finish
                 if collect_events:
-                    events.append(SimEvent(t, i, u, "start"))
-                    events.append(SimEvent(finish, i, u, "finish"))
+                    events.append((t, i, u, "start"))
+                    events.append((finish, i, u, "finish"))
                 last = u == units - 1
                 if inbuf is not None:
                     if plan.consumer_stream:
@@ -389,7 +325,7 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
                         if u == outbuf.tokens - 1:
                             outbuf.all_ready = release
                         if collect_events:
-                            events.append(SimEvent(release, i, u, "release"))
+                            events.append((release, i, u, "release"))
                     else:
                         if u == 0:
                             outbuf.reserved = [t] * outbuf.tokens
@@ -397,7 +333,7 @@ def _simulate_pass(plans: list[LayerSchedule], caps: list[tuple[int, int, int]],
                             outbuf.ready = [release] * outbuf.tokens
                             outbuf.all_ready = release
                             if collect_events:
-                                events.append(SimEvent(release, i, u, "release"))
+                                events.append((release, i, u, "release"))
                 u += 1
             placed += u - next_unit[i]
             next_unit[i] = u
@@ -453,44 +389,11 @@ def _pass_lower_bound(plans: list[LayerSchedule]) -> int:
 
 
 def simulate_fused(plan: BlockPlan, collect_events: bool = False) -> SimReport:
-    """Simulate one fused launch of ``plan``'s design over its stage's input,
-    with the config's own sequences and buffer options.
-
-    Spatial tiles and output-channel slices execute as sequential passes of
-    the same pipeline; the report covers the whole input.
-    """
-    seqs, options = plan.cfg.seqs, plan.cfg.buffer_options
-    plans = plan.schedule(seqs)
-    caps = _buffer_caps(plan, seqs, options)
-    makespan, starts, finishes, (bufs, events) = _simulate_pass(
-        plans, caps, collect_events)
-
-    layer_rows = []
-    for i, p in enumerate(plans):
-        busy = p.units * p.cycles_per_unit
-        first = starts[i][0]
-        last = finishes[i][-1]
-        layer_rows.append(LayerActivity(
-            index=i, seq=seqs[i], work_units=p.units,
-            cycles_per_unit=p.cycles_per_unit, busy_cycles=busy,
-            stall_cycles=(last - first) - busy, first_start=first,
-            last_finish=last, fill_cycles=p.fill))
-
-    buffer_rows = []
-    for i, ((tokens, cap, words), b) in enumerate(zip(caps, bufs)):
-        buffer_rows.append(BufferActivity(
-            index=i, option=options[i], words=words,
-            tokens=tokens, capacity_tokens=cap, peak_tokens=b.peak()))
-
-    return SimReport(
-        total_cycles=makespan * plan.n_passes,
-        per_pass_cycles=makespan,
-        n_passes=plan.n_passes,
-        fill_cycles=sum(p.fill for p in plans),
-        layers=tuple(layer_rows),
-        buffers=tuple(buffer_rows),
-        events=tuple(sorted(events, key=lambda e: (e.time, e.layer, e.unit))),
-    )
+    """Simulate one fused launch of ``plan``'s design over its stage's input
+    (its tile passes, one after another) with the config's own sequences and
+    buffer options: ``inspection.simulate_report``, which no DSE run compiles."""
+    from .inspection import simulate_report
+    return simulate_report(plan, collect_events)
 
 
 # ---------------------------------------------------------------------------

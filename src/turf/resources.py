@@ -26,9 +26,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import os
 from collections import Counter
 from collections.abc import Iterator
-from importlib import resources as importlib_resources
 from operator import mul
 from typing import NamedTuple, get_type_hints
 
@@ -106,12 +106,10 @@ def load_calibration(path: str | None = None) -> CalibrationTable:
     """The ALM table at ``path``, or the shipped one.  Each entry's ``base``
     and ``per_width`` are checked with ``errors.typed`` as JSON numbers and
     must be >= 0; a bad entry is a CalibrationError naming it."""
-    if path is None:
-        ref = importlib_resources.files("turf.data").joinpath("alm_coefficients.json")
-        alm = json.loads(ref.read_text())["alm"]
-    else:
-        with reading(path), open(path) as fh:
-            alm = json.load(fh)["alm"]
+    if path is None:  # shipped as package data beside this module
+        path = os.path.join(os.path.dirname(__file__), "data", "alm_coefficients.json")
+    with reading(path), open(path) as fh:
+        alm = json.load(fh)["alm"]
     if type(alm) is not dict:
         raise CalibrationError(f"the ALM table must map module kinds to coefficients, "
                                f"got {alm!r}")
@@ -516,13 +514,14 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     to (-GOPS, its least assignment bound).  A unit is a sequence assignment,
     keyed (``_unit_keys``) as its candidate (``fusion.best_options``) up to
     the buffer options, so one unit is evaluated (planned, sized, estimated)
-    when it fits.  ``designs`` (``evaluate_model``'s table, funnel included),
-    ``shapes`` and ``ops_weights`` may come from the caller."""
+    when it fits.  ``designs`` (``evaluate_model``'s table, whose ``"walks"``
+    and ``"funnel"`` it uses), ``shapes`` and ``ops_weights`` may come from
+    the caller."""
     shapes = shapes or layer_shapes(block, input_shape)
     chans = [s.channels for s in shapes]
     designs = {} if designs is None else designs
     items = list(_planned_points(block, input_shape, shapes, platform, max_parallel,
-                                 grid_depth, designs, ops_weights))
+                                 grid_depth, designs.setdefault("walks", {}), ops_weights))
     found, plans = {}, {}  # per refined item: (its point, its bounds); its plan
 
     def refine(j):
@@ -587,24 +586,25 @@ def evaluate_model(model: ModelSpec, platform: PlatformSpec,
     the sum of the candidates' cycles and its ``resources`` the per-field
     maximum of theirs (all zero when no stage has a pipeline).
 
-    ``designs`` is one command's stage-design table: a stage's candidate and
-    operation count under ``(op, input_shape)``, the walks its searches share
-    and their summed funnel under ``"funnel"`` (``design_gen``).  Identical
-    stages recur within a model and across replacement candidates, and each
-    is searched and counted once per table.  Share a table only between
-    calls with the same platform, calibration and search bounds."""
-    rows, ops = [], 0
+    ``designs`` is one command's stage-design table: under ``"stages"`` a
+    stage's candidate and operation count by ``(op, input_shape)``, under
+    ``"walks"`` the parallelism walks its searches share and under
+    ``"funnel"`` their summed funnel (``design_gen``).  Identical stages
+    recur within a model and across replacement candidates, and each is
+    searched and counted once per table.  Share a table only between calls
+    with the same platform, calibration and search bounds."""
+    rows, ops, stages = [], 0, designs.setdefault("stages", {})
     for i, stage in enumerate(model.stages):
         best = None
         if has_pipeline(stage.op):
             key = (stage.op, stage.input_shape)
-            if (entry := designs.get(key)) is None:
+            if (entry := stages.get(key)) is None:
                 shapes = layer_shapes(stage.op, stage.input_shape)
                 counts = (stage.op.ops(stage.input_shape, shapes),
                           stage.op.params(stage.input_shape, shapes))
-                entry = designs[key] = (design_gen(stage.op, stage.input_shape, platform,
-                                                   coeffs, grid_depth, max_parallel,
-                                                   designs, shapes, counts), counts[0])
+                entry = stages[key] = (design_gen(stage.op, stage.input_shape, platform,
+                                                  coeffs, grid_depth, max_parallel,
+                                                  designs, shapes, counts), counts[0])
             best, stage_ops = entry
             ops += stage_ops
         rows.append(StageDesign(i, stage.name, best))

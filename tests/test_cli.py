@@ -21,6 +21,7 @@ jsonschema = pytest.importorskip("jsonschema")
 from conftest import layers_form
 from turf import errors
 from turf.cli import main
+from turf.explore import model_gen, replacement_key
 from turf.hw import ModuleKind
 from turf.ir import model_to_json
 from turf.models import build_reference_model
@@ -345,6 +346,31 @@ def test_config_without_winograd_flags_runs_the_direct_path(tmp_path, res2_1_mod
     assert reports[0] == reports[1]
 
 
+def _res3_1_layers_config(tile_of):
+    """``dse``'s res3_1 config (layer 0 has stride 2) in the ``layers`` form,
+    with layer i's (T_h, T_w) ``tile_of(i)``."""
+    flat = json.loads((ROOT / "tests" / "golden" / "dse_resnet50_res3_1.json").read_text()
+                      )["selected"]["config"]
+    doc = layers_form(flat)
+    for i, entry in enumerate(doc["layers"]):
+        entry["tile"][:2] = tile_of(i)
+    return flat, doc
+
+
+def test_layers_form_tiles_follow_the_strides(reference_models, tmp_path):
+    """Behind a stride-2 layer, a ``layers`` config's later tiles are layer
+    0's halved, and the config gives the flat form's ``simulate`` report."""
+    flat, doc = _res3_1_layers_config(lambda i: [56, 56] if i == 0 else [28, 28])
+    reports = []
+    for name, cfg_doc in (("flat", flat), ("layers", doc)):
+        cfg, out = tmp_path / f"{name}_cfg.json", tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(cfg_doc))
+        assert main(["simulate", str(reference_models / "resnet50.json"), "--block", "5",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1]
+
+
 class TestInvalidConfigDocuments:
     """A config document with a value of the wrong JSON type exits 1 naming
     ``InvalidDocument``, in either form, from ``simulate`` and ``hw describe``."""
@@ -625,15 +651,23 @@ def reference_models(tmp_path_factory):
     return root
 
 
+# the turf modules a ``dse`` or ``explore`` run loads
+DSE_MODULES = {"turf", "turf.cli", "turf.errors", "turf.explore", "turf.fusion", "turf.hw",
+               "turf.ir", "turf.resources"}
+
+
 class TestImportFootprint:
     """Every command but winograd-check loads only turf and the standard
     library: no numpy on the DSE path, and no ``subprocess`` on a ``dse``
     or ``explore`` run (only an ``external:`` oracle needs it).  turf's
     records are NamedTuples, so no command loads ``dataclasses`` or the
-    ``inspect`` it imports, and only a command that writes CSV loads
-    ``csv``.  The manifest hashes with CPython's builtin SHA-256, so no
-    command loads OpenSSL (``_hashlib``), and a stage-list document needs
-    no reference model, so none loads ``turf.models``."""
+    ``inspect`` it imports, and only a command that reads or writes CSV
+    loads ``csv``.  The manifest hashes with CPython's builtin SHA-256, so
+    no command loads OpenSSL (``_hashlib``), and a stage-list document needs
+    no reference model, so none loads ``turf.models``.  A ``dse`` or
+    ``explore`` run loads exactly ``DSE_MODULES`` of turf, and a ``table:``
+    oracle ``turf.oracles`` too; the module chain (``turf.chain``) loads
+    only for ``hw describe``."""
 
     @pytest.mark.parametrize("command", [
         ("model", "show", "{vgg16}"),
@@ -643,26 +677,37 @@ class TestImportFootprint:
         ("dse", "{vgg16}"),
         ("dse", "{resnet50}", "--block", "2"),
         ("explore", "--model", "{resnet50}", "--min-acc", "0", "--min-gops", "1"),
-    ], ids=lambda c: " ".join(w for w in c if not w.startswith("{")))
+        ("explore", "--model", "{resnet50}", "--min-acc", "0.5", "--min-gops", "1",
+         "--oracle", "table:{table}"),
+    ], ids=lambda c: " ".join(w for w in c if "{" not in w))
     def test_loads_only_turf_and_stdlib(self, reference_models, tmp_path, command):
+        # the first candidate passes, the second fails and ends the walk
+        first = model_gen(build_reference_model("resnet50"))
+        (tmp_path / "table.csv").write_text(
+            f"replacement_vector,accuracy\n{replacement_key(first)},0.9\n"
+            f"{replacement_key(model_gen(first, first))},0.1\n")
         paths = {"vgg16": reference_models / "vgg16.json",
                  "resnet50": reference_models / "resnet50.json",
-                 "config": ROOT / "tests" / "golden" / "resnet50_res2_1_config.json"}
+                 "config": ROOT / "tests" / "golden" / "resnet50_res2_1_config.json",
+                 "table": tmp_path / "table.csv"}
         argv = [w.format(**paths) for w in command]
         added = _fresh_run(argv + ["--out", str(tmp_path / "report.json")])
         foreign = [m for m in added if m != "turf" and not m.startswith("turf.")
                    and m.partition(".")[0] not in sys.stdlib_module_names]
         assert foreign == []
-        assert {"dataclasses", "inspect", "csv"}.isdisjoint(added)
+        assert {"dataclasses", "inspect"}.isdisjoint(added)
+        assert ("csv" in added) == ("--oracle" in command)
         assert "_hashlib" not in added
         assert "turf.models" not in added
+        turf = {m for m in added if m == "turf" or m.startswith("turf.")}
         if command[0] in ("dse", "explore"):
             assert "subprocess" not in added
             # neither the exact Winograd algebra nor the inspection commands
-            assert {"fractions", "decimal", "turf.kernels",
-                    "turf.inspection"}.isdisjoint(added)
+            assert {"fractions", "decimal"}.isdisjoint(added)
+            assert turf == DSE_MODULES | ({"turf.oracles"} if "--oracle" in command else set())
         else:
-            assert "turf.inspection" in added
+            assert "turf.inspection" in turf
+            assert ("turf.chain" in turf) == (command[0] == "hw")
 
     def test_winograd_check_loads_numpy_and_runs(self, tmp_path):
         out = tmp_path / "report.json"
@@ -967,6 +1012,32 @@ class TestBadDocuments:
                            "--csv", str(workdir / "out.csv")], error)
         assert not (workdir / "out.json").exists()
         assert not (workdir / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "hw"])
+    def test_later_layer_tile_that_is_not_layer_zeros(self, tmp_path, capsys, res2_1_model,
+                                                      command):
+        """A ``layers`` config whose layer 1 tile disagrees with layer 0's
+        (which the stride-1 layers keep) is a PortMismatch; it used to be
+        dropped, and ``simulate`` reported 214,128 cycles."""
+        doc = layers_form(json.loads(GOLDEN_CONFIG.read_text()))
+        doc["layers"][1]["tile"] = [99, 7, 64, 64]
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        err = self._run(capsys, _config_argv(command, res2_1_model) + [
+            "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out.json")],
+            "PortMismatch")
+        assert "layer 1: (T_h, T_w) = (99, 7) != (14, 14)" in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_later_layer_tile_that_ignores_a_stride(self, reference_models, tmp_path,
+                                                    capsys):
+        """Behind res3_1's stride-2 layer 0, a later tile repeating layer 0's
+        (56, 56) is a PortMismatch."""
+        _, doc = _res3_1_layers_config(lambda i: [56, 56])
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        err = self._run(capsys, ["simulate", str(reference_models / "resnet50.json"),
+                                 "--block", "5", "--config", str(tmp_path / "cfg.json")],
+                        "PortMismatch")
+        assert "layer 1: (T_h, T_w) = (56, 56) != (28, 28)" in err
 
     def test_oracle_table_without_accuracy_column(self, workdir, capsys):
         (workdir / "table.csv").write_text("replacement_vector,acc\nO,0.9\n")

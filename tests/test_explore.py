@@ -7,12 +7,12 @@ import pytest
 
 from conftest import small_custom_model, std_conv
 from turf.errors import NoSolution, OracleError, TurfError, UnknownModel
-from turf.explore import (CandidateRecord, ExternalOracle, Requirements,
-                          SyntheticOracle, TableOracle, model_gen,
+from turf.explore import (CandidateRecord, Requirements, SyntheticOracle, model_gen,
                           replacement_key, run_framework)
 from turf.ir import (LayerKind, LayerSpec, ModelSpec, Replacement, Stage, TensorShape,
                      count_ops_params, replace_layer)
 from turf.models import build_reference_model
+from turf.oracles import ExternalOracle, TableOracle
 from turf.resources import STRATIX_V_5SGSD8, evaluate_model, load_calibration
 
 COEFFS = load_calibration()

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import closed_form_dsp, dw_conv, pipeline_dsp, pw_conv, std_conv, terms_of
 from turf.errors import InefficientConfig, ShapeMismatch, UnsupportedConfig
+from turf.chain import (input_buffer, line_buffer, output_buffer, winograd_input_transform,
+                        winograd_output_transform, winograd_weight_transform)
 from turf.hw import (WINOGRAD_TERMS, BufferOption, LayerHwConfig, ModuleKind, Seq,
-                     cycle_counts, fill_cycles, input_buffer, instantiate_layer,
-                     intermediate_buffer_words, layer_terms, line_buffer, module_widths,
-                     output_buffer, validate_winograd, winograd_eligible, winograd_input_transform,
-                     winograd_output_transform, winograd_terms, winograd_weight_transform)
+                     cycle_counts, fill_cycles, instantiate_layer, intermediate_buffer_words,
+                     layer_terms, module_widths, validate_winograd, winograd_eligible,
+                     winograd_terms)
 from turf.ir import LayerKind, LayerSpec
 from turf.kernels import WINOGRAD_CONFIGS, transform_mult_counts, winograd_config
 

@@ -227,7 +227,7 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     floor, behind an option that reaches it.  Where no design fits, every
     unit of each expanded point is evaluated, and each such point is still
     planned once."""
-    import turf.cli, turf.fusion, turf.hw, turf.resources
+    import turf.cli, turf.fusion, turf.hw, turf.inspection, turf.resources
     from turf.models import build_reference_model
 
     calls = {"instantiate_layer": 0, "_grid_point": 0}
@@ -246,7 +246,7 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     monkeypatch.setattr(turf.resources, "_grid_point",
                         count("_grid_point", turf.resources._grid_point))
     reports = []
-    monkeypatch.setattr(turf.fusion, "SimReport",
+    monkeypatch.setattr(turf.inspection, "SimReport",
                         lambda *a, **k: reports.append(1))
     # every sized plan is kept alive here, so ids name each (plan, sequences,
     # options) set uniquely
@@ -296,11 +296,10 @@ def test_plans_only_points_that_can_win(model_name, refined, evaluated):
     still win (``refined``: on VGG-16, whose one-layer stages have exact
     floors, only those it expands), expands fewer (12, 12, 11 and 15: those
     whose refined floor, their least assignment bound, can still win), and
-    evaluates one unit per stage search, as many as the stage-table misses,
-    as a unit's key is its candidate's through the sequences and each
+    evaluates one unit per stage search, as many as the stage-table misses
+    (the entries under ``"stages"``), as a unit's key is its candidate's through the sequences and each
     selected unit fits."""
     from collections import Counter
-    from turf.ir import has_pipeline
     from turf.models import build_reference_model
     from turf.resources import evaluate_model
 
@@ -310,7 +309,7 @@ def test_plans_only_points_that_can_win(model_name, refined, evaluated):
                        "mobilenetv2": (185, 15)}[model_name]
     assert table["funnel"] == Counter(items=items, refined=refined, expanded=expanded,
                                       evaluated=evaluated)
-    assert evaluated == len({(s.op, s.input_shape) for s in model.stages if has_pipeline(s.op)})
+    assert evaluated == len(table["stages"])
 
 
 @st.composite
@@ -560,7 +559,7 @@ def test_a_shared_walk_table_picks_what_fresh_ones_pick(pair):
             op, shape, platform, max_parallel, grid_depth, walks)]
         try:
             return grid, design_gen(op, shape, platform, load_calibration(), grid_depth,
-                                    max_parallel, walks)
+                                    max_parallel, {"walks": walks})
         except Infeasible as exc:
             return grid, f"Infeasible: {exc}"
 
