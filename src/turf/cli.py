@@ -75,9 +75,16 @@ def make_manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
 
 def _write(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) output, to stdout where the path is None.
-    Every file is opened, without truncation, before any is written, so a
-    path that cannot be opened leaves existing files as they were and
-    removes the files this call created."""
+    Two paths that name one file (one resolved path, or one existing file)
+    raise UnsupportedConfig before any is opened.  Every file is opened,
+    without truncation, before any is written, so a path that cannot be
+    opened leaves existing files as they were and removes the files this
+    call created."""
+    paths = [path for _, path in outputs if path]
+    for i, path in enumerate(paths):
+        if any(os.path.realpath(path) == os.path.realpath(other) or os.path.exists(path)
+               and os.path.exists(other) and os.path.samefile(path, other) for other in paths[:i]):
+            raise UnsupportedConfig(f"two outputs name the same file, {path}")
     with contextlib.ExitStack() as files, contextlib.ExitStack() as created:
         handles = []
         for _, path in outputs:

@@ -41,16 +41,16 @@ Shortcut additions synchronise at tile completion with zero compute
 cycles.  One simulation covers one tile pass; spatial and output-channel
 tiling multiply the number of sequential passes.
 
-A fused design is scheduled once, by ``plan_block``, into a ``BlockPlan``:
-each layer's hardware config and chain terms (``hw.layer_terms``), its work
-units, cycles per unit, fill and stream flags under either computation
-sequence as plain numbers (``block_schedule``, which the DSE runs before it
-plans), and the pass count.  The cycle bound of each sequence assignment,
-the buffer-option search and the simulator read only that schedule; only
-``hw describe`` builds a layer's module pipeline.  A bare convolution or
-fully-connected layer is its own one-layer block.  The search simulates bare
-passes (``_simulate_pass``); only ``simulate_fused`` builds a report, in
-``turf.inspection``, the home of the report records.
+A fused design is scheduled once into a ``BlockPlan``, by ``plan_block`` for
+a parsed config or from the DSE's grid: each layer's hardware config and
+chain terms (``hw.layer_terms``), its work units, cycles per unit, fill and
+stream flags under either computation sequence as plain numbers
+(``block_schedule``), and the pass count.  The cycle bound of each sequence
+assignment, the buffer-option search and the simulator read only that
+schedule; only ``hw describe`` builds a layer's module pipeline.  A bare
+convolution or fully-connected layer is its own one-layer block.  The search
+simulates bare passes (``_simulate_pass``); only ``simulate_fused`` builds a
+report, in ``turf.inspection``, the home of the report records.
 
 The buffer-option search (``best_options``) is first fit: full-tile buffers
 reach the floor ``_pass_lower_bound`` under every sequence assignment, so it
@@ -180,7 +180,7 @@ def derive_layer_configs(block: BlockSpec | LayerSpec, input_shape: TensorShape,
 
 
 class BlockPlan(NamedTuple):
-    """One fused design of a stage, scheduled once by ``plan_block``.
+    """One fused design of a stage, scheduled once from a parsed config or the grid.
     ``by_seq[k][i]`` is layer i's schedule under ``_SEQ_ORDER[k]`` (no lookup
     hashes a ``Seq``), and ``hws[i]`` its hardware config under ``cfg`` with
     ``terms[i]`` its chain's constants (the sequence changes neither the
@@ -209,26 +209,21 @@ def block_schedule(layers, counts, fills) -> tuple[tuple[LayerSchedule, ...], ..
 
 
 def plan_block(op: BlockSpec | LayerSpec, input_shape: TensorShape,
-               cfg: FusedDesignConfig, chans: list[int] | None = None,
-               schedule: tuple | None = None) -> BlockPlan:
-    """Schedule ``cfg`` on ``op`` (a block, or a layer as its own one-layer
-    block): ``derive_layer_configs`` once, then per layer its chain's terms
-    (``hw.layer_terms``) and ``block_schedule``, unless the caller found
-    them (``schedule``: terms, by_seq, n_passes).  Raises what those raise
-    for ``cfg``, which is all that ``instantiate_layer`` would."""
-    if chans is None:
-        chans = [s.channels for s in layer_shapes(op, input_shape)]
+               cfg: FusedDesignConfig) -> BlockPlan:
+    """Schedule a parsed ``cfg`` on ``op`` (a block, or a layer as its own
+    one-layer block): ``derive_layer_configs`` once, then per layer its
+    chain's terms (``hw.layer_terms``) and ``block_schedule``.  Raises what
+    those raise for ``cfg``, which is all that ``instantiate_layer`` would."""
+    chans = [s.channels for s in layer_shapes(op, input_shape)]
     layers = op.layers
     hws = derive_layer_configs(op, input_shape, cfg, chans)
-    if schedule is None:
-        terms = tuple(layer_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
-                      for layer, hw in zip(layers, hws))
-        counts = [cycle_counts(layer, hw.tile, hw.parallelism) for layer, hw in zip(layers, hws)]
-        fills = [fill_cycles(t, hw.t_w, hw.p_c) for t, hw in zip(terms, hws)]
-        schedule = (terms, block_schedule(layers, counts, fills),
-                    math.ceil(input_shape.height / cfg.t_h) *
-                    math.ceil(input_shape.width / cfg.t_w) * math.ceil(chans[-1] / cfg.t_f))
-    return BlockPlan(cfg, layers, tuple(hws), *schedule)
+    terms = tuple(layer_terms(layer, hw.p_h, hw.p_w, hw.use_winograd, hw.winograd_m)
+                  for layer, hw in zip(layers, hws))
+    counts = [cycle_counts(layer, hw.tile, hw.parallelism) for layer, hw in zip(layers, hws)]
+    fills = [fill_cycles(t, hw.t_w, hw.p_c) for t, hw in zip(terms, hws)]
+    return BlockPlan(cfg, layers, tuple(hws), terms, block_schedule(layers, counts, fills),
+                     math.ceil(input_shape.height / cfg.t_h) *
+                     math.ceil(input_shape.width / cfg.t_w) * math.ceil(chans[-1] / cfg.t_f))
 
 
 def _buffer_caps(plan: BlockPlan, seqs: tuple[Seq, ...],

@@ -10,10 +10,10 @@ built only by ``hw describe`` and the tests from the modules of
 ``turf.chain``, which the DSE never compiles.  ``layer_terms`` is its closed
 form, the one dispatch on a layer's path (Winograd, pointwise/FC,
 standard/depthwise), read by ``fill_cycles``, ``layer_dsp`` and
-``module_widths``: through ``fusion.plan_block`` by the simulator and
+``module_widths``: through a ``fusion.BlockPlan`` by the simulator and
 ``resources.estimate_resources`` (fills, line-buffer rows, multipliers, ALM
-widths), and per spatial option by the DSE's prefilter and point floor
-(``resources._planned_points``).
+widths), and per spatial option by the DSE's prefilter, point floor and
+plans (``resources._planned_points``).
 
 The Winograd path reads T_k and the transforms' general constants as
 integers (``WINOGRAD_TERMS``), not from the exact algebra of

@@ -38,17 +38,24 @@ class TableOracle:
 
 class ExternalOracle:
     """Shells out: the command receives the model JSON on stdin and prints
-    an accuracy in [0, 1]."""
+    an accuracy in [0, 1].  The command is split once (``shlex.split``): one
+    that cannot be split or has no words is an OracleError."""
 
     def __init__(self, command: str):
+        import shlex
         self.command = command
+        try:
+            self.argv = shlex.split(command)
+        except ValueError as exc:
+            raise OracleError(f"oracle command `{command}` failed: {exc}") from None
+        if not self.argv:
+            raise OracleError(f"oracle command `{command}` has no words")
 
     def evaluate(self, model: ModelSpec, budget: int = 1) -> float:
-        import shlex
         import subprocess
         payload = json.dumps({"model": model_to_json(model), "budget": budget})
         try:
-            proc = subprocess.run(shlex.split(self.command), input=payload,
+            proc = subprocess.run(self.argv, input=payload,
                                   capture_output=True, text=True, check=True)
             accuracy = float(proc.stdout.strip())
         except subprocess.CalledProcessError as exc:

@@ -18,7 +18,8 @@ The compute roof is DSPs x 2 ops x clock.
 
 A stage with a hardware pipeline (a block, or a convolution or fully-connected
 layer as a one-layer block) is searched by ``design_gen`` with ``best_first``;
-a grid point waits as its floor and is built only when the search pops it.
+a grid point waits as its floor, and its one record, a ``fusion.BlockPlan``,
+is built only when the search expands it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .errors import (CalibrationError, Infeasible, InvalidTiling,
                      UnsupportedConfig, reading, typed)
 from .fusion import (BlockPlan, FusedDesignConfig, SeqCandidate,
                      assignment_bounds, best_options, block_schedule, enumerate_sequences,
-                     layer_tiles, plan_block, seq_assignments, tiling_overhead)
-from .hw import (WINOGRAD_M, BufferOption, ModuleKind, Seq, cycle_counts, fill_cycles,
-                 layer_dsp, layer_terms, module_widths, winograd_eligible)
+                     layer_tiles, seq_assignments, tiling_overhead)
+from .hw import (WINOGRAD_M, BufferOption, LayerHwConfig, ModuleKind, Seq, cycle_counts,
+                 fill_cycles, layer_dsp, layer_terms, module_widths, winograd_eligible)
 from .ir import (BlockSpec, LayerKind, LayerSpec, ModelSpec, TensorShape,
                  has_pipeline, layer_shapes)
 
@@ -138,11 +139,11 @@ def _bram_blocks(words: int) -> int:
     return math.ceil(words * WORD_BYTES / M20K_BYTES)
 
 
-def _dsp_used(layers, terms, hws) -> int:
-    """DSPs of a design whose layer i has chain ``terms[i]`` and parallelism
-    ``hws[i][1]`` (``hw.layer_dsp``): no sequence or buffer changes them."""
-    return sum(layer_dsp(t, par[2], 1 if layer.kind is LayerKind.DEPTHWISE_CONV else par[3])
-               for layer, t, (_, par, *_) in zip(layers, terms, hws))
+def _dsp_used(plan: BlockPlan) -> int:
+    """DSPs of ``plan``'s design (``hw.layer_dsp`` of each layer's chain
+    terms and parallelism): no sequence or buffer changes them."""
+    return sum(layer_dsp(t, hw.p_c, 1 if layer.kind is LayerKind.DEPTHWISE_CONV else hw.p_f)
+               for layer, t, hw in zip(plan.layers, plan.terms, plan.hws))
 
 
 def _bram_used(plan: BlockPlan, seqs: tuple[Seq, ...], buffer_words: tuple[int, ...]) -> int:
@@ -175,8 +176,7 @@ def estimate_resources(plan: BlockPlan, seqs: tuple[Seq, ...],
             alm += (base + per_width * width) * replication
     if not math.isfinite(alm):
         raise CalibrationError(f"the ALM coefficients give a non-finite ALM total ({alm})")
-    return ResourceEstimate(_dsp_used(plan.layers, plan.terms, plan.hws),
-                            _bram_used(plan, seqs, buffer_words), round(alm))
+    return ResourceEstimate(_dsp_used(plan), _bram_used(plan, seqs, buffer_words), round(alm))
 
 
 # ---------------------------------------------------------------------------
@@ -331,30 +331,16 @@ def _parallelism_combos(mults: tuple[tuple[int, int, int, bool], ...],
     return combos + [floor] if kept and floor not in combos else combos
 
 
-class GridPoint(NamedTuple):
-    """A grid point as ``_grid_point`` builds it: floor, its tile's fused
-    roofline point, an all-FM config's fields, per layer chain terms and
-    (tile, parallelism), its ``fusion.block_schedule`` and passes."""
-
-    floor: tuple
-    rl: RooflinePoint
-    fields: tuple
-    terms: tuple
-    hws: list
-    by_seq: tuple
-    passes: int
-
-
 def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                     shapes: list[TensorShape], platform: PlatformSpec, max_parallel: int,
                     grid_depth: int, walks: dict, ops_weights: tuple[int, int] | None = None
                     ) -> Iterator[tuple]:
     """The prefiltered grid of ``design_candidates`` in grid order, for a
     stage with ``shapes`` (``layer_shapes``) and ``ops_weights``, each point
-    as (floor, group, combo) for ``_grid_point``.  Chain terms, combos and
-    channel trips are found once per spatial option, and a walk once per
-    ``walks`` table; a group holds what one (tile, spatial option)'s points
-    share, each layer's fill per P_c of the walk included.  A tile whose
+    as (floor, group, combo) for ``_schedule`` and ``_plan``.  Chain terms,
+    combos and channel trips are found once per spatial option, and a walk
+    once per ``walks`` table; a group holds what one (tile, spatial option)'s
+    points share, each layer's fill per P_c of the walk included.  A tile whose
     roofline raises is dropped, as is a (tile, spatial option) where a
     layer's tile (``fusion.layer_tiles``) does not divide by (P_h, P_w),
     which ``plan_block`` rejects.  The floor is (-attainable GOPS, passes ·
@@ -411,13 +397,20 @@ def _planned_points(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                 yield (gops, passes * (max(map(mul, spatial, trip)) + fills[-1][ps[-2]])), group, ps
 
 
-def _grid_point(layers, floor: tuple, group: tuple, ps: tuple) -> GridPoint:
-    """The ``GridPoint`` of a ``_planned_points`` item on ``layers``."""
-    rl, head, tail, terms, tiles, fills, passes = group
-    hws = [(tile, (*head[4:], c, f)) for tile, c, f in zip(tiles, ps, ps[1:])]
-    return GridPoint(floor, rl, (*head, ps[:-1], ps[-1], *tail), terms, hws, block_schedule(
-        layers, [cycle_counts(layer, *hw) for layer, hw in zip(layers, hws)],
-        [f[p] for f, p in zip(fills, ps)]), passes)
+def _schedule(layers, group: tuple, ps: tuple) -> tuple:
+    """The ``fusion.block_schedule`` of a ``_planned_points`` item on ``layers``."""
+    _, (*_, p_h, p_w), _, _, tiles, fills, _ = group
+    return block_schedule(layers, [cycle_counts(l, t, (p_h, p_w, c, f)) for l, t, c, f in zip(
+        layers, tiles, ps, ps[1:])], [f[p] for f, p in zip(fills, ps)])
+
+
+def _plan(layers, group: tuple, ps: tuple, by_seq: tuple) -> BlockPlan:
+    """The ``BlockPlan`` of a ``_planned_points`` item on ``layers`` with its
+    ``_schedule``: what ``plan_block`` derives for its all-FM config."""
+    _, head, (seqs, options, wino), terms, tiles, _, passes = group
+    return BlockPlan(FusedDesignConfig(*head, ps[:-1], ps[-1], seqs, options, wino), layers,
+                     tuple(LayerHwConfig(t, (*head[4:], c, f), w) for t, c, f, w
+                           in zip(tiles, ps, ps[1:], wino)), terms, by_seq, passes)
 
 
 def _candidate(plan: BlockPlan, sc: SeqCandidate, rl: RooflinePoint,
@@ -433,7 +426,7 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                       platform: PlatformSpec, coeffs: CalibrationTable,
                       grid_depth: int,
                       max_parallel: int = 64) -> list[DesignCandidate]:
-    """Enumerate a bounded design grid for one block, every point planned.
+    """Enumerate a bounded design grid for one block, each point planned once (``_plan``).
 
     The grid spans spatial tiles (full map halved down to ``MIN_TILE``),
     power-of-two channel/filter parallelism, the Winograd path
@@ -448,22 +441,20 @@ def design_candidates(block: BlockSpec | LayerSpec, input_shape: TensorShape,
     different design for 7 of ResNet-50's stages under the default depth 4,
     and its total cycles fall from 4,367,268 to 4,078,951.
     """
-    shapes = layer_shapes(block, input_shape)
-    chans = [s.channels for s in shapes]
-    return [_candidate(plan, sc, point.rl, coeffs)
-            for item in _planned_points(block, input_shape, shapes, platform, max_parallel,
-                                        grid_depth, {})
-            for point in [_grid_point(block.layers, *item)]
-            for plan in [plan_block(block, input_shape, FusedDesignConfig(*point.fields), chans)]
+    layers, shapes = block.layers, layer_shapes(block, input_shape)
+    return [_candidate(plan, sc, group[0], coeffs)
+            for _, group, ps in _planned_points(block, input_shape, shapes, platform,
+                                                max_parallel, grid_depth, {})
+            for plan in [_plan(layers, group, ps, _schedule(layers, group, ps))]
             for sc in enumerate_sequences(plan)]
 
 
-def _unit_keys(layers, point: GridPoint, bounds: list[int]) -> list[tuple]:
+def _unit_keys(plan: BlockPlan, rl: RooflinePoint, bounds: list[int]) -> list[tuple]:
     """Per ``fusion.assignment_bounds``' bound, its candidate's key up to the
     buffer options, which change neither the DSPs nor the config."""
-    gops, dsp = -point.rl.attainable_gops, _dsp_used(layers, point.terms, point.hws)
-    return [(gops, bound, dsp, point.fields[:8], _values(seqs))
-            for bound, seqs in zip(bounds, seq_assignments(len(layers)))]
+    gops, dsp, fields = -rl.attainable_gops, _dsp_used(plan), plan.cfg[:8]
+    return [(gops, bound, dsp, fields, _values(seqs))
+            for bound, seqs in zip(bounds, seq_assignments(len(plan.layers)))]
 
 
 def best_first(floors: list, refine, expand, evaluate, funnel: Counter) -> list:
@@ -509,39 +500,38 @@ def design_gen(block: BlockSpec | LayerSpec, input_shape: TensorShape,
                shapes: list[TensorShape] | None = None,
                ops_weights: tuple[int, int] | None = None) -> DesignCandidate:
     """What ``pick_best_design(design_candidates(...))`` selects, found by
-    ``best_first`` over ``_planned_points``' floors.  A point is built
-    (``_grid_point``) only when refined, and a multi-layer point is refined
-    to (-GOPS, its least assignment bound).  A unit is a sequence assignment,
-    keyed (``_unit_keys``) as its candidate (``fusion.best_options``) up to
-    the buffer options, so one unit is evaluated (planned, sized, estimated)
-    when it fits.  ``designs`` (``evaluate_model``'s table, whose ``"walks"``
-    and ``"funnel"`` it uses), ``shapes`` and ``ops_weights`` may come from
-    the caller."""
+    ``best_first`` over ``_planned_points``' floors.  A point is scheduled
+    (``_schedule``) when refined, a multi-layer one to (-GOPS, its least
+    assignment bound), and planned (``_plan``) when expanded.  A unit is a
+    sequence assignment of a plan, keyed (``_unit_keys``) as its candidate
+    (``fusion.best_options``) up to the buffer options, so one unit is
+    evaluated (sized, estimated) when it fits.  ``designs``
+    (``evaluate_model``'s table, whose ``"walks"`` and ``"funnel"`` it
+    uses), ``shapes`` and ``ops_weights`` may come from the caller."""
     shapes = shapes or layer_shapes(block, input_shape)
-    chans = [s.channels for s in shapes]
+    layers = block.layers
     designs = {} if designs is None else designs
     items = list(_planned_points(block, input_shape, shapes, platform, max_parallel,
                                  grid_depth, designs.setdefault("walks", {}), ops_weights))
-    found, plans = {}, {}  # per refined item: (its point, its bounds); its plan
+    found = {}  # per refined item: its schedule and assignment bounds
 
     def refine(j):
-        p = _grid_point(block.layers, *items[j])
-        found[j] = p, assignment_bounds(p.by_seq, p.passes)
-        return (p.floor[0], min(found[j][1])) if len(block.layers) > 1 else None
+        (gops, _), group, ps = items[j]
+        by_seq = _schedule(layers, group, ps)
+        found[j] = by_seq, assignment_bounds(by_seq, group[-1])
+        return (gops, min(found[j][1])) if len(layers) > 1 else None
 
     def expand(j):
-        return zip(_unit_keys(block.layers, *found[j]),
-                   [(j, seqs) for seqs in seq_assignments(len(block.layers))])
+        _, group, ps = items[j]
+        plan = _plan(layers, group, ps, found[j][0])
+        return [(key, (plan, seqs, group[0])) for key, seqs
+                in zip(_unit_keys(plan, group[0], found[j][1]), seq_assignments(len(layers)))]
 
     def evaluate(unit):
-        j, seqs = unit
-        point = found[j][0]
-        if (plan := plans.get(j)) is None:
-            plan = plans[j] = plan_block(block, input_shape, FusedDesignConfig(*point.fields),
-                                         chans, (point.terms, point.by_seq, point.passes))
+        plan, seqs, rl = unit
         sc = best_options(plan, seqs, lambda words: _bram_used(plan, seqs, words)
                           <= platform.bram_blocks)
-        c = _candidate(plan, sc, point.rl, coeffs)
+        c = _candidate(plan, sc, rl, coeffs)
         return c, c.key(), c.resources.feasible(platform)
 
     return pick_best_design(best_first([item[0] for item in items], refine, expand, evaluate,

@@ -54,13 +54,16 @@ def closed_form_dsp(layer, hw):
 
 
 def grid_points(block, shape, platform, max_parallel=64, grid_depth=4, walks=None):
-    """Every ``GridPoint`` of the stage's grid in grid order: the items of
-    ``resources._planned_points`` built by ``resources._grid_point``, as
-    ``design_gen`` builds a point when it refines it."""
-    from turf.resources import _grid_point, _planned_points
-    return [_grid_point(block.layers, *item) for item in _planned_points(
-        block, shape, layer_shapes(block, shape), platform, max_parallel, grid_depth,
-        {} if walks is None else walks)]
+    """Every point of the stage's grid in grid order, as (floor, fused
+    roofline point, ``BlockPlan``): the items of ``resources._planned_points``,
+    scheduled by ``resources._schedule`` and planned by ``resources._plan``,
+    as ``design_gen`` does when it refines and expands a point."""
+    from turf.resources import _plan, _planned_points, _schedule
+    layers = block.layers
+    return [(floor, group[0], _plan(layers, group, ps, _schedule(layers, group, ps)))
+            for floor, group, ps in _planned_points(
+                block, shape, layer_shapes(block, shape), platform, max_parallel, grid_depth,
+                {} if walks is None else walks)]
 
 
 def stacked_block(mid, out):

@@ -136,9 +136,9 @@ def test_alm_is_the_chain_sum_on_every_candidate(model_name):
             assert fractional == _chain_alm(plan, FRACTIONAL), (name, c.cfg)
 
 
-def _bounds(point) -> list[int]:
+def _bounds(plan) -> list[int]:
     """A grid point's assignment bounds, as ``design_gen`` refines it."""
-    return assignment_bounds(point.by_seq, point.passes)
+    return assignment_bounds(plan.by_seq, plan.n_passes)
 
 
 @pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
@@ -155,9 +155,9 @@ def test_refined_floor_is_each_points_best_pair(model_name):
             pairs[key[3]] = min(pairs.get(key[3], key[:2]), key[:2])
         points = grid_points(block, shape, STRATIX_V_5SGSD8)
         assert len(points) == len(pairs), name
-        for point in points:
-            refined = (point.floor[0], min(_bounds(point)))
-            assert point.floor <= refined == pairs[point.fields[:8]], (name, point.fields)
+        for floor, _, plan in points:
+            refined = (floor[0], min(_bounds(plan)))
+            assert floor <= refined == pairs[plan.cfg[:8]], (name, plan.cfg)
 
 
 @pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1",
@@ -170,8 +170,8 @@ def test_unit_keys_bound_every_candidate_key(model_name):
     the one it selects."""
     for name, block, shape, cands in stage_candidates(model_name, STRATIX_V_5SGSD8):
         keys = {}
-        for point in grid_points(block, shape, STRATIX_V_5SGSD8):
-            for key in resources._unit_keys(block.layers, point, _bounds(point)):
+        for _, rl, plan in grid_points(block, shape, STRATIX_V_5SGSD8):
+            for key in resources._unit_keys(plan, rl, _bounds(plan)):
                 keys[key[3:5]] = key
         assert len(keys) == len(cands), name
         for c in cands:

@@ -880,6 +880,39 @@ class TestUnwritableOutputs:
         else:
             assert written.read_text() == existing
 
+    @pytest.mark.parametrize("argv", [
+        ["dse", "{model}", "--block", "1", "--out", "{x}", "--csv", "{alias}"],
+        ["simulate", "{model}", "--block", "1", "--config", "{cfg}",
+         "--out", "{x}", "--trace", "{alias}"],
+    ], ids=["dse-out-csv", "simulate-out-trace"])
+    @pytest.mark.parametrize("alias, existing", [
+        ("same", None), ("same", "earlier run\n"), ("relative", None),
+        ("relative", "earlier run\n"), ("link", "earlier run\n"),
+    ], ids=["same-new", "same-existing", "relative-new", "relative-existing", "link-existing"])
+    def test_two_outputs_naming_one_file(self, workdir, capsys, monkeypatch, argv, alias,
+                                         existing):
+        """Two outputs that name one file, by the same path, another path
+        to it or a hard link to it, exit 1 naming UnsupportedConfig: the
+        file is not created, or keeps what it held."""
+        x = workdir / "x.out"
+        if existing is not None:
+            x.write_text(existing)
+        monkeypatch.chdir(workdir)
+        (workdir / "sub").mkdir()
+        other = {"same": x, "relative": "sub/../x.out", "link": workdir / "link.out"}[alias]
+        if alias == "link":
+            os.link(x, other)
+        argv = [a.format(model=workdir / "model.json", cfg=workdir / "cfg.json", x=x,
+                         alias=other) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("UnsupportedConfig: ") and "name the same file" in err
+        assert "Traceback" not in err
+        if existing is None:
+            assert not x.exists()
+        else:
+            assert x.read_text() == existing
+
 
 class TestBadDocuments:
     """Unreadable or malformed input documents exit 1 naming InvalidDocument,
@@ -1058,6 +1091,18 @@ class TestOracleErrors:
         err = capsys.readouterr().err
         assert err.startswith("OracleError: ")
         assert "Traceback" not in err and command in err
+
+    @pytest.mark.parametrize("command", ["", "   "], ids=["empty", "blank"])
+    def test_external_oracle_with_no_command_exits_one(self, workdir, capsys, command):
+        # shell-style splitting gives no words, so there is nothing to run
+        rc = main(["explore", "--model", str(workdir / "model.json"),
+                   "--min-acc", "0", "--min-gops", "1",
+                   "--oracle", f"external:{command}", "--out", str(workdir / "explore.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("OracleError: ") and "no words" in err
+        assert "Traceback" not in err
+        assert not (workdir / "explore.json").exists()
 
 
     @pytest.mark.parametrize("accuracy", ["nan", "1.5"])

@@ -96,8 +96,8 @@ def _reference_combos(rows, dsp_total, grid_depth):
 def _grid_combos(block, input_shape, dsp_total, grid_depth):
     out = {}
     platform = STRATIX_V_5SGSD8._replace(dsp_total=dsp_total)
-    for point in grid_points(block, input_shape, platform, 64, grid_depth):
-        cfg = FusedDesignConfig(*point.fields)
+    for _, _, plan in grid_points(block, input_shape, platform, 64, grid_depth):
+        cfg = plan.cfg
         out.setdefault((cfg.t_h, cfg.t_w, cfg.p_h, cfg.p_w), []).append(
             (*cfg.p_c, cfg.p_f))
     return out

@@ -217,20 +217,23 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     """The search on ResNet-50's ``res2_1`` evaluates 1 of its grid points'
     units (its funnel): it plans that one point and estimates that one
     candidate, the best-ranked unit, whose key is its candidate's through
-    the sequences.  It builds a grid point (``_grid_point``) only for each
-    point it refines, no module pipeline (``instantiate_layer``), as the
-    resource model reads closed forms, and no ``SimReport``, and it sizes
-    the buffers of each (sequences, options) set once.  It simulates
+    the sequences.  It builds a point's schedule (``_schedule``) only for
+    each point it refines and its ``BlockPlan`` (``_plan``) only for each
+    point it expands, derives no parsed config (``plan_block``'s
+    ``derive_layer_configs``), builds no module pipeline
+    (``instantiate_layer``), as the resource model reads closed forms, and
+    no ``SimReport``, and it sizes the buffers of each (sequences, options)
+    set once.  It simulates
     none of the 8 option sets it takes before stopping at each floor: 2
     cannot make a streaming producer wait, so ``_pass_bounds`` is their
     makespan, and the capacity-aware bound puts the other 6 above the
     floor, behind an option that reaches it.  Where no design fits, every
     unit of each expanded point is evaluated, and each such point is still
-    planned once."""
+    planned once, each refined one scheduled once."""
     import turf.cli, turf.fusion, turf.hw, turf.inspection, turf.resources
     from turf.models import build_reference_model
 
-    calls = {"instantiate_layer": 0, "_grid_point": 0}
+    calls = {"instantiate_layer": 0, "derive_layer_configs": 0, "_schedule": 0, "_plan": 0}
 
     def count(name, fn):
         def counted(*args, **kwargs):
@@ -243,8 +246,9 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     for module in (turf.hw, turf.fusion, turf.resources, turf.cli):
         if module.__dict__.get("instantiate_layer") is orig:
             monkeypatch.setattr(module, "instantiate_layer", wrapped)
-    monkeypatch.setattr(turf.resources, "_grid_point",
-                        count("_grid_point", turf.resources._grid_point))
+    for module, name in ((turf.fusion, "derive_layer_configs"), (turf.resources, "_schedule"),
+                         (turf.resources, "_plan")):
+        monkeypatch.setattr(module, name, count(name, getattr(module, name)))
     reports = []
     monkeypatch.setattr(turf.inspection, "SimReport",
                         lambda *a, **k: reports.append(1))
@@ -273,18 +277,41 @@ def test_each_grid_point_is_derived_once(monkeypatch):
     design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8, load_calibration(),
                grid_depth=4, designs=table)
     assert table["funnel"]["evaluated"] == len(planned) == 1
-    assert calls == {"instantiate_layer": 0, "_grid_point": table["funnel"]["refined"]}
+    assert calls == {"instantiate_layer": 0, "derive_layer_configs": 0,
+                     "_schedule": table["funnel"]["refined"],
+                     "_plan": table["funnel"]["expanded"]}
     assert reports == []
     assert simulated == []
     assert set(sized.values()) == {1}, sized
     planned.clear()
-    calls["_grid_point"], table = 0, {}
+    calls.update(_schedule=0, _plan=0)
+    table = {}
     with pytest.raises(Infeasible):
         design_gen(stage.op, stage.input_shape, STRATIX_V_5SGSD8._replace(bram_blocks=1),
                    load_calibration(), grid_depth=4, designs=table)
     funnel = table["funnel"]
     assert funnel["evaluated"] == funnel["infeasible"] == 8 * funnel["expanded"] == 8 * len(planned)
-    assert calls["_grid_point"] == funnel["refined"]
+    assert calls == {"instantiate_layer": 0, "derive_layer_configs": 0,
+                     "_schedule": funnel["refined"], "_plan": funnel["expanded"]}
+
+
+def test_design_candidates_plan_each_point_once(monkeypatch):
+    """``design_candidates``, which ``dse --block`` lists, plans each of
+    ResNet-50 ``res2_1``'s 25 grid points once (``_plan``) and derives no
+    parsed config (``plan_block``'s ``derive_layer_configs``)."""
+    import turf.fusion, turf.resources
+    from turf.models import build_reference_model
+
+    calls = []
+    for module, name in ((turf.fusion, "derive_layer_configs"), (turf.resources, "_plan")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    stage = next(s for s in build_reference_model("resnet50").stages if s.name == "res2_1")
+    cands = design_candidates(stage.op, stage.input_shape, STRATIX_V_5SGSD8,
+                              load_calibration(), grid_depth=4)
+    assert calls == ["_plan"] * 25
+    assert len({c.cfg[:8] for c in cands}) == 25
 
 
 @pytest.mark.parametrize("model_name, refined, evaluated", [
@@ -358,8 +385,8 @@ def dse_stages(draw):
 @settings(max_examples=200, deadline=None)
 @given(dse_stages())
 def test_floor_is_below_every_assignment_bound(stage):
-    """Each grid point's schedule is what ``plan_block`` derives for its
-    config, and its floor is its passes times its busiest layer's cycles
+    """Each grid point's ``BlockPlan`` is what ``plan_block`` derives for
+    its config, and its floor is its passes times its busiest layer's cycles
     plus the last layer's fill, at most the pair of every sequence
     assignment, and equal to it on a one-layer stage.  Each assignment's
     bound, in ``seq_assignments`` order, is the cycles ``best_options``
@@ -376,13 +403,10 @@ def test_floor_is_below_every_assignment_bound(stage):
     n = len(layers)
     chans = [s.channels for s in layer_shapes(op, shape)]
     kept = set()
-    for floor, rl, fields, terms, hws, by_seq, passes in grid_points(
-            op, shape, platform, max_parallel, grid_depth):
-        cfg = FusedDesignConfig(*fields)
+    for floor, rl, plan in grid_points(op, shape, platform, max_parallel, grid_depth):
+        cfg = plan.cfg
         kept.add((cfg.t_h, cfg.t_w, cfg.p_h))
-        plan = plan_block(op, shape, cfg, chans)
-        assert (plan.terms, plan.by_seq, plan.n_passes) == \
-            (terms, by_seq, passes)
+        assert plan_block(op, shape, cfg) == plan
         fm = plan.schedule((Seq.FM,) * n)
         assert floor == (-rl.attainable_gops, plan.n_passes * (
             max(p.units * p.cycles_per_unit for p in fm) + fm[-1].fill))
@@ -411,7 +435,7 @@ def test_floor_is_below_every_assignment_bound(stage):
                     t_h, t_w, tuple(chans[:-1]), chans[-1], p, p, ps[:-1], ps[-1],
                     (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1), wino)
                 try:
-                    plan_block(op, shape, cfg, chans)
+                    plan_block(op, shape, cfg)
                     rejected = False
                 except UnsupportedConfig:
                     rejected = True
@@ -421,7 +445,7 @@ def test_floor_is_below_every_assignment_bound(stage):
 def _eager_points(op, shape, platform, max_parallel, grid_depth) -> list:
     """Every grid point of a stage in grid order, each built whole with its
     floor as the search once built all of them before its first pop: per
-    tile, spatial option and combo, (floor, roofline point, fields, terms,
+    tile, spatial option and combo, (floor, roofline point, config, terms,
     per layer (tile, parallelism), the schedule of each layer's cycle counts
     and fill, passes)."""
     from turf.fusion import block_schedule, layer_tiles
@@ -454,33 +478,34 @@ def _eager_points(op, shape, platform, max_parallel, grid_depth) -> list:
                 fills = [fill_cycles(t, tile[1], p_c) for t, tile, p_c in zip(terms, tiles, ps)]
                 points.append((
                     (-rl.attainable_gops, passes * (max(c[0] for c in counts) + fills[-1])), rl,
-                    (t_h, t_w, tuple(chans[:-1]), chans[-1], p, p, ps[:-1], ps[-1],
-                     (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1), wino),
+                    FusedDesignConfig(t_h, t_w, tuple(chans[:-1]), chans[-1], p, p, ps[:-1],
+                                      ps[-1], (Seq.FM,) * n, (BufferOption.DOUBLE,) * (n - 1),
+                                      wino),
                     terms, hws, block_schedule(layers, counts, fills), passes))
     return points
 
 
 def _check_lazy_floors(op, shape, platform, max_parallel, grid_depth):
-    """The items ``_planned_points`` yields, built by ``_grid_point`` as
-    ``design_gen``'s refine builds them, are the eagerly built grid in grid
-    order.  Each is queued under the floor recomputed from the point:
+    """The items ``_planned_points`` yields, scheduled and planned as
+    ``design_gen`` does (``grid_points``), are the eagerly built grid in
+    grid order, and each plan is what ``plan_block`` derives for its
+    config.  Each is queued under the floor recomputed from the point:
     passes · (max_i busy_i + ``hw.fill_cycles`` of the last layer's terms,
     T_w and P_c), busy_i being layer i's units times cycles per unit under
     filter-major, which is its ``hw.cycle_counts`` compute cycles."""
     from turf.hw import cycle_counts, fill_cycles
-    from turf.resources import _grid_point, _planned_points
 
-    items = list(_planned_points(op, shape, layer_shapes(op, shape), platform, max_parallel,
-                                 grid_depth, {}))
-    points = [_grid_point(op.layers, *item) for item in items]
-    assert [tuple(p) for p in points] == \
+    points = grid_points(op, shape, platform, max_parallel, grid_depth)
+    assert [(floor, rl, p.cfg, p.terms, [(hw.tile, hw.parallelism) for hw in p.hws],
+             p.by_seq, p.n_passes) for floor, rl, p in points] == \
         _eager_points(op, shape, platform, max_parallel, grid_depth)
-    for (floor, *_), p in zip(items, points):
+    for floor, rl, p in points:
+        assert plan_block(op, shape, p.cfg) == p
         busy = [s.units * s.cycles_per_unit for s in p.by_seq[0]]
-        assert busy == [cycle_counts(l, *hw)[0] for l, hw in zip(op.layers, p.hws)]
-        (_, t_w, *_), (*_, p_c, _) = p.hws[-1]
-        assert floor == p.floor == (-p.rl.attainable_gops, p.passes * (
-            max(busy) + fill_cycles(p.terms[-1], t_w, p_c)))
+        assert busy == [cycle_counts(l, hw.tile, hw.parallelism)[0]
+                        for l, hw in zip(op.layers, p.hws)]
+        assert floor == (-rl.attainable_gops, p.n_passes * (
+            max(busy) + fill_cycles(p.terms[-1], p.hws[-1].t_w, p.hws[-1].p_c)))
 
 
 @pytest.mark.parametrize("model_name", ["vgg16", "resnet50", "mobilenetv1", "mobilenetv2"])
@@ -555,7 +580,7 @@ def test_a_shared_walk_table_picks_what_fresh_ones_pick(pair):
     reads."""
     def search(stage, walks):
         op, shape, platform, grid_depth, max_parallel = stage
-        grid = [point.fields for point in grid_points(
+        grid = [plan.cfg for _, _, plan in grid_points(
             op, shape, platform, max_parallel, grid_depth, walks)]
         try:
             return grid, design_gen(op, shape, platform, load_calibration(), grid_depth,
